@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
+from .errors import InvalidArgumentError, OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
 from .models import (
     EnergyLevel,
     ModelSpec,
@@ -77,9 +77,9 @@ class SuperpositionState:
     def __post_init__(self):
         norm = abs(self.amplitude_a) ** 2 + abs(self.amplitude_b) ** 2
         if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"amplitudes must satisfy |a|^2 + |b|^2 = 1, got {norm!r}")
+            raise InvalidArgumentError(f"amplitudes must satisfy |a|^2 + |b|^2 = 1, got {norm!r}")
         if self.level_n.n - self.level_n_minus_1.n != 1:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"levels must be adjacent: got n={self.level_n.n} and n-1={self.level_n_minus_1.n}"
             )
 
@@ -167,7 +167,7 @@ def _levels_semiclassical(model: ModelSpec, ns) -> dict[int, tuple[float, float]
 
 def _resolve_method(model: ModelSpec, method: str) -> str:
     if method not in ("auto", "closed", "semiclassical"):
-        raise ValueError(f"method must be auto, closed, or semiclassical, got {method!r}")
+        raise InvalidArgumentError(f"method must be auto, closed, or semiclassical, got {method!r}")
     if method == "auto":
         return "semiclassical" if model.kind == "numeric" else "closed"
     if method == "closed" and model.kind == "numeric":
@@ -178,22 +178,27 @@ def _resolve_method(model: ModelSpec, method: str) -> str:
 def level_gap(model: ModelSpec, n: int, method: str = "auto") -> LevelGap:
     """Criterion record for the (n-1, n) pair; dE and dTau in model units."""
     how = _resolve_method(model, method)
-    hbar = model.units.hbar
     if how == "closed":
         if model.kind == "harmonic":
             # dTau is identically zero, not merely small; bypass the generic product.
             return LevelGap(n=n, dE=level_gap_energy(model, n), dTau=0.0, y_over_hbar=0.0, resolvable=False)
-        de = level_gap_energy(model, n)
-        dt = level_gap_period(model, n)
-    else:
-        lo = n_min(model)
-        if n <= lo:
-            raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {lo}")
-        lv = _levels_semiclassical(model, (n - 1, n))
-        de = (lv[n][0] - lv[n - 1][0]) / 2.0
-        dt = (lv[n][1] - lv[n - 1][1]) / 2.0
-    y = abs(de * dt) / hbar
+        return _gap(model, n, level_gap_energy(model, n), level_gap_period(model, n))
+    lo = n_min(model)
+    if n <= lo:
+        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {lo}")
+    return _gap_from_levels(model, n, _levels_semiclassical(model, (n - 1, n)))
+
+
+def _gap(model: ModelSpec, n: int, de: float, dt: float) -> LevelGap:
+    y = abs(de * dt) / model.units.hbar
     return LevelGap(n=n, dE=de, dTau=dt, y_over_hbar=y, resolvable=y >= 0.5)
+
+
+def _gap_from_levels(model: ModelSpec, n: int, levels: dict[int, tuple[float, float]]) -> LevelGap:
+    """Gap of the (n-1, n) pair from already computed (E, tau) levels."""
+    de = (levels[n][0] - levels[n - 1][0]) / 2.0
+    dt = (levels[n][1] - levels[n - 1][1]) / 2.0
+    return _gap(model, n, de, dt)
 
 
 def y_function(model: ModelSpec, n: int, method: str = "auto") -> float:
@@ -226,10 +231,12 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
     how = _resolve_method(model, method)
     ns = range(lo - 1, hi + 1)
     if how == "closed":
+        # the closed gap formulas avoid the cancellation of E_n - E_{n-1}
         levels = _levels_closed(model, ns)
+        gaps = tuple(level_gap(model, n, how) for n in range(lo, hi + 1))
     else:
         levels = _levels_semiclassical(model, ns)
-    gaps = tuple(level_gap(model, n, how) for n in range(lo, hi + 1))
+        gaps = tuple(_gap_from_levels(model, n, levels) for n in range(lo, hi + 1))
 
     thr = next((g.n for g in gaps if not g.resolvable), None)
     if all(not g.resolvable for g in gaps):
@@ -254,7 +261,7 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
     if not tail_monotone:
         notes.append("y(n) tail is not monotone over the scanned range; threshold is the first crossing only")
 
-    ratio = tuple((n, _gap_for_ratio(model, n, levels) / levels[n][0]) for n in range(lo, hi + 1))
+    ratio = tuple((g.n, g.dE / levels[g.n][0]) for g in gaps)
     return ResolvabilityReport(
         model=model,
         method=how,
@@ -271,12 +278,6 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
 
 def _monotone_decreasing(values) -> bool:
     return all(b <= a for a, b in zip(values, values[1:]))
-
-
-def _gap_for_ratio(model: ModelSpec, n: int, levels: dict) -> float:
-    if model.kind == "numeric":
-        return (levels[n][0] - levels[n - 1][0]) / 2.0
-    return level_gap_energy(model, n)
 
 
 def threshold(model: ModelSpec, scan_limit: int = 10**6) -> int | None:

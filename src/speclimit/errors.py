@@ -24,6 +24,7 @@ __all__ = [
     "InvalidCountError",
     "InvalidSigmaError",
     "ConfigError",
+    "InvalidArgumentError",
 ]
 
 
@@ -85,6 +86,10 @@ class InvalidCountError(SpeclimitError, ValueError):
 
 class InvalidSigmaError(SpeclimitError, ValueError):
     """Noise width is negative or not finite."""
+
+
+class InvalidArgumentError(SpeclimitError, ValueError):
+    """Argument outside the values a function accepts (unknown method, malformed state)."""
 
 
 class ConfigError(SpeclimitError, ValueError):

@@ -19,7 +19,9 @@ which absorbs the inverse-square-root behavior at simple turning points (and
 at the Coulomb 1/x endpoint) and leaves integrands smooth on [0, pi/2].
 Gauss-Legendre rules of doubling order are applied until two successive
 orders agree to 1e-10 relative; results that stall before reaching 1e-8 are
-rejected. The infinite square well has no smooth turning points and is
+rejected. Each order makes one integrand call, on the nodes of every
+theta-segment at once, and the turning-point scan evaluates its doubling
+steps in one potential call per chunk. The infinite square well has no smooth turning points and is
 handled by its elementary closed forms instead.
 
 Everything internal runs in SI; public functions accept and return values in
@@ -67,6 +69,9 @@ _GL_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 _RTOL_TARGET = 1e-10
 _RTOL_FLOOR = 1e-8
 _SCAN_STEPS = 1024
+_SCAN_CHUNK = 64  # a 13..97-knot table reaches its edge within ~30 steps
+_ROOT_XTOL = 1e-14  # turning-point tolerance, in units of the well's x_scale
+_ROOT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -100,19 +105,22 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _gl_panel(f, a: float, b: float, order: int) -> float:
-    nodes, weights = _gl_rule(order)
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * nodes
-    return half * float(np.dot(weights, f(x)))
-
-
 def _adaptive(f, segments) -> float:
-    """Composite Gauss-Legendre with order doubling until 1e-10 relative."""
+    """Composite Gauss-Legendre with order doubling until 1e-10 relative.
+
+    Each order evaluates ``f`` once, on the nodes of every segment; the panel
+    sums are then added in segment order.
+    """
+    a = np.array([s[0] for s in segments])
+    b = np.array([s[1] for s in segments])
+    mids = 0.5 * (a + b)
+    halves = 0.5 * (b - a)
     prev = None
     rel = math.inf
     for order in _GL_ORDERS:
-        val = sum(_gl_panel(f, a, b, order) for a, b in segments)
+        nodes, weights = _gl_rule(order)
+        fx = f((mids[:, None] + halves[:, None] * nodes).ravel()).reshape(len(segments), order)
+        val = sum(float(h) * float(np.dot(weights, row)) for h, row in zip(halves, fx))
         if prev is not None:
             rel = abs(val - prev) / max(abs(val), 1e-300)
             if rel <= _RTOL_TARGET:
@@ -138,7 +146,12 @@ def _require_bound(profile: WellProfile, e: float):
 
 
 def _scan_root(profile: WellProfile, e: float, direction: int) -> float:
-    """Walk outward from the well anchor in doubling steps, then refine."""
+    """Walk outward from the well anchor in doubling steps, then refine.
+
+    The walk is evaluated in chunks of ``_SCAN_CHUNK`` steps, one potential
+    call each, and ends at the first step on or past the domain edge. Values
+    beyond the first sign change are discarded, so overflow there is silenced.
+    """
 
     def f(x: float) -> float:
         return e - float(profile.potential(x))
@@ -147,26 +160,37 @@ def _scan_root(profile: WellProfile, e: float, direction: int) -> float:
     anchor = profile.x_min
     if f(anchor) <= 0.0:
         raise NoBoundMotionError(f"E={e:.6g} J does not exceed the potential at the well anchor")
+    steps = []
     step = profile.x_scale * 2.0**-20
-    x_prev = anchor
     for _ in range(_SCAN_STEPS):
-        x_next = anchor + direction * step
-        clipped = min(max(x_next, lo_dom), hi_dom)
-        fv = f(clipped)
-        if fv <= 0.0:
-            root = brentq(f, min(x_prev, clipped), max(x_prev, clipped),
-                          xtol=1e-14 * profile.x_scale, rtol=1e-13)
+        steps.append(step)
+        if step > 1e280:
+            break
+        step *= 2.0
+    x_prev = anchor
+    for start in range(0, len(steps), _SCAN_CHUNK):
+        x_next = anchor + direction * np.array(steps[start:start + _SCAN_CHUNK])
+        clipped = np.minimum(np.maximum(x_next, lo_dom), hi_dom)
+        edge = np.flatnonzero(clipped != x_next)
+        if edge.size:
+            clipped = clipped[: edge[0] + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fv = e - profile.potential(clipped)
+        inside = np.flatnonzero(fv <= 0.0)
+        if inside.size:
+            i = inside[0]
+            x_out = float(clipped[i])
+            x_in = x_prev if i == 0 else float(clipped[i - 1])
+            root = brentq(f, min(x_in, x_out), max(x_in, x_out),
+                          xtol=_ROOT_XTOL * profile.x_scale, rtol=_ROOT_RTOL)
             return float(root)
-        if clipped != x_next:
+        if edge.size:
             # Ran into the domain edge while still classically allowed.
             raise NoBoundMotionError(
                 f"E={e:.6g} J is not confined on the {'right' if direction > 0 else 'left'}"
                 f" side within the potential domain [{lo_dom:.6g}, {hi_dom:.6g}] m"
             )
-        x_prev = clipped
-        if step > 1e280:
-            break
-        step *= 2.0
+        x_prev = float(clipped[-1])
     raise RootNotBracketedError(
         f"turning-point scan exhausted {_SCAN_STEPS} doubling steps from x={anchor:.6g} m"
         f" (direction {direction:+d}, E={e:.6g} J, last step {step:.3g} m)"

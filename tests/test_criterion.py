@@ -7,7 +7,7 @@ import pytest
 
 import speclimit as sl
 from speclimit.criterion import HYDROGENOID_THRESHOLD_NOTE, MORSE_TAIL_NOTE
-from speclimit.errors import OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
+from speclimit.errors import OutOfRangeError, ScanLimitExceededError, SpeclimitError, UnsupportedModelError
 
 
 def box_y(n: int) -> float:
@@ -82,8 +82,10 @@ def test_method_validation(box):
     num = sl.numeric(1.0, xs, [4.0, 1.0, 0.0, 1.0, 4.0])
     with pytest.raises(UnsupportedModelError):
         sl.level_gap(num, 1, method="closed")
-    with pytest.raises(ValueError):
-        sl.level_gap(box, 2, method="magic")
+    for call in (lambda: sl.level_gap(box, 2, method="magic"), lambda: sl.classify(box, (2, 4), method="magic")):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert isinstance(exc.value, SpeclimitError)
 
 
 # -- thresholds ------------------------------------------------------------
@@ -190,6 +192,34 @@ def test_to_json_dict(box):
     assert doc["max_y_over_hbar"] == pytest.approx(sl.y_function(box, 2), rel=1e-12)
 
 
+def test_numeric_classify_quantizes_each_level_once(monkeypatch):
+    from collections import Counter
+
+    from speclimit import semiclassical
+
+    xs = [0.5 * i for i in range(-16, 17)]
+    model = sl.numeric(1.0, xs, [0.5 * x * x for x in xs])
+    quantized, timed = Counter(), Counter()
+    quantize, period = semiclassical.quantize, semiclassical.period_of_energy
+
+    def counted_quantize(m, n, *args, **kwargs):
+        quantized[n] += 1
+        return quantize(m, n, *args, **kwargs)
+
+    def counted_period(m, e, *args, **kwargs):
+        timed[e] += 1
+        return period(m, e, *args, **kwargs)
+
+    monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
+    monkeypatch.setattr(semiclassical, "period_of_energy", counted_period)
+    rep = sl.classify(model, (2, 5))
+    monkeypatch.undo()
+    assert quantized == Counter(range(1, 6))
+    assert sorted(timed.values()) == [1] * 5
+    for g in rep.gaps:
+        assert g == sl.level_gap(model, g.n, "semiclassical")
+
+
 # -- superposition states -----------------------------------------------------
 
 
@@ -218,11 +248,10 @@ def test_max_energy_uncertainty_is_max(box):
 
 def test_superposition_validation(box):
     lv2, lv1 = sl.energy_level(box, 2), sl.energy_level(box, 1)
-    with pytest.raises(ValueError):
-        sl.SuperpositionState(1.0, 1.0, lv2, lv1)  # not normalized
-    lv3 = sl.energy_level(box, 3)
-    with pytest.raises(ValueError):
-        sl.SuperpositionState(1.0, 0.0, lv3, lv1)  # not adjacent
+    for bad in ((1.0, 1.0, lv2, lv1), (1.0, 0.0, sl.energy_level(box, 3), lv1)):  # not normalized; not adjacent
+        with pytest.raises(ValueError) as exc:
+            sl.SuperpositionState(*bad)
+        assert isinstance(exc.value, SpeclimitError)
 
 
 def test_complex_amplitudes(box):

@@ -255,3 +255,110 @@ def test_box_has_no_profile(box):
 
     with pytest.raises(UnsupportedModelError):
         well_profile(box)
+
+
+# -- batched quadrature and scan against the per-panel / per-step references --
+
+
+def _reference_adaptive(f, segments) -> float:
+    # one integrand call per panel per order
+    def panel(a, b, order):
+        nodes, weights = sc._gl_rule(order)
+        half = 0.5 * (b - a)
+        return half * float(np.dot(weights, f(0.5 * (a + b) + half * nodes)))
+
+    prev = None
+    rel = math.inf
+    for order in sc._GL_ORDERS:
+        val = sum(panel(a, b, order) for a, b in segments)
+        if prev is not None:
+            rel = abs(val - prev) / max(abs(val), 1e-300)
+            if rel <= sc._RTOL_TARGET:
+                return val
+        prev = val
+    if rel <= sc._RTOL_FLOOR:
+        return prev
+    raise sc.QuadratureFailureError(f"quadrature stalled at relative change {rel:.3g}")
+
+
+def _reference_scan_root(profile, e, direction) -> float:
+    # one potential call per doubling step
+    def f(x):
+        return e - float(profile.potential(x))
+
+    lo_dom, hi_dom = profile.x_domain
+    anchor = profile.x_min
+    if f(anchor) <= 0.0:
+        raise NoBoundMotionError(f"E={e:.6g} J does not exceed the potential at the well anchor")
+    step = profile.x_scale * 2.0**-20
+    x_prev = anchor
+    for _ in range(sc._SCAN_STEPS):
+        x_next = anchor + direction * step
+        clipped = min(max(x_next, lo_dom), hi_dom)
+        if f(clipped) <= 0.0:
+            return float(sc.brentq(f, min(x_prev, clipped), max(x_prev, clipped),
+                                   xtol=sc._ROOT_XTOL * profile.x_scale, rtol=sc._ROOT_RTOL))
+        if clipped != x_next:
+            raise NoBoundMotionError(
+                f"E={e:.6g} J is not confined on the {'right' if direction > 0 else 'left'}"
+                f" side within the potential domain [{lo_dom:.6g}, {hi_dom:.6g}] m"
+            )
+        x_prev = clipped
+        if step > 1e280:
+            break
+        step *= 2.0
+    raise sc.RootNotBracketedError(
+        f"turning-point scan exhausted {sc._SCAN_STEPS} doubling steps from x={anchor:.6g} m"
+        f" (direction {direction:+d}, E={e:.6g} J, last step {step:.3g} m)"
+    )
+
+
+def _bit_identity_cases():
+    """(profile, SI energies) for a PCHIP table, a Morse well and the Coulomb well."""
+    from speclimit.models import well_profile
+
+    xs = np.linspace(-3.0, 3.5, 19)
+    table = sl.numeric(1.3, xs, 0.5 * xs**2 + 0.1 * xs**4)
+    morse = sl.get_preset("morse-h2")
+    hyd = sl.get_preset("hydrogen-atomic")
+    energies = {
+        table: [0.4, 1.7, 4.4, 6.0],
+        morse: [-morse.params.depth * f for f in (0.95, 0.5, 0.02)],
+        hyd: [-1.0 / (2.0 * n * n) for n in (1, 4, 11)],
+    }
+    return [(well_profile(m), [m.units.to_si(e, "energy") for e in es]) for m, es in energies.items()]
+
+
+def test_batched_scan_matches_per_step_reference():
+    for profile, energies in _bit_identity_cases():
+        for e in energies:
+            for direction in (-1, +1) if profile.left_wall is None else (+1,):
+                assert sc._scan_root(profile, e, direction) == _reference_scan_root(profile, e, direction)
+
+
+def test_batched_quadrature_matches_per_panel_reference(monkeypatch):
+    cases = _bit_identity_cases()
+    batched = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
+    monkeypatch.setattr(sc, "_adaptive", _reference_adaptive)
+    monkeypatch.setattr(sc, "_scan_root", _reference_scan_root)
+    reference = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
+    assert batched == reference
+
+
+def test_batched_scan_fails_like_per_step_reference():
+    from speclimit.models import WellProfile, well_profile
+
+    # the right end of this table sits below the left one: E = 5 reaches the domain edge
+    xs = np.linspace(-3.0, 2.0, 11)
+    profile = well_profile(sl.numeric(1.0, xs, xs**2))
+    flat = WellProfile(mass=1.0, potential=lambda x: np.zeros_like(x), x_min=0.0, u_min=0.0,
+                       e_ceiling=math.inf, x_scale=1.0, e_scale=1.0, left_wall=None,
+                       x_domain=(-math.inf, math.inf))
+    for prof, e, direction, err in ((profile, 5.0, +1, NoBoundMotionError),
+                                    (flat, 1.0, -1, sc.RootNotBracketedError),
+                                    (profile, 0.0, +1, NoBoundMotionError)):
+        with pytest.raises(err) as batched:
+            sc._scan_root(prof, e, direction)
+        with pytest.raises(err) as reference:
+            _reference_scan_root(prof, e, direction)
+        assert str(batched.value) == str(reference.value)
