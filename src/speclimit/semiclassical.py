@@ -20,8 +20,9 @@ at the Coulomb 1/x endpoint) and leaves integrands smooth on [0, pi/2].
 Gauss-Legendre rules of doubling order are applied until two successive
 orders agree to 1e-10 relative; results that stall before reaching 1e-8 are
 rejected. Each order makes one integrand call, on the nodes of every
-theta-segment at once, and the turning-point scan evaluates its doubling
-steps in one potential call per chunk. The infinite square well has no smooth turning points and is
+theta-segment at once. Turning points are found to machine precision: the
+scan evaluates its doubling steps in one potential call per chunk, and
+brentq refines the first sign change to a few ulps. The infinite square well has no smooth turning points and is
 handled by its elementary closed forms instead.
 
 Everything internal runs in SI; public functions accept and return values in
@@ -70,8 +71,12 @@ _RTOL_TARGET = 1e-10
 _RTOL_FLOOR = 1e-8
 _SCAN_STEPS = 1024
 _SCAN_CHUNK = 64  # a 13..97-knot table reaches its edge within ~30 steps
-_ROOT_XTOL = 1e-14  # turning-point tolerance, in units of the well's x_scale
-_ROOT_RTOL = 1e-13
+# Turning points are converged to a few ulps: a residual E - U(x) of even
+# 1e-14 |E| leaves a square-root branch point inside the end theta-segment,
+# where the period quadrature stalls. xtol (in units of x_scale) stays > 0
+# so a root at x = 0 still converges.
+_ROOT_XTOL = np.finfo(float).eps
+_ROOT_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol brentq accepts
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,15 @@ def test_numeric_classify_quantizes_each_level_once(monkeypatch):
         assert g == sl.level_gap(model, g.n, "semiclassical")
 
 
+def test_numeric_classify_coarse_table_turning_points_on_knots():
+    # E_4 ~ 4.5 puts the turning points on the knots x = +-3; a turning point
+    # left 1e-14 |E| short of the root used to stall the period quadrature
+    xs = list(range(-6, 7))
+    rep = sl.classify(sl.numeric(1.0, xs, [0.5 * x * x for x in xs]), (1, 5))
+    for n, e, _ in rep.levels:
+        assert abs(e - (n + 0.5)) < 0.02
+
+
 # -- superposition states -----------------------------------------------------
 
 
