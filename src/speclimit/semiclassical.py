@@ -22,8 +22,9 @@ orders agree to 1e-10 relative; results that stall before reaching 1e-8 are
 rejected. Each order makes one integrand call, on the nodes of every
 theta-segment at once. Turning points are found to machine precision: the
 scan evaluates its doubling steps in one potential call per chunk, and
-brentq refines the first sign change to a few ulps. The infinite square well has no smooth turning points and is
-handled by its elementary closed forms instead.
+brentq refines the first sign change to a few ulps. The infinite square
+well has no smooth turning points and is handled by its elementary closed
+forms instead.
 
 Everything internal runs in SI; public functions accept and return values in
 the model's declared unit system.
@@ -70,7 +71,7 @@ _GL_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 _RTOL_TARGET = 1e-10
 _RTOL_FLOOR = 1e-8
 _SCAN_STEPS = 1024
-_SCAN_CHUNK = 64  # a 13..97-knot table reaches its edge within ~30 steps
+_SCAN_CHUNK = 64  # a table of up to ~100 knots reaches its edge in one chunk
 # Turning points are converged to a few ulps: a residual E - U(x) of even
 # 1e-14 |E| leaves a square-root branch point inside the end theta-segment,
 # where the period quadrature stalls. xtol (in units of x_scale) stays > 0
@@ -116,8 +117,7 @@ def _adaptive(f, segments) -> float:
     Each order evaluates ``f`` once, on the nodes of every segment; the panel
     sums are then added in segment order.
     """
-    a = np.array([s[0] for s in segments])
-    b = np.array([s[1] for s in segments])
+    a, b = np.array(segments).T
     mids = 0.5 * (a + b)
     halves = 0.5 * (b - a)
     prev = None
@@ -181,9 +181,9 @@ def _scan_root(profile: WellProfile, e: float, direction: int) -> float:
             clipped = clipped[: edge[0] + 1]
         with np.errstate(over="ignore", invalid="ignore"):
             fv = e - profile.potential(clipped)
-        inside = np.flatnonzero(fv <= 0.0)
-        if inside.size:
-            i = inside[0]
+        forbidden = np.flatnonzero(fv <= 0.0)
+        if forbidden.size:
+            i = forbidden[0]
             x_out = float(clipped[i])
             x_in = x_prev if i == 0 else float(clipped[i - 1])
             root = brentq(f, min(x_in, x_out), max(x_in, x_out),
