@@ -165,16 +165,15 @@ def _scan_root(profile: WellProfile, e: float, direction: int) -> float:
     anchor = profile.x_min
     if f(anchor) <= 0.0:
         raise NoBoundMotionError(f"E={e:.6g} J does not exceed the potential at the well anchor")
-    steps = []
-    step = profile.x_scale * 2.0**-20
-    for _ in range(_SCAN_STEPS):
-        steps.append(step)
-        if step > 1e280:
-            break
-        step *= 2.0
+    step0 = profile.x_scale * 2.0**-20
     x_prev = anchor
-    for start in range(0, len(steps), _SCAN_CHUNK):
-        x_next = anchor + direction * np.array(steps[start:start + _SCAN_CHUNK])
+    for start in range(0, _SCAN_STEPS, _SCAN_CHUNK):
+        # step k is step0 * 2**k exactly; the walk ends after the first step above 1e280
+        steps = np.ldexp(step0, np.arange(start, min(start + _SCAN_CHUNK, _SCAN_STEPS)))
+        huge = np.flatnonzero(steps > 1e280)
+        if huge.size:
+            steps = steps[: huge[0] + 1]
+        x_next = anchor + direction * steps
         clipped = np.minimum(np.maximum(x_next, lo_dom), hi_dom)
         edge = np.flatnonzero(clipped != x_next)
         if edge.size:
@@ -196,9 +195,12 @@ def _scan_root(profile: WellProfile, e: float, direction: int) -> float:
                 f" side within the potential domain [{lo_dom:.6g}, {hi_dom:.6g}] m"
             )
         x_prev = float(clipped[-1])
+        if huge.size:
+            break
+    last_step = steps[-1] if huge.size else 2.0 * steps[-1]
     raise RootNotBracketedError(
         f"turning-point scan exhausted {_SCAN_STEPS} doubling steps from x={anchor:.6g} m"
-        f" (direction {direction:+d}, E={e:.6g} J, last step {step:.3g} m)"
+        f" (direction {direction:+d}, E={e:.6g} J, last step {last_step:.3g} m)"
     )
 
 

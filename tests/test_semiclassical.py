@@ -351,11 +351,14 @@ def test_batched_scan_fails_like_per_step_reference():
     # the right end of this table sits below the left one: E = 5 reaches the domain edge
     xs = np.linspace(-3.0, 2.0, 11)
     profile = well_profile(sl.numeric(1.0, xs, xs**2))
-    flat = WellProfile(mass=1.0, potential=lambda x: np.zeros_like(x), x_min=0.0, u_min=0.0,
-                       e_ceiling=math.inf, x_scale=1.0, e_scale=1.0, left_wall=None,
-                       x_domain=(-math.inf, math.inf))
+    def flat(x_scale):  # no turning point: the walk stops above 1e280 or after _SCAN_STEPS steps
+        return WellProfile(mass=1.0, potential=lambda x: np.zeros_like(x), x_min=0.0, u_min=0.0,
+                           e_ceiling=math.inf, x_scale=x_scale, e_scale=1.0, left_wall=None,
+                           x_domain=(-math.inf, math.inf))
+
     for prof, e, direction, err in ((profile, 5.0, +1, NoBoundMotionError),
-                                    (flat, 1.0, -1, sc.RootNotBracketedError),
+                                    (flat(1.0), 1.0, -1, sc.RootNotBracketedError),
+                                    (flat(1e-30), 1.0, +1, sc.RootNotBracketedError),
                                     (profile, 0.0, +1, NoBoundMotionError)):
         with pytest.raises(err) as batched:
             sc._scan_root(prof, e, direction)
