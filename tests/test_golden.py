@@ -1,0 +1,27 @@
+"""Every golden config reproduces its committed output files byte for byte."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_GOLDEN = Path(__file__).parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regenerate", _GOLDEN / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
+
+
+def test_every_config_has_a_golden_directory():
+    on_disk = {p.name for p in _GOLDEN.iterdir() if p.is_dir() and p.name != "__pycache__"}
+    assert on_disk == set(regenerate.CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(regenerate.CONFIGS))
+def test_golden_outputs(name, tmp_path):
+    got = regenerate.run(name, tmp_path)
+    want = {p.name: p.read_bytes() for p in (_GOLDEN / name).iterdir()}
+    assert sorted(got) == sorted(want)
+    for fname, data in want.items():
+        assert got[fname] == data, f"{name}/{fname} differs from the golden file"
