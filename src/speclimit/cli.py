@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -28,9 +27,18 @@ import numpy as np
 
 from . import __version__
 from . import semiclassical
-from .criterion import classify
+from .criterion import classify, spectrum
 from .errors import ConfigError, SpeclimitError
-from .models import ModelSpec, bound_levels, classical_period, model_from_dict, n_max, n_min
+from .models import (
+    ModelSpec,
+    _check_keys,
+    _first_levels,
+    _get_int,
+    _get_number,
+    model_from_dict,
+    n_max,
+    n_min,
+)
 from .noise import (
     characteristic_check,
     reconstruct_state,
@@ -152,41 +160,11 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _check_keys(doc: dict, allowed, path: str):
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-
-
 def _opt_bool(doc, key, default):
     v = doc.get(key, default)
     if not isinstance(v, bool):
         raise ConfigError(key, f"expected true or false, got {v!r}")
     return v
-
-
-def _opt_int(doc, key, default, lo=None, hi=None, path=""):
-    v = doc.get(key, default)
-    if v is None:
-        return None
-    full = f"{path}.{key}" if path else key
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(full, f"expected an integer, got {v!r}")
-    if (lo is not None and v < lo) or (hi is not None and v > hi):
-        raise ConfigError(full, f"must be in [{lo}, {hi}], got {v}")
-    return v
-
-
-def _opt_number(doc, key, default, minimum=None, path="", allow_none=False):
-    v = doc.get(key, default)
-    if v is None and allow_none:
-        return None
-    full = f"{path}.{key}" if path else key
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(full, f"must be a finite number, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(full, f"must be >= {minimum}, got {v}")
-    return float(v)
 
 
 def _opt_n_range(doc, model: ModelSpec):
@@ -223,10 +201,10 @@ def validate_config(doc: dict, analysis: str) -> dict:
     if od is not None and not isinstance(od, str):
         raise ConfigError("output_dir", f"expected a string, got {od!r}")
     out["output_dir"] = od
-    out["seed"] = _opt_int(doc, "seed", None, lo=0, hi=2**64 - 1)
+    out["seed"] = _get_int(doc, "seed", "", None, lo=0, hi=2**64 - 1)
 
     if analysis in ("spectrum", "report"):
-        out["n_limit"] = _opt_int(doc, "n_limit", None, lo=1)
+        out["n_limit"] = _get_int(doc, "n_limit", "", None, lo=1)
         out["semiclassical_check"] = _opt_bool(doc, "semiclassical_check", False)
     if analysis in ("criterion", "simulate", "report"):
         out["n_range"] = _opt_n_range(doc, model)
@@ -241,11 +219,11 @@ def validate_config(doc: dict, analysis: str) -> dict:
             raise ConfigError("noise", f"expected an object, got {sub!r}")
         _check_keys(sub, tuple(_NOISE_DEFAULTS), "noise")
         out["noise"] = {
-            "position_center": _opt_number(sub, "position_center", _NOISE_DEFAULTS["position_center"], path="noise"),
-            "momentum_center": _opt_number(sub, "momentum_center", _NOISE_DEFAULTS["momentum_center"], path="noise"),
-            "delta_x": _opt_number(sub, "delta_x", _NOISE_DEFAULTS["delta_x"], minimum=0.0, path="noise"),
-            "delta_p": _opt_number(sub, "delta_p", _NOISE_DEFAULTS["delta_p"], minimum=0.0, path="noise"),
-            "count": _opt_int(sub, "count", _NOISE_DEFAULTS["count"], lo=2, path="noise"),
+            "position_center": _get_number(sub, "position_center", "noise", _NOISE_DEFAULTS["position_center"]),
+            "momentum_center": _get_number(sub, "momentum_center", "noise", _NOISE_DEFAULTS["momentum_center"]),
+            "delta_x": _get_number(sub, "delta_x", "noise", _NOISE_DEFAULTS["delta_x"], minimum=0.0),
+            "delta_p": _get_number(sub, "delta_p", "noise", _NOISE_DEFAULTS["delta_p"], minimum=0.0),
+            "count": _get_int(sub, "count", "noise", _NOISE_DEFAULTS["count"], lo=2),
         }
     if analysis == "simulate":
         sub = doc.get("protocol", {})
@@ -253,9 +231,9 @@ def validate_config(doc: dict, analysis: str) -> dict:
             raise ConfigError("protocol", f"expected an object, got {sub!r}")
         _check_keys(sub, ("s", "delta_t", "trials", "per_inversion"), "protocol")
         out["protocol"] = {
-            "s": _opt_int(sub, "s", 1, lo=1, path="protocol"),
-            "delta_t": _opt_number(sub, "delta_t", None, minimum=0.0, path="protocol", allow_none=True),
-            "trials": _opt_int(sub, "trials", 10000, lo=10, path="protocol"),
+            "s": _get_int(sub, "s", "protocol", 1, lo=1),
+            "delta_t": _get_number(sub, "delta_t", "protocol", None, minimum=0.0),
+            "trials": _get_int(sub, "trials", "protocol", 10000, lo=10),
             "per_inversion": _opt_bool(sub, "per_inversion", False),
         }
     return out
@@ -264,25 +242,19 @@ def validate_config(doc: dict, analysis: str) -> dict:
 # -- analyses ------------------------------------------------------------
 
 
-def _spectrum_rows(model: ModelSpec, n_limit: int, semi_check: bool):
-    rows = []
-    for lv in bound_levels(model, n_limit):
-        if model.kind == "numeric":
-            tau = semiclassical.period_of_energy(model, lv.energy, self_check=False)
-        else:
-            tau = classical_period(model, lv.n).tau
-        row = [lv.n, lv.energy, tau]
-        if semi_check:
-            row.append(semiclassical.quantize(model, lv.n).energy)
-        rows.append(row)
-    return rows
+def _write_spectrum(model: ModelSpec, n_limit: int, semi_check: bool, w: OutputWriter) -> int:
+    """Write spectrum.csv for the first ``n_limit`` levels; return the number of rows."""
+    rows = [[n, e, tau] for n, (e, tau) in spectrum(model, _first_levels(model, n_limit)).items()]
+    if semi_check:
+        for row in rows:
+            # levels without closed forms come from semiclassical.quantize already
+            row.append(semiclassical.quantize(model, row[0]).energy if model.params.closed_forms else row[1])
+    w.write_csv("spectrum.csv", ["n", "E_n", "tau_n"] + (["E_semiclassical"] if semi_check else []), rows)
+    return len(rows)
 
 
 def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
-    semi = cfg["semiclassical_check"]
-    rows = _spectrum_rows(model, cfg["n_limit"] or 10, semi)
-    header = ["n", "E_n", "tau_n"] + (["E_semiclassical"] if semi else [])
-    w.write_csv("spectrum.csv", header, rows)
+    _write_spectrum(model, cfg["n_limit"] or 10, cfg["semiclassical_check"], w)
 
 
 def _criterion_outputs(model: ModelSpec, n_range, method, w: OutputWriter, prefix=""):
@@ -413,17 +385,13 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 
 def cmd_report(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     n_range = cfg["n_range"]
-    n_limit = cfg["n_limit"] or max(10, n_range[1])
-    semi = cfg["semiclassical_check"]
-    rows = _spectrum_rows(model, n_limit, semi)
-    header = ["n", "E_n", "tau_n"] + (["E_semiclassical"] if semi else [])
-    w.write_csv("spectrum.csv", header, rows)
+    level_count = _write_spectrum(model, cfg["n_limit"] or max(10, n_range[1]), cfg["semiclassical_check"], w)
     rep = _criterion_outputs(model, n_range, cfg["method"], w)
     w.write_json("report.json", {
         "analysis": "report",
         "model": model.to_dict(),
         "hbar": model.units.hbar,
-        "level_count": len(rows),
+        "level_count": level_count,
         "threshold": rep.threshold,
         "regime": rep.regime,
         "max_y_over_hbar": max((g.y_over_hbar for g in rep.gaps), default=0.0),

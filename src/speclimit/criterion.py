@@ -45,6 +45,7 @@ __all__ = [
     "y_function",
     "level_gap",
     "classify",
+    "spectrum",
     "threshold",
 ]
 
@@ -151,11 +152,14 @@ class ResolvabilityReport:
         }
 
 
-def _levels_closed(model: ModelSpec, ns) -> dict[int, tuple[float, float]]:
-    return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
+def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[float, float]]:
+    """{n: (E_n, tau_n)} in model units, each level computed once.
 
-
-def _levels_semiclassical(model: ModelSpec, ns) -> dict[int, tuple[float, float]]:
+    Closed forms where the model has them (``method="auto"``), otherwise
+    Bohr-Sommerfeld levels with their quadrature periods.
+    """
+    if _resolve_method(model, method) == "closed":
+        return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
     from . import semiclassical
 
     out = {}
@@ -165,13 +169,21 @@ def _levels_semiclassical(model: ModelSpec, ns) -> dict[int, tuple[float, float]
     return out
 
 
+def _level_gaps(model: ModelSpec, levels, ns, method: str = "auto") -> tuple[LevelGap, ...]:
+    """Gaps of the (n-1, n) pairs for n in ``ns``; ``levels`` holds both levels of each pair."""
+    if _resolve_method(model, method) == "closed":
+        # the closed gap formulas avoid the cancellation of E_n - E_{n-1}
+        return tuple(level_gap(model, n, "closed") for n in ns)
+    return tuple(_gap_from_levels(model, n, levels) for n in ns)
+
+
 def _resolve_method(model: ModelSpec, method: str) -> str:
     if method not in ("auto", "closed", "semiclassical"):
         raise InvalidArgumentError(f"method must be auto, closed, or semiclassical, got {method!r}")
     if method == "auto":
-        return "semiclassical" if model.kind == "numeric" else "closed"
-    if method == "closed" and model.kind == "numeric":
-        raise UnsupportedModelError("numeric models have no closed forms; use method='semiclassical'")
+        return "closed" if model.params.closed_forms else "semiclassical"
+    if method == "closed" and not model.params.closed_forms:
+        raise UnsupportedModelError(f"{model.kind} models have no closed forms; use method='semiclassical'")
     return method
 
 
@@ -179,14 +191,11 @@ def level_gap(model: ModelSpec, n: int, method: str = "auto") -> LevelGap:
     """Criterion record for the (n-1, n) pair; dE and dTau in model units."""
     how = _resolve_method(model, method)
     if how == "closed":
-        if model.kind == "harmonic":
-            # dTau is identically zero, not merely small; bypass the generic product.
-            return LevelGap(n=n, dE=level_gap_energy(model, n), dTau=0.0, y_over_hbar=0.0, resolvable=False)
         return _gap(model, n, level_gap_energy(model, n), level_gap_period(model, n))
     lo = n_min(model)
     if n <= lo:
         raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {lo}")
-    return _gap_from_levels(model, n, _levels_semiclassical(model, (n - 1, n)))
+    return _gap_from_levels(model, n, spectrum(model, (n - 1, n), how))
 
 
 def _gap(model: ModelSpec, n: int, de: float, dt: float) -> LevelGap:
@@ -229,14 +238,8 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
         if lo > hi:
             raise OutOfRangeError(f"{model.kind}: no level pairs at or above n = {lo}")
     how = _resolve_method(model, method)
-    ns = range(lo - 1, hi + 1)
-    if how == "closed":
-        # the closed gap formulas avoid the cancellation of E_n - E_{n-1}
-        levels = _levels_closed(model, ns)
-        gaps = tuple(level_gap(model, n, how) for n in range(lo, hi + 1))
-    else:
-        levels = _levels_semiclassical(model, ns)
-        gaps = tuple(_gap_from_levels(model, n, levels) for n in range(lo, hi + 1))
+    levels = spectrum(model, range(lo - 1, hi + 1), how)
+    gaps = _level_gaps(model, levels, range(lo, hi + 1), how)
 
     thr = next((g.n for g in gaps if not g.resolvable), None)
     if all(not g.resolvable for g in gaps):
@@ -252,7 +255,7 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
     tail = ys[max(len(ys) // 2, len(ys) - 5):]
     tail_monotone = _monotone(tail) if len(tail) >= 2 else True
 
-    if model.kind == "harmonic":
+    if model.params.degenerate_period:
         notes.append(DEGENERATE_PERIOD_NOTE)
     if model.kind == "hydrogenoid":
         notes.append(HYDROGENOID_THRESHOLD_NOTE)
@@ -265,7 +268,7 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
     return ResolvabilityReport(
         model=model,
         method=how,
-        levels=tuple((n, levels[n][0], levels[n][1]) for n in ns),
+        levels=tuple((n, e, tau) for n, (e, tau) in levels.items()),
         gaps=gaps,
         threshold=thr,
         regime=regime,

@@ -21,8 +21,12 @@ Four analytic wells plus a sampled-table potential:
   minimum, interpolated by a monotone cubic (PCHIP). No closed forms; use the
   semiclassical engine.
 
-Parameters are stated in the model's declared unit system and converted to SI
-once; every formula is evaluated in SI and converted back on return.
+Each kind is one params dataclass (a ``WellKind``) holding everything about
+it: name, parameter schema, validation, SI view, lowest quantum number,
+Maslov count, closed forms and classical well profile. The functions below
+are generic over that object. Parameters are stated in the model's declared
+unit system and converted to SI once; every formula is evaluated in SI and
+converted back on return.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from types import SimpleNamespace
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -69,43 +74,7 @@ __all__ = [
     "get_preset",
 ]
 
-KINDS = ("box", "harmonic", "hydrogenoid", "morse", "numeric")
-
-
-@dataclass(frozen=True)
-class BoxParams:
-    mass: float
-    width: float
-
-
-@dataclass(frozen=True)
-class HarmonicParams:
-    mass: float
-    stiffness: float
-
-
-@dataclass(frozen=True)
-class HydrogenoidParams:
-    reduced_mass: float
-    z: int
-    charge: float = 1.0
-
-
-@dataclass(frozen=True)
-class MorseParams:
-    mass: float
-    depth: float
-    alpha: float  # inverse-length range parameter
-
-
-@dataclass(frozen=True)
-class NumericPotentialParams:
-    mass: float
-    x: tuple[float, ...]
-    u: tuple[float, ...]
-
-
-Params = Union[BoxParams, HarmonicParams, HydrogenoidParams, MorseParams, NumericPotentialParams]
+_REQUIRED = object()  # default of a config key that must be present
 
 
 @dataclass(frozen=True)
@@ -121,70 +90,279 @@ class PeriodPoint:
     tau: float
 
 
+@dataclass(frozen=True)
+class WellProfile:
+    """SI description of one confining well for action/period quadrature."""
+
+    mass: float
+    potential: Callable  # vectorized, SI in / SI out
+    x_min: float  # anchor for the turning-point scan
+    u_min: float  # potential at the anchor; -inf for the Coulomb singularity
+    e_ceiling: float  # exclusive upper bound on bound-motion energies
+    x_scale: float  # characteristic length
+    e_scale: float  # characteristic energy
+    left_wall: float | None  # hard or singular left boundary, if any
+    x_domain: tuple[float, float]
+    breakpoints: tuple[float, ...] = ()  # interior quadrature split points
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a kind: JSON key, dataclass attribute, type, unit dimension, default."""
+
+    key: str
+    attr: str
+    type: type = float  # float, int, or tuple (a list of floats in JSON)
+    dim: str | None = None  # unit dimension; "charge" is e, whose square has dimension "coulomb"
+    default: object = _REQUIRED
+
+    def rescaled(self, value, src: UnitSystem, dst: UnitSystem):
+        """``value`` stated in ``src`` units, re-expressed in ``dst`` units."""
+        if self.dim is None:
+            return value
+        if self.dim == "charge":
+            r = math.sqrt(src.factor("coulomb") / dst.factor("coulomb"))
+        else:
+            r = src.factor(self.dim) / dst.factor(self.dim)
+        return tuple(v * r for v in value) if self.type is tuple else value * r
+
+
 def _positive(name: str, value, kind: str) -> float:
     if not (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value > 0):
         raise ModelDefinitionError(f"{kind}: {name} must be a positive finite number, got {value!r}")
     return float(value)
 
 
+class WellKind:
+    """Base of the five params dataclasses; each subclass is one well kind.
+
+    A kind states its ``kind`` name, ``schema``, lowest quantum number
+    ``n_min`` and default Maslov count ``maslov``, and implements ``si``
+    (its SI view), ``profile`` (its ``WellProfile``) and, unless
+    ``closed_forms`` is false, the SI closed forms ``energy``, ``period``,
+    ``gap_energy`` and ``gap_period`` of the SI view and n.
+    """
+
+    kind: ClassVar[str]
+    schema: ClassVar[tuple[Param, ...]]
+    n_min: ClassVar[int]
+    maslov: ClassVar[int]
+    closed_forms: ClassVar[bool] = True
+    degenerate_period: ClassVar[bool] = False  # one period for every level
+
+    def validate(self, units: UnitSystem):
+        """Raise ModelDefinitionError unless every float parameter is positive and finite."""
+        for p in self.schema:
+            if p.type is float:
+                _positive(p.attr, getattr(self, p.attr), self.kind)
+
+    def n_max(self, model: ModelSpec) -> int | None:
+        """Largest enumerated level, or None when the ladder is unbounded."""
+        return None
+
+
 @dataclass(frozen=True)
-class ModelSpec:
-    """A model kind, its parameters, and the unit system they are stated in."""
+class BoxParams(WellKind):
+    mass: float
+    width: float
 
-    kind: str
-    params: Params
-    units: UnitSystem
+    kind = "box"
+    schema = (Param("mass", "mass", dim="mass"), Param("width", "width", dim="length"))
+    n_min = 1
+    maslov = 0
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ModelDefinitionError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
-        expected = {
-            "box": BoxParams,
-            "harmonic": HarmonicParams,
-            "hydrogenoid": HydrogenoidParams,
-            "morse": MorseParams,
-            "numeric": NumericPotentialParams,
-        }[self.kind]
-        if not isinstance(self.params, expected):
-            raise ModelDefinitionError(f"{self.kind}: params must be {expected.__name__}")
-        getattr(self, f"_validate_{self.kind}")()
+    def si(self, units: UnitSystem):
+        return SimpleNamespace(mass=units.to_si(self.mass, "mass"), width=units.to_si(self.width, "length"))
 
-    def _validate_box(self):
-        _positive("mass", self.params.mass, "box")
-        _positive("width", self.params.width, "box")
+    energy = staticmethod(lambda si, n: (HBAR_SI * math.pi * n) ** 2 / (2.0 * si.mass * si.width**2))
+    period = staticmethod(lambda si, n: 2.0 * si.width**2 * si.mass / (HBAR_SI * math.pi * n))
+    gap_energy = staticmethod(lambda si, n: HBAR_SI**2 * math.pi**2 * (2 * n - 1) / (4.0 * si.mass * si.width**2))
+    gap_period = staticmethod(lambda si, n: -si.width**2 * si.mass / (HBAR_SI * math.pi * n * (n - 1)))
 
-    def _validate_harmonic(self):
-        _positive("mass", self.params.mass, "harmonic")
-        _positive("stiffness", self.params.stiffness, "harmonic")
+    def profile(self, model: ModelSpec) -> WellProfile:
+        raise UnsupportedModelError("box wells are handled analytically; no quadrature profile")
 
-    def _validate_hydrogenoid(self):
-        p = self.params
-        _positive("reduced_mass", p.reduced_mass, "hydrogenoid")
-        _positive("charge", p.charge, "hydrogenoid")
-        if not (isinstance(p.z, int) and not isinstance(p.z, bool) and p.z >= 1):
-            raise ModelDefinitionError(f"hydrogenoid: z must be an integer >= 1, got {p.z!r}")
 
-    def _validate_morse(self):
-        _positive("mass", self.params.mass, "morse")
-        _positive("depth", self.params.depth, "morse")
-        _positive("alpha", self.params.alpha, "morse")
-        zeta = self.zeta
+@dataclass(frozen=True)
+class HarmonicParams(WellKind):
+    mass: float
+    stiffness: float
+
+    kind = "harmonic"
+    schema = (Param("mass", "mass", dim="mass"), Param("stiffness", "stiffness", dim="stiffness"))
+    n_min = 0
+    maslov = 2
+    degenerate_period = True
+
+    def si(self, units: UnitSystem):
+        m = units.to_si(self.mass, "mass")
+        k = units.to_si(self.stiffness, "stiffness")
+        return SimpleNamespace(mass=m, stiffness=k, omega=math.sqrt(k / m))
+
+    energy = staticmethod(lambda si, n: HBAR_SI * si.omega * (n + 0.5))
+    period = staticmethod(lambda si, n: 2.0 * math.pi / si.omega)
+    gap_energy = staticmethod(lambda si, n: HBAR_SI * si.omega / 2.0)
+    gap_period = staticmethod(lambda si, n: 0.0)
+
+    def profile(self, model: ModelSpec) -> WellProfile:
+        si = _si_view(model)
+        m, k, w = si.mass, si.stiffness, si.omega
+        return WellProfile(
+            mass=m,
+            potential=lambda x: 0.5 * k * np.square(x),
+            x_min=0.0,
+            u_min=0.0,
+            e_ceiling=math.inf,
+            x_scale=math.sqrt(HBAR_SI / (m * w)),
+            e_scale=HBAR_SI * w,
+            left_wall=None,
+            x_domain=(-math.inf, math.inf),
+        )
+
+
+@dataclass(frozen=True)
+class HydrogenoidParams(WellKind):
+    reduced_mass: float
+    z: int
+    charge: float = 1.0
+
+    kind = "hydrogenoid"
+    schema = (
+        Param("reduced_mass", "reduced_mass", dim="mass"),
+        Param("z", "z", type=int),
+        Param("charge", "charge", dim="charge", default=1.0),
+    )
+    n_min = 1
+    maslov = 0
+
+    def validate(self, units: UnitSystem):
+        super().validate(units)
+        if not (isinstance(self.z, int) and not isinstance(self.z, bool) and self.z >= 1):
+            raise ModelDefinitionError(f"hydrogenoid: z must be an integer >= 1, got {self.z!r}")
+
+    def si(self, units: UnitSystem):
+        # coupling Z e^2 in J m
+        return SimpleNamespace(mass=units.to_si(self.reduced_mass, "mass"),
+                               coupling=self.z * units.to_si(self.charge**2, "coulomb"))
+
+    energy = staticmethod(lambda si, n: -si.mass * si.coupling**2 / (2.0 * HBAR_SI**2 * n**2))
+    period = staticmethod(lambda si, n: 2.0 * math.pi * HBAR_SI**3 * n**3 / (si.mass * si.coupling**2))
+    gap_energy = staticmethod(
+        lambda si, n: si.mass * si.coupling**2 * (2 * n - 1) / (4.0 * HBAR_SI**2 * n**2 * (n - 1) ** 2))
+    gap_period = staticmethod(
+        lambda si, n: math.pi * HBAR_SI**3 * (3 * n**2 - 3 * n + 1) / (si.mass * si.coupling**2))
+
+    def profile(self, model: ModelSpec) -> WellProfile:
+        si = _si_view(model)
+        mu, c = si.mass, si.coupling
+
+        def coulomb(x):
+            # the x = 0 wall maps to -inf; keep numpy quiet about it
+            with np.errstate(divide="ignore"):
+                return -c / np.asarray(x, dtype=float)
+
+        return WellProfile(
+            mass=mu,
+            potential=coulomb,
+            x_min=0.0,
+            u_min=-math.inf,
+            e_ceiling=0.0,
+            x_scale=HBAR_SI**2 / (mu * c),
+            e_scale=mu * c**2 / (2.0 * HBAR_SI**2),
+            left_wall=0.0,
+            x_domain=(0.0, math.inf),
+        )
+
+
+@dataclass(frozen=True)
+class MorseParams(WellKind):
+    mass: float
+    depth: float
+    alpha: float  # inverse-length range parameter
+
+    kind = "morse"
+    schema = (
+        Param("mass", "mass", dim="mass"),
+        Param("depth", "depth", dim="energy"),
+        Param("range", "alpha", dim="inverse_length"),
+    )
+    n_min = 0
+    maslov = 2
+
+    def validate(self, units: UnitSystem):
+        super().validate(units)
+        zeta = self.si(units).zeta
         if zeta <= 1.0:
             raise ModelDefinitionError(
                 f"morse: zeta = 2 depth / (hbar omega) must exceed 1 for a bound level to exist, got {zeta:.6g}"
             )
 
-    def _validate_numeric(self):
-        p = self.params
-        _positive("mass", p.mass, "numeric")
-        if not (isinstance(p.x, tuple) and isinstance(p.u, tuple)):
+    def si(self, units: UnitSystem):
+        m = units.to_si(self.mass, "mass")
+        d = units.to_si(self.depth, "energy")
+        a = units.to_si(self.alpha, "inverse_length")
+        omega = a * math.sqrt(2.0 * d / m)
+        return SimpleNamespace(mass=m, depth=d, alpha=a, omega=omega, zeta=2.0 * d / (HBAR_SI * omega))
+
+    def n_max(self, model: ModelSpec) -> int:
+        return math.ceil(_si_view(model).zeta / 2.0 - 0.5) - 1
+
+    energy = staticmethod(lambda si, n: -si.depth * (1.0 - (n + 0.5) / si.zeta) ** 2)
+    period = staticmethod(  # 2 pi / alpha sqrt(m / (2 |E_n|))
+        lambda si, n: (2.0 * math.pi / si.alpha) * math.sqrt(si.mass / (2.0 * (si.depth * (1.0 - (n + 0.5) / si.zeta) ** 2))))
+    # (E_n - E_{n-1})/2 = (hbar omega / 2)(1 - n / zeta)
+    gap_energy = staticmethod(lambda si, n: HBAR_SI * si.omega * (1.0 - n / si.zeta) / 2.0)
+    gap_period = staticmethod(
+        lambda si, n: (math.pi / (si.omega * si.zeta)) / ((1.0 - (n + 0.5) / si.zeta) * (1.0 - (n - 0.5) / si.zeta)))
+
+    def profile(self, model: ModelSpec) -> WellProfile:
+        si = _si_view(model)
+        d, a = si.depth, si.alpha
+
+        def u(x):
+            ex = np.exp(-a * np.asarray(x, dtype=float))
+            return d * (ex * ex - 2.0 * ex)
+
+        return WellProfile(
+            mass=si.mass,
+            potential=u,
+            x_min=0.0,
+            u_min=-d,
+            e_ceiling=0.0,
+            x_scale=1.0 / a,
+            e_scale=d,
+            left_wall=None,
+            x_domain=(-math.inf, math.inf),
+        )
+
+
+@dataclass(frozen=True)
+class NumericPotentialParams(WellKind):
+    mass: float
+    x: tuple[float, ...]
+    u: tuple[float, ...]
+
+    kind = "numeric"
+    # the table is read from JSON before the mass
+    schema = (
+        Param("x", "x", type=tuple, dim="length"),
+        Param("u", "u", type=tuple, dim="energy"),
+        Param("mass", "mass", dim="mass"),
+    )
+    n_min = 0
+    maslov = 2
+    closed_forms = False
+
+    def validate(self, units: UnitSystem):
+        super().validate(units)
+        if not (isinstance(self.x, tuple) and isinstance(self.u, tuple)):
             raise ModelDefinitionError("numeric: x and u must be tuples of floats")
-        if len(p.x) < 3 or len(p.x) != len(p.u):
+        if len(self.x) < 3 or len(self.x) != len(self.u):
             raise ModelDefinitionError(
-                f"numeric: need at least 3 samples with matching lengths, got {len(p.x)} x and {len(p.u)} u"
+                f"numeric: need at least 3 samples with matching lengths, got {len(self.x)} x and {len(self.u)} u"
             )
-        xs = np.asarray(p.x, dtype=float)
-        us = np.asarray(p.u, dtype=float)
+        xs = np.asarray(self.x, dtype=float)
+        us = np.asarray(self.u, dtype=float)
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(us))):
             raise ModelDefinitionError("numeric: table entries must be finite")
         if not np.all(np.diff(xs) > 0):
@@ -192,6 +370,54 @@ class ModelSpec:
         imin = int(np.argmin(us))
         if imin == 0 or imin == len(us) - 1:
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
+
+    def si(self, units: UnitSystem):
+        return SimpleNamespace(mass=units.to_si(self.mass, "mass"),
+                               x=tuple(units.to_si(v, "length") for v in self.x),
+                               u=tuple(units.to_si(v, "energy") for v in self.u))
+
+    def n_max(self, model: ModelSpec) -> int:
+        from . import semiclassical
+
+        return semiclassical.numeric_level_count(model) - 1
+
+    def profile(self, model: ModelSpec) -> WellProfile:
+        si = _si_view(model)
+        x0, x1 = si.x[0], si.x[-1]
+        xm, um = _numeric_x_min(model)
+        ceiling = min(si.u[0], si.u[-1])
+        return WellProfile(
+            mass=si.mass,
+            potential=_numeric_potential(model),
+            x_min=xm,
+            u_min=um,
+            e_ceiling=ceiling,
+            x_scale=(x1 - x0) / max(len(si.x) - 1, 1),
+            e_scale=ceiling - um,
+            left_wall=None,
+            x_domain=(x0, x1),
+            breakpoints=tuple(v for v in si.x if x0 < v < x1),
+        )
+
+
+KINDS = {k.kind: k for k in (BoxParams, HarmonicParams, HydrogenoidParams, MorseParams, NumericPotentialParams)}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """A model kind, its parameters, and the unit system they are stated in."""
+
+    kind: str
+    params: WellKind
+    units: UnitSystem
+
+    def __post_init__(self):
+        expected = KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if expected is None:
+            raise ModelDefinitionError(f"unknown model kind {self.kind!r}; expected one of {tuple(KINDS)}")
+        if not isinstance(self.params, expected):
+            raise ModelDefinitionError(f"{self.kind}: params must be {expected.__name__}")
+        self.params.validate(self.units)
 
     # -- constructors --------------------------------------------------
 
@@ -227,94 +453,36 @@ class ModelSpec:
     def omega(self) -> float:
         """Angular frequency at the well bottom, in system units (1/time)."""
         si = _si_view(self)
-        if self.kind == "harmonic":
-            return si.omega * self.units.time_s
-        if self.kind == "morse":
-            return si.omega * self.units.time_s
-        raise UnsupportedModelError(f"omega is defined for harmonic and morse models, not {self.kind!r}")
+        if not hasattr(si, "omega"):
+            raise UnsupportedModelError(f"omega is defined for harmonic and morse models, not {self.kind!r}")
+        return si.omega * self.units.time_s
 
     @property
     def zeta(self) -> float:
         """Morse well capacity 2 D / (hbar omega), dimensionless."""
-        if self.kind != "morse":
+        si = _si_view(self)
+        if not hasattr(si, "zeta"):
             raise UnsupportedModelError(f"zeta is defined for morse models, not {self.kind!r}")
-        return _si_view(self).zeta
+        return si.zeta
 
     def converted(self, units: UnitSystem) -> "ModelSpec":
         """Re-express the same physical model in another unit system."""
-        f = lambda dim: self.units.factor(dim) / units.factor(dim)
         p = self.params
-        if self.kind == "box":
-            new = BoxParams(p.mass * f("mass"), p.width * f("length"))
-        elif self.kind == "harmonic":
-            new = HarmonicParams(p.mass * f("mass"), p.stiffness * f("stiffness"))
-        elif self.kind == "hydrogenoid":
-            new = HydrogenoidParams(p.reduced_mass * f("mass"), p.z, p.charge * math.sqrt(f("coulomb")))
-        elif self.kind == "morse":
-            new = MorseParams(p.mass * f("mass"), p.depth * f("energy"), p.alpha * f("inverse_length"))
-        else:
-            new = NumericPotentialParams(
-                p.mass * f("mass"),
-                tuple(x * f("length") for x in p.x),
-                tuple(u * f("energy") for u in p.u),
-            )
-        return ModelSpec(self.kind, new, units)
+        values = {q.attr: q.rescaled(getattr(p, q.attr), self.units, units) for q in p.schema}
+        return ModelSpec(self.kind, type(p)(**values), units)
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the model, matching the config schema."""
-        p = self.params
-        if self.kind == "box":
-            params = {"mass": p.mass, "width": p.width}
-        elif self.kind == "harmonic":
-            params = {"mass": p.mass, "stiffness": p.stiffness}
-        elif self.kind == "hydrogenoid":
-            params = {"reduced_mass": p.reduced_mass, "z": p.z, "charge": p.charge}
-        elif self.kind == "morse":
-            params = {"mass": p.mass, "depth": p.depth, "range": p.alpha}
-        else:
-            params = {"mass": p.mass, "x": list(p.x), "u": list(p.u)}
+        params = {}
+        for q in self.params.schema:
+            value = getattr(self.params, q.attr)
+            params[q.key] = list(value) if q.type is tuple else value
         return {"kind": self.kind, "units": self.units.name, "params": params}
 
 
-# -- SI views ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SiView:
-    mass: float = 0.0
-    width: float = 0.0
-    stiffness: float = 0.0
-    omega: float = 0.0
-    coupling: float = 0.0  # Z e^2, J m
-    depth: float = 0.0
-    alpha: float = 0.0
-    zeta: float = 0.0
-    x: tuple[float, ...] = ()
-    u: tuple[float, ...] = ()
-
-
 @lru_cache(maxsize=512)
-def _si_view(model: ModelSpec) -> _SiView:
-    u, p = model.units, model.params
-    if model.kind == "box":
-        return _SiView(mass=u.to_si(p.mass, "mass"), width=u.to_si(p.width, "length"))
-    if model.kind == "harmonic":
-        m = u.to_si(p.mass, "mass")
-        k = u.to_si(p.stiffness, "stiffness")
-        return _SiView(mass=m, stiffness=k, omega=math.sqrt(k / m))
-    if model.kind == "hydrogenoid":
-        mu = u.to_si(p.reduced_mass, "mass")
-        coupling = p.z * u.to_si(p.charge**2, "coulomb")
-        return _SiView(mass=mu, coupling=coupling)
-    if model.kind == "morse":
-        m = u.to_si(p.mass, "mass")
-        d = u.to_si(p.depth, "energy")
-        a = u.to_si(p.alpha, "inverse_length")
-        omega = a * math.sqrt(2.0 * d / m)
-        return _SiView(mass=m, depth=d, alpha=a, omega=omega, zeta=2.0 * d / (HBAR_SI * omega))
-    xs = tuple(u.to_si(v, "length") for v in p.x)
-    us = tuple(u.to_si(v, "energy") for v in p.u)
-    return _SiView(mass=u.to_si(p.mass, "mass"), x=xs, u=us)
+def _si_view(model: ModelSpec):
+    return model.params.si(model.units)
 
 
 # -- level range -------------------------------------------------------
@@ -322,18 +490,12 @@ def _si_view(model: ModelSpec) -> _SiView:
 
 def n_min(model: ModelSpec) -> int:
     """Lowest quantum number of the model."""
-    return 1 if model.kind in ("box", "hydrogenoid") else 0
+    return model.params.n_min
 
 
 def n_max(model: ModelSpec):
     """Largest enumerated level, or None when the ladder is unbounded."""
-    if model.kind == "morse":
-        return math.ceil(_si_view(model).zeta / 2.0 - 0.5) - 1
-    if model.kind == "numeric":
-        from . import semiclassical
-
-        return semiclassical.numeric_level_count(model) - 1
-    return None
+    return model.params.n_max(model)
 
 
 def _check_n(model: ModelSpec, n: int) -> int:
@@ -348,56 +510,55 @@ def _check_n(model: ModelSpec, n: int) -> int:
     return n
 
 
+def _first_levels(model: ModelSpec, n_limit: int) -> range:
+    """Quantum numbers of the first ``n_limit`` levels, fewer if the ladder ends earlier."""
+    if not (isinstance(n_limit, int) and n_limit >= 1):
+        raise OutOfRangeError(f"n_limit must be an integer >= 1, got {n_limit!r}")
+    lo, hi = n_min(model), n_max(model)
+    last = lo + n_limit - 1 if hi is None else min(lo + n_limit - 1, hi)
+    return range(lo, last + 1)
+
+
 # -- closed forms ------------------------------------------------------
+
+
+def _closed_si(model: ModelSpec, n: int, instead: str):
+    """SI view for a closed form at level n; ``instead`` completes the error for kinds without one."""
+    if not model.params.closed_forms:
+        raise UnsupportedModelError(f"{model.kind}: no closed-form {instead}")
+    _check_n(model, n)
+    return _si_view(model)
+
+
+def _gap_si(model: ModelSpec, n: int, instead: str):
+    si = _closed_si(model, n, instead)
+    if n == n_min(model):
+        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n_min(model)}")
+    return si
 
 
 def energy_level(model: ModelSpec, n: int) -> EnergyLevel:
     """Closed-form level energy in the model's unit system."""
-    if model.kind == "numeric":
-        raise UnsupportedModelError("numeric: no closed-form levels; use semiclassical.quantize")
-    _check_n(model, n)
-    si = _si_view(model)
-    if model.kind == "box":
-        e = (HBAR_SI * math.pi * n) ** 2 / (2.0 * si.mass * si.width**2)
-    elif model.kind == "harmonic":
-        e = HBAR_SI * si.omega * (n + 0.5)
-    elif model.kind == "hydrogenoid":
-        e = -si.mass * si.coupling**2 / (2.0 * HBAR_SI**2 * n**2)
-    else:  # morse
-        e = -si.depth * (1.0 - (n + 0.5) / si.zeta) ** 2
+    si = _closed_si(model, n, "levels; use semiclassical.quantize")
+    e = model.params.energy(si, n)
     return EnergyLevel(n=n, energy=model.units.from_si(e, "energy"), bound=True)
 
 
 def classical_period(model: ModelSpec, n: int) -> PeriodPoint:
     """Closed-form classical period of the orbit with energy E_n."""
-    if model.kind == "numeric":
-        raise UnsupportedModelError("numeric: no closed-form periods; use semiclassical.period_of_energy")
-    _check_n(model, n)
-    si = _si_view(model)
-    if model.kind == "box":
-        tau = 2.0 * si.width**2 * si.mass / (HBAR_SI * math.pi * n)
-    elif model.kind == "harmonic":
-        tau = 2.0 * math.pi / si.omega
-    elif model.kind == "hydrogenoid":
-        tau = 2.0 * math.pi * HBAR_SI**3 * n**3 / (si.mass * si.coupling**2)
-    else:  # morse
-        e_abs = si.depth * (1.0 - (n + 0.5) / si.zeta) ** 2
-        tau = (2.0 * math.pi / si.alpha) * math.sqrt(si.mass / (2.0 * e_abs))
+    si = _closed_si(model, n, "periods; use semiclassical.period_of_energy")
+    tau = model.params.period(si, n)
     return PeriodPoint(n=n, tau=model.units.from_si(tau, "time"))
 
 
 def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
     """First ``n_limit`` bound levels, fewer if the ladder ends earlier."""
-    if not (isinstance(n_limit, int) and n_limit >= 1):
-        raise OutOfRangeError(f"n_limit must be an integer >= 1, got {n_limit!r}")
-    lo = n_min(model)
-    if model.kind == "numeric":
-        from . import semiclassical
+    ns = _first_levels(model, n_limit)
+    if model.params.closed_forms:
+        return [energy_level(model, n) for n in ns]
+    from . import semiclassical
 
-        return semiclassical.numeric_bound_levels(model, n_limit)
-    hi = n_max(model)
-    last = lo + n_limit - 1 if hi is None else min(lo + n_limit - 1, hi)
-    return [energy_level(model, n) for n in range(lo, last + 1)]
+    return [semiclassical.quantize(model, n) for n in ns]
 
 
 def level_gap_energy(model: ModelSpec, n: int) -> float:
@@ -406,60 +567,19 @@ def level_gap_energy(model: ModelSpec, n: int) -> float:
     Evaluated from per-kind difference formulas rather than by subtracting
     levels, so no precision is lost to cancellation at large n.
     """
-    if model.kind == "numeric":
-        raise UnsupportedModelError("numeric: no closed-form gaps; difference semiclassical levels instead")
-    _check_n(model, n)
-    if n == n_min(model):
-        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n_min(model)}")
-    si = _si_view(model)
-    if model.kind == "box":
-        de = HBAR_SI**2 * math.pi**2 * (2 * n - 1) / (4.0 * si.mass * si.width**2)
-    elif model.kind == "harmonic":
-        de = HBAR_SI * si.omega / 2.0
-    elif model.kind == "hydrogenoid":
-        de = si.mass * si.coupling**2 * (2 * n - 1) / (4.0 * HBAR_SI**2 * n**2 * (n - 1) ** 2)
-    else:  # morse: (E_n - E_{n-1})/2 = (hbar omega / 2)(1 - n / zeta)
-        de = HBAR_SI * si.omega * (1.0 - n / si.zeta) / 2.0
+    si = _gap_si(model, n, "gaps; difference semiclassical levels instead")
+    de = model.params.gap_energy(si, n)
     return model.units.from_si(de, "energy")
 
 
 def level_gap_period(model: ModelSpec, n: int) -> float:
     """Signed half spacing (tau_n - tau_{n-1}) / 2 in closed form, system units."""
-    if model.kind == "numeric":
-        raise UnsupportedModelError("numeric: no closed-form gaps; difference semiclassical periods instead")
-    _check_n(model, n)
-    if n == n_min(model):
-        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n_min(model)}")
-    si = _si_view(model)
-    if model.kind == "box":
-        dt = -si.width**2 * si.mass / (HBAR_SI * math.pi * n * (n - 1))
-    elif model.kind == "harmonic":
-        dt = 0.0
-    elif model.kind == "hydrogenoid":
-        dt = math.pi * HBAR_SI**3 * (3 * n**2 - 3 * n + 1) / (si.mass * si.coupling**2)
-    else:  # morse
-        z = si.zeta
-        dt = (math.pi / (si.omega * z)) / ((1.0 - (n + 0.5) / z) * (1.0 - (n - 0.5) / z))
+    si = _gap_si(model, n, "gaps; difference semiclassical periods instead")
+    dt = model.params.gap_period(si, n)
     return model.units.from_si(dt, "time")
 
 
 # -- classical well profile (for the semiclassical engine) -------------
-
-
-@dataclass(frozen=True)
-class WellProfile:
-    """SI description of one confining well for action/period quadrature."""
-
-    mass: float
-    potential: Callable  # vectorized, SI in / SI out
-    x_min: float  # anchor for the turning-point scan
-    u_min: float  # potential at the anchor; -inf for the Coulomb singularity
-    e_ceiling: float  # exclusive upper bound on bound-motion energies
-    x_scale: float  # characteristic length
-    e_scale: float  # characteristic energy
-    left_wall: float | None  # hard or singular left boundary, if any
-    x_domain: tuple[float, float]
-    breakpoints: tuple[float, ...] = ()  # interior quadrature split points
 
 
 @lru_cache(maxsize=512)
@@ -503,76 +623,7 @@ def _numeric_x_min(model: ModelSpec) -> tuple[float, float]:
 @lru_cache(maxsize=512)
 def well_profile(model: ModelSpec) -> WellProfile:
     """Build the SI well description used by the semiclassical engine."""
-    si = _si_view(model)
-    if model.kind == "box":
-        raise UnsupportedModelError("box wells are handled analytically; no quadrature profile")
-    if model.kind == "harmonic":
-        m, k, w = si.mass, si.stiffness, si.omega
-        return WellProfile(
-            mass=m,
-            potential=lambda x: 0.5 * k * np.square(x),
-            x_min=0.0,
-            u_min=0.0,
-            e_ceiling=math.inf,
-            x_scale=math.sqrt(HBAR_SI / (m * w)),
-            e_scale=HBAR_SI * w,
-            left_wall=None,
-            x_domain=(-math.inf, math.inf),
-        )
-    if model.kind == "hydrogenoid":
-        mu, c = si.mass, si.coupling
-
-        def coulomb(x):
-            # the x = 0 wall maps to -inf; keep numpy quiet about it
-            with np.errstate(divide="ignore"):
-                return -c / np.asarray(x, dtype=float)
-
-        return WellProfile(
-            mass=mu,
-            potential=coulomb,
-            x_min=0.0,
-            u_min=-math.inf,
-            e_ceiling=0.0,
-            x_scale=HBAR_SI**2 / (mu * c),
-            e_scale=mu * c**2 / (2.0 * HBAR_SI**2),
-            left_wall=0.0,
-            x_domain=(0.0, math.inf),
-        )
-    if model.kind == "morse":
-        d, a = si.depth, si.alpha
-
-        def u(x):
-            ex = np.exp(-a * np.asarray(x, dtype=float))
-            return d * (ex * ex - 2.0 * ex)
-
-        return WellProfile(
-            mass=si.mass,
-            potential=u,
-            x_min=0.0,
-            u_min=-d,
-            e_ceiling=0.0,
-            x_scale=1.0 / a,
-            e_scale=d,
-            left_wall=None,
-            x_domain=(-math.inf, math.inf),
-        )
-    if model.kind == "numeric":
-        x0, x1 = si.x[0], si.x[-1]
-        xm, um = _numeric_x_min(model)
-        ceiling = min(si.u[0], si.u[-1])
-        return WellProfile(
-            mass=si.mass,
-            potential=_numeric_potential(model),
-            x_min=xm,
-            u_min=um,
-            e_ceiling=ceiling,
-            x_scale=(x1 - x0) / max(len(si.x) - 1, 1),
-            e_scale=ceiling - um,
-            left_wall=None,
-            x_domain=(x0, x1),
-            breakpoints=tuple(v for v in si.x if x0 < v < x1),
-        )
-    raise UnsupportedModelError(model.kind)
+    return model.params.profile(model)
 
 
 # -- JSON loading and presets ------------------------------------------
@@ -583,41 +634,54 @@ def _expect_object(doc, path):
         raise ConfigError(path, f"expected an object, got {type(doc).__name__}")
 
 
-def _reject_unknown(doc: dict, allowed, path: str):
+def _key_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _check_keys(doc: dict, allowed, path: str = ""):
+    """Reject the first key of ``doc`` that is not in ``allowed``."""
     for key in doc:
         if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+            raise ConfigError(_key_path(path, key), "unknown key")
 
 
-def _get_number(doc: dict, key: str, path: str, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = doc[key]
+def _get_number(doc: dict, key: str, path: str = "", default=_REQUIRED, minimum=None):
+    """A finite number as float; null is accepted only for a key whose default is None."""
+    v = doc.get(key, default)
+    if v is _REQUIRED:
+        raise ConfigError(_key_path(path, key), "missing required key")
+    if v is None and default is None:
+        return None
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {v!r}")
+        raise ConfigError(_key_path(path, key), f"expected a finite number, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise ConfigError(_key_path(path, key), f"must be >= {minimum}, got {v}")
     return float(v)
 
 
-def _get_int(doc: dict, key: str, path: str, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-        return default
-    v = doc[key]
+def _get_int(doc: dict, key: str, path: str = "", default=_REQUIRED, lo=None, hi=None):
+    """An integer in [lo, hi]; null is accepted only for a key whose default is None."""
+    v = doc.get(key, default)
+    if v is _REQUIRED:
+        raise ConfigError(_key_path(path, key), "missing required key")
+    if v is None and default is None:
+        return None
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {v!r}")
+        raise ConfigError(_key_path(path, key), f"expected an integer, got {v!r}")
+    if (lo is not None and v < lo) or (hi is not None and v > hi):
+        raise ConfigError(_key_path(path, key), f"must be in [{lo}, {hi}], got {v}")
     return v
 
 
-_PARAM_KEYS = {
-    "box": ("mass", "width"),
-    "harmonic": ("mass", "stiffness"),
-    "hydrogenoid": ("reduced_mass", "z", "charge"),
-    "morse": ("mass", "depth", "range"),
-    "numeric": ("mass", "x", "u"),
-}
+def _get_param(doc: dict, p: Param, path: str):
+    if p.type is tuple:
+        seq = doc.get(p.key)
+        if not isinstance(seq, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in seq
+        ):
+            raise ConfigError(f"{path}.{p.key}", "expected a list of finite numbers")
+        return tuple(map(float, seq))
+    return (_get_int if p.type is int else _get_number)(doc, p.key, path, p.default)
 
 
 def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:
@@ -627,7 +691,7 @@ def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:
     """
     _expect_object(doc, path)
     if "preset" in doc:
-        _reject_unknown(doc, ("preset",), path)
+        _check_keys(doc, ("preset",), path)
         name = doc["preset"]
         if not isinstance(name, str):
             raise ConfigError(f"{path}.preset", f"expected a string, got {name!r}")
@@ -635,12 +699,13 @@ def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:
             return get_preset(name)
         except ModelDefinitionError as exc:
             raise ConfigError(f"{path}.preset", str(exc)) from None
-    _reject_unknown(doc, ("kind", "units", "params"), path)
+    _check_keys(doc, ("kind", "units", "params"), path)
     for key in ("kind", "units", "params"):
         if key not in doc:
             raise ConfigError(f"{path}.{key}", "missing required key")
     kind = doc["kind"]
-    if kind not in KINDS:
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {list(KINDS)}")
     if not isinstance(doc["units"], str):
         raise ConfigError(f"{path}.units", f"expected a unit-system name, got {doc['units']!r}")
@@ -651,37 +716,12 @@ def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:
     params = doc["params"]
     ppath = f"{path}.params"
     _expect_object(params, ppath)
-    _reject_unknown(params, _PARAM_KEYS[kind], ppath)
+    _check_keys(params, [p.key for p in cls.schema], ppath)
     try:
-        if kind == "box":
-            spec = ModelSpec.box(_get_number(params, "mass", ppath), _get_number(params, "width", ppath), units)
-        elif kind == "harmonic":
-            spec = ModelSpec.harmonic(_get_number(params, "mass", ppath), _get_number(params, "stiffness", ppath), units)
-        elif kind == "hydrogenoid":
-            spec = ModelSpec.hydrogenoid(
-                _get_number(params, "reduced_mass", ppath),
-                _get_int(params, "z", ppath),
-                _get_number(params, "charge", ppath, required=False, default=1.0),
-                units,
-            )
-        elif kind == "morse":
-            spec = ModelSpec.morse(
-                _get_number(params, "mass", ppath),
-                _get_number(params, "depth", ppath),
-                _get_number(params, "range", ppath),
-                units,
-            )
-        else:
-            for key in ("x", "u"):
-                seq = params.get(key)
-                if not isinstance(seq, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in seq
-                ):
-                    raise ConfigError(f"{ppath}.{key}", "expected a list of finite numbers")
-            spec = ModelSpec.numeric(_get_number(params, "mass", ppath), params["x"], params["u"], units)
+        values = {p.attr: _get_param(params, p, ppath) for p in cls.schema}
+        return ModelSpec(kind, cls(**values), units)
     except ModelDefinitionError as exc:
         raise ConfigError(ppath, str(exc)) from None
-    return spec
 
 
 def model_from_json(text: str) -> ModelSpec:
@@ -692,29 +732,13 @@ def model_from_json(text: str) -> ModelSpec:
     return model_from_dict(doc)
 
 
-def _preset_box() -> ModelSpec:
-    return ModelSpec.box(1.0, 1.0, NATURAL_BOX)
-
-
-def _preset_harmonic() -> ModelSpec:
-    return ModelSpec.harmonic(1.0, 1.0, OSCILLATOR)
-
-
-def _preset_hydrogen() -> ModelSpec:
-    return ModelSpec.hydrogenoid(1.0, 1, 1.0, ATOMIC)
-
-
-def _preset_morse_h2() -> ModelSpec:
+PRESETS = {
+    "box-natural": lambda: ModelSpec.box(1.0, 1.0, NATURAL_BOX),
+    "harmonic-natural": lambda: ModelSpec.harmonic(1.0, 1.0, OSCILLATOR),
+    "hydrogen-atomic": lambda: ModelSpec.hydrogenoid(1.0, 1, 1.0, ATOMIC),
     # Standard literature constants for the hydrogen molecule ground state:
     # well depth 4.7446 eV, range 1.9426 1/angstrom, reduced mass 0.50391 amu.
-    return ModelSpec.morse(mass=0.50391, depth=4.7446, alpha=1.9426, units=MOLECULAR)
-
-
-PRESETS = {
-    "box-natural": _preset_box,
-    "harmonic-natural": _preset_harmonic,
-    "hydrogen-atomic": _preset_hydrogen,
-    "morse-h2": _preset_morse_h2,
+    "morse-h2": lambda: ModelSpec.morse(mass=0.50391, depth=4.7446, alpha=1.9426, units=MOLECULAR),
 }
 
 

@@ -51,7 +51,6 @@ from .models import EnergyLevel, ModelSpec, WellProfile, well_profile, _si_view
 from .units import HBAR_SI
 
 __all__ = [
-    "MASLOV_DEFAULTS",
     "TurningPoints",
     "ActionCurve",
     "PeriodCheck",
@@ -64,8 +63,6 @@ __all__ = [
     "numeric_level_count",
     "numeric_bound_levels",
 ]
-
-MASLOV_DEFAULTS = {"box": 0, "harmonic": 2, "hydrogenoid": 0, "morse": 2, "numeric": 2}
 
 _GL_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 _RTOL_TARGET = 1e-10
@@ -408,7 +405,7 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     """
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
         raise OutOfRangeError(f"quantum number must be an integer >= 0, got {n!r}")
-    nu = MASLOV_DEFAULTS[model.kind] if maslov is None else maslov
+    nu = model.params.maslov if maslov is None else maslov
     if not (isinstance(nu, int) and 0 <= nu <= 4):
         raise OutOfRangeError(f"maslov count must be an integer in [0, 4], got {maslov!r}")
     target = 2.0 * math.pi * HBAR_SI * (n + nu / 4.0)
@@ -434,7 +431,7 @@ def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
     """Number of quantized levels inside the tabulated energy window."""
     if model.kind != "numeric":
         raise OutOfRangeError(f"level counting by action applies to numeric models, not {model.kind!r}")
-    nu = MASLOV_DEFAULTS["numeric"] if maslov is None else maslov
+    nu = model.params.maslov if maslov is None else maslov
     profile = well_profile(model)
     e_top = profile.u_min + (profile.e_ceiling - profile.u_min) * (1.0 - 1e-9)
     i_top = _action_si(profile, e_top)

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .criterion import DEGENERATE_PERIOD_NOTE, level_gap, y_function
-from .errors import DegeneratePeriodError, OutOfRangeError
-from .models import ModelSpec, classical_period, energy_level, level_gap_energy, n_min
+from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, _level_gaps, spectrum
+from .errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError
+from .models import ModelSpec, n_min
 from .noise import fmean, fvariance
 
 __all__ = [
@@ -58,15 +58,15 @@ class PeriodProtocol:
 
     def __post_init__(self):
         if not (isinstance(self.s, int) and not isinstance(self.s, bool) and self.s >= 1):
-            raise ValueError(f"s must be an integer >= 1, got {self.s!r}")
+            raise InvalidArgumentError(f"s must be an integer >= 1, got {self.s!r}")
         if not (isinstance(self.trials, int) and not isinstance(self.trials, bool) and self.trials >= 10):
-            raise ValueError(f"trials must be an integer >= 10, got {self.trials!r}")
+            raise InvalidArgumentError(f"trials must be an integer >= 10, got {self.trials!r}")
         if self.delta_t is not None:
             ok = isinstance(self.delta_t, (int, float)) and not isinstance(self.delta_t, bool)
             if not (ok and math.isfinite(self.delta_t) and self.delta_t >= 0.0):
-                raise ValueError(f"delta_t must be None or a finite number >= 0, got {self.delta_t!r}")
+                raise InvalidArgumentError(f"delta_t must be None or a finite number >= 0, got {self.delta_t!r}")
         if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+            raise InvalidArgumentError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     def estimator_sd(self, delta_t: float) -> float:
         if self.per_inversion:
@@ -89,41 +89,34 @@ class PeriodSampleSet:
         return math.sqrt(fvariance(self.estimates))
 
 
-def _level_and_period(model: ModelSpec, n: int) -> tuple[float, float]:
-    if model.kind == "numeric":
-        from . import semiclassical
-
-        e = semiclassical.quantize(model, n).energy
-        return e, semiclassical.period_of_energy(model, e, self_check=False)
-    return energy_level(model, n).energy, classical_period(model, n).tau
-
-
-def _gap_energy(model: ModelSpec, n: int) -> float:
-    if model.kind == "numeric":
-        e_hi, _ = _level_and_period(model, n)
-        e_lo, _ = _level_and_period(model, n - 1)
-        return (e_hi - e_lo) / 2.0
-    return level_gap_energy(model, n)
-
-
-def _auto_delta_t(model: ModelSpec, n: int) -> float:
-    # saturating accuracy hbar / (2 dE) at this level's gap (the gap above,
-    # for the bottom level, which has no lower neighbor)
-    gap_at = max(n, n_min(model) + 1)
-    return model.units.hbar / (2.0 * _gap_energy(model, gap_at))
-
-
-def simulate_period_measurement(model: ModelSpec, n: int, protocol: PeriodProtocol) -> PeriodSampleSet:
-    """Monte Carlo period estimates for level n; trial i occupies RNG slot i."""
-    if model.kind == "harmonic":
+def _require_period_spread(model: ModelSpec):
+    if model.params.degenerate_period:
         raise DegeneratePeriodError(DEGENERATE_PERIOD_NOTE)
-    _, tau = _level_and_period(model, n)
-    delta_t = protocol.delta_t if protocol.delta_t is not None else _auto_delta_t(model, n)
+
+
+def _saturating_delta_t(model: ModelSpec, gap: LevelGap) -> float:
+    return model.units.hbar / (2.0 * gap.dE)
+
+
+def _samples(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> PeriodSampleSet:
     sd = protocol.estimator_sd(delta_t)
     gen = np.random.Generator(np.random.Philox(key=np.array([protocol.seed, n], dtype=np.uint64)))
     noise = gen.standard_normal(protocol.trials)
     estimates = tuple(float(tau + sd * z) for z in noise)
     return PeriodSampleSet(n=n, estimates=estimates, protocol=protocol, tau_true=tau, delta_t=delta_t)
+
+
+def simulate_period_measurement(model: ModelSpec, n: int, protocol: PeriodProtocol) -> PeriodSampleSet:
+    """Monte Carlo period estimates for level n; trial i occupies RNG slot i."""
+    _require_period_spread(model)
+    if protocol.delta_t is not None:
+        return _samples(n, protocol, spectrum(model, (n,))[n][1], protocol.delta_t)
+    # saturating accuracy hbar / (2 dE) at this level's gap (the gap above,
+    # for the bottom level, which has no lower neighbor)
+    gap_at = max(n, n_min(model) + 1)
+    levels = spectrum(model, dict.fromkeys((n, gap_at - 1, gap_at)))
+    (gap,) = _level_gaps(model, levels, (gap_at,))
+    return _samples(n, protocol, levels[n][1], _saturating_delta_t(model, gap))
 
 
 @dataclass(frozen=True)
@@ -158,14 +151,14 @@ def _bayes_overlap(m1: float, s1: float, m2: float, s2: float) -> float:
     return min(max(0.5 * integral, 0.0), 0.5)
 
 
-def discriminate(model: ModelSpec, n: int, protocol: PeriodProtocol) -> DiscriminationResult:
-    """Simulate levels n-1 and n under one protocol and compare the clouds."""
-    if n <= n_min(model):
-        raise OutOfRangeError(f"{model.kind}: discrimination at n={n} needs level n-1")
-    delta_t = protocol.delta_t if protocol.delta_t is not None else _auto_delta_t(model, n)
+def _compare(model: ModelSpec, protocol: PeriodProtocol, levels, gap: LevelGap) -> DiscriminationResult:
+    """Simulate levels n-1 and n of ``gap`` from their computed (E, tau) and compare the clouds."""
+    _require_period_spread(model)
+    n = gap.n
+    delta_t = protocol.delta_t if protocol.delta_t is not None else _saturating_delta_t(model, gap)
     fixed = replace(protocol, delta_t=delta_t)
-    low = simulate_period_measurement(model, n - 1, fixed)
-    high = simulate_period_measurement(model, n, fixed)
+    low = _samples(n - 1, fixed, levels[n - 1][1], delta_t)
+    high = _samples(n, fixed, levels[n][1], delta_t)
     mean_low, mean_high = low.mean(), high.mean()
     var_low, var_high = fvariance(low.estimates), fvariance(high.estimates)
     sd_low, sd_high = math.sqrt(var_low), math.sqrt(var_high)
@@ -191,8 +184,16 @@ def discriminate(model: ModelSpec, n: int, protocol: PeriodProtocol) -> Discrimi
         bayes_error=bayes,
         noise_free=noise_free,
         mc_resolvable=d_prime >= D_PRIME_CUT,
-        criterion_resolvable=level_gap(model, n).resolvable,
+        criterion_resolvable=gap.resolvable,
     )
+
+
+def discriminate(model: ModelSpec, n: int, protocol: PeriodProtocol) -> DiscriminationResult:
+    """Simulate levels n-1 and n under one protocol and compare the clouds."""
+    if n <= n_min(model):
+        raise OutOfRangeError(f"{model.kind}: discrimination at n={n} needs level n-1")
+    levels = spectrum(model, (n - 1, n))
+    return _compare(model, protocol, levels, _level_gaps(model, levels, (n,))[0])
 
 
 @dataclass(frozen=True)
@@ -226,11 +227,10 @@ def consistency_sweep(model: ModelSpec, n_range: tuple[int, int], protocol: Peri
     first = n_min(model) + 1
     if not (isinstance(lo, int) and isinstance(hi, int) and first <= lo <= hi):
         raise OutOfRangeError(f"n_range must be integers with {first} <= lo <= hi, got {n_range!r}")
-    results = []
-    ys = []
-    for n in range(lo, hi + 1):
-        results.append(discriminate(model, n, protocol))
-        ys.append((n, y_function(model, n)))
+    levels = spectrum(model, range(lo - 1, hi + 1))
+    gaps = _level_gaps(model, levels, range(lo, hi + 1))
+    results = [_compare(model, protocol, levels, g) for g in gaps]
+    ys = [(g.n, g.y_over_hbar) for g in gaps]
 
     def crossover(cut: float):
         return next((r.n_high for r in results if r.d_prime < cut), None)

@@ -335,3 +335,27 @@ def test_rerun_is_byte_identical(tmp_path):
     assert rec1["outputs"] == rec2["outputs"]
     for entry in rec1["outputs"]:
         assert (out1 / entry["name"]).read_bytes() == (out2 / entry["name"]).read_bytes()
+
+
+def test_numeric_spectrum_check_quantizes_each_level_once(tmp_path, monkeypatch):
+    from speclimit import semiclassical
+
+    xs = [0.25 * i for i in range(-16, 17)]
+    doc = {"model": {"kind": "numeric", "units": "oscillator",
+                     "params": {"mass": 1.0, "x": xs, "u": [0.5 * x * x for x in xs]}},
+           "n_limit": 6, "semiclassical_check": True}
+    calls = []
+    quantize = semiclassical.quantize
+
+    def counted_quantize(m, n, *args, **kwargs):
+        calls.append(n)
+        return quantize(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
+    assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    assert sorted(calls) == list(range(6))
+    rows = read_csv(tmp_path / "out" / "spectrum.csv")
+    assert rows[0] == ["n", "E_n", "tau_n", "E_semiclassical"]
+    # for a numeric well the column repeats E_n: both come from the same quantization
+    assert len(rows) == 7 and all(r[3] == r[1] for r in rows[1:])

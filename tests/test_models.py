@@ -199,11 +199,39 @@ def test_numeric_closed_forms_unsupported():
 # -- unit conversion ---------------------------------------------------
 
 
-def test_converted_round_trip(morse_h2):
-    back = morse_h2.converted(sl.SI).converted(morse_h2.units)
-    assert back.params.mass == pytest.approx(morse_h2.params.mass, rel=1e-12)
-    assert back.params.depth == pytest.approx(morse_h2.params.depth, rel=1e-12)
-    assert back.params.alpha == pytest.approx(morse_h2.params.alpha, rel=1e-12)
+def _numeric_table():
+    xs = np.linspace(-2, 2, 13)
+    return sl.numeric(1.3, xs, 0.5 * xs**2 + 0.1 * xs**4)
+
+
+# one model per kind, each in a unit system that is not SI
+ALL_KINDS = {
+    "box": lambda: sl.box(1.7, 0.6, sl.MOLECULAR),
+    "harmonic": lambda: sl.harmonic(1.2, 0.8),
+    "hydrogenoid": lambda: sl.hydrogenoid(1.5, 3, 0.9),
+    "morse": lambda: sl.get_preset("morse-h2"),
+    "numeric": _numeric_table,
+}
+
+
+def test_converted_round_trip():
+    for kind, build in ALL_KINDS.items():
+        model = build()
+        back = model.converted(sl.SI).converted(model.units)
+        assert back.kind == kind and back.units == model.units
+        for name in model.params.__dataclass_fields__:
+            want, got = getattr(model.params, name), getattr(back.params, name)
+            assert type(got) is type(want), (kind, name)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), (kind, name)
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_to_dict_from_dict_round_trip(kind):
+    model = ALL_KINDS[kind]()
+    doc = model.to_dict()
+    assert doc["kind"] == kind and doc["units"] == model.units.name
+    assert sl.model_from_dict(doc) == model
+    assert sl.model_from_json(json.dumps(doc)) == model
 
 
 def test_converted_preserves_physics(hyd):
@@ -258,6 +286,42 @@ def test_to_dict_morse(morse_h2):
     doc = morse_h2.to_dict()
     assert doc["params"]["range"] == morse_h2.params.alpha
     assert doc["units"] == "molecular"
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("box", {"mass", "width"}),
+    ("harmonic", {"mass", "stiffness"}),
+    ("hydrogenoid", {"reduced_mass", "z", "charge"}),
+    ("morse", {"mass", "depth", "range"}),
+    ("numeric", {"mass", "x", "u"}),
+])
+def test_to_dict_params_match_the_config_schema(kind, keys):
+    model = ALL_KINDS[kind]()
+    params = model.to_dict()["params"]
+    assert set(params) == keys
+    if kind == "numeric":
+        assert params["x"] == list(model.params.x) and params["u"] == list(model.params.u)
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_model_from_dict_rejects_unknown_params_key(kind):
+    doc = ALL_KINDS[kind]().to_dict()
+    doc["params"]["height"] = 2.0
+    with pytest.raises(ConfigError) as ei:
+        sl.model_from_dict(doc)
+    assert ei.value.path == "model.params.height"
+
+
+@pytest.mark.parametrize("z", [1.5, "2", True, None])
+def test_model_from_dict_rejects_non_integer_z(z):
+    doc = {"kind": "hydrogenoid", "units": "atomic", "params": {"reduced_mass": 1.0, "z": z}}
+    with pytest.raises(ConfigError) as ei:
+        sl.model_from_dict(doc)
+    assert ei.value.path == "model.params.z"
+    doc["params"]["z"] = 0  # an integer, but below 1: rejected by the model itself
+    with pytest.raises(ConfigError) as ei:
+        sl.model_from_dict(doc)
+    assert ei.value.path == "model.params"
 
 
 def test_get_preset_unknown():

@@ -5,19 +5,15 @@ import math
 import pytest
 
 import speclimit as sl
-from speclimit.errors import DegeneratePeriodError, OutOfRangeError
+from speclimit.errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError, SpeclimitError
 from speclimit.simulate import D_PRIME_CAP, D_PRIME_CUT
 
 
 def test_protocol_validation():
-    with pytest.raises(ValueError):
-        sl.PeriodProtocol(s=0)
-    with pytest.raises(ValueError):
-        sl.PeriodProtocol(trials=5)
-    with pytest.raises(ValueError):
-        sl.PeriodProtocol(delta_t=-1.0)
-    with pytest.raises(ValueError):
-        sl.PeriodProtocol(seed=-1)
+    for bad in ({"s": 0}, {"trials": 5}, {"delta_t": -1.0}, {"seed": -1}):
+        with pytest.raises(InvalidArgumentError) as ei:
+            sl.PeriodProtocol(**bad)
+        assert isinstance(ei.value, SpeclimitError) and isinstance(ei.value, ValueError)
 
 
 def test_estimator_sd_scaling():
@@ -174,3 +170,27 @@ def test_sweep_morse(morse_h2):
     assert sweep.criterion_threshold == 1
     assert sweep.mc_crossover == 1
     assert sweep.disagreements == 0
+
+
+def test_numeric_sweep_quantizes_each_level_once(monkeypatch):
+    from collections import Counter
+
+    from speclimit import semiclassical
+
+    xs = [0.5 * i for i in range(-16, 17)]
+    model = sl.numeric(1.0, xs, [0.5 * x * x for x in xs])
+    quantized = Counter()
+    quantize = semiclassical.quantize
+
+    def counted_quantize(m, n, *args, **kwargs):
+        quantized[n] += 1
+        return quantize(m, n, *args, **kwargs)
+
+    monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
+    sweep = sl.consistency_sweep(model, (2, 5), sl.PeriodProtocol(trials=100))
+    monkeypatch.undo()
+    assert quantized == Counter(range(1, 6))
+    for r, (n, y) in zip(sweep.results, sweep.y_values):
+        gap = sl.level_gap(model, n)
+        assert r.criterion_resolvable == gap.resolvable and y == gap.y_over_hbar
+        assert r.delta_t == 1.0 / (2 * gap.dE)
