@@ -343,7 +343,7 @@ class NumericPotentialParams(WellKind):
     u: tuple[float, ...]
 
     kind = "numeric"
-    # the table is read from JSON before the mass
+    # JSON read order: a bad table is reported before a bad mass
     schema = (
         Param("x", "x", type=tuple, dim="length"),
         Param("u", "u", type=tuple, dim="energy"),
@@ -512,8 +512,6 @@ def _check_n(model: ModelSpec, n: int) -> int:
 
 def _first_levels(model: ModelSpec, n_limit: int) -> range:
     """Quantum numbers of the first ``n_limit`` levels, fewer if the ladder ends earlier."""
-    if not (isinstance(n_limit, int) and n_limit >= 1):
-        raise OutOfRangeError(f"n_limit must be an integer >= 1, got {n_limit!r}")
     lo, hi = n_min(model), n_max(model)
     last = lo + n_limit - 1 if hi is None else min(lo + n_limit - 1, hi)
     return range(lo, last + 1)
@@ -553,12 +551,13 @@ def classical_period(model: ModelSpec, n: int) -> PeriodPoint:
 
 def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
     """First ``n_limit`` bound levels, fewer if the ladder ends earlier."""
-    ns = _first_levels(model, n_limit)
-    if model.params.closed_forms:
-        return [energy_level(model, n) for n in ns]
-    from . import semiclassical
+    if not (isinstance(n_limit, int) and n_limit >= 1):
+        raise OutOfRangeError(f"n_limit must be an integer >= 1, got {n_limit!r}")
+    if not model.params.closed_forms:
+        from . import semiclassical
 
-    return [semiclassical.quantize(model, n) for n in ns]
+        return semiclassical.numeric_bound_levels(model, n_limit)
+    return [energy_level(model, n) for n in _first_levels(model, n_limit)]
 
 
 def level_gap_energy(model: ModelSpec, n: int) -> float:

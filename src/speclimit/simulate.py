@@ -114,7 +114,7 @@ def simulate_period_measurement(model: ModelSpec, n: int, protocol: PeriodProtoc
     # saturating accuracy hbar / (2 dE) at this level's gap (the gap above,
     # for the bottom level, which has no lower neighbor)
     gap_at = max(n, n_min(model) + 1)
-    levels = spectrum(model, dict.fromkeys((n, gap_at - 1, gap_at)))
+    levels = spectrum(model, dict.fromkeys((n, gap_at - 1, gap_at)))  # each level once, n first
     (gap,) = _level_gaps(model, levels, (gap_at,))
     return _samples(n, protocol, levels[n][1], _saturating_delta_t(model, gap))
 
