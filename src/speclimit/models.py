@@ -498,18 +498,6 @@ def n_max(model: ModelSpec):
     return model.params.n_max(model)
 
 
-def _check_n(model: ModelSpec, n: int) -> int:
-    if not (isinstance(n, int) and not isinstance(n, bool)):
-        raise OutOfRangeError(f"quantum number must be an integer, got {n!r}")
-    lo = n_min(model)
-    if n < lo:
-        raise OutOfRangeError(f"{model.kind}: n must be >= {lo}, got {n}")
-    hi = n_max(model)
-    if hi is not None and n > hi:
-        raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
-    return n
-
-
 def _first_levels(model: ModelSpec, n_limit: int) -> range:
     """Quantum numbers of the first ``n_limit`` levels, fewer if the ladder ends earlier."""
     lo, hi = n_min(model), n_max(model)
@@ -524,14 +512,21 @@ def _closed_si(model: ModelSpec, n: int, instead: str):
     """SI view for a closed form at level n; ``instead`` completes the error for kinds without one."""
     if not model.params.closed_forms:
         raise UnsupportedModelError(f"{model.kind}: no closed-form {instead}")
-    _check_n(model, n)
+    if not (isinstance(n, int) and not isinstance(n, bool)):
+        raise OutOfRangeError(f"quantum number must be an integer, got {n!r}")
+    lo = model.params.n_min
+    if n < lo:
+        raise OutOfRangeError(f"{model.kind}: n must be >= {lo}, got {n}")
+    hi = model.params.n_max(model)
+    if hi is not None and n > hi:
+        raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
     return _si_view(model)
 
 
 def _gap_si(model: ModelSpec, n: int, instead: str):
     si = _closed_si(model, n, instead)
-    if n == n_min(model):
-        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n_min(model)}")
+    if n == model.params.n_min:
+        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
     return si
 
 
