@@ -35,7 +35,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -127,6 +126,13 @@ class Param:
         return tuple(v * r for v in value) if self.type is tuple else value * r
 
 
+class _SI:
+    """A model's parameters and derived constants in SI, as attributes."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+
 def _positive(name: str, value, kind: str) -> float:
     if not (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value > 0):
         raise ModelDefinitionError(f"{kind}: {name} must be a positive finite number, got {value!r}")
@@ -172,7 +178,7 @@ class BoxParams(WellKind):
     maslov = 0
 
     def si(self, units: UnitSystem):
-        return SimpleNamespace(mass=units.to_si(self.mass, "mass"), width=units.to_si(self.width, "length"))
+        return _SI(mass=units.to_si(self.mass, "mass"), width=units.to_si(self.width, "length"))
 
     energy = staticmethod(lambda si, n: (HBAR_SI * math.pi * n) ** 2 / (2.0 * si.mass * si.width**2))
     period = staticmethod(lambda si, n: 2.0 * si.width**2 * si.mass / (HBAR_SI * math.pi * n))
@@ -197,7 +203,7 @@ class HarmonicParams(WellKind):
     def si(self, units: UnitSystem):
         m = units.to_si(self.mass, "mass")
         k = units.to_si(self.stiffness, "stiffness")
-        return SimpleNamespace(mass=m, stiffness=k, omega=math.sqrt(k / m))
+        return _SI(mass=m, stiffness=k, omega=math.sqrt(k / m))
 
     energy = staticmethod(lambda si, n: HBAR_SI * si.omega * (n + 0.5))
     period = staticmethod(lambda si, n: 2.0 * math.pi / si.omega)
@@ -242,7 +248,7 @@ class HydrogenoidParams(WellKind):
 
     def si(self, units: UnitSystem):
         # coupling Z e^2 in J m
-        return SimpleNamespace(mass=units.to_si(self.reduced_mass, "mass"),
+        return _SI(mass=units.to_si(self.reduced_mass, "mass"),
                                coupling=self.z * units.to_si(self.charge**2, "coulomb"))
 
     energy = staticmethod(lambda si, n: -si.mass * si.coupling**2 / (2.0 * HBAR_SI**2 * n**2))
@@ -302,7 +308,7 @@ class MorseParams(WellKind):
         d = units.to_si(self.depth, "energy")
         a = units.to_si(self.alpha, "inverse_length")
         omega = a * math.sqrt(2.0 * d / m)
-        return SimpleNamespace(mass=m, depth=d, alpha=a, omega=omega, zeta=2.0 * d / (HBAR_SI * omega))
+        return _SI(mass=m, depth=d, alpha=a, omega=omega, zeta=2.0 * d / (HBAR_SI * omega))
 
     def n_max(self, model: ModelSpec) -> int:
         return math.ceil(_si_view(model).zeta / 2.0 - 0.5) - 1
@@ -372,7 +378,7 @@ class NumericPotentialParams(WellKind):
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
 
     def si(self, units: UnitSystem):
-        return SimpleNamespace(mass=units.to_si(self.mass, "mass"),
+        return _SI(mass=units.to_si(self.mass, "mass"),
                                x=tuple(units.to_si(v, "length") for v in self.x),
                                u=tuple(units.to_si(v, "energy") for v in self.u))
 
