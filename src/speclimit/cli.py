@@ -33,6 +33,7 @@ from .models import (
     ModelSpec,
     _check_keys,
     _first_levels,
+    _get_bool,
     _get_int,
     _get_number,
     model_from_dict,
@@ -160,13 +161,6 @@ def load_config(path: str) -> dict:
     return doc
 
 
-def _opt_bool(doc, key, default):
-    v = doc.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(key, f"expected true or false, got {v!r}")
-    return v
-
-
 def _opt_n_range(doc, model: ModelSpec):
     v = doc.get("n_range")
     first = n_min(model) + 1
@@ -205,7 +199,7 @@ def validate_config(doc: dict, analysis: str) -> dict:
 
     if analysis in ("spectrum", "report"):
         out["n_limit"] = _get_int(doc, "n_limit", "", None, lo=1)
-        out["semiclassical_check"] = _opt_bool(doc, "semiclassical_check", False)
+        out["semiclassical_check"] = _get_bool(doc, "semiclassical_check", "", False)
     if analysis in ("criterion", "simulate", "report"):
         out["n_range"] = _opt_n_range(doc, model)
     if analysis in ("criterion", "report"):
@@ -234,7 +228,7 @@ def validate_config(doc: dict, analysis: str) -> dict:
             "s": _get_int(sub, "s", "protocol", 1, lo=1),
             "delta_t": _get_number(sub, "delta_t", "protocol", None, minimum=0.0),
             "trials": _get_int(sub, "trials", "protocol", 10000, lo=10),
-            "per_inversion": _opt_bool(sub, "per_inversion", False),
+            "per_inversion": _get_bool(sub, "per_inversion", "protocol", False),
         }
     return out
 

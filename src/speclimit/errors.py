@@ -53,7 +53,11 @@ class PotentialDomainError(SpeclimitError, ValueError):
 
 
 class RootNotBracketedError(SpeclimitError, RuntimeError):
-    """Turning-point scan exhausted its expansion budget without a sign change."""
+    """A root search found no sign change.
+
+    Kept for callers that catch it; turning points are closed forms, so
+    nothing in the package raises it.
+    """
 
 
 class QuadratureFailureError(SpeclimitError, RuntimeError):

@@ -31,6 +31,8 @@ converted back on return.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -95,13 +97,10 @@ class WellProfile:
 
     mass: float
     potential: Callable  # vectorized, SI in / SI out
-    x_min: float  # anchor for the turning-point scan
-    u_min: float  # potential at the anchor; -inf for the Coulomb singularity
+    turning_points: Callable  # E -> (x_minus, x_plus) as floats, for u_min < E < e_ceiling
+    u_min: float  # potential at the well bottom; -inf for the Coulomb singularity
     e_ceiling: float  # exclusive upper bound on bound-motion energies
-    x_scale: float  # characteristic length
     e_scale: float  # characteristic energy
-    left_wall: float | None  # hard or singular left boundary, if any
-    x_domain: tuple[float, float]
     breakpoints: tuple[float, ...] = ()  # interior quadrature split points
 
 
@@ -186,7 +185,15 @@ class BoxParams(WellKind):
     gap_period = staticmethod(lambda si, n: -si.width**2 * si.mass / (HBAR_SI * math.pi * n * (n - 1)))
 
     def profile(self, model: ModelSpec) -> WellProfile:
-        raise UnsupportedModelError("box wells are handled analytically; no quadrature profile")
+        si = _si_view(model)
+        a = si.width
+
+        def u(x):  # zero between the walls, infinite beyond them
+            x = np.asarray(x, dtype=float)
+            return np.where((x >= 0.0) & (x <= a), 0.0, np.inf)
+
+        return WellProfile(mass=si.mass, potential=u, turning_points=lambda e: (0.0, a),
+                           u_min=0.0, e_ceiling=math.inf, e_scale=self.energy(si, 1))
 
 
 @dataclass(frozen=True)
@@ -212,17 +219,19 @@ class HarmonicParams(WellKind):
 
     def profile(self, model: ModelSpec) -> WellProfile:
         si = _si_view(model)
-        m, k, w = si.mass, si.stiffness, si.omega
+        k = si.stiffness
+
+        def turning_points(e):
+            amp = math.sqrt(2.0 * e / k)
+            return -amp, amp
+
         return WellProfile(
-            mass=m,
+            mass=si.mass,
             potential=lambda x: 0.5 * k * np.square(x),
-            x_min=0.0,
+            turning_points=turning_points,
             u_min=0.0,
             e_ceiling=math.inf,
-            x_scale=math.sqrt(HBAR_SI / (m * w)),
-            e_scale=HBAR_SI * w,
-            left_wall=None,
-            x_domain=(-math.inf, math.inf),
+            e_scale=HBAR_SI * si.omega,
         )
 
 
@@ -270,13 +279,10 @@ class HydrogenoidParams(WellKind):
         return WellProfile(
             mass=mu,
             potential=coulomb,
-            x_min=0.0,
+            turning_points=lambda e: (0.0, float(-c / e)),  # the singular wall and r = Z e^2 / |E|
             u_min=-math.inf,
             e_ceiling=0.0,
-            x_scale=HBAR_SI**2 / (mu * c),
             e_scale=mu * c**2 / (2.0 * HBAR_SI**2),
-            left_wall=0.0,
-            x_domain=(0.0, math.inf),
         )
 
 
@@ -329,16 +335,20 @@ class MorseParams(WellKind):
             ex = np.exp(-a * np.asarray(x, dtype=float))
             return d * (ex * ex - 2.0 * ex)
 
+        def turning_points(e):
+            # U = E at exp(-a x) = 1 +- s; the outer root 1 - s is written as
+            # (-E/D) / (1 + s), which does not cancel near dissociation
+            r = e / d
+            s = math.sqrt(1.0 + r)
+            return -math.log1p(s) / a, -math.log(-r / (1.0 + s)) / a
+
         return WellProfile(
             mass=si.mass,
             potential=u,
-            x_min=0.0,
+            turning_points=turning_points,
             u_min=-d,
             e_ceiling=0.0,
-            x_scale=1.0 / a,
             e_scale=d,
-            left_wall=None,
-            x_domain=(-math.inf, math.inf),
         )
 
 
@@ -389,20 +399,16 @@ class NumericPotentialParams(WellKind):
 
     def profile(self, model: ModelSpec) -> WellProfile:
         si = _si_view(model)
-        x0, x1 = si.x[0], si.x[-1]
         xm, um = _numeric_x_min(model)
         ceiling = min(si.u[0], si.u[-1])
         return WellProfile(
             mass=si.mass,
             potential=_numeric_potential(model),
-            x_min=xm,
+            turning_points=_numeric_turning_points(model, xm),
             u_min=um,
             e_ceiling=ceiling,
-            x_scale=(x1 - x0) / max(len(si.x) - 1, 1),
             e_scale=ceiling - um,
-            left_wall=None,
-            x_domain=(x0, x1),
-            breakpoints=tuple(v for v in si.x if x0 < v < x1),
+            breakpoints=si.x[1:-1],
         )
 
 
@@ -620,6 +626,57 @@ def _numeric_x_min(model: ModelSpec) -> tuple[float, float]:
     return best_x, best_u
 
 
+def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
+    """x0 + t at the root of one PCHIP piece's cubic minus e, t between t_in and t_out.
+
+    The piece is monotone and lies below e at t_in. A Newton step that leaves
+    the bracket bisects it instead; the walk ends once a step no longer moves
+    x0 + t.
+    """
+    c3, c2, c1, c0 = coef
+    c0 -= e
+    below, above = t_in, t_out
+    t = 0.5 * (t_in + t_out)
+    for _ in range(100):
+        g = ((c3 * t + c2) * t + c1) * t + c0
+        if g < 0.0:
+            below = t
+        else:
+            above = t
+        slope = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        t_new = t - g / slope if slope else math.nan
+        if abs(t_new - t) <= math.ulp(x0 + t):
+            return x0 + t_new
+        t = t_new if min(below, above) < t_new < max(below, above) else 0.5 * (below + above)
+    return x0 + t
+
+
+def _numeric_turning_points(model: ModelSpec, x_min: float) -> Callable:
+    """Turning points of a table, each the one root of a PCHIP piece.
+
+    PCHIP keeps every piece monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
+    17, 1980), so the orbit at E turns in the piece just inside the first
+    knot, outward from the minimum, whose value reaches E. Running maxima of
+    the knot values outward from the minimum find that knot by bisection.
+    """
+    si = _si_view(model)
+    xs = si.x
+    coefs = _numeric_interpolant(model).c.T.tolist()  # per piece, t^3 .. t^0 in t = x - x_k
+    right = bisect.bisect_right(xs, x_min)  # first knot right of the minimum
+    left = bisect.bisect_left(xs, x_min) - 1  # first knot left of it
+    reach_right = list(itertools.accumulate(si.u[right:], max))
+    reach_left = list(itertools.accumulate(si.u[left::-1], max))
+
+    def turning_points(e):
+        k = left - bisect.bisect_left(reach_left, e)  # the piece [x_k, x_k+1]
+        x_minus = _piece_root(coefs[k], xs[k], e, min(x_min - xs[k], xs[k + 1] - xs[k]), 0.0)
+        k = right + bisect.bisect_left(reach_right, e) - 1
+        x_plus = _piece_root(coefs[k], xs[k], e, max(x_min - xs[k], 0.0), xs[k + 1] - xs[k])
+        return float(x_minus), float(x_plus)
+
+    return turning_points
+
+
 @lru_cache(maxsize=512)
 def well_profile(model: ModelSpec) -> WellProfile:
     """Build the SI well description used by the semiclassical engine."""
@@ -670,6 +727,14 @@ def _get_int(doc: dict, key: str, path: str = "", default=_REQUIRED, lo=None, hi
         raise ConfigError(_key_path(path, key), f"expected an integer, got {v!r}")
     if (lo is not None and v < lo) or (hi is not None and v > hi):
         raise ConfigError(_key_path(path, key), f"must be in [{lo}, {hi}], got {v}")
+    return v
+
+
+def _get_bool(doc: dict, key: str, path: str, default: bool) -> bool:
+    """A JSON true or false; ``default`` when the key is absent."""
+    v = doc.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(_key_path(path, key), f"expected true or false, got {v!r}")
     return v
 
 

@@ -20,11 +20,15 @@ at the Coulomb 1/x endpoint) and leaves integrands smooth on [0, pi/2].
 Gauss-Legendre rules of doubling order are applied until two successive
 orders agree to 1e-10 relative; results that stall before reaching 1e-8 are
 rejected. Each order makes one integrand call, on the nodes of every
-theta-segment at once. Turning points are found to machine precision: the
-scan evaluates its doubling steps in one potential call per chunk, and
-brentq refines the first sign change to a few ulps. The infinite square
-well has no smooth turning points and is handled by its elementary closed
-forms instead.
+theta-segment at once.
+
+Every well profile states its own turning points in closed form (see
+``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
+orbit radius, the box walls, and for a table the root of one monotone PCHIP
+piece. They hold U(x) = E to a few ulps, so no square-root branch point is
+left inside the end theta-segments. The box is a hard-wall profile (U = 0
+between its walls) and runs through the same quadrature and quantization as
+every other well.
 
 Everything internal runs in SI; public functions accept and return values in
 the model's declared unit system.
@@ -44,10 +48,9 @@ from .errors import (
     NoBoundMotionError,
     OutOfRangeError,
     QuadratureFailureError,
-    RootNotBracketedError,
     SelfCheckError,
 )
-from .models import EnergyLevel, ModelSpec, WellProfile, well_profile, _si_view
+from .models import EnergyLevel, ModelSpec, WellProfile, well_profile
 from .units import HBAR_SI
 
 __all__ = [
@@ -67,14 +70,6 @@ __all__ = [
 _GL_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 _RTOL_TARGET = 1e-10
 _RTOL_FLOOR = 1e-8
-_SCAN_STEPS = 1024
-_SCAN_CHUNK = 64  # a table of up to ~100 knots reaches its edge in one chunk
-# Turning points are converged to a few ulps: a residual E - U(x) of even
-# 1e-14 |E| leaves a square-root branch point inside the end theta-segment,
-# where the period quadrature stalls. xtol (in units of x_scale) stays > 0
-# so a root at x = 0 still converges.
-_ROOT_XTOL = np.finfo(float).eps
-_ROOT_RTOL = 4.0 * np.finfo(float).eps  # the smallest rtol brentq accepts
 
 
 @dataclass(frozen=True)
@@ -147,81 +142,15 @@ def _require_bound(profile: WellProfile, e: float):
         raise NoBoundMotionError(f"no bound orbit at E={e:.6g} J; well supports ({lo}, {hi}) J")
 
 
-def _scan_root(profile: WellProfile, e: float, direction: int) -> float:
-    """Walk outward from the well anchor in doubling steps, then refine.
-
-    The walk is evaluated in chunks of ``_SCAN_CHUNK`` steps, one potential
-    call each, and ends at the first step on or past the domain edge. Values
-    beyond the first sign change are discarded, so overflow there is silenced.
-    """
-
-    def f(x: float) -> float:
-        return e - float(profile.potential(x))
-
-    lo_dom, hi_dom = profile.x_domain
-    anchor = profile.x_min
-    if f(anchor) <= 0.0:
-        raise NoBoundMotionError(f"E={e:.6g} J does not exceed the potential at the well anchor")
-    step0 = profile.x_scale * 2.0**-20
-    x_prev = anchor
-    for start in range(0, _SCAN_STEPS, _SCAN_CHUNK):
-        # step k is step0 * 2**k exactly; the walk ends after the first step above 1e280
-        steps = np.ldexp(step0, np.arange(start, min(start + _SCAN_CHUNK, _SCAN_STEPS)))
-        huge = np.flatnonzero(steps > 1e280)
-        if huge.size:
-            steps = steps[: huge[0] + 1]
-        x_next = anchor + direction * steps
-        clipped = np.minimum(np.maximum(x_next, lo_dom), hi_dom)
-        edge = np.flatnonzero(clipped != x_next)
-        if edge.size:
-            clipped = clipped[: edge[0] + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            fv = e - profile.potential(clipped)
-        forbidden = np.flatnonzero(fv <= 0.0)
-        if forbidden.size:
-            i = forbidden[0]
-            x_out = float(clipped[i])
-            x_in = x_prev if i == 0 else float(clipped[i - 1])
-            root = brentq(f, min(x_in, x_out), max(x_in, x_out),
-                          xtol=_ROOT_XTOL * profile.x_scale, rtol=_ROOT_RTOL)
-            return float(root)
-        if edge.size:
-            # Ran into the domain edge while still classically allowed.
-            raise NoBoundMotionError(
-                f"E={e:.6g} J is not confined on the {'right' if direction > 0 else 'left'}"
-                f" side within the potential domain [{lo_dom:.6g}, {hi_dom:.6g}] m"
-            )
-        x_prev = float(clipped[-1])
-        if huge.size:
-            break
-    last_step = steps[-1] if huge.size else 2.0 * steps[-1]
-    raise RootNotBracketedError(
-        f"turning-point scan exhausted {_SCAN_STEPS} doubling steps from x={anchor:.6g} m"
-        f" (direction {direction:+d}, E={e:.6g} J, last step {last_step:.3g} m)"
-    )
-
-
 def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
     _require_bound(profile, e)
-    if profile.left_wall is not None:
-        xm = profile.left_wall
-    else:
-        xm = _scan_root(profile, e, -1)
-    xp = _scan_root(profile, e, +1)
-    return xm, xp
+    return profile.turning_points(e)
 
 
 def turning_points(model: ModelSpec, energy: float) -> TurningPoints:
     """Classical turning points at the given energy, in model units."""
     u = model.units
-    if model.kind == "box":
-        si = _si_view(model)
-        e_si = u.to_si(energy, "energy")
-        if e_si <= 0.0:
-            raise NoBoundMotionError(f"box orbits need E > 0, got {energy:.6g}")
-        return TurningPoints(energy=energy, x_minus=0.0, x_plus=u.from_si(si.width, "length"))
-    profile = well_profile(model)
-    xm, xp = _turning_points_si(profile, u.to_si(energy, "energy"))
+    xm, xp = _turning_points_si(well_profile(model), u.to_si(energy, "energy"))
     return TurningPoints(energy=energy, x_minus=u.from_si(xm, "length"), x_plus=u.from_si(xp, "length"))
 
 
@@ -280,21 +209,10 @@ def _fd_step(profile: WellProfile, e: float) -> float:
     return 1e-3 * min(room)
 
 
-def _box_action_si(model: ModelSpec, e: float) -> float:
-    si = _si_view(model)
-    if e <= 0.0:
-        raise NoBoundMotionError(f"box orbits need E > 0, got {e:.6g} J")
-    return 2.0 * si.width * math.sqrt(2.0 * si.mass * e)
-
-
 def action(model: ModelSpec, energy: float) -> float:
     """Action I(E) of the closed orbit at ``energy``, in model units."""
     u = model.units
-    e_si = u.to_si(energy, "energy")
-    if model.kind == "box":
-        i_si = _box_action_si(model, e_si)
-    else:
-        i_si = _action_si(well_profile(model), e_si)
+    i_si = _action_si(well_profile(model), u.to_si(energy, "energy"))
     return i_si / u.factor("action")
 
 
@@ -302,18 +220,10 @@ def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
     """Quadrature period and the centered-difference dI/dE at one energy."""
     u = model.units
     e_si = u.to_si(energy, "energy")
-    if model.kind == "box":
-        si = _si_view(model)
-        if e_si <= 0.0:
-            raise NoBoundMotionError(f"box orbits need E > 0, got {energy!r}")
-        tau_si = si.width * math.sqrt(2.0 * si.mass / e_si)
-        h = 1e-3 * e_si
-        fd = (_box_action_si(model, e_si + h) - _box_action_si(model, e_si - h)) / (2.0 * h)
-    else:
-        profile = well_profile(model)
-        tau_si = _period_si(profile, e_si)
-        h = _fd_step(profile, e_si)
-        fd = (_action_si(profile, e_si + h) - _action_si(profile, e_si - h)) / (2.0 * h)
+    profile = well_profile(model)
+    tau_si = _period_si(profile, e_si)
+    h = _fd_step(profile, e_si)
+    fd = (_action_si(profile, e_si + h) - _action_si(profile, e_si - h)) / (2.0 * h)
     residual = abs(tau_si - fd) / abs(tau_si)
     return PeriodCheck(
         energy=energy,
@@ -338,13 +248,7 @@ def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -
             )
         return chk.period
     u = model.units
-    e_si = u.to_si(energy, "energy")
-    if model.kind == "box":
-        si = _si_view(model)
-        if e_si <= 0.0:
-            raise NoBoundMotionError(f"box orbits need E > 0, got {energy!r}")
-        return u.from_si(si.width * math.sqrt(2.0 * si.mass / e_si), "time")
-    return u.from_si(_period_si(well_profile(model), e_si), "time")
+    return u.from_si(_period_si(well_profile(model), u.to_si(energy, "energy")), "time")
 
 
 def action_curve(model: ModelSpec, energies) -> ActionCurve:
@@ -412,10 +316,6 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     if target <= 0.0:
         raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
     u = model.units
-    if model.kind == "box":
-        si = _si_view(model)
-        e_si = target**2 / (8.0 * si.mass * si.width**2)
-        return EnergyLevel(n=n, energy=u.from_si(e_si, "energy"), bound=True)
     profile = well_profile(model)
     act = lambda e: _action_si(profile, e)
     lo = _bracket_low(profile, target, act)

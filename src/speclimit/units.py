@@ -86,11 +86,9 @@ class UnitSystem:
             raise ModelDefinitionError(
                 f"unit system {self.name!r}: hbar * energy_J * time_s = {check:.6e} J s, expected {HBAR_SI:.6e}"
             )
-
-    # Conversion factor for the dimensions the models use. "coulomb" is the
-    # Gaussian-style coupling e^2 with dimension energy x length.
-    def factor(self, dimension: str) -> float:
-        table = {
+        # Conversion factor for the dimensions the models use. "coulomb" is the
+        # Gaussian-style coupling e^2 with dimension energy x length.
+        object.__setattr__(self, "_factors", {
             "energy": self.energy_J,
             "time": self.time_s,
             "length": self.length_m,
@@ -99,9 +97,11 @@ class UnitSystem:
             "stiffness": self.mass_kg / self.time_s**2,
             "action": self.energy_J * self.time_s,
             "coulomb": self.energy_J * self.length_m,
-        }
+        })
+
+    def factor(self, dimension: str) -> float:
         try:
-            return table[dimension]
+            return self._factors[dimension]
         except KeyError:
             raise ModelDefinitionError(f"unknown dimension {dimension!r}") from None
 

@@ -64,6 +64,19 @@ def test_nested_unknown_key_path(tmp_path, capsys):
     assert "model.params" in err["error"]["path"]
 
 
+@pytest.mark.parametrize("sub, doc, path", [
+    ("simulate", box_config(protocol={"per_inversion": 1}), "protocol.per_inversion"),
+    ("spectrum", box_config(semiclassical_check="yes"), "semiclassical_check"),
+])
+def test_bad_boolean_path_reported(tmp_path, capsys, sub, doc, path):
+    cfg = write_config(tmp_path, doc)
+    rc = main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert (err["type"], err["path"]) == ("ConfigError", path)
+    assert "expected true or false" in err["message"]
+
+
 def test_analysis_mismatch_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, box_config(analysis="criterion"))
     rc = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -13,6 +13,16 @@ regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
 
 
+def _first_difference(got: bytes, want: bytes) -> str:
+    """The first differing line of two files, golden then new, with its line number."""
+    old, new = want.decode().splitlines(), got.decode().splitlines()
+    for i, (a, b) in enumerate(zip(old, new), 1):
+        if a != b:
+            return f"line {i}:\n  golden: {a}\n  new:    {b}"
+    i = min(len(old), len(new)) + 1
+    return f"line {i}: golden has {len(old)} lines, new has {len(new)}"
+
+
 def test_every_config_has_a_golden_directory():
     on_disk = {p.name for p in _GOLDEN.iterdir() if p.is_dir() and p.name != "__pycache__"}
     assert on_disk == set(regenerate.CONFIGS)
@@ -24,4 +34,5 @@ def test_golden_outputs(name, tmp_path):
     want = {p.name: p.read_bytes() for p in (_GOLDEN / name).iterdir()}
     assert sorted(got) == sorted(want)
     for fname, data in want.items():
-        assert got[fname] == data, f"{name}/{fname} differs from the golden file"
+        assert got[fname] == data, f"{name}/{fname} differs from the golden file, first at " + _first_difference(
+            got[fname], data)

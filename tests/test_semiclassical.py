@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import speclimit as sl
 from speclimit import semiclassical as sc
@@ -12,7 +13,6 @@ from speclimit.errors import (
     NoBoundMotionError,
     OutOfRangeError,
     PotentialDomainError,
-    UnsupportedModelError,
 )
 
 
@@ -69,6 +69,113 @@ def test_turning_points_numeric_domain(numeric_harmonic):
     # energy whose orbit would leave the table
     with pytest.raises((NoBoundMotionError, PotentialDomainError)):
         sc.turning_points(numeric_harmonic, 40.0)
+
+
+# -- turning points of every kind against an independent bisection --------
+
+
+def _bisect(u, e, inside, outside):
+    """The last float on the inside of the first point where U(x) < E fails."""
+    while True:
+        mid = inside + (outside - inside) / 2.0
+        if mid in (inside, outside):
+            return inside
+        if u(mid) < e:
+            inside = mid
+        else:
+            outside = mid
+
+
+def _bracket(u, e, points):
+    """(last point with U < E, first without) along ``points``, which start inside."""
+    inside = next(points)
+    for x in points:
+        if not u(x) < e:
+            return inside, x
+        inside = x
+
+
+def _doubling(anchor, step, direction):
+    yield anchor
+    while True:
+        yield anchor + direction * step
+        step *= 2.0
+
+
+def _si(model, value, dim):
+    return model.units.to_si(value, dim)
+
+
+def _morse_terms(model):
+    d, a = _si(model, model.params.depth, "energy"), _si(model, model.params.alpha, "inverse_length")
+    return lambda x, e: d * (math.exp(-2.0 * a * x) + 2.0 * math.exp(-a * x))
+
+
+# kind -> (model, walls (left, right), outward points from the bottom, term scale of U at x)
+_TABLE = sl.numeric(1.0, np.linspace(-2.0, 3.0, 14), [0.6, 0.1, 0.45, 0.2, -0.3, -0.5, -0.2, 0.4,
+                                                         0.25, 0.9, 0.7, 1.4, 1.1, 1.6])
+_MORSE = sl.get_preset("morse-h2")
+_TP_CASES = {
+    "box": (sl.box(), (True, True), lambda m, d: _doubling(0.5, 0.25, d), lambda x, e: abs(e)),  # a = 1 m
+    "harmonic": (sl.harmonic(), (False, False), lambda m, d: _doubling(0.0, _si(m, 1e-3, "length"), d),
+                 lambda x, e: abs(e)),
+    "hydrogenoid": (sl.get_preset("hydrogen-atomic"), (True, False),
+                    lambda m, d: _doubling(0.0, _si(m, 1e-3, "length"), d), lambda x, e: abs(e)),
+    "morse": (_MORSE, (False, False),
+              lambda m, d: _doubling(0.0, 1e-3 / _si(m, m.params.alpha, "inverse_length"), d),
+              _morse_terms(_MORSE)),
+    "numeric": (_TABLE, (False, False), None, lambda x, e: abs(e)),
+}
+
+
+def _knots(model, direction):
+    xs = [_si(model, v, "length") for v in model.params.x]
+    k = int(np.argmin(model.params.u))
+    return iter(xs[k::direction])
+
+
+def _energy(profile, top: bool, f: float) -> float:
+    """A fraction f of the way up the well, or f of its span below the ceiling."""
+    lo, hi, scale = profile.u_min, profile.e_ceiling, profile.e_scale
+    if math.isinf(hi):  # the box and the oscillator: (0, inf)
+        return scale / f if top else scale * f / (1.0 - f)
+    if math.isinf(lo):  # the Coulomb well: (-inf, 0)
+        return -scale * f if top else -scale * (1.0 - f) / f
+    return hi - f * (hi - lo) if top else lo + f * (hi - lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_TP_CASES)), top=st.booleans(), f=st.floats(1e-12, 1.0, exclude_max=True))
+def test_turning_points_solve_u_equals_e(kind, top, f):
+    from speclimit.models import well_profile
+
+    model, walls, outward, scale = _TP_CASES[kind]
+    profile = well_profile(model)
+    e = _energy(profile, top, f * 1e-9 if top else f)  # top: within 1e-9 of the ceiling
+    assume(profile.u_min < e < profile.e_ceiling)
+    found = profile.turning_points(e)
+    assert all(type(x) is float for x in found)
+
+    def u(x):
+        with np.errstate(all="ignore"):
+            return float(profile.potential(x))
+
+    for side, (x, wall) in enumerate(zip(found, walls)):
+        direction = 1 if side else -1
+        points = _knots(model, direction) if outward is None else outward(model, direction)
+        inside, outside = _bracket(u, e, points)
+        ref = _bisect(u, e, inside, outside)
+        if wall:
+            assert x == ref, (kind, e, side)
+            continue
+        # rounding x to a float alone moves U by up to one step to a neighbour
+        step = abs(u(math.nextafter(x, math.inf)) - u(math.nextafter(x, -math.inf)))
+        assert abs(u(x) - e) <= 4.0 * math.ulp(scale(x, e)) + step, (kind, e, side)
+        # x and the reference agree to the width the same residual allows
+        delta = 1e-3 * (ref - inside)
+        slope = abs(u(ref) - u(ref - delta)) / abs(delta)
+        tol = 4.0 * math.ulp(abs(x)) + 8.0 * math.ulp(scale(x, e)) / slope
+        assert abs(x - ref) <= tol, (kind, e, side, x, ref)
 
 
 # -- actions -------------------------------------------------------------
@@ -250,14 +357,7 @@ def test_numeric_bound_levels(numeric_harmonic):
         assert lv.energy == pytest.approx(lv.n + 0.5, rel=1e-6)
 
 
-def test_box_has_no_profile(box):
-    from speclimit.models import well_profile
-
-    with pytest.raises(UnsupportedModelError):
-        well_profile(box)
-
-
-# -- batched quadrature and scan against the per-panel / per-step references --
+# -- batched quadrature against the per-panel reference ---------------------
 
 
 def _reference_adaptive(f, segments) -> float:
@@ -281,38 +381,6 @@ def _reference_adaptive(f, segments) -> float:
     raise sc.QuadratureFailureError(f"quadrature stalled at relative change {rel:.3g}")
 
 
-def _reference_scan_root(profile, e, direction) -> float:
-    # one potential call per doubling step
-    def f(x):
-        return e - float(profile.potential(x))
-
-    lo_dom, hi_dom = profile.x_domain
-    anchor = profile.x_min
-    if f(anchor) <= 0.0:
-        raise NoBoundMotionError(f"E={e:.6g} J does not exceed the potential at the well anchor")
-    step = profile.x_scale * 2.0**-20
-    x_prev = anchor
-    for _ in range(sc._SCAN_STEPS):
-        x_next = anchor + direction * step
-        clipped = min(max(x_next, lo_dom), hi_dom)
-        if f(clipped) <= 0.0:
-            return float(sc.brentq(f, min(x_prev, clipped), max(x_prev, clipped),
-                                   xtol=sc._ROOT_XTOL * profile.x_scale, rtol=sc._ROOT_RTOL))
-        if clipped != x_next:
-            raise NoBoundMotionError(
-                f"E={e:.6g} J is not confined on the {'right' if direction > 0 else 'left'}"
-                f" side within the potential domain [{lo_dom:.6g}, {hi_dom:.6g}] m"
-            )
-        x_prev = clipped
-        if step > 1e280:
-            break
-        step *= 2.0
-    raise sc.RootNotBracketedError(
-        f"turning-point scan exhausted {sc._SCAN_STEPS} doubling steps from x={anchor:.6g} m"
-        f" (direction {direction:+d}, E={e:.6g} J, last step {step:.3g} m)"
-    )
-
-
 def _bit_identity_cases():
     """(profile, SI energies) for a PCHIP table, a Morse well and the Coulomb well."""
     from speclimit.models import well_profile
@@ -329,39 +397,9 @@ def _bit_identity_cases():
     return [(well_profile(m), [m.units.to_si(e, "energy") for e in es]) for m, es in energies.items()]
 
 
-def test_batched_scan_matches_per_step_reference():
-    for profile, energies in _bit_identity_cases():
-        for e in energies:
-            for direction in (-1, +1) if profile.left_wall is None else (+1,):
-                assert sc._scan_root(profile, e, direction) == _reference_scan_root(profile, e, direction)
-
-
 def test_batched_quadrature_matches_per_panel_reference(monkeypatch):
     cases = _bit_identity_cases()
     batched = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
     monkeypatch.setattr(sc, "_adaptive", _reference_adaptive)
-    monkeypatch.setattr(sc, "_scan_root", _reference_scan_root)
     reference = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
     assert batched == reference
-
-
-def test_batched_scan_fails_like_per_step_reference():
-    from speclimit.models import WellProfile, well_profile
-
-    # the right end of this table sits below the left one: E = 5 reaches the domain edge
-    xs = np.linspace(-3.0, 2.0, 11)
-    profile = well_profile(sl.numeric(1.0, xs, xs**2))
-    def flat(x_scale):  # no turning point: the walk stops above 1e280 or after _SCAN_STEPS steps
-        return WellProfile(mass=1.0, potential=lambda x: np.zeros_like(x), x_min=0.0, u_min=0.0,
-                           e_ceiling=math.inf, x_scale=x_scale, e_scale=1.0, left_wall=None,
-                           x_domain=(-math.inf, math.inf))
-
-    for prof, e, direction, err in ((profile, 5.0, +1, NoBoundMotionError),
-                                    (flat(1.0), 1.0, -1, sc.RootNotBracketedError),
-                                    (flat(1e-30), 1.0, +1, sc.RootNotBracketedError),
-                                    (profile, 0.0, +1, NoBoundMotionError)):
-        with pytest.raises(err) as batched:
-            sc._scan_root(prof, e, direction)
-        with pytest.raises(err) as reference:
-            _reference_scan_root(prof, e, direction)
-        assert str(batched.value) == str(reference.value)
