@@ -40,7 +40,6 @@ from functools import lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ConfigError,
@@ -398,13 +397,16 @@ class NumericPotentialParams(WellKind):
         return semiclassical.numeric_level_count(model) - 1
 
     def profile(self, model: ModelSpec) -> WellProfile:
+        from scipy.interpolate import PchipInterpolator
+
         si = _si_view(model)
-        xm, um = _numeric_x_min(model)
+        pchip = PchipInterpolator(np.asarray(si.x), np.asarray(si.u), extrapolate=False)
+        xm, um = _numeric_x_min(si, pchip)
         ceiling = min(si.u[0], si.u[-1])
         return WellProfile(
             mass=si.mass,
-            potential=_numeric_potential(model),
-            turning_points=_numeric_turning_points(model, xm),
+            potential=_numeric_potential(si, pchip),
+            turning_points=_numeric_turning_points(si, pchip, xm),
             u_min=um,
             e_ceiling=ceiling,
             e_scale=ceiling - um,
@@ -588,17 +590,9 @@ def level_gap_period(model: ModelSpec, n: int) -> float:
 # -- classical well profile (for the semiclassical engine) -------------
 
 
-@lru_cache(maxsize=512)
-def _numeric_interpolant(model: ModelSpec):
-    si = _si_view(model)
-    return PchipInterpolator(np.asarray(si.x), np.asarray(si.u), extrapolate=False)
-
-
-def _numeric_potential(model: ModelSpec) -> Callable:
-    si = _si_view(model)
+def _numeric_potential(si: _SI, pchip) -> Callable:
     lo, hi = si.x[0], si.x[-1]
     slack = 1e-12 * (hi - lo)
-    pchip = _numeric_interpolant(model)
 
     def u(x):
         arr = np.asarray(x, dtype=float)
@@ -609,13 +603,11 @@ def _numeric_potential(model: ModelSpec) -> Callable:
     return u
 
 
-def _numeric_x_min(model: ModelSpec) -> tuple[float, float]:
+def _numeric_x_min(si: _SI, pchip) -> tuple[float, float]:
     # Refine the interior minimum using the exact roots of the interpolant's
     # derivative near the smallest table value.
-    si = _si_view(model)
     us = np.asarray(si.u)
     imin = int(np.argmin(us))
-    pchip = _numeric_interpolant(model)
     roots = pchip.derivative().roots(extrapolate=False)
     best_x, best_u = si.x[imin], us[imin]
     for r in np.atleast_1d(roots):
@@ -651,7 +643,7 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
     return x0 + t
 
 
-def _numeric_turning_points(model: ModelSpec, x_min: float) -> Callable:
+def _numeric_turning_points(si: _SI, pchip, x_min: float) -> Callable:
     """Turning points of a table, each the one root of a PCHIP piece.
 
     PCHIP keeps every piece monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
@@ -659,9 +651,8 @@ def _numeric_turning_points(model: ModelSpec, x_min: float) -> Callable:
     knot, outward from the minimum, whose value reaches E. Running maxima of
     the knot values outward from the minimum find that knot by bisection.
     """
-    si = _si_view(model)
     xs = si.x
-    coefs = _numeric_interpolant(model).c.T.tolist()  # per piece, t^3 .. t^0 in t = x - x_k
+    coefs = pchip.c.T.tolist()  # per piece, t^3 .. t^0 in t = x - x_k
     right = bisect.bisect_right(xs, x_min)  # first knot right of the minimum
     left = bisect.bisect_left(xs, x_min) - 1  # first knot left of it
     reach_right = list(itertools.accumulate(si.u[right:], max))

@@ -21,15 +21,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateEnsembleError,
+    InvalidArgumentError,
     InvalidCountError,
     InvalidSigmaError,
+    OutOfRangeError,
     UnsupportedModelError,
 )
-from .models import ModelSpec, energy_level
+from .models import ModelSpec
 
 __all__ = [
     "NoiseBudget",
@@ -54,14 +55,14 @@ SQL_SLACK = 1e-12  # widths at hbar/2 - slack still count as preparable
 def fmean(values) -> float:
     vals = list(values)
     if not vals:
-        raise ValueError("mean of an empty sequence")
+        raise InvalidArgumentError("mean of an empty sequence")
     return math.fsum(vals) / len(vals)
 
 
 def fvariance(values, ddof: int = 1) -> float:
     vals = list(values)
     if len(vals) <= ddof:
-        raise ValueError(f"variance needs more than {ddof} values, got {len(vals)}")
+        raise InvalidArgumentError(f"variance needs more than {ddof} values, got {len(vals)}")
     m = math.fsum(vals) / len(vals)
     # second pass with a correction term for the residual mean error
     ss = math.fsum((v - m) ** 2 for v in vals)
@@ -81,7 +82,7 @@ class NoiseBudget:
         if not (math.isfinite(self.delta_p) and self.delta_p >= 0.0):
             raise InvalidSigmaError(f"delta_p must be finite and >= 0, got {self.delta_p!r}")
         if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
+            raise InvalidArgumentError(f"hbar must be positive, got {self.hbar!r}")
 
     @property
     def product_over_hbar(self) -> float:
@@ -124,13 +125,17 @@ class MeasurementEnsemble:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if len(rows) < 3 or rows[0] != ["seed", "stream", "center", "sigma", "count"] or rows[2] != ["outcome"]:
-            raise ValueError(f"not an ensemble CSV: {path}")
-        seed, stream, center, sigma, count = rows[1]
-        samples = tuple(float(r[0]) for r in rows[3:])
-        if len(samples) != int(count):
-            raise ValueError(f"ensemble CSV declares {count} outcomes but holds {len(samples)}")
-        return cls(samples=samples, seed=int(seed), stream=int(stream),
-                   true_center=float(center), sigma=float(sigma))
+            raise InvalidArgumentError(f"not an ensemble CSV: {path}")
+        try:
+            seed, stream, center, sigma, count = rows[1]
+            seed, stream, count = int(seed), int(stream), int(count)
+            center, sigma = float(center), float(sigma)
+            samples = tuple(float(r[0]) for r in rows[3:])
+        except (ValueError, IndexError) as exc:
+            raise InvalidArgumentError(f"malformed ensemble CSV {path}: {exc}") from None
+        if len(samples) != count:
+            raise InvalidArgumentError(f"ensemble CSV declares {count} outcomes but holds {len(samples)}")
+        return cls(samples=samples, seed=seed, stream=stream, true_center=center, sigma=sigma)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -144,11 +149,11 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
     if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or sigma < 0:
         raise InvalidSigmaError(f"sigma must be finite and >= 0, got {sigma!r}")
     if not math.isfinite(center):
-        raise ValueError(f"center must be finite, got {center!r}")
+        raise InvalidArgumentError(f"center must be finite, got {center!r}")
     if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+        raise InvalidArgumentError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not (isinstance(stream, int) and not isinstance(stream, bool) and 0 <= stream < 2**64):
-        raise ValueError(f"stream must be an integer in [0, 2^64), got {stream!r}")
+        raise InvalidArgumentError(f"stream must be an integer in [0, 2^64), got {stream!r}")
     noise = _rng(seed, stream).standard_normal(count)
     samples = tuple(float(center + sigma * z) for z in noise)
     return MeasurementEnsemble(samples=samples, seed=seed, stream=stream,
@@ -158,9 +163,9 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
 def characteristic_factor(delta_x: float, p: float, hbar: float = 1.0) -> float:
     """Ensemble-mean attenuation exp(-p^2 delta_x^2 / (2 hbar^2))."""
     if not (math.isfinite(delta_x) and math.isfinite(p)):
-        raise ValueError("delta_x and p must be finite")
+        raise InvalidArgumentError("delta_x and p must be finite")
     if not (math.isfinite(hbar) and hbar > 0.0):
-        raise ValueError(f"hbar must be positive, got {hbar!r}")
+        raise InvalidArgumentError(f"hbar must be positive, got {hbar!r}")
     return math.exp(-(p * delta_x) ** 2 / (2.0 * hbar**2))
 
 
@@ -224,14 +229,14 @@ class GaussianState:
 
     def position_density(self, x):
         if self.delta_x <= 0.0:
-            raise ValueError("position density undefined for a zero width")
+            raise InvalidArgumentError("position density undefined for a zero width")
         arr = np.asarray(x, dtype=float)
         norm = 1.0 / (self.delta_x * math.sqrt(2.0 * math.pi))
         return norm * np.exp(-((arr - self.r) ** 2) / (2.0 * self.delta_x**2))
 
     def momentum_density(self, p):
         if self.delta_p <= 0.0:
-            raise ValueError("momentum density undefined for a zero width")
+            raise InvalidArgumentError("momentum density undefined for a zero width")
         arr = np.asarray(p, dtype=float)
         norm = 1.0 / (self.delta_p * math.sqrt(2.0 * math.pi))
         return norm * np.exp(-((arr - self.d) ** 2) / (2.0 * self.delta_p**2))
@@ -266,9 +271,9 @@ def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: Measureme
 def noise_widths(m: float, k: float, a: float, hbar: float = 1.0) -> tuple[float, float]:
     """Balanced noise pair (delta_q, delta_p) with product a^2 hbar / 2."""
     if m <= 0 or k <= 0:
-        raise ValueError("m and k must be positive")
+        raise InvalidArgumentError("m and k must be positive")
     if a < 0:
-        raise ValueError(f"noise scale a must be >= 0, got {a!r}")
+        raise InvalidArgumentError(f"noise scale a must be >= 0, got {a!r}")
     omega = math.sqrt(k / m)
     return math.sqrt(hbar / (2.0 * m * omega)) * a, math.sqrt(m * hbar * omega / 2.0) * a
 
@@ -281,9 +286,9 @@ def harmonic_energy_error(q: float, p: float, m: float, k: float, a: float,
     is (2/hbar) [same bracket]^2 delta_p delta_q.
     """
     if m <= 0 or k <= 0:
-        raise ValueError("m and k must be positive")
+        raise InvalidArgumentError("m and k must be positive")
     if a < 0:
-        raise ValueError(f"noise scale a must be >= 0, got {a!r}")
+        raise InvalidArgumentError(f"noise scale a must be >= 0, got {a!r}")
     omega = math.sqrt(k / m)
     bracket = abs(p) * math.sqrt(hbar * omega / (2.0 * m)) + k * abs(q) * math.sqrt(hbar / (2.0 * m * omega))
     return bracket * a
@@ -291,38 +296,18 @@ def harmonic_energy_error(q: float, p: float, m: float, k: float, a: float,
 
 def required_noise_product_for_resolution(model: ModelSpec, n: int) -> float:
     """Smallest delta_p delta_q / hbar that lets a classical energy readout
-    tell level n from its neighbors.
+    tell level n from its neighbors: exactly 1 / (16 (n + 1/2)).
 
-    The worst-case (largest) first-order error over the classical orbit of
-    E_n is maximized numerically over the phase; the noise scale a is then
-    chosen so that error equals the half spacing hbar w / 2, and the
-    corresponding product a^2/2 is returned. Stays below 1/2 for every n.
+    On the classical orbit of E_n, p = sqrt(2 m E_n) cos(phi) and
+    q = sqrt(2 E_n / k) sin(phi), so both terms of the harmonic_energy_error
+    bracket have amplitude sqrt(hbar w E_n) and the error is
+    a sqrt(hbar w E_n) (|cos phi| + |sin phi|). It peaks at phi = pi/4 at
+    a sqrt(2 hbar w E_n). Setting that worst case equal to the half spacing
+    hbar w / 2 gives a^2 = hbar w / (8 E_n) = 1 / (8 (n + 1/2)), and the
+    product a^2 / 2 is returned. It stays below 1/2 for every n.
     """
     if model.kind != "harmonic":
         raise UnsupportedModelError(f"noise-product resolution analysis is for harmonic models, not {model.kind!r}")
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-        raise ValueError(f"n must be an integer >= 0, got {n!r}")
-    hbar = model.units.hbar
-    m = model.params.mass
-    k = model.params.stiffness
-    omega = math.sqrt(k / m)
-    e = energy_level(model, n).energy
-    p_amp = math.sqrt(2.0 * m * e)
-    q_amp = math.sqrt(2.0 * e / k)
-    c_p = math.sqrt(hbar * omega / (2.0 * m))
-    c_q = k * math.sqrt(hbar / (2.0 * m * omega))
-
-    def bracket(phi):
-        return np.abs(p_amp * np.cos(phi)) * c_p + np.abs(q_amp * np.sin(phi)) * c_q
-
-    # coarse scan, then a bounded polish around the best grid point
-    phis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    vals = bracket(phis)
-    i = int(np.argmax(vals))
-    step = phis[1] - phis[0]
-    res = minimize_scalar(lambda t: -float(bracket(t)),
-                          bounds=(phis[i] - step, phis[i] + step),
-                          method="bounded", options={"xatol": 1e-12})
-    b_max = max(float(vals[i]), -float(res.fun))
-    a_req = hbar * omega / (2.0 * b_max)
-    return a_req**2 / 2.0
+        raise OutOfRangeError(f"n must be an integer >= 0, got {n!r}")
+    return 1.0 / (16.0 * (n + 0.5))

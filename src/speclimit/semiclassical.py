@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ActionOutOfRangeError,
@@ -307,6 +306,8 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     can extend past the model's declared level budget (levels between the
     budget cutoff and dissociation are still orbits of the potential).
     """
+    from scipy.optimize import brentq
+
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
         raise OutOfRangeError(f"quantum number must be an integer >= 0, got {n!r}")
     nu = model.params.maslov if maslov is None else maslov
@@ -317,7 +318,8 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
         raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
     u = model.units
     profile = well_profile(model)
-    act = lambda e: _action_si(profile, e)
+    # memoised: brentq starts at the bracket ends, which the bracket search integrated
+    act = lru_cache(maxsize=None)(lambda e: _action_si(profile, e))
     lo = _bracket_low(profile, target, act)
     hi = _bracket_high(profile, target, act)
     e_si = brentq(lambda e: act(e) - target, lo, hi, xtol=1e-24 * profile.e_scale, rtol=1e-13)
@@ -329,7 +331,7 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
 
 def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
     """Number of quantized levels inside the tabulated energy window."""
-    if model.kind != "numeric":
+    if model.params.closed_forms:
         raise OutOfRangeError(f"level counting by action applies to numeric models, not {model.kind!r}")
     nu = model.params.maslov if maslov is None else maslov
     profile = well_profile(model)

@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -372,3 +375,45 @@ def test_numeric_spectrum_check_quantizes_each_level_once(tmp_path, monkeypatch)
     assert rows[0] == ["n", "E_n", "tau_n", "E_semiclassical"]
     # for a numeric well the column repeats E_n: both come from the same quantization
     assert len(rows) == 7 and all(r[3] == r[1] for r in rows[1:])
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+from speclimit import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(sub, doc):
+    cfg = Path(tempfile.mkdtemp())
+    (cfg / "c.json").write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([sub, "--config", str(cfg / "c.json"), "--out", str(cfg / "out")])
+
+extra = {"noise": {"noise": {"count": 50}}, "simulate": {"protocol": {"trials": 20}}}
+failed = {}
+for preset in ("box-natural", "harmonic-natural", "hydrogen-atomic", "morse-h2"):
+    for sub in ("spectrum", "criterion", "noise", "simulate", "report"):
+        rc = run(sub, {"model": {"preset": preset}, **extra.get(sub, {})})
+        if rc:
+            failed[f"{sub} {preset}"] = rc
+closed = scipy_modules()
+xs = [-4.0 + 0.5 * i for i in range(17)]
+table = {"kind": "numeric", "units": "oscillator", "params": {"mass": 1.0, "x": xs, "u": [0.5 * x * x for x in xs]}}
+rc = run("criterion", {"model": table, "n_range": [1, 3]})
+print(json.dumps({"failed": failed, "closed": closed, "table_rc": rc, "table": scipy_modules()}))
+"""
+
+
+def test_scipy_loads_only_for_tables():
+    src = str(Path(__import__("speclimit").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    got = json.loads(proc.stdout)
+    # every preset run stays on closed forms; harmonic simulate is period-degenerate
+    assert got["closed"] == []
+    assert got["failed"] == {"simulate harmonic-natural": 3}
+    assert got["table_rc"] == 0
+    assert "scipy.interpolate" in got["table"] and "scipy.optimize" in got["table"]

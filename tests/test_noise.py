@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import speclimit as sl
 from speclimit.errors import (
     DegenerateEnsembleError,
+    InvalidArgumentError,
     InvalidCountError,
     InvalidSigmaError,
+    OutOfRangeError,
+    SpeclimitError,
     UnsupportedModelError,
 )
+from speclimit.models import energy_level
 from speclimit.noise import fmean, fvariance
+from speclimit.units import UNIT_SYSTEMS
 
 # First standard-normal draws of Philox(4x64-10) keyed (12345, 0); frozen to
 # pin the bit-reproducibility contract.
@@ -242,3 +248,81 @@ def test_required_product_below_half(osc):
 def test_required_product_other_models(box):
     with pytest.raises(UnsupportedModelError):
         sl.required_noise_product_for_resolution(box, 3)
+
+
+def _scanned_noise_product(model, n):
+    """The phase scan plus bounded polish that the closed form replaced, kept as its reference."""
+    from scipy.optimize import minimize_scalar
+
+    hbar = model.units.hbar
+    m = model.params.mass
+    k = model.params.stiffness
+    omega = math.sqrt(k / m)
+    e = energy_level(model, n).energy
+    p_amp = math.sqrt(2.0 * m * e)
+    q_amp = math.sqrt(2.0 * e / k)
+    c_p = math.sqrt(hbar * omega / (2.0 * m))
+    c_q = k * math.sqrt(hbar / (2.0 * m * omega))
+
+    def bracket(phi):
+        return np.abs(p_amp * np.cos(phi)) * c_p + np.abs(q_amp * np.sin(phi)) * c_q
+
+    phis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    vals = bracket(phis)
+    i = int(np.argmax(vals))
+    step = phis[1] - phis[0]
+    res = minimize_scalar(lambda t: -float(bracket(t)),
+                          bounds=(phis[i] - step, phis[i] + step),
+                          method="bounded", options={"xatol": 1e-12})
+    b_max = max(float(vals[i]), -float(res.fun))
+    a_req = hbar * omega / (2.0 * b_max)
+    return a_req**2 / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mass=st.floats(1e-3, 1e3),
+    stiffness=st.floats(1e-3, 1e3),
+    units=st.sampled_from(sorted(UNIT_SYSTEMS)),
+    n=st.integers(0, 299),
+)
+def test_required_product_matches_phase_scan(mass, stiffness, units, n):
+    osc = sl.harmonic(mass=mass, stiffness=stiffness, units=UNIT_SYSTEMS[units])
+    got = sl.required_noise_product_for_resolution(osc, n)
+    assert got == pytest.approx(_scanned_noise_product(osc, n), rel=1e-14, abs=0.0)
+
+
+def test_invalid_noise_calls_raise_typed_errors(tmp_path, osc):
+    def read_csv(seed_row, *outcomes):
+        path = tmp_path / "ensemble.csv"
+        path.write_text("\n".join(["seed,stream,center,sigma,count", seed_row, "outcome", *outcomes]) + "\n")
+        return sl.MeasurementEnsemble.from_csv(path)
+
+    flat = sl.GaussianState(r=0.0, d=0.0, delta_x=0.0, delta_p=0.0)
+    calls = [
+        (InvalidArgumentError, lambda: fmean([])),
+        (InvalidArgumentError, lambda: fvariance([1.0])),
+        (InvalidArgumentError, lambda: sl.NoiseBudget(1.0, 1.0, hbar=0.0)),
+        (InvalidArgumentError, lambda: read_csv("x")),
+        (InvalidArgumentError, lambda: read_csv("1,0,0.0,1.0,3", "0.5")),
+        (InvalidArgumentError, lambda: read_csv("1,0,0.0,1.0,abc", "0.5")),
+        (InvalidArgumentError, lambda: read_csv("1,0,0.0,1.0", "0.5")),
+        (InvalidArgumentError, lambda: read_csv("1,0,0.0,1.0,1", "x")),
+        (InvalidArgumentError, lambda: read_csv("1,0,0.0,1.0,1", "")),
+        (InvalidArgumentError, lambda: sl.sample_ensemble(math.inf, 1.0, 10, seed=1)),
+        (InvalidArgumentError, lambda: sl.sample_ensemble(0.0, 1.0, 10, seed=-1)),
+        (InvalidArgumentError, lambda: sl.sample_ensemble(0.0, 1.0, 10, seed=1, stream=2**64)),
+        (InvalidArgumentError, lambda: sl.characteristic_factor(math.nan, 1.0)),
+        (InvalidArgumentError, lambda: sl.characteristic_factor(1.0, 1.0, hbar=-1.0)),
+        (InvalidArgumentError, lambda: flat.position_density(0.0)),
+        (InvalidArgumentError, lambda: flat.momentum_density(0.0)),
+        (InvalidArgumentError, lambda: sl.noise_widths(0.0, 1.0, 1.0)),
+        (InvalidArgumentError, lambda: sl.noise_widths(1.0, 1.0, -1.0)),
+        (InvalidArgumentError, lambda: sl.harmonic_energy_error(0.0, 0.0, 1.0, -1.0, 1.0)),
+        (InvalidArgumentError, lambda: sl.harmonic_energy_error(0.0, 0.0, 1.0, 1.0, -1.0)),
+        (OutOfRangeError, lambda: sl.required_noise_product_for_resolution(osc, -1)),
+    ]
+    for error, call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert isinstance(info.value, SpeclimitError) and isinstance(info.value, ValueError)

@@ -278,6 +278,22 @@ def test_quantize_numeric_harmonic(numeric_harmonic):
         assert q == pytest.approx(n + 0.5, rel=1e-6)
 
 
+def test_quantize_integrates_each_energy_once(monkeypatch):
+    # the bracket search integrates I(hi), where brentq starts again
+    xs = np.linspace(-4.0, 4.0, 17)
+    table = sl.numeric(1.0, xs, 0.5 * xs**2)
+    energies = []
+    action_si = sc._action_si
+
+    def counted(profile, e):
+        energies.append(e)
+        return action_si(profile, e)
+
+    monkeypatch.setattr(sc, "_action_si", counted)
+    sc.quantize(table, 3)
+    assert len(energies) > 3 and len(energies) == len(set(energies))
+
+
 def test_quantize_beyond_capacity(morse_h2):
     # the engine's action range ends at the dissociation action 2 pi hbar zeta:
     # I(n=16) = 2 pi hbar * 16.5 < 2 pi hbar zeta but n=17 is out
@@ -344,10 +360,12 @@ def test_action_curve(osc):
 # -- numeric level enumeration ---------------------------------------------
 
 
-def test_numeric_level_count(numeric_harmonic):
+def test_numeric_level_count(numeric_harmonic, osc):
     # ceiling is u(+-8) = 32; levels with n + 1/2 < 32 are n = 0..31
     count = sc.numeric_level_count(numeric_harmonic)
     assert count == 32
+    with pytest.raises(OutOfRangeError, match="applies to numeric models, not 'harmonic'"):
+        sc.numeric_level_count(osc)
 
 
 def test_numeric_bound_levels(numeric_harmonic):
