@@ -16,6 +16,7 @@ __all__ = [
     "PotentialDomainError",
     "RootNotBracketedError",
     "QuadratureFailureError",
+    "QuadratureFloorWarning",
     "ActionOutOfRangeError",
     "ScanLimitExceededError",
     "SelfCheckError",
@@ -62,6 +63,15 @@ class RootNotBracketedError(SpeclimitError, RuntimeError):
 
 class QuadratureFailureError(SpeclimitError, RuntimeError):
     """Adaptive quadrature refinement failed to reach the requested agreement."""
+
+
+class QuadratureFloorWarning(RuntimeWarning):
+    """Adaptive quadrature accepted a value between its target and its floor.
+
+    The message names the accepted relative change between the last two
+    Gauss-Legendre orders, so the result is good to about that, not to the
+    target.
+    """
 
 
 class ActionOutOfRangeError(SpeclimitError, ValueError):

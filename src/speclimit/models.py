@@ -101,6 +101,9 @@ class WellProfile:
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
     breakpoints: tuple[float, ...] = ()  # interior quadrature split points
+    # x -> (x_k, c3, c2, c1): U = c3 t^3 + c2 t^2 + c1 t + U(x_k), t = x - x_k, on
+    # the cubic piece that holds x; None for a well without cubic pieces
+    cubic_piece: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -403,14 +406,16 @@ class NumericPotentialParams(WellKind):
         pchip = PchipInterpolator(np.asarray(si.x), np.asarray(si.u), extrapolate=False)
         xm, um = _numeric_x_min(si, pchip)
         ceiling = min(si.u[0], si.u[-1])
+        coefs = pchip.c.T.tolist()  # per piece, t^3 .. t^0 in t = x - x_k
         return WellProfile(
             mass=si.mass,
             potential=_numeric_potential(si, pchip),
-            turning_points=_numeric_turning_points(si, pchip, xm),
+            turning_points=_numeric_turning_points(si, coefs, xm),
             u_min=um,
             e_ceiling=ceiling,
             e_scale=ceiling - um,
             breakpoints=si.x[1:-1],
+            cubic_piece=_numeric_cubic_piece(si.x, coefs),
         )
 
 
@@ -643,7 +648,16 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
     return x0 + t
 
 
-def _numeric_turning_points(si: _SI, pchip, x_min: float) -> Callable:
+def _numeric_cubic_piece(xs: tuple, coefs: list) -> Callable:
+    def cubic_piece(x):
+        k = min(max(bisect.bisect_right(xs, x) - 1, 0), len(coefs) - 1)
+        c3, c2, c1, _ = coefs[k]
+        return xs[k], c3, c2, c1
+
+    return cubic_piece
+
+
+def _numeric_turning_points(si: _SI, coefs: list, x_min: float) -> Callable:
     """Turning points of a table, each the one root of a PCHIP piece.
 
     PCHIP keeps every piece monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
@@ -652,7 +666,6 @@ def _numeric_turning_points(si: _SI, pchip, x_min: float) -> Callable:
     the knot values outward from the minimum find that knot by bisection.
     """
     xs = si.x
-    coefs = pchip.c.T.tolist()  # per piece, t^3 .. t^0 in t = x - x_k
     right = bisect.bisect_right(xs, x_min)  # first knot right of the minimum
     left = bisect.bisect_left(xs, x_min) - 1  # first knot left of it
     reach_right = list(itertools.accumulate(si.u[right:], max))

@@ -10,8 +10,13 @@ limit delta_x * delta_p >= hbar / 2.
 Reproducibility contract: ensembles are drawn from the counter-based
 Philox(4x64-10) bit generator with the 128-bit key (seed, stream), so a
 fixed (seed, stream, count) triple yields the same samples on every platform
-and independent streams never overlap. Means and variances are accumulated
-with exact floating-point summation (math.fsum).
+and independent streams never overlap.
+
+Statistics contract: per-sample terms are formed elementwise in numpy and
+every sum over them is math.fsum, Shewchuk's exactly rounded summation
+(Discrete Comput. Geom. 18, 1997). A squared deviation is the correctly
+rounded product d * d, and a mean that is also reported is computed once and
+reused in the variance.
 """
 
 from __future__ import annotations
@@ -52,22 +57,31 @@ __all__ = [
 SQL_SLACK = 1e-12  # widths at hbar/2 - slack still count as preparable
 
 
+def _as_array(values) -> np.ndarray:
+    return np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values), dtype=float)
+
+
+def _variance(arr: np.ndarray, m: float, ddof: int = 1) -> float:
+    """Sample variance of ``arr`` about its already computed fsum mean ``m``."""
+    if arr.size <= ddof:
+        raise InvalidArgumentError(f"variance needs more than {ddof} values, got {arr.size}")
+    d = arr - m
+    # second pass with a correction term for the residual mean error
+    ss = math.fsum((d * d).tolist())
+    corr = math.fsum(d.tolist()) ** 2 / arr.size
+    return (ss - corr) / (arr.size - ddof)
+
+
 def fmean(values) -> float:
-    vals = list(values)
-    if not vals:
+    arr = _as_array(values)
+    if not arr.size:
         raise InvalidArgumentError("mean of an empty sequence")
-    return math.fsum(vals) / len(vals)
+    return math.fsum(arr.tolist()) / arr.size
 
 
 def fvariance(values, ddof: int = 1) -> float:
-    vals = list(values)
-    if len(vals) <= ddof:
-        raise InvalidArgumentError(f"variance needs more than {ddof} values, got {len(vals)}")
-    m = math.fsum(vals) / len(vals)
-    # second pass with a correction term for the residual mean error
-    ss = math.fsum((v - m) ** 2 for v in vals)
-    corr = math.fsum(v - m for v in vals) ** 2 / len(vals)
-    return (ss - corr) / (len(vals) - ddof)
+    arr = _as_array(values)
+    return _variance(arr, fmean(arr) if arr.size else 0.0, ddof)
 
 
 @dataclass(frozen=True)
@@ -117,8 +131,7 @@ class MeasurementEnsemble:
             w.writerow(["seed", "stream", "center", "sigma", "count"])
             w.writerow([self.seed, self.stream, repr(self.true_center), repr(self.sigma), self.count])
             w.writerow(["outcome"])
-            for v in self.samples:
-                w.writerow([repr(v)])
+            fh.write("".join([f"{v!r}\n" for v in self.samples]))
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementEnsemble":
@@ -154,9 +167,8 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
         raise InvalidArgumentError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not (isinstance(stream, int) and not isinstance(stream, bool) and 0 <= stream < 2**64):
         raise InvalidArgumentError(f"stream must be an integer in [0, 2^64), got {stream!r}")
-    noise = _rng(seed, stream).standard_normal(count)
-    samples = tuple(float(center + sigma * z) for z in noise)
-    return MeasurementEnsemble(samples=samples, seed=seed, stream=stream,
+    samples = float(center) + float(sigma) * _rng(seed, stream).standard_normal(count)
+    return MeasurementEnsemble(samples=tuple(samples.tolist()), seed=seed, stream=stream,
                                true_center=float(center), sigma=float(sigma))
 
 
@@ -188,18 +200,20 @@ class CharacteristicCheck:
 
 def characteristic_check(ensemble: MeasurementEnsemble, p: float, hbar: float = 1.0) -> CharacteristicCheck:
     """Monte Carlo mean of exp(-i p xi / hbar) against the Gaussian factor."""
-    xi = [x - ensemble.true_center for x in ensemble.samples]
-    cos_terms = [math.cos(p * v / hbar) for v in xi]
-    sin_terms = [-math.sin(p * v / hbar) for v in xi]
-    n = len(xi)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as an infinite phase
+        phase = p * (_as_array(ensemble.samples) - ensemble.true_center) / hbar
+    if np.isinf(phase).any():
+        raise InvalidArgumentError(f"characteristic phase p (x - center) / hbar overflows at p={p!r}")
+    cos_terms, sin_terms = np.cos(phase), -np.sin(phase)
+    mc_real, mc_imag = fmean(cos_terms), fmean(sin_terms)
     return CharacteristicCheck(
         p=p,
         delta_x=ensemble.sigma,
-        mc_real=fmean(cos_terms),
-        mc_imag=fmean(sin_terms),
+        mc_real=mc_real,
+        mc_imag=mc_imag,
         exact=characteristic_factor(ensemble.sigma, p, hbar),
-        se_real=math.sqrt(fvariance(cos_terms) / n),
-        se_imag=math.sqrt(fvariance(sin_terms) / n),
+        se_real=math.sqrt(_variance(cos_terms, mc_real) / phase.size),
+        se_imag=math.sqrt(_variance(sin_terms, mc_imag) / phase.size),
     )
 
 
@@ -246,10 +260,13 @@ def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: Measureme
                       hbar: float = 1.0) -> GaussianState:
     """Fit the ensemble-mean Gaussian: centers from means, widths from sample sd."""
 
-    def width(ens: MeasurementEnsemble, label: str) -> float:
+    pos, mom = _as_array(position_ens.samples), _as_array(momentum_ens.samples)
+    r, d = fmean(pos), fmean(mom)
+
+    def width(ens: MeasurementEnsemble, arr: np.ndarray, m: float, label: str) -> float:
         if ens.count < 2:
             raise InvalidCountError(f"{label} ensemble needs at least 2 outcomes")
-        w = math.sqrt(fvariance(ens.samples))
+        w = math.sqrt(_variance(arr, m))
         if w == 0.0 and ens.sigma > 0.0:
             raise DegenerateEnsembleError(
                 f"{label} ensemble declares sigma={ens.sigma:.6g} but its sample variance is zero"
@@ -257,10 +274,10 @@ def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: Measureme
         return w
 
     return GaussianState(
-        r=position_ens.mean(),
-        d=momentum_ens.mean(),
-        delta_x=width(position_ens, "position"),
-        delta_p=width(momentum_ens, "momentum"),
+        r=r,
+        d=d,
+        delta_x=width(position_ens, pos, r, "position"),
+        delta_p=width(momentum_ens, mom, d, "momentum"),
         hbar=hbar,
     )
 

@@ -18,15 +18,19 @@ Both integrals are evaluated after the substitution
 which absorbs the inverse-square-root behavior at simple turning points (and
 at the Coulomb 1/x endpoint) and leaves integrands smooth on [0, pi/2].
 Gauss-Legendre rules of doubling order are applied until two successive
-orders agree to 1e-10 relative; results that stall before reaching 1e-8 are
-rejected. Each order makes one integrand call, on the nodes of every
-theta-segment at once.
+orders agree to 1e-10 relative. A result whose last two orders agree only
+to between 1e-10 and 1e-8 is returned with a QuadratureFloorWarning that
+names the change; one that stalls before reaching 1e-8 is rejected. Each
+order makes one integrand call, on the nodes of every theta-segment at once.
 
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
 orbit radius, the box walls, and for a table the root of one monotone PCHIP
 piece. They hold U(x) = E to a few ulps, so no square-root branch point is
-left inside the end theta-segments. The box is a hard-wall profile (U = 0
+left inside the end theta-segments. On a table the end theta-segments lie
+on the PCHIP pieces that hold the turning points, and the period integrand
+there takes E - U from the piece's divided difference instead of forming it
+by subtraction (see ``_factored_ends``). The box is a hard-wall profile (U = 0
 between its walls) and runs through the same quadrature and quantization as
 every other well.
 
@@ -37,6 +41,7 @@ the model's declared unit system.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +52,7 @@ from .errors import (
     NoBoundMotionError,
     OutOfRangeError,
     QuadratureFailureError,
+    QuadratureFloorWarning,
     SelfCheckError,
 )
 from .models import EnergyLevel, ModelSpec, WellProfile, well_profile
@@ -123,6 +129,9 @@ def _adaptive(f, segments) -> float:
                 return val
         prev = val
     if rel <= _RTOL_FLOOR:
+        warnings.warn(QuadratureFloorWarning(
+            f"quadrature accepted at relative change {rel:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
+        ), stacklevel=2)
         return prev
     raise QuadratureFailureError(
         f"quadrature stalled at relative change {rel:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
@@ -183,9 +192,56 @@ def _action_si(profile: WellProfile, e: float) -> float:
     return 2.0 * math.sqrt(2.0 * profile.mass) * dx * value
 
 
+def _end_series(cubic_piece, a: float, d: float, x_in: float) -> tuple[float, float, float]:
+    """Coefficients in sigma of -d Q(a, a + d sigma) / 4 on the cubic piece holding x_in.
+
+    Q(a, x) = (U(a) - U(x)) / (a - x) is the piece's divided difference. About
+    the turning point a it is exactly U'(a) + (3 c3 t_a + c2) u + c3 u^2, with
+    u = x - a and t_a = a - x_k, so no difference of nearly equal values is
+    formed. The 1/4 takes in the factor 2 of the integrand.
+    """
+    xk, c3, c2, c1 = cubic_piece(x_in)
+    ta = a - xk
+    k = -0.25 * d
+    return k * ((3.0 * c3 * ta + 2.0 * c2) * ta + c1), k * d * (3.0 * c3 * ta + c2), k * d * d * c3
+
+
+def _factored_ends(interior, cubic_piece, xm: float, xp: float, segments):
+    """The period integrand with E - U factored on the end pieces of a cubic-piece well.
+
+    Segments split at knots, so the first theta-segment lies on the piece
+    that holds x-, and the last on the piece that holds x+. With
+    x = x- + dx sin^2(theta), E - U(x) is dx cos^2(theta) Q(x+, x) on the last
+    segment and dx sin^2(theta) (-Q(x-, x)) on the first, so
+    sin(2 theta) / sqrt(E - U) becomes 2 sin(theta) / sqrt(dx Q(x+, x)) and
+    2 cos(theta) / sqrt(-dx Q(x-, x)), free of the cancellation in E - U near
+    a turning point. Interior segments keep ``interior``. PCHIP pieces are
+    monotone, so a bound orbit crosses the knot at the well's minimum and has
+    at least two segments. The nodes come in ascending theta, segment after
+    segment, so the end segments' nodes are a prefix and a suffix of every
+    call, however the nodes are grouped.
+    """
+    dx = xp - xm
+    (a0, a1), (b0, b1) = segments[0], segments[-1]
+    lo = _end_series(cubic_piece, xm, dx, xm + dx * math.sin(0.5 * (a0 + a1)) ** 2)  # sigma = sin^2
+    hi = _end_series(cubic_piece, xp, -dx, xm + dx * math.sin(0.5 * (b0 + b1)) ** 2)  # sigma = cos^2
+    cuts = np.array([a1, b0])
+
+    def integrand(theta):
+        i, j = np.searchsorted(theta, cuts)
+        t_lo, t_hi = theta[:i], theta[j:]
+        s, c = np.sin(t_lo), np.cos(t_hi)
+        s, c = s * s, c * c
+        return np.concatenate((np.cos(t_lo) / np.sqrt((lo[2] * s + lo[1]) * s + lo[0]), interior(theta[i:j]),
+                               np.sin(t_hi) / np.sqrt((hi[2] * c + hi[1]) * c + hi[0])))
+
+    return integrand
+
+
 def _period_si(profile: WellProfile, e: float) -> float:
     xm, xp = _turning_points_si(profile, e)
     dx = xp - xm
+    segments = _theta_segments(profile, xm, xp)
 
     def integrand(theta):
         s = np.sin(theta)
@@ -195,7 +251,9 @@ def _period_si(profile: WellProfile, e: float) -> float:
             out = np.where(r > 0.0, np.sin(2.0 * theta) / r, 0.0)
         return out
 
-    value = _adaptive(integrand, _theta_segments(profile, xm, xp))
+    if profile.cubic_piece is not None:
+        integrand = _factored_ends(integrand, profile.cubic_piece, xm, xp, segments)
+    value = _adaptive(integrand, segments)
     return math.sqrt(2.0 * profile.mass) * dx * value
 
 

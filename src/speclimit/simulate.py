@@ -20,14 +20,14 @@ what ties the simulation back to the y criterion it validates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, _level_gaps, spectrum
 from .errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError
 from .models import ModelSpec, n_min
-from .noise import fmean, fvariance
+from .noise import _variance, fmean, fvariance
 
 __all__ = [
     "PeriodProtocol",
@@ -98,11 +98,13 @@ def _saturating_delta_t(model: ModelSpec, gap: LevelGap) -> float:
     return model.units.hbar / (2.0 * gap.dE)
 
 
-def _samples(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> PeriodSampleSet:
-    sd = protocol.estimator_sd(delta_t)
+def _estimates(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=np.array([protocol.seed, n], dtype=np.uint64)))
-    noise = gen.standard_normal(protocol.trials)
-    estimates = tuple(float(tau + sd * z) for z in noise)
+    return tau + protocol.estimator_sd(delta_t) * gen.standard_normal(protocol.trials)
+
+
+def _samples(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> PeriodSampleSet:
+    estimates = tuple(_estimates(n, protocol, tau, delta_t).tolist())
     return PeriodSampleSet(n=n, estimates=estimates, protocol=protocol, tau_true=tau, delta_t=delta_t)
 
 
@@ -156,11 +158,10 @@ def _compare(model: ModelSpec, protocol: PeriodProtocol, levels, gap: LevelGap) 
     _require_period_spread(model)
     n = gap.n
     delta_t = protocol.delta_t if protocol.delta_t is not None else _saturating_delta_t(model, gap)
-    fixed = replace(protocol, delta_t=delta_t)
-    low = _samples(n - 1, fixed, levels[n - 1][1], delta_t)
-    high = _samples(n, fixed, levels[n][1], delta_t)
-    mean_low, mean_high = low.mean(), high.mean()
-    var_low, var_high = fvariance(low.estimates), fvariance(high.estimates)
+    tau_low, tau_high = levels[n - 1][1], levels[n][1]
+    low, high = _estimates(n - 1, protocol, tau_low, delta_t), _estimates(n, protocol, tau_high, delta_t)
+    mean_low, mean_high = fmean(low), fmean(high)
+    var_low, var_high = _variance(low, mean_low), _variance(high, mean_high)
     sd_low, sd_high = math.sqrt(var_low), math.sqrt(var_high)
     pooled = math.sqrt((var_low + var_high) / 2.0)
     noise_free = pooled == 0.0
@@ -173,8 +174,8 @@ def _compare(model: ModelSpec, protocol: PeriodProtocol, levels, gap: LevelGap) 
     return DiscriminationResult(
         n_low=n - 1,
         n_high=n,
-        tau_low=low.tau_true,
-        tau_high=high.tau_true,
+        tau_low=tau_low,
+        tau_high=tau_high,
         mean_low=mean_low,
         mean_high=mean_high,
         sd_low=sd_low,

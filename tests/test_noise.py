@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from speclimit.errors import (
     UnsupportedModelError,
 )
 from speclimit.models import energy_level
-from speclimit.noise import fmean, fvariance
+from speclimit.noise import CharacteristicCheck, fmean, fvariance
 from speclimit.units import UNIT_SYSTEMS
 
 # First standard-normal draws of Philox(4x64-10) keyed (12345, 0); frozen to
@@ -53,6 +54,89 @@ def test_fmean_empty():
         fmean([])
     with pytest.raises(ValueError):
         fvariance([1.0])
+
+
+# -- array statistics against the per-element code they replaced ------------
+
+
+def _reference_fmean(values) -> float:
+    vals = list(values)
+    return math.fsum(vals) / len(vals)
+
+
+def _reference_fvariance(values, ddof: int = 1) -> float:
+    vals = list(values)
+    m = math.fsum(vals) / len(vals)
+    ss = math.fsum((v - m) ** 2 for v in vals)
+    corr = math.fsum(v - m for v in vals) ** 2 / len(vals)
+    return (ss - corr) / (len(vals) - ddof)
+
+
+def _reference_characteristic_check(ensemble, p: float, hbar: float = 1.0) -> CharacteristicCheck:
+    xi = [x - ensemble.true_center for x in ensemble.samples]
+    cos_terms = [math.cos(p * v / hbar) for v in xi]
+    sin_terms = [-math.sin(p * v / hbar) for v in xi]
+    n = len(xi)
+    return CharacteristicCheck(
+        p=p,
+        delta_x=ensemble.sigma,
+        mc_real=_reference_fmean(cos_terms),
+        mc_imag=_reference_fmean(sin_terms),
+        exact=sl.characteristic_factor(ensemble.sigma, p, hbar),
+        se_real=math.sqrt(_reference_fvariance(cos_terms) / n),
+        se_imag=math.sqrt(_reference_fvariance(sin_terms) / n),
+    )
+
+
+def _gaussian_ensemble(count: int, seed: int, center: float, sigma: float) -> sl.MeasurementEnsemble:
+    draws = np.random.default_rng(seed).standard_normal(count)
+    return sl.MeasurementEnsemble(samples=tuple((center + sigma * draws).tolist()), seed=seed, stream=0,
+                                  true_center=center, sigma=sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(-1e100, 1e100), min_size=2, max_size=60), ddof=st.integers(0, 1))
+def test_statistics_of_arbitrary_values_match_reference(values, ddof):
+    assert fmean(np.array(values)) == fmean(values) == _reference_fmean(values)
+    for got in (fvariance(np.array(values), ddof), fvariance(iter(values), ddof)):
+        assert math.isclose(got, _reference_fvariance(values, ddof), rel_tol=1e-15, abs_tol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(count=st.integers(2, 6000), seed=st.integers(0, 2**32 - 1), center=st.floats(-1e3, 1e3),
+       sigma=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), u=st.floats(0.0, 4.0), hbar=st.sampled_from((1.0, 0.5, 1.054571817e-34)))
+def test_array_statistics_match_reference(count, seed, center, sigma, u, hbar):
+    """fmean is exact; fvariance and every characteristic field agree to 1e-15 relative.
+
+    The reference squares with libm pow(d, 2), which misrounds about one square
+    in a thousand by one ulp; the array code uses the correctly rounded d * d.
+    """
+    ens = _gaussian_ensemble(count, seed, center, sigma)
+    arr = np.array(ens.samples)
+    assert fmean(arr) == _reference_fmean(ens.samples)
+    assert math.isclose(fvariance(arr), _reference_fvariance(ens.samples), rel_tol=1e-15, abs_tol=0.0)
+    p = u * hbar / sigma if sigma > 0.0 else u
+    got, want = sl.characteristic_check(ens, p, hbar), _reference_characteristic_check(ens, p, hbar)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert math.isclose(a, b, rel_tol=1e-15, abs_tol=0.0), (field.name, a, b)
+
+
+def test_characteristic_check_rejects_an_infinite_phase():
+    ens = sl.sample_ensemble(0.0, 1.0, 10, seed=1)
+    for p in (math.inf, 1e308):
+        with pytest.raises(InvalidArgumentError):
+            sl.characteristic_check(ens, p, hbar=1e-300)
+
+
+def test_characteristic_check_sums_six_times(monkeypatch):
+    # two means, then a sum of squares and a residual sum for each variance
+    # about the mean already formed (recomputing the means made it 8)
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    sl.characteristic_check(sl.sample_ensemble(0.5, 1.5, 1000, seed=3), 0.8)
+    assert len(calls) == 6
 
 
 # -- ensembles ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from speclimit.errors import (
     NoBoundMotionError,
     OutOfRangeError,
     PotentialDomainError,
+    QuadratureFloorWarning,
 )
 
 
@@ -373,6 +375,133 @@ def test_numeric_bound_levels(numeric_harmonic):
     assert [lv.n for lv in levels] == [0, 1, 2, 3]
     for lv in levels:
         assert lv.energy == pytest.approx(lv.n + 0.5, rel=1e-6)
+
+
+# -- period quadrature near knots -----------------------------------------
+
+
+def test_adaptive_warns_on_floor_acceptance(monkeypatch):
+    # t^1.5 has an endpoint singularity: Gauss-Legendre orders 32 and 64 agree
+    # only to about 5e-9, between the target and the floor. Stopping at order
+    # 64 spares the test the seconds that the order-512 and 1024 rules take.
+    monkeypatch.setattr(sc, "_GL_ORDERS", (16, 32, 64))
+    with pytest.warns(QuadratureFloorWarning, match=r"accepted at relative change 5(\.\d+)?e-09"):
+        value = sc._adaptive(lambda t: t**1.5, [(0.0, 1.0)])
+    assert value == pytest.approx(0.4, rel=1e-8)
+
+
+# name -> (table ends, potential) of the wells tabulated below
+_KNOT_SHAPES = {
+    "harmonic": (-4.0, 4.0, lambda x: 0.5 * x * x),
+    "quartic": (-3.0, 3.0, lambda x: 0.5 * x * x + 0.1 * x**4),
+    "morse": (-1.5, 6.0, lambda x: 20.0 * (np.exp(-1.6 * x) - 2.0 * np.exp(-0.8 * x))),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(sorted(_KNOT_SHAPES)), knots=st.integers(13, 25), mass=st.floats(0.5, 2.0),
+       side=st.sampled_from((-1, 1)), outward=st.integers(1, 24), log_f=st.floats(-7.0, -3.0))
+def test_period_converges_with_turning_point_just_past_a_knot(shape, knots, mass, side, outward, log_f):
+    """A turning point 1e-7 to 1e-3 knot spacings past a knot: the period reaches 1e-10."""
+    from speclimit.models import well_profile
+
+    lo, hi, u = _KNOT_SHAPES[shape]
+    xs = np.linspace(lo, hi, knots)
+    us = u(xs)
+    j = int(np.argmin(us)) + side * outward
+    assume(0 < j < knots - 1)
+    profile = well_profile(sl.numeric(mass, xs, us))
+    inner = profile.breakpoints  # the interior knots in SI
+    knot, h = inner[j - 1], inner[1] - inner[0]
+    e = float(profile.potential(knot + side * 10.0**log_f * h))
+    # an orbit barely above a flat bottom piece (two equal knot values at the
+    # minimum) has E - U tiny against E across that whole piece, so its period
+    # cannot be known to 1e-10 from a rounded E; such orbits are left out
+    assume(profile.u_min + 1e-4 * (profile.e_ceiling - profile.u_min) < e < profile.e_ceiling)
+    turning = profile.turning_points(e)[(side + 1) // 2]
+    assert 0.0 < (turning - knot) * side < 2.0 * 10.0**log_f * h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureFloorWarning)
+        tau = sc._period_si(profile, e)
+    # order 1024 of E - U formed by subtraction is good to about 1e-8 there
+    assert tau == pytest.approx(_subtracted_period(profile, e), rel=1e-7)
+
+
+def _subtracted_period(profile, e: float) -> float:
+    """The period at Gauss-Legendre order 1024, with E - U(x) formed by subtraction."""
+    xm, xp = profile.turning_points(e)
+    dx = xp - xm
+    nodes, weights = sc._gl_rule(1024)
+    total = 0.0
+    for a, b in sc._theta_segments(profile, xm, xp):
+        theta = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+        s = np.sin(theta)
+        r = np.sqrt(np.maximum(e - profile.potential(xm + dx * s * s), 0.0))
+        f = np.sin(2.0 * theta) / np.where(r > 0.0, r, math.inf)  # 0 where E - U rounds to 0 or below
+        total += 0.5 * (b - a) * float(np.dot(weights, f))
+    return math.sqrt(2.0 * profile.mass) * dx * total
+
+
+# (seed, op index) in perfbench's op_stream("numeric-table", seed) -> (mass, n, x, u).
+# classify(table, (n, n + 2)) on each stalled with QuadratureFailureError at
+# 1.4e-8 to 2.3e-8 while E - U was formed by subtraction on the end segments.
+_STALLED_TABLES = {
+    (1, 610): (0.9503231441265041, 1,  # morse, 14 knots
+        (-2.992376719814328, -2.346099249358807, -1.6998217789032868, -1.0535443084477663, -0.4072668379922457,
+        0.23901063246327459, 0.8852881029187953, 1.531565573374316, 2.1778430438298364, 2.8241205142853567,
+        3.470397984740877, 4.116675455196399, 4.762952925651918, 5.409230396107438),
+        (-0.24804439589043575, -11.494468188403399, -18.27339589846554, -21.954108039941495,
+        -23.522666450403797, -23.684914237767693, -22.94233455396843, -21.64784792389414, -20.046790906725036,
+        -18.306957202491446, -16.54057314947775, -14.820331795497074, -13.191055793710632, -11.678149146582037),
+    ),
+    (6, 767): (0.9988427613165265, 1,  # harmonic, 22 knots
+        (-3.529069478979134, -3.192967623838264, -2.856865768697394, -2.5207639135565243, -2.1846620584156544,
+        -1.8485602032747845, -1.5124583481339147, -1.1763564929930448, -0.8402546378521749, -0.504152782711305,
+        -0.16805092757043516, 0.16805092757043472, 0.5041527827113046, 0.840254637852174, 1.1763564929930443,
+        1.5124583481339147, 1.848560203274784, 2.1846620584156535, 2.520763913556524, 2.856865768697394,
+        3.1929676238382636, 3.529069478979134),
+        (7.565298050060493, 6.192908381115279, 4.957757679064586, 3.859845943908415, 2.8991731756467654,
+        2.0757393742796366, 1.3895445398070296, 0.840588672228944, 0.42887177154537964, 0.15439383775633672,
+        0.017154870861815222, 0.01715487086181513, 0.15439383775633644, 0.4288717715453787, 0.8405886722289433,
+        1.3895445398070296, 2.0757393742796357, 2.8991731756467627, 3.859845943908414, 4.957757679064586,
+        6.192908381115278, 7.565298050060493),
+    ),
+    (141, 196): (1.9398693151775086, 4,  # harmonic, 16 knots
+        (-3.801815875670807, -3.2949070922480326, -2.7879983088252587, -2.2810895254024843, -1.77418074197971,
+        -1.2672719585569356, -0.7603631751341617, -0.2534543917113874, 0.25345439171138695, 0.7603631751341609,
+        1.2672719585569356, 1.7741807419797095, 2.2810895254024834, 2.7879983088252582, 3.294907092248032,
+        3.801815875670807),
+        (10.418942394640748, 7.825783398641272, 5.603075687784582, 3.7508192620706704, 2.269014121499541,
+        1.1576602660711943, 0.4167576957856303, 0.04630641064284787, 0.04630641064284771, 0.4167576957856294,
+        1.1576602660711943, 2.2690141214995396, 3.7508192620706673, 5.60307568778458, 7.8257833986412715,
+        10.418942394640748),
+    ),
+    (148, 191): (1.3175878516310582, 3,  # harmonic, 19 knots
+        (-3.305802621147278, -2.9384912187975805, -2.571179816447883, -2.203868414098185, -1.8365570117484877,
+        -1.4692456093987902, -1.1019342070490925, -0.734622804699395, -0.3673114023496975, 0.0,
+        0.3673114023496975, 0.7346228046993954, 1.101934207049093, 1.4692456093987905, 1.836557011748488,
+        2.2038684140981855, 2.571179816447883, 2.9384912187975805, 3.305802621147278),
+        (9.113218690995026, 7.200567854613356, 5.51293476368835, 4.050319418220011, 2.8127218182083418,
+        1.800141963653339, 1.0125798545550027, 0.4500354909133345, 0.11250887272833363, 0.0,
+        0.11250887272833363, 0.45003549091333506, 1.0125798545550035, 1.8001419636533391, 2.812721818208342,
+        4.050319418220012, 5.51293476368835, 7.200567854613356, 9.113218690995026),
+    ),
+    (157, 180): (1.1055999996554589, 4,  # morse, 13 knots
+        (-5.172577963681677, -3.845686734923686, -2.5187955061656955, -1.1919042774077049, 0.13498695135028616,
+        1.4618781801082772, 2.7887694088662673, 4.115660637624259, 5.442551866382249, 6.76944309514024,
+        8.096334323898231, 9.423225552656222, 10.750116781414214),
+        (9.247913790535598, -4.67975827732907, -11.804448338599865, -14.839953087182696, -15.498220433782713,
+        -14.846103069255454, -13.537370260769737, -11.963177414130543, -10.349309706434761, -8.818746034395604,
+        -7.4316787063528995, -6.210919925907529, -5.1578705654246395),
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_STALLED_TABLES))
+def test_stalled_tables_classify(op):
+    mass, n, xs, us = _STALLED_TABLES[op]
+    report = sl.classify(sl.numeric(mass, xs, us), (n, n + 2))
+    assert [g.n for g in report.gaps] == [n, n + 1, n + 2]
 
 
 # -- batched quadrature against the per-panel reference ---------------------
