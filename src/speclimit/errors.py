@@ -56,8 +56,8 @@ class PotentialDomainError(SpeclimitError, ValueError):
 class RootNotBracketedError(SpeclimitError, RuntimeError):
     """A root search found no sign change.
 
-    Kept for callers that catch it; turning points are closed forms, so
-    nothing in the package raises it.
+    ``semiclassical.quantize`` raises it when the action minus its target has
+    one sign at both ends of the energy bracket.
     """
 
 
@@ -79,7 +79,7 @@ class ActionOutOfRangeError(SpeclimitError, ValueError):
 
 
 class ScanLimitExceededError(SpeclimitError, RuntimeError):
-    """Threshold scan hit its iteration cap before finding a crossing."""
+    """A threshold scan or a root search hit its iteration cap before it converged."""
 
 
 class SelfCheckError(SpeclimitError, RuntimeError):

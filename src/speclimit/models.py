@@ -100,10 +100,38 @@ class WellProfile:
     u_min: float  # potential at the well bottom; -inf for the Coulomb singularity
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
-    breakpoints: tuple[float, ...] = ()  # interior quadrature split points
-    # x -> (x_k, c3, c2, c1): U = c3 t^3 + c2 t^2 + c1 t + U(x_k), t = x - x_k, on
-    # the cubic piece that holds x; None for a well without cubic pieces
-    cubic_piece: Callable | None = None
+    pieces: CubicPieces | None = None  # a table's PCHIP pieces; None for a closed-form well
+
+
+@dataclass(frozen=True, eq=False)
+class CubicPieces:
+    """A piecewise cubic as arrays: on [x_k, x_k+1], U = ((c0 + c1 s) + c2 s^2) + c3 s^3 with s = x - x_k.
+
+    ``knots`` holds x_0 .. x_N; ``coefs`` holds the rows c3, c2, c1 and c0,
+    one column per piece.
+    """
+
+    knots: np.ndarray
+    coefs: np.ndarray
+
+    def require_inside(self, lo: float, hi: float):
+        """Raise PotentialDomainError unless [lo, hi] lies in the table, up to 1e-12 of its span."""
+        x0, xn = self.knots[0], self.knots[-1]
+        slack = 1e-12 * (xn - x0)
+        if lo < x0 - slack or hi > xn + slack:
+            raise PotentialDomainError(f"numeric: query outside tabulated range [{x0:.6g}, {xn:.6g}] m")
+
+    def __call__(self, x):
+        """U at ``x`` after ``require_inside``, on the piece [x_k, x_k+1) holding each x (the last one closed)."""
+        x = np.asarray(x, dtype=float)
+        if x.size:
+            self.require_inside(x.min(), x.max())
+        x = np.clip(x, self.knots[0], self.knots[-1])
+        k = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, len(self.knots) - 2)
+        c3, c2, c1, c0 = self.coefs[:, k]
+        s = x - self.knots[k]
+        s2 = s * s
+        return ((c0 + c1 * s) + c2 * s2) + c3 * (s2 * s)
 
 
 @dataclass(frozen=True)
@@ -400,22 +428,30 @@ class NumericPotentialParams(WellKind):
         return semiclassical.numeric_level_count(model) - 1
 
     def profile(self, model: ModelSpec) -> WellProfile:
-        from scipy.interpolate import PchipInterpolator
+        """The table's well, interpolated by PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980).
 
+        Slopes at interior knots are the weighted harmonic means of the
+        neighbouring secants, or 0 where the secants change sign or one is 0;
+        the end slopes are Moler's one-sided three-point estimates, limited to
+        keep the shape (*Numerical Computing with MATLAB*, sec. 3.6). Every
+        piece is then monotone. The coefficients, the minimum and the
+        potential match a reference interpolator bit for bit
+        (tests/test_reference.py). The semiclassical engine evaluates the
+        pieces per quadrature segment; ``potential`` serves every other caller.
+        """
         si = _si_view(model)
-        pchip = PchipInterpolator(np.asarray(si.x), np.asarray(si.u), extrapolate=False)
-        xm, um = _numeric_x_min(si, pchip)
+        pieces = _pchip(np.asarray(si.x), np.asarray(si.u))
+        xm, um = _numeric_x_min(pieces)
         ceiling = min(si.u[0], si.u[-1])
-        coefs = pchip.c.T.tolist()  # per piece, t^3 .. t^0 in t = x - x_k
+        coefs = pieces.coefs.T.tolist()
         return WellProfile(
             mass=si.mass,
-            potential=_numeric_potential(si, pchip),
+            potential=pieces,
             turning_points=_numeric_turning_points(si, coefs, xm),
             u_min=um,
             e_ceiling=ceiling,
             e_scale=ceiling - um,
-            breakpoints=si.x[1:-1],
-            cubic_piece=_numeric_cubic_piece(si.x, coefs),
+            pieces=pieces,
         )
 
 
@@ -595,31 +631,65 @@ def level_gap_period(model: ModelSpec, n: int) -> float:
 # -- classical well profile (for the semiclassical engine) -------------
 
 
-def _numeric_potential(si: _SI, pchip) -> Callable:
-    lo, hi = si.x[0], si.x[-1]
-    slack = 1e-12 * (hi - lo)
-
-    def u(x):
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
-            raise PotentialDomainError(f"numeric: query outside tabulated range [{lo:.6g}, {hi:.6g}] m")
-        return pchip(np.clip(arr, lo, hi))
-
-    return u
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope, zeroed or capped at 3 m0 to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
-def _numeric_x_min(si: _SI, pchip) -> tuple[float, float]:
-    # Refine the interior minimum using the exact roots of the interpolant's
-    # derivative near the smallest table value.
-    us = np.asarray(si.u)
-    imin = int(np.argmin(us))
-    roots = pchip.derivative().roots(extrapolate=False)
-    best_x, best_u = si.x[imin], us[imin]
-    for r in np.atleast_1d(roots):
-        if si.x[0] < r < si.x[-1]:
-            val = float(pchip(r))
-            if val < best_u:
-                best_x, best_u = float(r), val
+def _pchip(x: np.ndarray, y: np.ndarray) -> CubicPieces:
+    """PCHIP pieces through (x, y)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    d = np.zeros_like(y)
+    with np.errstate(all="ignore"):  # entries that divide by a zero secant are discarded
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return CubicPieces(knots=x, coefs=np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
+
+
+def _numeric_x_min(pieces: CubicPieces) -> tuple[float, float]:
+    """The table minimum, refined to an interior root of U' where U there is lower still.
+
+    The roots of each piece's quadratic U' take the cancellation-free form
+    and one Newton step, as the reference root finder of piecewise
+    polynomials does, so the minimum matches it bit for bit.
+    """
+    x = pieces.knots
+    c3, c2, c1, c0 = pieces.coefs
+    a0, a1, a2 = c3 * 3.0, c2 * 2.0, c1  # U' = a0 s^2 + a1 s + a2
+    with np.errstate(all="ignore"):
+        d = np.sqrt(a1 * a1 - 4.0 * a0 * a2)
+        near = np.where(a1 < 0.0, (2.0 * a2) / (-a1 + d), (-a1 - d) / (2.0 * a0))
+        far = np.where(a1 < 0.0, (-a1 + d) / (2.0 * a0), (2.0 * a2) / (-a1 - d))
+        double = d == 0.0
+        near[double] = far[double] = -a1[double] / (2.0 * a0[double])
+        linear = (a0 == 0.0) & (a1 != 0.0)
+        near[linear] = -a2[linear] / a1[linear]
+        far[a0 == 0.0] = np.nan  # a linear U' has one root, a constant one none in the interior
+        s = np.concatenate((near, far))
+        b0, b1, b2, left, right = (np.tile(a, 2) for a in (a0, a1, a2, x[:-1], x[1:]))
+        f = (b2 + b1 * s) + b0 * (s * s)
+        df = b1 + (b0 * s) * 2.0
+        step = f / df
+        s = np.where((df != 0.0) & (abs(step) < abs(s)), s - step, s)
+        r = s + left
+    r = np.sort(r[(left <= r) & (r <= right) & (x[0] < r) & (r < x[-1])])
+    k = int(np.argmin(c0))  # the lowest knot; validation keeps it off both ends
+    best_x, best_u = float(x[k]), float(c0[k])
+    if r.size:
+        vals = pieces(r)
+        j = int(np.argmin(vals))
+        if vals[j] < best_u:
+            best_x, best_u = float(r[j]), float(vals[j])
     return best_x, best_u
 
 
@@ -646,15 +716,6 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
             return x0 + t_new
         t = t_new if min(below, above) < t_new < max(below, above) else 0.5 * (below + above)
     return x0 + t
-
-
-def _numeric_cubic_piece(xs: tuple, coefs: list) -> Callable:
-    def cubic_piece(x):
-        k = min(max(bisect.bisect_right(xs, x) - 1, 0), len(coefs) - 1)
-        c3, c2, c1, _ = coefs[k]
-        return xs[k], c3, c2, c1
-
-    return cubic_piece
 
 
 def _numeric_turning_points(si: _SI, coefs: list, x_min: float) -> Callable:

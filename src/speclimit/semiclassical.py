@@ -26,13 +26,24 @@ order makes one integrand call, on the nodes of every theta-segment at once.
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
 orbit radius, the box walls, and for a table the root of one monotone PCHIP
-piece. They hold U(x) = E to a few ulps, so no square-root branch point is
-left inside the end theta-segments. On a table the end theta-segments lie
-on the PCHIP pieces that hold the turning points, and the period integrand
+piece (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980, with Moler's
+one-sided end slopes). They hold U(x) = E to a few ulps, so no square-root
+branch point is left inside the end theta-segments. The box is a hard-wall
+profile (U = 0 between its walls) and runs through the same quadrature and
+quantization as every other well.
+
+On a table the theta-segments are cut at the knots, so each segment lies on
+one PCHIP piece, and ``_theta_segments`` returns that piece with it. The
+integrands evaluate U per segment from its piece's coefficients, broadcast
+over the segment's row of nodes, without searching for the piece of each
+node; the orbit's range is checked against the table once. The end segments
+lie on the pieces that hold the turning points, and the period integrand
 there takes E - U from the piece's divided difference instead of forming it
-by subtraction (see ``_factored_ends``). The box is a hard-wall profile (U = 0
-between its walls) and runs through the same quadrature and quantization as
-every other well.
+by subtraction (see ``_factored_ends``).
+
+Levels are the roots of I(E) - 2 pi hbar (n + nu/4) by Brent's method
+(Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
+inside an energy bracket that the action is checked to straddle.
 
 Everything internal runs in SI; public functions accept and return values in
 the model's declared unit system.
@@ -40,6 +51,7 @@ the model's declared unit system.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,6 +65,8 @@ from .errors import (
     OutOfRangeError,
     QuadratureFailureError,
     QuadratureFloorWarning,
+    RootNotBracketedError,
+    ScanLimitExceededError,
     SelfCheckError,
 )
 from .models import EnergyLevel, ModelSpec, WellProfile, well_profile
@@ -75,6 +89,7 @@ __all__ = [
 _GL_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 _RTOL_TARGET = 1e-10
 _RTOL_FLOOR = 1e-8
+_ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -111,17 +126,19 @@ def _gl_rule(order: int):
 def _adaptive(f, segments) -> float:
     """Composite Gauss-Legendre with order doubling until 1e-10 relative.
 
-    Each order evaluates ``f`` once, on the nodes of every segment; the panel
-    sums are then added in segment order.
+    Each order makes one call ``f(theta, rows)``: ``theta`` holds one row of
+    nodes per segment and ``rows`` is the slice of ``segments`` those rows
+    are. The panel sums are then added in segment order.
     """
     a, b = np.array(segments).T
     mids = 0.5 * (a + b)
     halves = 0.5 * (b - a)
+    rows = slice(0, len(segments))
     prev = None
     rel = math.inf
     for order in _GL_ORDERS:
         nodes, weights = _gl_rule(order)
-        fx = f((mids[:, None] + halves[:, None] * nodes).ravel()).reshape(len(segments), order)
+        fx = f(mids[:, None] + halves[:, None] * nodes, rows)
         val = sum(float(h) * float(np.dot(weights, row)) for h, row in zip(halves, fx))
         if prev is not None:
             rel = abs(val - prev) / max(abs(val), 1e-300)
@@ -166,15 +183,48 @@ def turning_points(model: ModelSpec, energy: float) -> TurningPoints:
 
 
 def _theta_segments(profile: WellProfile, xm: float, xp: float):
-    """Split [0, pi/2] at the preimages of interior potential breakpoints."""
+    """Split [0, pi/2] at the preimages of the table knots inside (xm, xp).
+
+    Returns the segments and, on a table, the list of the PCHIP pieces under
+    them; both come from the same knots, so segment i lies on piece
+    ``pieces[i]``. A cut that coincides with the next drops the empty
+    segment and its piece together. Closed-form wells get the one segment
+    and None. On a table the orbit must lie inside the tabulated range.
+    """
+    table = profile.pieces
+    if table is None:
+        return [(0.0, math.pi / 2.0)], None
+    table.require_inside(xm, xp)
+    knots = table.knots
+    first = max(bisect.bisect_right(knots, xm), 1)  # the first interior knot past xm
+    stop = min(bisect.bisect_left(knots, xp), len(knots) - 1)
     dx = xp - xm
-    cuts = [0.0]
-    for xb in profile.breakpoints:
-        if xm < xb < xp:
-            cuts.append(math.asin(math.sqrt((xb - xm) / dx)))
-    cuts.append(math.pi / 2.0)
-    cuts = sorted(set(cuts))
-    return list(zip(cuts[:-1], cuts[1:]))
+    cuts = [0.0, *(math.asin(math.sqrt((xb - xm) / dx)) for xb in knots[first:stop].tolist()), math.pi / 2.0]
+    keep = [i for i in range(len(cuts) - 1) if cuts[i] < cuts[i + 1]]
+    return [(cuts[i], cuts[i + 1]) for i in keep], [first - 1 + i for i in keep]
+
+
+def _segment_potential(profile: WellProfile, pieces):
+    """U(x, rows) for x on the theta rows ``rows`` of the segments lying on ``pieces``.
+
+    On a table every row lies on one PCHIP piece, whose coefficients are
+    broadcast over the row: U = ((c0 + c1 s) + c2 s^2) + c3 s^3 with
+    s = x - x_k, summed in the order ``WellProfile.potential`` sums it,
+    without a search for the piece of each x. A closed-form well evaluates
+    ``profile.potential``.
+    """
+    if pieces is None:
+        return lambda x, rows: profile.potential(x)
+    k = np.array(pieces)
+    xk = profile.pieces.knots.take(k)[:, None]
+    c3, c2, c1, c0 = profile.pieces.coefs.take(k, axis=1)[:, :, None]
+
+    def u(x, rows):
+        s = x - xk[rows]
+        s2 = s * s
+        return ((c0[rows] + c1[rows] * s) + c2[rows] * s2) + c3[rows] * (s2 * s)
+
+    return u
 
 
 def _action_si(profile: WellProfile, e: float) -> float:
@@ -182,57 +232,60 @@ def _action_si(profile: WellProfile, e: float) -> float:
         return 0.0  # degenerate orbit at the well bottom
     xm, xp = _turning_points_si(profile, e)
     dx = xp - xm
+    segments, pieces = _theta_segments(profile, xm, xp)
+    u = _segment_potential(profile, pieces)
 
-    def integrand(theta):
+    def integrand(theta, rows):
         s = np.sin(theta)
-        v = e - profile.potential(xm + dx * s * s)
+        v = e - u(xm + dx * s * s, rows)
         return np.sqrt(np.maximum(v, 0.0)) * np.sin(2.0 * theta)
 
-    value = _adaptive(integrand, _theta_segments(profile, xm, xp))
+    value = _adaptive(integrand, segments)
     return 2.0 * math.sqrt(2.0 * profile.mass) * dx * value
 
 
-def _end_series(cubic_piece, a: float, d: float, x_in: float) -> tuple[float, float, float]:
-    """Coefficients in sigma of -d Q(a, a + d sigma) / 4 on the cubic piece holding x_in.
+def _end_series(table, piece: int, a: float, d: float) -> tuple[float, float, float]:
+    """Coefficients in sigma of -d Q(a, a + d sigma) / 4 on the table's cubic ``piece``.
 
     Q(a, x) = (U(a) - U(x)) / (a - x) is the piece's divided difference. About
     the turning point a it is exactly U'(a) + (3 c3 t_a + c2) u + c3 u^2, with
     u = x - a and t_a = a - x_k, so no difference of nearly equal values is
     formed. The 1/4 takes in the factor 2 of the integrand.
     """
-    xk, c3, c2, c1 = cubic_piece(x_in)
+    xk = float(table.knots[piece])
+    c3, c2, c1, _ = table.coefs[:, piece].tolist()
     ta = a - xk
     k = -0.25 * d
     return k * ((3.0 * c3 * ta + 2.0 * c2) * ta + c1), k * d * (3.0 * c3 * ta + c2), k * d * d * c3
 
 
-def _factored_ends(interior, cubic_piece, xm: float, xp: float, segments):
-    """The period integrand with E - U factored on the end pieces of a cubic-piece well.
+def _factored_ends(interior, table, pieces, xm: float, xp: float):
+    """The period integrand with E - U factored on the end pieces of a table.
 
-    Segments split at knots, so the first theta-segment lies on the piece
-    that holds x-, and the last on the piece that holds x+. With
-    x = x- + dx sin^2(theta), E - U(x) is dx cos^2(theta) Q(x+, x) on the last
-    segment and dx sin^2(theta) (-Q(x-, x)) on the first, so
-    sin(2 theta) / sqrt(E - U) becomes 2 sin(theta) / sqrt(dx Q(x+, x)) and
-    2 cos(theta) / sqrt(-dx Q(x-, x)), free of the cancellation in E - U near
-    a turning point. Interior segments keep ``interior``. PCHIP pieces are
-    monotone, so a bound orbit crosses the knot at the well's minimum and has
-    at least two segments. The nodes come in ascending theta, segment after
-    segment, so the end segments' nodes are a prefix and a suffix of every
-    call, however the nodes are grouped.
+    The first theta-segment lies on the piece that holds x-, and the last on
+    the piece that holds x+. With x = x- + dx sin^2(theta), E - U(x) is
+    dx cos^2(theta) Q(x+, x) on the last segment and dx sin^2(theta) (-Q(x-, x))
+    on the first, so sin(2 theta) / sqrt(E - U) becomes
+    2 sin(theta) / sqrt(dx Q(x+, x)) and 2 cos(theta) / sqrt(-dx Q(x-, x)),
+    free of the cancellation in E - U near a turning point. Interior segments
+    keep ``interior``. PCHIP pieces are monotone, so a bound orbit crosses the
+    knot at the well's minimum and has at least two segments. A call whose
+    ``rows`` start at the first segment or end at the last takes those rows
+    from the end formulas, however the segments are grouped into calls.
     """
     dx = xp - xm
-    (a0, a1), (b0, b1) = segments[0], segments[-1]
-    lo = _end_series(cubic_piece, xm, dx, xm + dx * math.sin(0.5 * (a0 + a1)) ** 2)  # sigma = sin^2
-    hi = _end_series(cubic_piece, xp, -dx, xm + dx * math.sin(0.5 * (b0 + b1)) ** 2)  # sigma = cos^2
-    cuts = np.array([a1, b0])
+    count = len(pieces)
+    lo = _end_series(table, pieces[0], xm, dx)  # sigma = sin^2
+    hi = _end_series(table, pieces[-1], xp, -dx)  # sigma = cos^2
 
-    def integrand(theta):
-        i, j = np.searchsorted(theta, cuts)
-        t_lo, t_hi = theta[:i], theta[j:]
+    def integrand(theta, rows):
+        first, final = int(rows.start == 0), int(rows.stop == count)
+        j = len(theta) - final
+        t_lo, t_hi = theta[:first], theta[j:]
         s, c = np.sin(t_lo), np.cos(t_hi)
         s, c = s * s, c * c
-        return np.concatenate((np.cos(t_lo) / np.sqrt((lo[2] * s + lo[1]) * s + lo[0]), interior(theta[i:j]),
+        return np.concatenate((np.cos(t_lo) / np.sqrt((lo[2] * s + lo[1]) * s + lo[0]),
+                               interior(theta[first:j], slice(rows.start + first, rows.stop - final)),
                                np.sin(t_hi) / np.sqrt((hi[2] * c + hi[1]) * c + hi[0])))
 
     return integrand
@@ -241,18 +294,19 @@ def _factored_ends(interior, cubic_piece, xm: float, xp: float, segments):
 def _period_si(profile: WellProfile, e: float) -> float:
     xm, xp = _turning_points_si(profile, e)
     dx = xp - xm
-    segments = _theta_segments(profile, xm, xp)
+    segments, pieces = _theta_segments(profile, xm, xp)
+    u = _segment_potential(profile, pieces)
 
-    def integrand(theta):
+    def integrand(theta, rows):
         s = np.sin(theta)
-        v = e - profile.potential(xm + dx * s * s)
+        v = e - u(xm + dx * s * s, rows)
         r = np.sqrt(np.maximum(v, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(r > 0.0, np.sin(2.0 * theta) / r, 0.0)
         return out
 
-    if profile.cubic_piece is not None:
-        integrand = _factored_ends(integrand, profile.cubic_piece, xm, xp, segments)
+    if pieces is not None:
+        integrand = _factored_ends(integrand, profile.pieces, pieces, xm, xp)
     value = _adaptive(integrand, segments)
     return math.sqrt(2.0 * profile.mass) * dx * value
 
@@ -357,6 +411,67 @@ def _bracket_high(profile: WellProfile, target: float, act) -> float:
     raise ActionOutOfRangeError(f"target action {target:.6g} J s not reached while expanding the bracket")
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, what: str) -> float:
+    """A root of f between xa and xb by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).
+
+    The steps and their floating-point order follow the reference C
+    implementation that tests/test_reference.py checks it against bit for
+    bit: inverse quadratic
+    or secant steps, kept only while they shrink faster than bisection, and
+    the bracket closes at xtol + rtol |x|. ``what`` names the search in its
+    errors: RootNotBracketedError when f has one sign at both ends,
+    QuadratureFailureError when f is NaN, ScanLimitExceededError after
+    _ROOT_MAXITER iterations.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise QuadratureFailureError(f"{what}: the action is NaN at E={x:.17g} J")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise RootNotBracketedError(
+            f"{what}: action minus target has one sign on [{xa:.17g}, {xb:.17g}] J ({fpre:.6g}, {fcur:.6g} J s)")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # a good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise ScanLimitExceededError(f"{what}: root search did not converge in {_ROOT_MAXITER} iterations"
+                                 f" (last E={xcur:.17g} J)")
+
+
 def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel:
     """Solve I(E) = 2 pi hbar (n + nu/4) for the level energy.
 
@@ -364,8 +479,6 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     can extend past the model's declared level budget (levels between the
     budget cutoff and dissociation are still orbits of the potential).
     """
-    from scipy.optimize import brentq
-
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
         raise OutOfRangeError(f"quantum number must be an integer >= 0, got {n!r}")
     nu = model.params.maslov if maslov is None else maslov
@@ -376,11 +489,11 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
         raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
     u = model.units
     profile = well_profile(model)
-    # memoised: brentq starts at the bracket ends, which the bracket search integrated
+    # memoised: the root search starts at the bracket ends, which the bracket search integrated
     act = lru_cache(maxsize=None)(lambda e: _action_si(profile, e))
     lo = _bracket_low(profile, target, act)
     hi = _bracket_high(profile, target, act)
-    e_si = brentq(lambda e: act(e) - target, lo, hi, xtol=1e-24 * profile.e_scale, rtol=1e-13)
+    e_si = _brentq(lambda e: act(e) - target, lo, hi, 1e-24 * profile.e_scale, 1e-13, f"{model.kind} level n={n}")
     return EnergyLevel(n=n, energy=u.from_si(float(e_si), "energy"), bound=True)
 
 

@@ -382,9 +382,6 @@ import contextlib, io, json, sys, tempfile
 from pathlib import Path
 from speclimit import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
 def run(sub, doc):
     cfg = Path(tempfile.mkdtemp())
     (cfg / "c.json").write_text(json.dumps(doc))
@@ -398,22 +395,35 @@ for preset in ("box-natural", "harmonic-natural", "hydrogen-atomic", "morse-h2")
         rc = run(sub, {"model": {"preset": preset}, **extra.get(sub, {})})
         if rc:
             failed[f"{sub} {preset}"] = rc
-closed = scipy_modules()
 xs = [-4.0 + 0.5 * i for i in range(17)]
 table = {"kind": "numeric", "units": "oscillator", "params": {"mass": 1.0, "x": xs, "u": [0.5 * x * x for x in xs]}}
-rc = run("criterion", {"model": table, "n_range": [1, 3]})
-print(json.dumps({"failed": failed, "closed": closed, "table_rc": rc, "table": scipy_modules()}))
+for sub, levels in (("spectrum", {"n_limit": 4, "semiclassical_check": True}), ("criterion", {"n_range": [1, 3]}),
+                    ("simulate", {"n_range": [1, 3]}), ("report", {"n_range": [1, 3]})):
+    rc = run(sub, {"model": table, **levels, **extra.get(sub, {})})
+    if rc:
+        failed[f"{sub} table"] = rc
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"failed": failed, "scipy": scipy}))
 """
 
 
-def test_scipy_loads_only_for_tables():
+def _run_probe(code: str) -> subprocess.CompletedProcess:
     src = str(Path(__import__("speclimit").__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True,
-                          timeout=300, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_no_scipy_module_loads():
+    proc = _run_probe(_SCIPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    # every preset run stays on closed forms; harmonic simulate is period-degenerate
-    assert got["closed"] == []
+    # every subcommand on every preset and on a 17-knot table; harmonic simulate is period-degenerate
     assert got["failed"] == {"simulate harmonic-natural": 3}
-    assert got["table_rc"] == 0
-    assert "scipy.interpolate" in got["table"] and "scipy.optimize" in got["table"]
+    assert got["scipy"] == []
+
+
+def test_table_criterion_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    proc = _run_probe('import sys\nsys.modules["scipy"] = None\n' + _SCIPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["failed"] == {"simulate harmonic-natural": 3}

@@ -14,7 +14,10 @@ from speclimit.errors import (
     NoBoundMotionError,
     OutOfRangeError,
     PotentialDomainError,
+    QuadratureFailureError,
     QuadratureFloorWarning,
+    RootNotBracketedError,
+    ScanLimitExceededError,
 )
 
 
@@ -316,6 +319,33 @@ def test_quantize_validation(osc):
         sc.quantize(osc, 0, maslov=0)  # zero target action
 
 
+# -- the level search's typed errors, driven by a stand-in action ----------
+
+
+def test_quantize_unbracketed_raises_root_not_bracketed(monkeypatch, osc):
+    # an action above every target at both bracket ends, the well bottom included
+    monkeypatch.setattr(sc, "_action_si", lambda profile, e: 1.0)
+    with pytest.raises(RootNotBracketedError, match="harmonic level n=2: action minus target has one sign"):
+        sc.quantize(osc, 2)
+
+
+def test_quantize_nan_action_raises_quadrature_failure(monkeypatch, osc):
+    # a bracketing action, 0 at the bottom and 1 J s from e_scale up, but NaN in between
+    monkeypatch.setattr(sc, "_action_si", lambda profile, e: 0.0 if e == 0.0 else (1.0 if e >= profile.e_scale
+                                                                                    else math.nan))
+    with pytest.raises(QuadratureFailureError, match="harmonic level n=1: the action is NaN at E="):
+        sc.quantize(osc, 1)
+
+
+def test_quantize_iteration_cap_raises_scan_limit(monkeypatch, osc):
+    # a smooth bracketing action whose root takes more than 3 steps; uncapped, the search converges
+    monkeypatch.setattr(sc, "_action_si", lambda profile, e: (e / profile.e_scale) ** 3)
+    assert sc.quantize(osc, 1).energy > 0.0
+    monkeypatch.setattr(sc, "_ROOT_MAXITER", 3)
+    with pytest.raises(ScanLimitExceededError, match="did not converge in 3 iterations"):
+        sc.quantize(osc, 1)
+
+
 # -- periods ---------------------------------------------------------------
 
 
@@ -386,7 +416,7 @@ def test_adaptive_warns_on_floor_acceptance(monkeypatch):
     # 64 spares the test the seconds that the order-512 and 1024 rules take.
     monkeypatch.setattr(sc, "_GL_ORDERS", (16, 32, 64))
     with pytest.warns(QuadratureFloorWarning, match=r"accepted at relative change 5(\.\d+)?e-09"):
-        value = sc._adaptive(lambda t: t**1.5, [(0.0, 1.0)])
+        value = sc._adaptive(lambda t, rows: t**1.5, [(0.0, 1.0)])
     assert value == pytest.approx(0.4, rel=1e-8)
 
 
@@ -411,7 +441,7 @@ def test_period_converges_with_turning_point_just_past_a_knot(shape, knots, mass
     j = int(np.argmin(us)) + side * outward
     assume(0 < j < knots - 1)
     profile = well_profile(sl.numeric(mass, xs, us))
-    inner = profile.breakpoints  # the interior knots in SI
+    inner = profile.pieces.knots[1:-1]  # the interior knots in SI
     knot, h = inner[j - 1], inner[1] - inner[0]
     e = float(profile.potential(knot + side * 10.0**log_f * h))
     # an orbit barely above a flat bottom piece (two equal knot values at the
@@ -433,7 +463,8 @@ def _subtracted_period(profile, e: float) -> float:
     dx = xp - xm
     nodes, weights = sc._gl_rule(1024)
     total = 0.0
-    for a, b in sc._theta_segments(profile, xm, xp):
+    segments, _ = sc._theta_segments(profile, xm, xp)
+    for a, b in segments:
         theta = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         s = np.sin(theta)
         r = np.sqrt(np.maximum(e - profile.potential(xm + dx * s * s), 0.0))
@@ -509,15 +540,16 @@ def test_stalled_tables_classify(op):
 
 def _reference_adaptive(f, segments) -> float:
     # one integrand call per panel per order
-    def panel(a, b, order):
+    def panel(i, order):
+        a, b = segments[i]
         nodes, weights = sc._gl_rule(order)
         half = 0.5 * (b - a)
-        return half * float(np.dot(weights, f(0.5 * (a + b) + half * nodes)))
+        return half * float(np.dot(weights, f((0.5 * (a + b) + half * nodes)[None, :], slice(i, i + 1))[0]))
 
     prev = None
     rel = math.inf
     for order in sc._GL_ORDERS:
-        val = sum(panel(a, b, order) for a, b in segments)
+        val = sum(panel(i, order) for i in range(len(segments)))
         if prev is not None:
             rel = abs(val - prev) / max(abs(val), 1e-300)
             if rel <= sc._RTOL_TARGET:
@@ -550,3 +582,17 @@ def test_batched_quadrature_matches_per_panel_reference(monkeypatch):
     monkeypatch.setattr(sc, "_adaptive", _reference_adaptive)
     reference = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
     assert batched == reference
+
+
+def test_per_segment_potential_matches_searched_potential(monkeypatch):
+    # each theta-segment's piece, broadcast over its row, against profile.potential's search for every node
+    from speclimit.models import well_profile
+
+    cases = [case for case in _bit_identity_cases() if case[0].pieces is not None]
+    for mass, _, xs, us in _STALLED_TABLES.values():
+        profile = well_profile(sl.numeric(mass, xs, us))
+        cases.append((profile, [profile.u_min + f * (profile.e_ceiling - profile.u_min) for f in (0.01, 0.3, 0.97)]))
+    per_segment = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
+    monkeypatch.setattr(sc, "_segment_potential", lambda profile, pieces: lambda x, rows: profile.potential(x))
+    searched = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
+    assert per_segment == searched

@@ -1,0 +1,120 @@
+"""Benchmark summary of checkouts side by side, written as one JSON file.
+
+Run from the repository root, naming each side and its checkout:
+
+    python3 tools/bench_summary.py --out BENCH_12.json parent=../parent-checkout change=.
+
+For seeds 1-3 and every workload it runs ``python3 perfbench/run.py
+--workload W --seed S`` in each checkout, the sides taking turns so that a change in the
+host's speed hits them alike, and reads the run's
+``.perfbench-out/record-W-S-trace0.json``. It then times a cold
+``python -m speclimit`` five times on each config of
+``tests/golden/regenerate.py`` (26 configs: every subcommand on every
+preset, and the two tables), again taking turns. The file holds:
+
+* ``machine``: nproc, CPU model, and the Python, numpy and scipy versions
+  the records report;
+* per side and workload, the median, q1 and q3 over seeds of perfbench's six
+  end-to-end metrics, and the failed and attempted ops of every seed;
+* per side, the median wall time (s) of the cold runs of every config, with
+  its exit code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+WORKLOADS = ("closed-form", "numeric-table", "monte-carlo")
+SEEDS = (1, 2, 3)
+CLI_REPEATS = 5
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def perfbench_record(root: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
+    return json.loads((root / ".perfbench-out" / f"record-{workload}-{seed}-trace0.json").read_text())
+
+
+def golden_configs(root: Path) -> dict:
+    spec = importlib.util.spec_from_file_location("regenerate", root / "tests" / "golden" / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CONFIGS
+
+
+def cold_cli(root: Path, sub: str, doc: dict) -> tuple[float, int]:
+    """Wall time (s) and exit code of one fresh ``python -m speclimit`` on ``doc``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), **{v: "1" for v in THREAD_VARS}}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        cmd = [sys.executable, "-m", "speclimit", sub, "--config", str(config), "--out", str(Path(tmp) / "out")]
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, env=env, cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return time.perf_counter() - t0, proc.returncode
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("sides", nargs="+", metavar="NAME=CHECKOUT")
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args(argv)
+    sides = {name: Path(path).resolve() for name, path in (s.split("=", 1) for s in args.sides)}
+
+    records = {name: {w: [] for w in WORKLOADS} for name in sides}
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            for name, root in sides.items():
+                print(f"perfbench {name} {workload} seed {seed}", file=sys.stderr, flush=True)
+                records[name][workload].append(perfbench_record(root, workload, seed))
+
+    configs = {name: golden_configs(root) for name, root in sides.items()}
+    walls = {name: {config: [] for config in configs[name]} for name in sides}
+    codes = {name: {} for name in sides}
+    for _ in range(CLI_REPEATS):
+        for config in next(iter(configs.values())):
+            for name, root in sides.items():
+                sub, doc = configs[name][config]
+                wall, codes[name][config] = cold_cli(root, sub, doc)
+                walls[name][config].append(wall)
+
+    first = records[next(iter(sides))][WORKLOADS[0]][0]
+    versions = first["loop"]["versions"]
+    summary = {
+        "machine": {"nproc": first["machine"]["nproc"], "cpu": first["machine"]["cpu"], **versions},
+        "seeds": SEEDS,
+        "sides": {},
+    }
+    for name in sides:
+        workloads = {}
+        for workload, recs in records[name].items():
+            metrics = {m: {**quartiles([r["metrics"][m]["value"] for r in recs]), "unit": recs[0]["metrics"][m]["unit"]}
+                       for m in recs[0]["metrics"]}
+            failed = {str(r["seed"]): {"failed": r["failed"], "attempted": r["attempted"]} for r in recs}
+            workloads[workload] = {"metrics": metrics, "failed_ops": failed}
+        cli = {config: {"wall_s": statistics.median(ws), "exit": codes[name][config]}
+               for config, ws in walls[name].items()}
+        summary["sides"][name] = {"workloads": workloads, "cli_cold": cli}
+    args.out.write_text(json.dumps(summary, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
