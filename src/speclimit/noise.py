@@ -13,10 +13,14 @@ fixed (seed, stream, count) triple yields the same samples on every platform
 and independent streams never overlap.
 
 Statistics contract: per-sample terms are formed elementwise in numpy and
-every sum over them is math.fsum, Shewchuk's exactly rounded summation
-(Discrete Comput. Geom. 18, 1997). A squared deviation is the correctly
-rounded product d * d, and a mean that is also reported is computed once and
-reused in the variance.
+every sum over them is exactly rounded. ``_exact_sum`` splits the values by
+error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008)
+into a few vectorized passes whose sums are exact, then rounds the exact total
+of those few partial sums once with math.fsum. A correctly rounded sum has one
+value, so every sum has the bits of math.fsum over the values, Shewchuk's
+exactly rounded summation (Discrete Comput. Geom. 18, 1997). A squared
+deviation is the correctly rounded product d * d, and a mean that is also
+reported is computed once and reused in the variance.
 """
 
 from __future__ import annotations
@@ -61,14 +65,46 @@ def _as_array(values) -> np.ndarray:
     return np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values), dtype=float)
 
 
+def _exact_sum(arr: np.ndarray) -> float:
+    """The correctly rounded sum of ``arr``: the value, and so the bits, of math.fsum.
+
+    Each pass splits every value exactly as p = q + p' with
+    q = (sigma + p) - sigma, where sigma = 2^(e + m), 2^e > max|p| and
+    2^m >= len + 2 (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008). Every
+    q lies on the grid of sigma / 2^53 and is at most 2^e in size, so every
+    partial sum of the q is exact in any order and np.sum returns the exact
+    sum. The passes end when the residual p' is all zeros, and math.fsum
+    rounds the exact total of the few partial sums once. Non-finite input,
+    and values large enough that sigma could overflow, go to math.fsum
+    itself, which keeps its values and exceptions for inf, nan and
+    intermediate overflow.
+    """
+    if not arr.size:
+        return 0.0
+    top = float(np.max(np.abs(arr)))
+    m = (arr.size + 1).bit_length()
+    e = math.frexp(top)[1]
+    if not math.isfinite(top) or e + m + 1 > 1000:
+        return math.fsum(arr.tolist())
+    parts = []
+    while top:
+        sigma = math.ldexp(1.0, e + m)
+        q = (sigma + arr) - sigma
+        parts.append(float(np.sum(q)))
+        arr = arr - q
+        top = float(np.max(np.abs(arr)))
+        e = math.frexp(top)[1]
+    return math.fsum(parts)
+
+
 def _variance(arr: np.ndarray, m: float, ddof: int = 1) -> float:
-    """Sample variance of ``arr`` about its already computed fsum mean ``m``."""
+    """Sample variance of ``arr`` about its already computed exactly rounded mean ``m``."""
     if arr.size <= ddof:
         raise InvalidArgumentError(f"variance needs more than {ddof} values, got {arr.size}")
     d = arr - m
     # second pass with a correction term for the residual mean error
-    ss = math.fsum((d * d).tolist())
-    corr = math.fsum(d.tolist()) ** 2 / arr.size
+    ss = _exact_sum(d * d)
+    corr = _exact_sum(d) ** 2 / arr.size
     return (ss - corr) / (arr.size - ddof)
 
 
@@ -76,7 +112,7 @@ def fmean(values) -> float:
     arr = _as_array(values)
     if not arr.size:
         raise InvalidArgumentError("mean of an empty sequence")
-    return math.fsum(arr.tolist()) / arr.size
+    return _exact_sum(arr) / arr.size
 
 
 def fvariance(values, ddof: int = 1) -> float:

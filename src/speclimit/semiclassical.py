@@ -268,13 +268,25 @@ def _factored_ends(interior, table, pieces, xm: float, xp: float):
     on the first, so sin(2 theta) / sqrt(E - U) becomes
     2 sin(theta) / sqrt(dx Q(x+, x)) and 2 cos(theta) / sqrt(-dx Q(x-, x)),
     free of the cancellation in E - U near a turning point. Interior segments
-    keep ``interior``. PCHIP pieces are monotone, so a bound orbit crosses the
-    knot at the well's minimum and has at least two segments. A call whose
-    ``rows`` start at the first segment or end at the last takes those rows
-    from the end formulas, however the segments are grouped into calls.
+    keep ``interior``. A call whose ``rows`` start at the first segment or end
+    at the last takes those rows from the end formulas, however the segments
+    are grouped into calls.
+
+    An orbit below the lowest knot value, between it and a minimum refined
+    inside a piece, lies on that one piece and has one segment. Both turning
+    points are roots of the same cubic, so E - U(x) is
+    dx^2 sin^2(theta) cos^2(theta) U[x-, x+, x], with the second divided
+    difference U[x-, x+, x] = c2 + c3 (t- + t+ + t) and t = x - x_k, and the
+    integrand is the smooth 2 / (dx sqrt(U[x-, x+, x])) on the whole segment.
     """
     dx = xp - xm
     count = len(pieces)
+    if count == 1:
+        c3, c2 = table.coefs[:2, pieces[0]].tolist()
+        t = xm - float(table.knots[pieces[0]])
+        k = 0.25 * dx * dx  # the 1/4 takes in the factor 2 of sin(2 theta)
+        base, slope = k * (c2 + c3 * (3.0 * t + dx)), k * c3 * dx
+        return lambda theta, rows: 1.0 / np.sqrt(slope * np.sin(theta) ** 2 + base)
     lo = _end_series(table, pieces[0], xm, dx)  # sigma = sin^2
     hi = _end_series(table, pieces[-1], xp, -dx)  # sigma = cos^2
 

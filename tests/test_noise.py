@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import speclimit as sl
+from speclimit import noise
 from speclimit.errors import (
     DegenerateEnsembleError,
     InvalidArgumentError,
@@ -133,10 +134,68 @@ def test_characteristic_check_sums_six_times(monkeypatch):
     # two means, then a sum of squares and a residual sum for each variance
     # about the mean already formed (recomputing the means made it 8)
     calls = []
-    fsum = math.fsum
-    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    exact_sum = noise._exact_sum
+    monkeypatch.setattr(noise, "_exact_sum", lambda arr: calls.append(1) or exact_sum(arr))
     sl.characteristic_check(sl.sample_ensemble(0.5, 1.5, 1000, seed=3), 0.8)
     assert len(calls) == 6
+
+
+# -- the exact summation kernel against math.fsum ----------------------------
+
+
+def _sum_case(kind: str, count: int, seed: int, log_scale: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(count)
+    if kind == "gaussian":
+        return x * 10.0**log_scale
+    if kind == "cosine":
+        return np.cos(x * 10.0 ** min(log_scale, 3.0))
+    if kind == "squared-deviation":
+        d = x * 10.0 ** (log_scale / 2.0)
+        d = d - math.fsum(d.tolist()) / max(count, 1)
+        return d * d
+    if kind == "magnitudes":  # each value at its own scale, 1e-310 to 1e300
+        return x * 10.0 ** rng.uniform(-310.0, 300.0, count)
+    if kind == "cancelling":  # every value beside its negation: the exact sum is 0
+        half = x[: count // 2] * 10.0 ** rng.uniform(-310.0, 300.0, count // 2)
+        return rng.permutation(np.concatenate((half, -half)))
+    return rng.choice(np.array([0.0, -0.0]), count)  # signed zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(("gaussian", "cosine", "squared-deviation", "magnitudes", "cancelling", "zeros")),
+       count=st.integers(0, 6000), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-310.0, 300.0))
+def test_exact_sum_has_the_bits_of_fsum(kind, count, seed, log_scale):
+    arr = _sum_case(kind, count, seed, log_scale)
+    assert noise._exact_sum(arr).hex() == math.fsum(arr.tolist()).hex()
+
+
+def _fsum_variance(values, ddof: int = 1) -> float:
+    # the reference: _variance's formula with math.fsum on every sum
+    arr = np.array(values)
+    m = math.fsum(arr.tolist()) / arr.size
+    d = arr - m
+    return (math.fsum((d * d).tolist()) - math.fsum(d.tolist()) ** 2 / arr.size) / (arr.size - ddof)
+
+
+def _outcome(f, values):
+    """f(values) as float hex ("nan" for any nan), or the type of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            value = f(values)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, math.inf, 2.0], [-math.inf, 3.0], [math.inf, -math.inf], [math.nan, 1.0], [1.0, math.inf, math.nan],
+    [1e308, 1e308, -1e308], [1e308, -1e308], [1e300, 1e300, 1e300], [1e200, -1e200, 3.0],
+    [1.2e308, 1.2e308, -1.2e308, -1.2e308, 1e308],  # the partial sums overflow in between
+])
+def test_statistics_of_non_finite_and_overflowing_values_match_fsum(values):
+    assert _outcome(fmean, values) == _outcome(lambda v: math.fsum(v) / len(v), values)
+    assert _outcome(fvariance, values) == _outcome(_fsum_variance, values)
 
 
 # -- ensembles ----------------------------------------------------------------
