@@ -14,14 +14,16 @@ from --out, then $SPECLIMIT_OUT, then the config's output_dir, then
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import hashlib
+import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import csv
 
 import numpy as np
 
@@ -84,45 +86,104 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _round12(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return float(format(obj, ".12g"))
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+_QUOTE = json.encoder.encode_basestring_ascii
+
+
+def _json12(obj) -> str:
+    """``obj`` as indented JSON text, every float rounded to 12 significant digits.
+
+    One walk gives the text of ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False) + "\n"`` with each float first replaced by
+    ``float(format(v, ".12g"))``: strings quoted ASCII-only, sorted keys, and
+    containers broken over lines two spaces deep. Dict keys must be strings,
+    and values str, float, int, bool, None, dict, list or tuple; anything else
+    raises TypeError. A float that is not finite raises ValueError at the end
+    of the walk, so a TypeError anywhere in ``obj`` takes precedence.
+    """
+    parts: list[str] = []
+    non_finite: list[float] = []
+    _walk(obj, "\n", parts.append, non_finite)
+    if non_finite:
+        raise ValueError(f"Out of range float values are not JSON compliant: {non_finite[0]!r}")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _walk(v, indent: str, put, non_finite: list):
+    """Append the JSON text of ``v`` to ``put``; ``indent`` is the newline and indent of its line."""
+    if isinstance(v, str):
+        put(_QUOTE(v))
+    elif isinstance(v, float):
+        r = float(format(v, ".12g"))
+        if not math.isfinite(r):
+            non_finite.append(r)
+        put(float.__repr__(r))
+    elif v is None or isinstance(v, bool):
+        put("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            put(sep)
+            put(_QUOTE(k))
+            put(": ")
+            _walk(v[k], inner, put, non_finite)
+            sep = "," + inner
+        put(indent + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            put("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for x in v:
+            put(sep)
+            _walk(x, inner, put, non_finite)
+            sep = "," + inner
+        put(indent + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 class OutputWriter:
-    """Writes output files under one directory and keeps a digest manifest."""
+    """Writes output files under one directory and keeps a digest manifest.
+
+    Each file's text is built in memory and written once as UTF-8; its
+    manifest entry is the digest and size of those bytes.
+    """
 
     def __init__(self, outdir: Path):
         self.outdir = outdir
         self.entries: list[dict] = []
 
-    def _register(self, name: str):
-        data = (self.outdir / name).read_bytes()
+    def _register(self, name: str, data: bytes):
         self.entries.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)})
 
+    def _put(self, name: str, text: str):
+        data = text.encode()
+        (self.outdir / name).write_bytes(data)
+        self._register(name, data)
+
     def write_csv(self, name: str, header, rows):
-        with open(self.outdir / name, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
-        self._register(name)
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+        self._put(name, buf.getvalue())
 
     def write_json(self, name: str, obj):
-        text = json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        (self.outdir / name).write_text(text)
-        self._register(name)
+        self._put(name, _json12(obj))
 
     def adopt(self, name: str):
         """Pick up a file some other component already wrote into outdir."""
-        self._register(name)
+        self._register(name, (self.outdir / name).read_bytes())
 
     def write_record(self, analysis: str, config_doc, seed: int, started: str):
         record = {
@@ -136,8 +197,7 @@ class OutputWriter:
             "finished_utc": _utcnow(),
             "outputs": self.entries,
         }
-        text = json.dumps(_round12(record), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        (self.outdir / "run_record.json").write_text(text)
+        (self.outdir / "run_record.json").write_bytes(_json12(record).encode())
 
 
 def _utcnow() -> str:
@@ -429,6 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main keeps one parser per process: building it costs more than a parse
+_parser = functools.cache(build_parser)
+
+
 def _print_error(kind: str, message: str, path: str | None = None):
     payload = {"error": {"type": kind, "message": message}}
     if path is not None:
@@ -437,7 +501,7 @@ def _print_error(kind: str, message: str, path: str | None = None):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = load_config(args.config)
         cfg = validate_config(doc, args.analysis)
@@ -445,7 +509,10 @@ def main(argv=None) -> int:
         if not 0 <= seed < 2**64:
             raise ConfigError("seed", f"must be in [0, 2^64), got {seed}")
         outdir = Path(args.out or os.environ.get("SPECLIMIT_OUT") or cfg["output_dir"] or DEFAULT_OUT)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output_dir", f"cannot create output directory {outdir}: {exc}") from None
     except ConfigError as exc:
         _print_error("ConfigError", str(exc), exc.path)
         return 2

@@ -131,7 +131,8 @@ class CubicPieces:
         c3, c2, c1, c0 = self.coefs[:, k]
         s = x - self.knots[k]
         s2 = s * s
-        return ((c0 + c1 * s) + c2 * s2) + c3 * (s2 * s)
+        # the sum starts from +0.0, as the reference evaluation does, so a knot value of -0.0 reads +0.0
+        return (((0.0 + c0) + c1 * s) + c2 * s2) + c3 * (s2 * s)
 
 
 @dataclass(frozen=True)

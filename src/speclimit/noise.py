@@ -26,6 +26,7 @@ reported is computed once and reused in the variance.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,11 +156,19 @@ class MeasurementEnsemble:
     def count(self) -> int:
         return len(self.samples)
 
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        """The samples as one read-only float64 array, converted on first use."""
+        arr = _as_array(self.samples)
+        arr = arr.copy() if arr is self.samples else arr
+        arr.flags.writeable = False
+        return arr
+
     def mean(self) -> float:
-        return fmean(self.samples)
+        return fmean(self._array)
 
     def stdev(self) -> float:
-        return math.sqrt(fvariance(self.samples))
+        return math.sqrt(fvariance(self._array))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -237,7 +246,7 @@ class CharacteristicCheck:
 def characteristic_check(ensemble: MeasurementEnsemble, p: float, hbar: float = 1.0) -> CharacteristicCheck:
     """Monte Carlo mean of exp(-i p xi / hbar) against the Gaussian factor."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as an infinite phase
-        phase = p * (_as_array(ensemble.samples) - ensemble.true_center) / hbar
+        phase = p * (ensemble._array - ensemble.true_center) / hbar
     if np.isinf(phase).any():
         raise InvalidArgumentError(f"characteristic phase p (x - center) / hbar overflows at p={p!r}")
     cos_terms, sin_terms = np.cos(phase), -np.sin(phase)
@@ -296,7 +305,7 @@ def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: Measureme
                       hbar: float = 1.0) -> GaussianState:
     """Fit the ensemble-mean Gaussian: centers from means, widths from sample sd."""
 
-    pos, mom = _as_array(position_ens.samples), _as_array(momentum_ens.samples)
+    pos, mom = position_ens._array, momentum_ens._array
     r, d = fmean(pos), fmean(mom)
 
     def width(ens: MeasurementEnsemble, arr: np.ndarray, m: float, label: str) -> float:

@@ -9,8 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from speclimit import cli
 from speclimit.cli import main
 
 
@@ -29,6 +32,63 @@ def box_config(**extra):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# -- the JSON writer against the stdlib ---------------------------------------
+
+
+def _round12(obj):
+    """Every float rounded to 12 significant digits; with json.dumps, the reference for cli._json12."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {k: _round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _stdlib_json12(obj) -> str:
+    return json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _outcome(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-5, -1.234567890123456e-5,
+                   1e12, 999999999999.5, 123456789012.4, 1e15, 1234567890123456.0, 9.999999999995e15, 1e16,
+                   1.7976931348623157e308)
+_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIAL_FLOATS),
+                    st.floats(1e12, 1e16), st.floats(-1e16, -1e12), st.floats(1e-6, 1e-4))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**80, 2**80), st.text(), st.text("\"\\\x00\x1f\x7féΩ😀 "),
+                     _floats, _floats.map(np.float64))
+_invalid = st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), frozenset({1}), {1.0}, np.int64(3),
+                            np.float32(1.5), b"bytes"])
+
+
+def _json_values(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_values(_scalars))
+def test_json_writer_matches_stdlib(obj):
+    assert cli._json12(obj) == _stdlib_json12(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_values(st.one_of(_scalars, _invalid)))
+def test_json_writer_raises_as_stdlib(obj):
+    # a TypeError anywhere in the object wins over a non-finite float, as it did with two passes
+    assert _outcome(cli._json12, obj) == _outcome(_stdlib_json12, obj)
 
 
 # -- exit codes and errors ---------------------------------------------------
@@ -96,6 +156,25 @@ def test_computation_error_exits_3(tmp_path, capsys):
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["type"] == "DegeneratePeriodError"
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if below else taken
+    cfg = write_config(tmp_path, box_config(n_range=[2, 4]))
+    assert main(["criterion", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert (err["type"], err["path"]) == ("ConfigError", "output_dir")
+    assert str(out) in err["message"]
+
+
+def test_main_reuses_one_parser():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_version_flag(capsys):
@@ -324,21 +403,37 @@ def test_out_dir_precedence(tmp_path, monkeypatch):
     assert (tmp_path / "from-flag" / "spectrum.csv").exists()
 
 
+_MANIFEST_RUNS = {
+    "spectrum": (box_config(n_limit=5), {"spectrum.csv"}),
+    "criterion": (box_config(n_range=[2, 6]), {"criterion.csv", "y_curve.csv", "criterion_summary.json"}),
+    "noise": (box_config(noise={"count": 500}, seed=4),
+              {"position_ensemble.csv", "momentum_ensemble.csv", "characteristic_check.csv", "noise_summary.json"}),
+    "simulate": (box_config(n_range=[2, 4], protocol={"trials": 200}), {"sweep.csv", "simulate_summary.json"}),
+    "report": (box_config(n_range=[2, 6]),
+               {"spectrum.csv", "criterion.csv", "y_curve.csv", "criterion_summary.json", "report.json"}),
+}
+
+
 def test_run_record_manifest(tmp_path):
-    cfg = write_config(tmp_path, box_config(n_range=[2, 6]))
-    out = tmp_path / "out"
-    assert main(["criterion", "--config", cfg, "--out", str(out)]) == 0
-    record = json.loads((out / "run_record.json").read_text())
-    assert record["tool"] == "speclimit"
-    assert record["schema"] == "1"
-    assert record["analysis"] == "criterion"
-    assert record["seed"] == 0
-    names = {e["name"] for e in record["outputs"]}
-    assert names == {"criterion.csv", "y_curve.csv", "criterion_summary.json"}
-    for entry in record["outputs"]:
-        digest = hashlib.sha256((out / entry["name"]).read_bytes()).hexdigest()
-        assert entry["sha256"] == digest
-        assert entry["bytes"] == os.path.getsize(out / entry["name"])
+    for sub, (doc, names) in _MANIFEST_RUNS.items():
+        cfg = write_config(tmp_path, doc, f"{sub}.json")
+        out = tmp_path / sub
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "run_record.json").read_text()
+        record = json.loads(text)
+        assert (record["tool"], record["schema"], record["analysis"]) == ("speclimit", "1", sub)
+        assert record["seed"] == doc.get("seed", 0)
+        assert {e["name"] for e in record["outputs"]} == names
+        assert {p.name for p in out.iterdir()} == names | {"run_record.json"}
+        for entry in record["outputs"]:
+            data = (out / entry["name"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest(), (sub, entry["name"])
+            assert entry["bytes"] == len(data), (sub, entry["name"])
+        # the stdlib's own dump of the record, timestamps aside, is the file
+        del record["started_utc"], record["finished_utc"]
+        stamps = ('  "started_utc": ', '  "finished_utc": ')
+        assert json.dumps(record, indent=2, sort_keys=True) + "\n" == "".join(
+            line for line in text.splitlines(keepends=True) if not line.startswith(stamps))
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -140,6 +140,26 @@ def test_characteristic_check_sums_six_times(monkeypatch):
     assert len(calls) == 6
 
 
+def test_each_ensemble_is_converted_to_an_array_once(monkeypatch):
+    # statistics on one ensemble share one cached array of its samples
+    converted = []
+    as_array = noise._as_array
+    monkeypatch.setattr(noise, "_as_array",
+                        lambda values: converted.append(type(values)) or as_array(values))
+    pos = sl.sample_ensemble(2.0, 0.5, 1000, seed=3, stream=0)
+    mom = sl.sample_ensemble(-1.0, 1.2, 1000, seed=3, stream=1)
+    state = sl.reconstruct_state(pos, mom)
+    for p in (0.5, 1.0, 2.0):
+        sl.characteristic_check(pos, p)
+    assert (pos.mean(), pos.stdev(), mom.mean()) == (state.r, state.delta_x, state.d)
+    assert [t for t in converted if t is not np.ndarray] == [tuple, tuple]
+    assert not pos._array.flags.writeable
+    # the cache is not a field: equality, hash and repr see only the samples
+    fresh = sl.sample_ensemble(2.0, 0.5, 1000, seed=3, stream=0)
+    assert (fresh == pos, hash(fresh) == hash(pos), repr(fresh) == repr(pos)) == (True, True, True)
+    assert isinstance(pos.samples, tuple)
+
+
 # -- the exact summation kernel against math.fsum ----------------------------
 
 

@@ -7,7 +7,9 @@ Run from the repository root, naming each side and its checkout:
 For seeds 1-3 and every workload it runs ``python3 perfbench/run.py
 --workload W --seed S`` in each checkout, the sides taking turns so that a change in the
 host's speed hits them alike, and reads the run's
-``.perfbench-out/record-W-S-trace0.json``. It then times a cold
+``.perfbench-out/record-W-S-trace0.json``. Then, again taking turns, it makes
+one traced run (``--trace 1``, seed 1) per workload and side and reads its
+``record-W-1-trace1.json``. It then times a cold
 ``python -m speclimit`` five times on each config of
 ``tests/golden/regenerate.py`` (26 configs: every subcommand on every
 preset, and the two tables), again taking turns. The file holds:
@@ -16,6 +18,9 @@ preset, and the two tables), again taking turns. The file holds:
   the records report;
 * per side and workload, the median, q1 and q3 over seeds of perfbench's six
   end-to-end metrics, and the failed and attempted ops of every seed;
+* per side and workload, the per-layer metrics of the traced run: calls, self
+  and total time per op of each traced function, work counters, import time
+  and tracing overhead;
 * per side, the median wall time (s) of the cold runs of every config, with
   its exit code.
 """
@@ -35,6 +40,7 @@ from pathlib import Path
 
 WORKLOADS = ("closed-form", "numeric-table", "monte-carlo")
 SEEDS = (1, 2, 3)
+TRACE_SEED = 1
 CLI_REPEATS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -46,10 +52,10 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def perfbench_record(root: Path, workload: str, seed: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+def perfbench_record(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
-    return json.loads((root / ".perfbench-out" / f"record-{workload}-{seed}-trace0.json").read_text())
+    return json.loads((root / ".perfbench-out" / f"record-{workload}-{seed}-trace{trace}.json").read_text())
 
 
 def golden_configs(root: Path) -> dict:
@@ -84,6 +90,11 @@ def main(argv=None) -> int:
             for name, root in sides.items():
                 print(f"perfbench {name} {workload} seed {seed}", file=sys.stderr, flush=True)
                 records[name][workload].append(perfbench_record(root, workload, seed))
+    traced = {name: {} for name in sides}
+    for workload in WORKLOADS:
+        for name, root in sides.items():
+            print(f"perfbench {name} {workload} seed {TRACE_SEED} traced", file=sys.stderr, flush=True)
+            traced[name][workload] = perfbench_record(root, workload, TRACE_SEED, trace=1)
 
     configs = {name: golden_configs(root) for name, root in sides.items()}
     walls = {name: {config: [] for config in configs[name]} for name in sides}
@@ -100,6 +111,7 @@ def main(argv=None) -> int:
     summary = {
         "machine": {"nproc": first["machine"]["nproc"], "cpu": first["machine"]["cpu"], **versions},
         "seeds": SEEDS,
+        "trace_seed": TRACE_SEED,
         "sides": {},
     }
     for name in sides:
@@ -108,7 +120,8 @@ def main(argv=None) -> int:
             metrics = {m: {**quartiles([r["metrics"][m]["value"] for r in recs]), "unit": recs[0]["metrics"][m]["unit"]}
                        for m in recs[0]["metrics"]}
             failed = {str(r["seed"]): {"failed": r["failed"], "attempted": r["attempted"]} for r in recs}
-            workloads[workload] = {"metrics": metrics, "failed_ops": failed}
+            workloads[workload] = {"metrics": metrics, "failed_ops": failed,
+                                   "per_layer": traced[name][workload]["metrics"]}
         cli = {config: {"wall_s": statistics.median(ws), "exit": codes[name][config]}
                for config, ws in walls[name].items()}
         summary["sides"][name] = {"workloads": workloads, "cli_cold": cli}
