@@ -191,9 +191,6 @@ def level_gap(model: ModelSpec, n: int, method: str = "auto") -> LevelGap:
     """Criterion record for the (n-1, n) pair; dE and dTau in model units."""
     how = _resolve_method(model, method)
     if how == "closed":
-        if model.params.degenerate_period:
-            # dTau is identically zero, not merely small; bypass the generic product.
-            return LevelGap(n=n, dE=level_gap_energy(model, n), dTau=0.0, y_over_hbar=0.0, resolvable=False)
         return _gap(model, n, level_gap_energy(model, n), level_gap_period(model, n))
     lo = n_min(model)
     if n <= lo:

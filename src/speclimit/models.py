@@ -121,6 +121,14 @@ class CubicPieces:
         if lo < x0 - slack or hi > xn + slack:
             raise PotentialDomainError(f"numeric: query outside tabulated range [{x0:.6g}, {xn:.6g}] m")
 
+    @staticmethod
+    def _sum(coef, s):
+        """The one evaluation formula: U from coefficient rows ``coef`` (c3, c2, c1, c0) at offsets ``s``."""
+        c3, c2, c1, c0 = coef
+        s2 = s * s
+        # the sum starts from +0.0, as the reference evaluation does, so a knot value of -0.0 reads +0.0
+        return (((0.0 + c0) + c1 * s) + c2 * s2) + c3 * (s2 * s)
+
     def __call__(self, x):
         """U at ``x`` after ``require_inside``, on the piece [x_k, x_k+1) holding each x (the last one closed)."""
         x = np.asarray(x, dtype=float)
@@ -128,11 +136,38 @@ class CubicPieces:
             self.require_inside(x.min(), x.max())
         x = np.clip(x, self.knots[0], self.knots[-1])
         k = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, len(self.knots) - 2)
-        c3, c2, c1, c0 = self.coefs[:, k]
-        s = x - self.knots[k]
-        s2 = s * s
-        # the sum starts from +0.0, as the reference evaluation does, so a knot value of -0.0 reads +0.0
-        return (((0.0 + c0) + c1 * s) + c2 * s2) + c3 * (s2 * s)
+        return self._sum(self.coefs[:, k], x - self.knots[k])
+
+    def _on_rows(self, pieces) -> Callable:
+        """U(x, rows) for x on the node rows ``rows``, row i lying on piece ``pieces[i]``, with no search."""
+        k = np.array(pieces)
+        xk = self.knots.take(k)[:, None]
+        coef = self.coefs.take(k, axis=1)[:, :, None]
+        return lambda x, rows: self._sum(coef[:, rows], x - xk[rows])
+
+    def _end_series(self, piece: int, a: float, d: float) -> tuple[float, float, float]:
+        """Coefficients in sigma of -d Q(a, a + d sigma) / 4 on the cubic ``piece``.
+
+        Q(a, x) = (U(a) - U(x)) / (a - x) is the piece's divided difference. About
+        the turning point a it is exactly U'(a) + (3 c3 t_a + c2) u + c3 u^2, with
+        u = x - a and t_a = a - x_k, so no difference of nearly equal values is
+        formed. The 1/4 takes in the factor 2 of the period integrand.
+        """
+        c3, c2, c1, _ = self.coefs[:, piece].tolist()
+        ta = a - float(self.knots[piece])
+        k = -0.25 * d
+        return k * ((3.0 * c3 * ta + 2.0 * c2) * ta + c1), k * d * (3.0 * c3 * ta + c2), k * d * d * c3
+
+    def _chord_series(self, piece: int, a: float, d: float) -> tuple[float, float]:
+        """Coefficients in sigma of d^2 U[a, a + d, a + d sigma] / 4 on the cubic ``piece``.
+
+        The second divided difference of a cubic is U[a, b, x] = c2 + c3 (t_a + t_b + t),
+        with t = x - x_k. The 1/4 takes in the factor 2 of the period integrand.
+        """
+        c3, c2 = self.coefs[:2, piece].tolist()
+        ta = a - float(self.knots[piece])
+        k = 0.25 * d * d
+        return k * (c2 + c3 * (3.0 * ta + d)), k * c3 * d
 
 
 @dataclass(frozen=True)
@@ -435,20 +470,21 @@ class NumericPotentialParams(WellKind):
         neighbouring secants, or 0 where the secants change sign or one is 0;
         the end slopes are Moler's one-sided three-point estimates, limited to
         keep the shape (*Numerical Computing with MATLAB*, sec. 3.6). Every
-        piece is then monotone. The coefficients, the minimum and the
-        potential match a reference interpolator bit for bit
-        (tests/test_reference.py). The semiclassical engine evaluates the
+        piece is then monotone, so the bottom of the well is its lowest knot
+        (the first one, where several share the lowest value). The
+        coefficients and the potential match a reference interpolator bit for
+        bit (tests/test_reference.py). The semiclassical engine evaluates the
         pieces per quadrature segment; ``potential`` serves every other caller.
         """
         si = _si_view(model)
         pieces = _pchip(np.asarray(si.x), np.asarray(si.u))
-        xm, um = _numeric_x_min(pieces)
+        bottom = int(np.argmin(si.u))
+        um = si.u[bottom]
         ceiling = min(si.u[0], si.u[-1])
-        coefs = pieces.coefs.T.tolist()
         return WellProfile(
             mass=si.mass,
             potential=pieces,
-            turning_points=_numeric_turning_points(si, coefs, xm),
+            turning_points=_numeric_turning_points(si, pieces.coefs.T.tolist(), bottom),
             u_min=um,
             e_ceiling=ceiling,
             e_scale=ceiling - um,
@@ -657,43 +693,6 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> CubicPieces:
     return CubicPieces(knots=x, coefs=np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
 
 
-def _numeric_x_min(pieces: CubicPieces) -> tuple[float, float]:
-    """The table minimum, refined to an interior root of U' where U there is lower still.
-
-    The roots of each piece's quadratic U' take the cancellation-free form
-    and one Newton step, as the reference root finder of piecewise
-    polynomials does, so the minimum matches it bit for bit.
-    """
-    x = pieces.knots
-    c3, c2, c1, c0 = pieces.coefs
-    a0, a1, a2 = c3 * 3.0, c2 * 2.0, c1  # U' = a0 s^2 + a1 s + a2
-    with np.errstate(all="ignore"):
-        d = np.sqrt(a1 * a1 - 4.0 * a0 * a2)
-        near = np.where(a1 < 0.0, (2.0 * a2) / (-a1 + d), (-a1 - d) / (2.0 * a0))
-        far = np.where(a1 < 0.0, (-a1 + d) / (2.0 * a0), (2.0 * a2) / (-a1 - d))
-        double = d == 0.0
-        near[double] = far[double] = -a1[double] / (2.0 * a0[double])
-        linear = (a0 == 0.0) & (a1 != 0.0)
-        near[linear] = -a2[linear] / a1[linear]
-        far[a0 == 0.0] = np.nan  # a linear U' has one root, a constant one none in the interior
-        s = np.concatenate((near, far))
-        b0, b1, b2, left, right = (np.tile(a, 2) for a in (a0, a1, a2, x[:-1], x[1:]))
-        f = (b2 + b1 * s) + b0 * (s * s)
-        df = b1 + (b0 * s) * 2.0
-        step = f / df
-        s = np.where((df != 0.0) & (abs(step) < abs(s)), s - step, s)
-        r = s + left
-    r = np.sort(r[(left <= r) & (r <= right) & (x[0] < r) & (r < x[-1])])
-    k = int(np.argmin(c0))  # the lowest knot; validation keeps it off both ends
-    best_x, best_u = float(x[k]), float(c0[k])
-    if r.size:
-        vals = pieces(r)
-        j = int(np.argmin(vals))
-        if vals[j] < best_u:
-            best_x, best_u = float(r[j]), float(vals[j])
-    return best_x, best_u
-
-
 def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
     """x0 + t at the root of one PCHIP piece's cubic minus e, t between t_in and t_out.
 
@@ -719,25 +718,23 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
     return x0 + t
 
 
-def _numeric_turning_points(si: _SI, coefs: list, x_min: float) -> Callable:
+def _numeric_turning_points(si: _SI, coefs: list, bottom: int) -> Callable:
     """Turning points of a table, each the one root of a PCHIP piece.
 
     PCHIP keeps every piece monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
     17, 1980), so the orbit at E turns in the piece just inside the first
-    knot, outward from the minimum, whose value reaches E. Running maxima of
-    the knot values outward from the minimum find that knot by bisection.
+    knot, outward from the bottom knot, whose value reaches E. Running maxima
+    of the knot values outward from the bottom find that knot by bisection.
     """
     xs = si.x
-    right = bisect.bisect_right(xs, x_min)  # first knot right of the minimum
-    left = bisect.bisect_left(xs, x_min) - 1  # first knot left of it
-    reach_right = list(itertools.accumulate(si.u[right:], max))
-    reach_left = list(itertools.accumulate(si.u[left::-1], max))
+    reach_right = list(itertools.accumulate(si.u[bottom + 1:], max))
+    reach_left = list(itertools.accumulate(si.u[bottom - 1::-1], max))
 
     def turning_points(e):
-        k = left - bisect.bisect_left(reach_left, e)  # the piece [x_k, x_k+1]
-        x_minus = _piece_root(coefs[k], xs[k], e, min(x_min - xs[k], xs[k + 1] - xs[k]), 0.0)
-        k = right + bisect.bisect_left(reach_right, e) - 1
-        x_plus = _piece_root(coefs[k], xs[k], e, max(x_min - xs[k], 0.0), xs[k + 1] - xs[k])
+        k = bottom - 1 - bisect.bisect_left(reach_left, e)  # the piece [x_k, x_k+1]
+        x_minus = _piece_root(coefs[k], xs[k], e, xs[k + 1] - xs[k], 0.0)
+        k = bottom + bisect.bisect_left(reach_right, e)
+        x_plus = _piece_root(coefs[k], xs[k], e, 0.0, xs[k + 1] - xs[k])
         return float(x_minus), float(x_plus)
 
     return turning_points

@@ -205,26 +205,10 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
 
 
 def _segment_potential(profile: WellProfile, pieces):
-    """U(x, rows) for x on the theta rows ``rows`` of the segments lying on ``pieces``.
-
-    On a table every row lies on one PCHIP piece, whose coefficients are
-    broadcast over the row: U = ((c0 + c1 s) + c2 s^2) + c3 s^3 with
-    s = x - x_k, summed in the order ``WellProfile.potential`` sums it,
-    without a search for the piece of each x. A closed-form well evaluates
-    ``profile.potential``.
-    """
+    """U(x, rows) for x on the theta rows ``rows`` of the segments lying on ``pieces`` (None off a table)."""
     if pieces is None:
         return lambda x, rows: profile.potential(x)
-    k = np.array(pieces)
-    xk = profile.pieces.knots.take(k)[:, None]
-    c3, c2, c1, c0 = profile.pieces.coefs.take(k, axis=1)[:, :, None]
-
-    def u(x, rows):
-        s = x - xk[rows]
-        s2 = s * s
-        return ((c0[rows] + c1[rows] * s) + c2[rows] * s2) + c3[rows] * (s2 * s)
-
-    return u
+    return profile.pieces._on_rows(pieces)
 
 
 def _action_si(profile: WellProfile, e: float) -> float:
@@ -244,21 +228,6 @@ def _action_si(profile: WellProfile, e: float) -> float:
     return 2.0 * math.sqrt(2.0 * profile.mass) * dx * value
 
 
-def _end_series(table, piece: int, a: float, d: float) -> tuple[float, float, float]:
-    """Coefficients in sigma of -d Q(a, a + d sigma) / 4 on the table's cubic ``piece``.
-
-    Q(a, x) = (U(a) - U(x)) / (a - x) is the piece's divided difference. About
-    the turning point a it is exactly U'(a) + (3 c3 t_a + c2) u + c3 u^2, with
-    u = x - a and t_a = a - x_k, so no difference of nearly equal values is
-    formed. The 1/4 takes in the factor 2 of the integrand.
-    """
-    xk = float(table.knots[piece])
-    c3, c2, c1, _ = table.coefs[:, piece].tolist()
-    ta = a - xk
-    k = -0.25 * d
-    return k * ((3.0 * c3 * ta + 2.0 * c2) * ta + c1), k * d * (3.0 * c3 * ta + c2), k * d * d * c3
-
-
 def _factored_ends(interior, table, pieces, xm: float, xp: float):
     """The period integrand with E - U factored on the end pieces of a table.
 
@@ -272,23 +241,21 @@ def _factored_ends(interior, table, pieces, xm: float, xp: float):
     at the last takes those rows from the end formulas, however the segments
     are grouped into calls.
 
-    An orbit below the lowest knot value, between it and a minimum refined
-    inside a piece, lies on that one piece and has one segment. Both turning
-    points are roots of the same cubic, so E - U(x) is
+    An orbit just above the well bottom, whose turning point next to the
+    bottom knot rounds onto that knot, has no knot strictly inside it: it
+    lies on one piece and has one segment. Both turning points are then
+    roots of that piece's cubic, to rounding, so E - U(x) is
     dx^2 sin^2(theta) cos^2(theta) U[x-, x+, x], with the second divided
-    difference U[x-, x+, x] = c2 + c3 (t- + t+ + t) and t = x - x_k, and the
-    integrand is the smooth 2 / (dx sqrt(U[x-, x+, x])) on the whole segment.
+    difference U[x-, x+, x], and the integrand is the smooth
+    2 / (dx sqrt(U[x-, x+, x])) on the whole segment.
     """
     dx = xp - xm
     count = len(pieces)
     if count == 1:
-        c3, c2 = table.coefs[:2, pieces[0]].tolist()
-        t = xm - float(table.knots[pieces[0]])
-        k = 0.25 * dx * dx  # the 1/4 takes in the factor 2 of sin(2 theta)
-        base, slope = k * (c2 + c3 * (3.0 * t + dx)), k * c3 * dx
+        base, slope = table._chord_series(pieces[0], xm, dx)  # sigma = sin^2
         return lambda theta, rows: 1.0 / np.sqrt(slope * np.sin(theta) ** 2 + base)
-    lo = _end_series(table, pieces[0], xm, dx)  # sigma = sin^2
-    hi = _end_series(table, pieces[-1], xp, -dx)  # sigma = cos^2
+    lo = table._end_series(pieces[0], xm, dx)  # sigma = sin^2
+    hi = table._end_series(pieces[-1], xp, -dx)  # sigma = cos^2
 
     def integrand(theta, rows):
         first, final = int(rows.start == 0), int(rows.stop == count)
@@ -484,6 +451,14 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, what: str) -> flo
                                  f" (last E={xcur:.17g} J)")
 
 
+def _maslov_count(model: ModelSpec, maslov) -> int:
+    """The Maslov count nu to use: ``maslov``, or the kind's default when it is None."""
+    nu = model.params.maslov if maslov is None else maslov
+    if not (isinstance(nu, int) and not isinstance(nu, bool) and 0 <= nu <= 4):
+        raise OutOfRangeError(f"maslov count must be an integer in [0, 4], got {maslov!r}")
+    return nu
+
+
 def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel:
     """Solve I(E) = 2 pi hbar (n + nu/4) for the level energy.
 
@@ -493,9 +468,7 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     """
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
         raise OutOfRangeError(f"quantum number must be an integer >= 0, got {n!r}")
-    nu = model.params.maslov if maslov is None else maslov
-    if not (isinstance(nu, int) and 0 <= nu <= 4):
-        raise OutOfRangeError(f"maslov count must be an integer in [0, 4], got {maslov!r}")
+    nu = _maslov_count(model, maslov)
     target = 2.0 * math.pi * HBAR_SI * (n + nu / 4.0)
     if target <= 0.0:
         raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
@@ -516,7 +489,7 @@ def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
     """Number of quantized levels inside the tabulated energy window."""
     if model.params.closed_forms:
         raise OutOfRangeError(f"level counting by action applies to numeric models, not {model.kind!r}")
-    nu = model.params.maslov if maslov is None else maslov
+    nu = _maslov_count(model, maslov)
     profile = well_profile(model)
     e_top = profile.u_min + (profile.e_ceiling - profile.u_min) * (1.0 - 1e-9)
     i_top = _action_si(profile, e_top)

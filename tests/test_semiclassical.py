@@ -400,6 +400,16 @@ def test_numeric_level_count(numeric_harmonic, osc):
         sc.numeric_level_count(osc)
 
 
+@pytest.mark.parametrize("maslov", [7, -8, 2.5, True])
+def test_maslov_count_is_checked(maslov):
+    # a 7-knot harmonic table counted 3, 7 and 4 levels for the first three; quantize took True as 1
+    table = sl.numeric(1.0, np.linspace(-3.0, 3.0, 7), 0.5 * np.linspace(-3.0, 3.0, 7) ** 2)
+    with pytest.raises(OutOfRangeError, match="maslov count must be an integer in"):
+        sc.numeric_level_count(table, maslov=maslov)
+    with pytest.raises(OutOfRangeError, match="maslov count must be an integer in"):
+        sc.quantize(table, 1, maslov=maslov)
+
+
 def test_numeric_bound_levels(numeric_harmonic):
     levels = sc.numeric_bound_levels(numeric_harmonic, 4)
     assert [lv.n for lv in levels] == [0, 1, 2, 3]
@@ -535,41 +545,21 @@ def test_stalled_tables_classify(op):
     assert [g.n for g in report.gaps] == [n, n + 1, n + 2]
 
 
-# perfbench's op_stream("numeric-table", 1) op 1 (0-based), a Morse table whose
-# minimum, refined inside piece 5, lies one ulp left of knot 6.
-_ONE_PIECE_TABLE = (1.9593560204613971,
-    (-2.257618721561575, -1.8580591515041034, -1.458499581446632, -1.0589400113891607, -0.6593804413316893,
-    -0.2598208712742178, 0.1397386987832534, 0.5392982688407248, 0.9388578388981963, 1.3384174089556677,
-    1.7379769790131392, 2.13753654907061, 2.5370961191280816, 2.936655689185553, 3.3362152592430245,
-    3.735774829300496, 4.135334399357967, 4.534893969415439),
-    (4.704788376776548, -4.89961142074996, -11.200672078656307, -15.10212114245905, -17.28011124370741,
-    -18.23843544034371, -18.350587731855814, -17.891773828604588, -17.063247871239067, -16.010792308070606,
-    -14.838730558780135, -13.620534784583729, -12.406840575024395, -11.23148866667019, -10.116067152424177,
-    -9.073315468223525, -8.109665672492213, -7.227130970784089),
-)
-
-
 def test_period_of_an_orbit_on_one_piece():
-    # below the lowest knot value the orbit lies on the minimum's piece alone: one theta-segment whose
-    # period is the small-oscillation period of that cubic, not half of it with a warning
-    from speclimit.models import _numeric_x_min, well_profile
+    # an orbit with no knot strictly inside it lies on one piece and has one theta-segment; its period
+    # is that cubic's, not half of it with a warning. U = x^2 on the one piece [-1, 1]: tau = pi sqrt(2m)
+    from speclimit.models import CubicPieces, WellProfile
 
-    mass, xs, us = _ONE_PIECE_TABLE
-    profile = well_profile(sl.numeric(mass, xs, us))
-    table = profile.pieces
-    x_min, u_min = _numeric_x_min(table)
-    u_knot = float(table.coefs[3].min())
-    e = u_min + (u_knot - u_min) / 2.0
-    assert u_min < e and e < profile.e_ceiling
-    xm, xp = profile.turning_points(e)
-    segments, pieces = sc._theta_segments(profile, xm, xp)
-    assert len(segments) == len(pieces) == 1
-    c3, c2 = table.coefs[:2, pieces[0]].tolist()
-    curvature = 2.0 * c2 + 6.0 * c3 * (x_min - float(table.knots[pieces[0]]))
+    mass, e = 1.7, 0.25
+    pieces = CubicPieces(knots=np.array([-1.0, 1.0]), coefs=np.array([[0.0], [1.0], [-2.0], [1.0]]))
+    profile = WellProfile(mass=mass, potential=pieces, turning_points=lambda en: (-math.sqrt(en), math.sqrt(en)),
+                          u_min=0.0, e_ceiling=1.0, e_scale=1.0, pieces=pieces)
+    assert pieces(np.array([-0.5, 0.0, 0.5])).tolist() == [0.25, 0.0, 0.25]
+    assert len(sc._theta_segments(profile, -0.5, 0.5)[0]) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tau = sc._period_si(profile, e)
-    assert tau == pytest.approx(2.0 * math.pi * math.sqrt(profile.mass / curvature), rel=1e-6)
+    assert tau == pytest.approx(math.pi * math.sqrt(2.0 * mass), rel=1e-12)
 
 
 # -- batched quadrature against the per-panel reference ---------------------

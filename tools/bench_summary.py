@@ -22,7 +22,10 @@ preset, and the two tables), again taking turns. The file holds:
   and total time per op of each traced function, work counters, import time
   and tracing overhead;
 * per side, the median wall time (s) of the cold runs of every config, with
-  its exit code.
+  its exit code;
+* per side, the size of ``src/``: its line count, as ``wc -l`` counts the
+  ``.py`` files, and its well-kind branches, the lines that
+  ``grep -cE 'kind ?(==|!=|in )'`` matches.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -75,6 +79,12 @@ def cold_cli(root: Path, sub: str, doc: dict) -> tuple[float, int]:
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, env=env, cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         return time.perf_counter() - t0, proc.returncode
+
+
+def source_size(root: Path) -> dict:
+    """Line count and well-kind branch count of the ``.py`` files under ``root/src``."""
+    lines = [line for f in sorted((root / "src").rglob("*.py")) for line in f.read_text().splitlines()]
+    return {"lines": len(lines), "kind_branches": sum(bool(re.search(r"kind ?(==|!=|in )", line)) for line in lines)}
 
 
 def main(argv=None) -> int:
@@ -124,7 +134,7 @@ def main(argv=None) -> int:
                                    "per_layer": traced[name][workload]["metrics"]}
         cli = {config: {"wall_s": statistics.median(ws), "exit": codes[name][config]}
                for config, ws in walls[name].items()}
-        summary["sides"][name] = {"workloads": workloads, "cli_cold": cli}
+        summary["sides"][name] = {"workloads": workloads, "cli_cold": cli, "src": source_size(sides[name])}
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
