@@ -25,10 +25,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import semiclassical
 from .criterion import classify, spectrum
 from .errors import ConfigError, SpeclimitError
 from .models import (
@@ -42,13 +39,6 @@ from .models import (
     n_max,
     n_min,
 )
-from .noise import (
-    characteristic_check,
-    reconstruct_state,
-    required_noise_product_for_resolution,
-    sample_ensemble,
-)
-from .simulate import D_PRIME_CUT, PeriodProtocol, consistency_sweep
 
 SCHEMA_VERSION = "1"
 DEFAULT_OUT = "speclimit-out"
@@ -300,6 +290,8 @@ def _write_spectrum(model: ModelSpec, n_limit: int, semi_check: bool, w: OutputW
     """Write spectrum.csv for the first ``n_limit`` levels; return the number of rows."""
     rows = [[n, e, tau] for n, (e, tau) in spectrum(model, _first_levels(model, n_limit)).items()]
     if semi_check:
+        from . import semiclassical
+
         for row in rows:
             # levels without closed forms come from semiclassical.quantize already
             row.append(semiclassical.quantize(model, row[0]).energy if model.params.closed_forms else row[1])
@@ -333,11 +325,11 @@ def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     _criterion_outputs(model, cfg["n_range"], cfg["method"], w)
 
 
-def _trapezoid(y: np.ndarray, dx: float) -> float:
-    return float(dx * (np.sum(y) - 0.5 * (y[0] + y[-1])))
-
-
 def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
+    import numpy as np
+
+    from .noise import characteristic_check, reconstruct_state, required_noise_product_for_resolution, sample_ensemble
+
     ns = cfg["noise"]
     hbar = model.units.hbar
     pos = sample_ensemble(ns["position_center"], ns["delta_x"], ns["count"], seed, stream=0)
@@ -352,7 +344,8 @@ def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     if state.delta_x > 0.0:
         x, dx = np.linspace(state.r - 8.0 * state.delta_x, state.r + 8.0 * state.delta_x,
                             20001, retstep=True)
-        norm_residual = abs(_trapezoid(state.position_density(x), dx) - 1.0)
+        y = state.position_density(x)
+        norm_residual = abs(float(dx * (y.sum() - 0.5 * (y[0] + y[-1]))) - 1.0)  # trapezoid rule
 
     rows = []
     deviations = []
@@ -403,6 +396,8 @@ def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 
 
 def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
+    from .simulate import D_PRIME_CUT, PeriodProtocol, consistency_sweep
+
     lo, hi = cfg["n_range"]
     lo = max(lo, n_min(model) + 1)
     cap = n_max(model)

@@ -23,16 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
-from .models import (
-    EnergyLevel,
-    ModelSpec,
-    classical_period,
-    energy_level,
-    level_gap_energy,
-    level_gap_period,
-    n_max,
-    n_min,
-)
+from .models import EnergyLevel, ModelSpec, _ladder, level_gap_energy, n_max, n_min
 
 __all__ = [
     "DEGENERATE_PERIOD_NOTE",
@@ -159,7 +150,7 @@ def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[floa
     Bohr-Sommerfeld levels with their quadrature periods.
     """
     if _resolve_method(model, method) == "closed":
-        return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
+        return {n: (e, tau) for n, e, tau in _ladder(model, ns, ("energy", "period"), "levels")}
     from . import semiclassical
 
     out = {}
@@ -173,7 +164,8 @@ def _level_gaps(model: ModelSpec, levels, ns, method: str = "auto") -> tuple[Lev
     """Gaps of the (n-1, n) pairs for n in ``ns``; ``levels`` holds both levels of each pair."""
     if _resolve_method(model, method) == "closed":
         # the closed gap formulas avoid the cancellation of E_n - E_{n-1}
-        return tuple(level_gap(model, n, "closed") for n in ns)
+        rows = _ladder(model, ns, ("gap_energy", "gap_period"), "gaps")
+        return tuple(_gap(model, n, de, dt) for n, de, dt in rows)
     return tuple(_gap_from_levels(model, n, levels) for n in ns)
 
 
@@ -191,7 +183,7 @@ def level_gap(model: ModelSpec, n: int, method: str = "auto") -> LevelGap:
     """Criterion record for the (n-1, n) pair; dE and dTau in model units."""
     how = _resolve_method(model, method)
     if how == "closed":
-        return _gap(model, n, level_gap_energy(model, n), level_gap_period(model, n))
+        return _level_gaps(model, None, (n,), how)[0]
     lo = n_min(model)
     if n <= lo:
         raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {lo}")
@@ -259,7 +251,7 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
         notes.append(DEGENERATE_PERIOD_NOTE)
     if model.kind == "hydrogenoid":
         notes.append(HYDROGENOID_THRESHOLD_NOTE)
-    if model.kind == "morse" and regime == "all-unresolvable" and not _monotone_decreasing(ys):
+    if model.kind == "morse" and regime == "all-unresolvable" and ys != sorted(ys, reverse=True):
         notes.append(MORSE_TAIL_NOTE)
     if not tail_monotone:
         notes.append("y(n) tail is not monotone over the scanned range; threshold is the first crossing only")
@@ -277,10 +269,6 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
         ratio_series=ratio,
         notes=tuple(notes),
     )
-
-
-def _monotone_decreasing(values) -> bool:
-    return all(b <= a for a, b in zip(values, values[1:]))
 
 
 def threshold(model: ModelSpec, scan_limit: int = 10**6) -> int | None:

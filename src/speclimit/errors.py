@@ -26,6 +26,7 @@ __all__ = [
     "InvalidSigmaError",
     "ConfigError",
     "InvalidArgumentError",
+    "FloatRangeError",
 ]
 
 
@@ -112,3 +113,7 @@ class ConfigError(SpeclimitError, ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+class FloatRangeError(SpeclimitError, ArithmeticError):
+    """A model's SI parameters, or a closed form at level n, overflowed, divided by zero or left the finite floats."""

@@ -26,28 +26,19 @@ it: name, parameter schema, validation, SI view, lowest quantum number,
 Maslov count, closed forms and classical well profile. The functions below
 are generic over that object. Parameters are stated in the model's declared
 unit system and converted to SI once; every formula is evaluated in SI and
-converted back on return.
+converted back on return. The module uses ``math`` alone: the array side of
+each well profile (potentials and a table's PCHIP pieces) is in ``profiles``.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, ClassVar
 
-import numpy as np
-
-from .errors import (
-    ConfigError,
-    ModelDefinitionError,
-    OutOfRangeError,
-    PotentialDomainError,
-    UnsupportedModelError,
-)
+from .errors import ConfigError, FloatRangeError, ModelDefinitionError, OutOfRangeError, UnsupportedModelError
 from .units import HBAR_SI, UnitSystem, get_unit_system, MOLECULAR, NATURAL_BOX, OSCILLATOR, ATOMIC
 
 __all__ = [
@@ -100,74 +91,7 @@ class WellProfile:
     u_min: float  # potential at the well bottom; -inf for the Coulomb singularity
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
-    pieces: CubicPieces | None = None  # a table's PCHIP pieces; None for a closed-form well
-
-
-@dataclass(frozen=True, eq=False)
-class CubicPieces:
-    """A piecewise cubic as arrays: on [x_k, x_k+1], U = ((c0 + c1 s) + c2 s^2) + c3 s^3 with s = x - x_k.
-
-    ``knots`` holds x_0 .. x_N; ``coefs`` holds the rows c3, c2, c1 and c0,
-    one column per piece.
-    """
-
-    knots: np.ndarray
-    coefs: np.ndarray
-
-    def require_inside(self, lo: float, hi: float):
-        """Raise PotentialDomainError unless [lo, hi] lies in the table, up to 1e-12 of its span."""
-        x0, xn = self.knots[0], self.knots[-1]
-        slack = 1e-12 * (xn - x0)
-        if lo < x0 - slack or hi > xn + slack:
-            raise PotentialDomainError(f"numeric: query outside tabulated range [{x0:.6g}, {xn:.6g}] m")
-
-    @staticmethod
-    def _sum(coef, s):
-        """The one evaluation formula: U from coefficient rows ``coef`` (c3, c2, c1, c0) at offsets ``s``."""
-        c3, c2, c1, c0 = coef
-        s2 = s * s
-        # the sum starts from +0.0, as the reference evaluation does, so a knot value of -0.0 reads +0.0
-        return (((0.0 + c0) + c1 * s) + c2 * s2) + c3 * (s2 * s)
-
-    def __call__(self, x):
-        """U at ``x`` after ``require_inside``, on the piece [x_k, x_k+1) holding each x (the last one closed)."""
-        x = np.asarray(x, dtype=float)
-        if x.size:
-            self.require_inside(x.min(), x.max())
-        x = np.clip(x, self.knots[0], self.knots[-1])
-        k = np.clip(np.searchsorted(self.knots, x, side="right") - 1, 0, len(self.knots) - 2)
-        return self._sum(self.coefs[:, k], x - self.knots[k])
-
-    def _on_rows(self, pieces) -> Callable:
-        """U(x, rows) for x on the node rows ``rows``, row i lying on piece ``pieces[i]``, with no search."""
-        k = np.array(pieces)
-        xk = self.knots.take(k)[:, None]
-        coef = self.coefs.take(k, axis=1)[:, :, None]
-        return lambda x, rows: self._sum(coef[:, rows], x - xk[rows])
-
-    def _end_series(self, piece: int, a: float, d: float) -> tuple[float, float, float]:
-        """Coefficients in sigma of -d Q(a, a + d sigma) / 4 on the cubic ``piece``.
-
-        Q(a, x) = (U(a) - U(x)) / (a - x) is the piece's divided difference. About
-        the turning point a it is exactly U'(a) + (3 c3 t_a + c2) u + c3 u^2, with
-        u = x - a and t_a = a - x_k, so no difference of nearly equal values is
-        formed. The 1/4 takes in the factor 2 of the period integrand.
-        """
-        c3, c2, c1, _ = self.coefs[:, piece].tolist()
-        ta = a - float(self.knots[piece])
-        k = -0.25 * d
-        return k * ((3.0 * c3 * ta + 2.0 * c2) * ta + c1), k * d * (3.0 * c3 * ta + c2), k * d * d * c3
-
-    def _chord_series(self, piece: int, a: float, d: float) -> tuple[float, float]:
-        """Coefficients in sigma of d^2 U[a, a + d, a + d sigma] / 4 on the cubic ``piece``.
-
-        The second divided difference of a cubic is U[a, b, x] = c2 + c3 (t_a + t_b + t),
-        with t = x - x_k. The 1/4 takes in the factor 2 of the period integrand.
-        """
-        c3, c2 = self.coefs[:2, piece].tolist()
-        ta = a - float(self.knots[piece])
-        k = 0.25 * d * d
-        return k * (c2 + c3 * (3.0 * ta + d)), k * c3 * d
+    pieces: CubicPieces | None = None  # a table's profiles.CubicPieces; None for a closed-form well
 
 
 @dataclass(frozen=True)
@@ -251,14 +175,11 @@ class BoxParams(WellKind):
     gap_period = staticmethod(lambda si, n: -si.width**2 * si.mass / (HBAR_SI * math.pi * n * (n - 1)))
 
     def profile(self, model: ModelSpec) -> WellProfile:
+        from .profiles import box_potential
+
         si = _si_view(model)
         a = si.width
-
-        def u(x):  # zero between the walls, infinite beyond them
-            x = np.asarray(x, dtype=float)
-            return np.where((x >= 0.0) & (x <= a), 0.0, np.inf)
-
-        return WellProfile(mass=si.mass, potential=u, turning_points=lambda e: (0.0, a),
+        return WellProfile(mass=si.mass, potential=box_potential(a), turning_points=lambda e: (0.0, a),
                            u_min=0.0, e_ceiling=math.inf, e_scale=self.energy(si, 1))
 
 
@@ -284,6 +205,8 @@ class HarmonicParams(WellKind):
     gap_period = staticmethod(lambda si, n: 0.0)
 
     def profile(self, model: ModelSpec) -> WellProfile:
+        from .profiles import harmonic_potential
+
         si = _si_view(model)
         k = si.stiffness
 
@@ -293,7 +216,7 @@ class HarmonicParams(WellKind):
 
         return WellProfile(
             mass=si.mass,
-            potential=lambda x: 0.5 * k * np.square(x),
+            potential=harmonic_potential(k),
             turning_points=turning_points,
             u_min=0.0,
             e_ceiling=math.inf,
@@ -334,17 +257,13 @@ class HydrogenoidParams(WellKind):
         lambda si, n: math.pi * HBAR_SI**3 * (3 * n**2 - 3 * n + 1) / (si.mass * si.coupling**2))
 
     def profile(self, model: ModelSpec) -> WellProfile:
+        from .profiles import coulomb_potential
+
         si = _si_view(model)
         mu, c = si.mass, si.coupling
-
-        def coulomb(x):
-            # the x = 0 wall maps to -inf; keep numpy quiet about it
-            with np.errstate(divide="ignore"):
-                return -c / np.asarray(x, dtype=float)
-
         return WellProfile(
             mass=mu,
-            potential=coulomb,
+            potential=coulomb_potential(c),
             turning_points=lambda e: (0.0, float(-c / e)),  # the singular wall and r = Z e^2 / |E|
             u_min=-math.inf,
             e_ceiling=0.0,
@@ -394,12 +313,10 @@ class MorseParams(WellKind):
         lambda si, n: (math.pi / (si.omega * si.zeta)) / ((1.0 - (n + 0.5) / si.zeta) * (1.0 - (n - 0.5) / si.zeta)))
 
     def profile(self, model: ModelSpec) -> WellProfile:
+        from .profiles import morse_potential
+
         si = _si_view(model)
         d, a = si.depth, si.alpha
-
-        def u(x):
-            ex = np.exp(-a * np.asarray(x, dtype=float))
-            return d * (ex * ex - 2.0 * ex)
 
         def turning_points(e):
             # U = E at exp(-a x) = 1 +- s; the outer root 1 - s is written as
@@ -410,7 +327,7 @@ class MorseParams(WellKind):
 
         return WellProfile(
             mass=si.mass,
-            potential=u,
+            potential=morse_potential(d, a),
             turning_points=turning_points,
             u_min=-d,
             e_ceiling=0.0,
@@ -443,14 +360,12 @@ class NumericPotentialParams(WellKind):
             raise ModelDefinitionError(
                 f"numeric: need at least 3 samples with matching lengths, got {len(self.x)} x and {len(self.u)} u"
             )
-        xs = np.asarray(self.x, dtype=float)
-        us = np.asarray(self.u, dtype=float)
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(us))):
+        if not all(map(math.isfinite, self.x + self.u)):
             raise ModelDefinitionError("numeric: table entries must be finite")
-        if not np.all(np.diff(xs) > 0):
+        if not all(a < b for a, b in zip(self.x, self.x[1:])):
             raise ModelDefinitionError("numeric: abscissae must be strictly increasing")
-        imin = int(np.argmin(us))
-        if imin == 0 or imin == len(us) - 1:
+        imin = self.u.index(min(self.u))  # the first lowest knot, as argmin finds it
+        if imin == 0 or imin == len(self.u) - 1:
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
 
     def si(self, units: UnitSystem):
@@ -476,9 +391,11 @@ class NumericPotentialParams(WellKind):
         bit (tests/test_reference.py). The semiclassical engine evaluates the
         pieces per quadrature segment; ``potential`` serves every other caller.
         """
+        from .profiles import _numeric_turning_points, _pchip
+
         si = _si_view(model)
-        pieces = _pchip(np.asarray(si.x), np.asarray(si.u))
-        bottom = int(np.argmin(si.u))
+        pieces = _pchip(si.x, si.u)
+        bottom = si.u.index(min(si.u))
         um = si.u[bottom]
         ceiling = min(si.u[0], si.u[-1])
         return WellProfile(
@@ -574,7 +491,10 @@ class ModelSpec:
 
 @lru_cache(maxsize=512)
 def _si_view(model: ModelSpec):
-    return model.params.si(model.units)
+    try:
+        return model.params.si(model.units)
+    except ArithmeticError as exc:
+        raise FloatRangeError(f"{model.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
 
 
 # -- level range -------------------------------------------------------
@@ -600,40 +520,66 @@ def _first_levels(model: ModelSpec, n_limit: int) -> range:
 # -- closed forms ------------------------------------------------------
 
 
-def _closed_si(model: ModelSpec, n: int, instead: str):
-    """SI view for a closed form at level n; ``instead`` completes the error for kinds without one."""
-    if not model.params.closed_forms:
+# unit dimension of each closed form of a WellKind; a gap needs level n - 1 as well
+_FORMS = {"energy": "energy", "period": "time", "gap_energy": "energy", "gap_period": "time"}
+
+
+def _ladder(model: ModelSpec, ns, forms: tuple[str, ...], instead: str) -> list[list]:
+    """Rows [n, value, ...] in model units: the closed ``forms`` of the model's kind at each n in ``ns``.
+
+    The one closed-form code path. It checks the levels once (both ends of a
+    ``range``, each element of any other iterable), takes the SI view and the
+    unit factors once, and applies each kind's SI formula per n. A formula that
+    fails in float arithmetic, or gives a value that is not finite, raises
+    FloatRangeError. ``instead`` completes the error for kinds without closed forms.
+    """
+    p = model.params
+    if not p.closed_forms:
         raise UnsupportedModelError(f"{model.kind}: no closed-form {instead}")
-    if not (isinstance(n, int) and not isinstance(n, bool)):
-        raise OutOfRangeError(f"quantum number must be an integer, got {n!r}")
-    lo = model.params.n_min
-    if n < lo:
-        raise OutOfRangeError(f"{model.kind}: n must be >= {lo}, got {n}")
-    hi = model.params.n_max(model)
-    if hi is not None and n > hi:
-        raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
-    return _si_view(model)
-
-
-def _gap_si(model: ModelSpec, n: int, instead: str):
-    si = _closed_si(model, n, instead)
-    if n == model.params.n_min:
-        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
-    return si
+    gap = forms[0].startswith("gap_")
+    lo, hi = p.n_min, p.n_max(model)
+    if isinstance(ns, range):  # checked at its ends
+        checked = not ns or (min(ns[0], ns[-1]) >= lo + gap and (hi is None or max(ns[0], ns[-1]) <= hi))
+    else:
+        ns, checked = list(ns), False
+    if not checked:
+        for n in ns:
+            if not (isinstance(n, int) and not isinstance(n, bool)):
+                raise OutOfRangeError(f"quantum number must be an integer, got {n!r}")
+            if n < lo:
+                raise OutOfRangeError(f"{model.kind}: n must be >= {lo}, got {n}")
+            if hi is not None and n > hi:
+                raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
+            if gap and n == lo:
+                raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
+    si = _si_view(model)
+    steps = [(form, getattr(p, form), model.units.factor(_FORMS[form])) for form in forms]
+    rows = []
+    for n in ns:
+        row = [n]
+        for form, f, k in steps:
+            try:
+                v = f(si, n) / k
+            except ArithmeticError as exc:
+                raise FloatRangeError(
+                    f"{model.kind}: {form} at n={n} leaves the float range ({type(exc).__name__})") from None
+            if not math.isfinite(v):
+                raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range (got {v!r})")
+            row.append(v)
+        rows.append(row)
+    return rows
 
 
 def energy_level(model: ModelSpec, n: int) -> EnergyLevel:
     """Closed-form level energy in the model's unit system."""
-    si = _closed_si(model, n, "levels; use semiclassical.quantize")
-    e = model.params.energy(si, n)
-    return EnergyLevel(n=n, energy=model.units.from_si(e, "energy"), bound=True)
+    ((_, e),) = _ladder(model, (n,), ("energy",), "levels; use semiclassical.quantize")
+    return EnergyLevel(n=n, energy=e, bound=True)
 
 
 def classical_period(model: ModelSpec, n: int) -> PeriodPoint:
     """Closed-form classical period of the orbit with energy E_n."""
-    si = _closed_si(model, n, "periods; use semiclassical.period_of_energy")
-    tau = model.params.period(si, n)
-    return PeriodPoint(n=n, tau=model.units.from_si(tau, "time"))
+    ((_, tau),) = _ladder(model, (n,), ("period",), "periods; use semiclassical.period_of_energy")
+    return PeriodPoint(n=n, tau=tau)
 
 
 def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
@@ -644,7 +590,7 @@ def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
         from . import semiclassical
 
         return semiclassical.numeric_bound_levels(model, n_limit)
-    return [energy_level(model, n) for n in _first_levels(model, n_limit)]
+    return [EnergyLevel(n=n, energy=e) for n, e in _ladder(model, _first_levels(model, n_limit), ("energy",), "levels")]
 
 
 def level_gap_energy(model: ModelSpec, n: int) -> float:
@@ -653,91 +599,15 @@ def level_gap_energy(model: ModelSpec, n: int) -> float:
     Evaluated from per-kind difference formulas rather than by subtracting
     levels, so no precision is lost to cancellation at large n.
     """
-    si = _gap_si(model, n, "gaps; difference semiclassical levels instead")
-    de = model.params.gap_energy(si, n)
-    return model.units.from_si(de, "energy")
+    return _ladder(model, (n,), ("gap_energy",), "gaps; difference semiclassical levels instead")[0][1]
 
 
 def level_gap_period(model: ModelSpec, n: int) -> float:
     """Signed half spacing (tau_n - tau_{n-1}) / 2 in closed form, system units."""
-    si = _gap_si(model, n, "gaps; difference semiclassical periods instead")
-    dt = model.params.gap_period(si, n)
-    return model.units.from_si(dt, "time")
+    return _ladder(model, (n,), ("gap_period",), "gaps; difference semiclassical periods instead")[0][1]
 
 
 # -- classical well profile (for the semiclassical engine) -------------
-
-
-def _pchip_end_slope(h0, h1, m0, m1):
-    """Moler's one-sided three-point end slope, zeroed or capped at 3 m0 to keep the shape."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(x: np.ndarray, y: np.ndarray) -> CubicPieces:
-    """PCHIP pieces through (x, y)."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    d = np.zeros_like(y)
-    with np.errstate(all="ignore"):  # entries that divide by a zero secant are discarded
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return CubicPieces(knots=x, coefs=np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
-
-
-def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
-    """x0 + t at the root of one PCHIP piece's cubic minus e, t between t_in and t_out.
-
-    The piece is monotone and lies below e at t_in. A Newton step that leaves
-    the bracket bisects it instead; the walk ends once a step no longer moves
-    x0 + t.
-    """
-    c3, c2, c1, c0 = coef
-    c0 -= e
-    below, above = t_in, t_out
-    t = 0.5 * (t_in + t_out)
-    for _ in range(100):
-        g = ((c3 * t + c2) * t + c1) * t + c0
-        if g < 0.0:
-            below = t
-        else:
-            above = t
-        slope = (3.0 * c3 * t + 2.0 * c2) * t + c1
-        t_new = t - g / slope if slope else math.nan
-        if abs(t_new - t) <= math.ulp(x0 + t):
-            return x0 + t_new
-        t = t_new if min(below, above) < t_new < max(below, above) else 0.5 * (below + above)
-    return x0 + t
-
-
-def _numeric_turning_points(si: _SI, coefs: list, bottom: int) -> Callable:
-    """Turning points of a table, each the one root of a PCHIP piece.
-
-    PCHIP keeps every piece monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
-    17, 1980), so the orbit at E turns in the piece just inside the first
-    knot, outward from the bottom knot, whose value reaches E. Running maxima
-    of the knot values outward from the bottom find that knot by bisection.
-    """
-    xs = si.x
-    reach_right = list(itertools.accumulate(si.u[bottom + 1:], max))
-    reach_left = list(itertools.accumulate(si.u[bottom - 1::-1], max))
-
-    def turning_points(e):
-        k = bottom - 1 - bisect.bisect_left(reach_left, e)  # the piece [x_k, x_k+1]
-        x_minus = _piece_root(coefs[k], xs[k], e, xs[k + 1] - xs[k], 0.0)
-        k = bottom + bisect.bisect_left(reach_right, e)
-        x_plus = _piece_root(coefs[k], xs[k], e, 0.0, xs[k + 1] - xs[k])
-        return float(x_minus), float(x_plus)
-
-    return turning_points
 
 
 @lru_cache(maxsize=512)

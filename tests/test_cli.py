@@ -158,6 +158,17 @@ def test_computation_error_exits_3(tmp_path, capsys):
     assert err["error"]["type"] == "DegeneratePeriodError"
 
 
+@pytest.mark.parametrize("params", [{"mass": 1e-300, "width": 1e-300}, {"mass": 1.0, "width": 1e-200}])
+def test_closed_form_outside_the_float_range_exits_3_typed(tmp_path, capsys, params):
+    # width^2 underflows to 0, so E_1 divides by zero
+    doc = {"model": {"kind": "box", "units": "natural-box", "params": params}}
+    rc = main(["report", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err == {"type": "FloatRangeError",
+                   "message": "box: energy at n=1 leaves the float range (ZeroDivisionError)"}
+
+
 @pytest.mark.parametrize("below", [False, True])
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, below):
     taken = tmp_path / "taken"
@@ -515,6 +526,77 @@ def test_no_scipy_module_loads():
     # every subcommand on every preset and on a 17-knot table; harmonic simulate is period-degenerate
     assert got["failed"] == {"simulate harmonic-natural": 3}
     assert got["scipy"] == []
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+import speclimit, speclimit.cli
+from speclimit import cli
+
+def run(sub, doc):
+    cfg = Path(tempfile.mkdtemp())
+    (cfg / "c.json").write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([sub, "--config", str(cfg / "c.json"), "--out", str(cfg / "out")])
+
+after_import = "numpy" in sys.modules
+failed = {}
+for preset in ("box-natural", "harmonic-natural", "hydrogen-atomic", "morse-h2"):
+    for sub in ("criterion", "report", "spectrum"):
+        rc = run(sub, {"model": {"preset": preset}, "semiclassical_check": False} if sub != "criterion"
+                 else {"model": {"preset": preset}})
+        if rc:
+            failed[f"{sub} {preset}"] = rc
+after_closed = sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m in (
+    "speclimit.noise", "speclimit.semiclassical", "speclimit.simulate", "speclimit.profiles"))
+xs = [-4.0 + 0.5 * i for i in range(17)]
+table = {"kind": "numeric", "units": "oscillator", "params": {"mass": 1.0, "x": xs, "u": [0.5 * x * x for x in xs]}}
+for sub, doc in (("noise", {"model": {"preset": "box-natural"}, "noise": {"count": 50}}),
+                 ("simulate", {"model": {"preset": "box-natural"}, "n_range": [2, 4], "protocol": {"trials": 20}}),
+                 ("criterion", {"model": table, "n_range": [1, 3]})):
+    rc = run(sub, doc)
+    if rc:
+        failed[f"{sub} after"] = rc
+print(json.dumps({"after_import": after_import, "after_closed": after_closed, "failed": failed,
+                  "numpy_at_end": "numpy" in sys.modules}))
+"""
+
+
+def test_closed_form_runs_load_no_numpy():
+    proc = _run_probe(_NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == {"after_import": False, "after_closed": [], "failed": {}, "numpy_at_end": True}
+
+
+_EXPORTS_PROBE = """
+import json, speclimit
+names = {}
+exec("from speclimit import *", names)
+try:
+    speclimit.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"missing": [n for n in speclimit.__all__ if n not in names], "count": len(speclimit.__all__),
+                  "distinct": len(set(speclimit.__all__)), "unknown": unknown}))
+"""
+
+
+def test_every_export_resolves_lazily():
+    import speclimit as sl
+    from speclimit import noise, semiclassical, simulate
+
+    got = json.loads(_run_probe(_EXPORTS_PROBE).stdout)
+    assert got == {"missing": [], "count": got["distinct"], "distinct": len(sl.__all__),
+                   "unknown": "module 'speclimit' has no attribute 'no_such_name'"}
+    assert all(getattr(sl, name) is not None for name in sl.__all__)
+    assert (sl.sample_ensemble, sl.quantize, sl.consistency_sweep) == (
+        noise.sample_ensemble, semiclassical.quantize, simulate.consistency_sweep)
+    assert "FloatRangeError" in sl.__all__
+    with pytest.raises(AttributeError, match="no attribute 'also_missing'"):
+        sl.also_missing  # noqa: B018
 
 
 def test_table_criterion_runs_with_scipy_blocked():

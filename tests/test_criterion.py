@@ -4,15 +4,19 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import speclimit as sl
-from speclimit.criterion import HYDROGENOID_THRESHOLD_NOTE, MORSE_TAIL_NOTE
+from speclimit.criterion import HYDROGENOID_THRESHOLD_NOTE, MORSE_TAIL_NOTE, _level_gaps, spectrum
 from speclimit.errors import (
     InvalidArgumentError,
+    ModelDefinitionError,
     OutOfRangeError,
     ScanLimitExceededError,
+    SpeclimitError,
     UnsupportedModelError,
 )
+from speclimit.units import UNIT_SYSTEMS
 
 
 def box_y(n: int) -> float:
@@ -273,3 +277,96 @@ def test_complex_amplitudes(box):
     lv2, lv1 = sl.energy_level(box, 2), sl.energy_level(box, 1)
     s = sl.SuperpositionState(1j / math.sqrt(2), -1 / math.sqrt(2), lv2, lv1)
     assert sl.energy_uncertainty(s) == pytest.approx(3 * math.pi**2 / 4, rel=1e-12)
+
+
+# -- one closed-form ladder pass ------------------------------------------
+
+
+@pytest.mark.parametrize("model, quantity, n", [
+    (sl.box(1e-300, 1e-300), "energy", 1),  # width^2 underflows to 0: division by zero
+    (sl.box(1e300, 1e300), "energy", 1),  # width^2 overflows
+    (sl.hydrogenoid(1e-300, 1, 1e-300), "period", 1),  # mu e^4 underflows to 0
+    (sl.harmonic(1e-300, 1e300), "energy", 1),  # omega is inf
+])
+def test_closed_forms_outside_the_float_range_raise_a_typed_error(model, quantity, n):
+    with pytest.raises(sl.FloatRangeError, match=f"^{model.kind}: {quantity} at n={n} leaves the float range"):
+        sl.classify(model, (2, 6))
+    assert issubclass(sl.FloatRangeError, SpeclimitError) and issubclass(sl.FloatRangeError, ArithmeticError)
+    single = sl.energy_level if quantity == "energy" else sl.classical_period
+    with pytest.raises(sl.FloatRangeError, match=f"^{model.kind}: {quantity} at n={n} "):
+        single(model, n)
+
+
+def test_si_parameters_outside_the_float_range_raise_a_typed_error():
+    with pytest.raises(sl.FloatRangeError, match="^hydrogenoid: SI parameters leave the float range"):
+        sl.classify(sl.hydrogenoid(1.0, 1, 1e300), (2, 6))  # charge^2 overflows
+
+
+_LEVEL_CALLS = (sl.energy_level, sl.classical_period)
+_GAP_CALLS = (sl.level_gap_energy, sl.level_gap_period, lambda m, n: sl.level_gap(m, n, "closed"))
+
+
+def _error(call):
+    """(type, message) of the SpeclimitError ``call()`` raises, or None."""
+    try:
+        call()
+    except SpeclimitError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def closed_ladders(draw):
+    """A closed-form model in any unit system and an iterable of levels that may cross n_min or Morse's n_max."""
+    kind = draw(st.sampled_from(("box", "harmonic", "hydrogenoid", "morse")))
+    units = draw(st.sampled_from(sorted(UNIT_SYSTEMS.values(), key=lambda u: u.name)))
+    a, b, c = (draw(st.floats(0.2, 5.0)) for _ in range(3))
+    try:
+        model = {"box": lambda: sl.box(a, b, units), "harmonic": lambda: sl.harmonic(a, b, units),
+                 "hydrogenoid": lambda: sl.hydrogenoid(a, draw(st.integers(1, 3)), c, units),
+                 "morse": lambda: sl.morse(a, b, c, units)}[kind]()
+    except ModelDefinitionError:  # a Morse well without a bound level
+        assume(False)
+    lo, hi = sl.n_min(model), sl.n_max(model)
+    edge = hi if hi is not None and draw(st.booleans()) else lo
+    start = edge + draw(st.integers(-3, 3))
+    ns = range(start, start + draw(st.integers(0, 12)))
+    form = draw(st.sampled_from(("range", "reversed", "list", "set", "generator")))
+    if form == "reversed":
+        ns = ns[::-1]
+    elif form != "range":
+        ns = list(ns)
+        if ns and draw(st.booleans()):  # a bool among the levels
+            ns.insert(draw(st.integers(0, len(ns))), draw(st.booleans()))
+        ns = set(ns) if form == "set" else ns
+    return model, ns, form
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_ladders())
+@example((sl.get_preset("morse-h2"), range(11, 4, -1), "reversed"))  # crosses n_max = 8 from above
+@example((sl.get_preset("morse-h2"), [7, 8, True, 9], "list"))
+@example((sl.get_preset("hydrogen-atomic"), range(3, -1, -1), "reversed"))  # crosses n_min from above
+@example((sl.box(), {0, 1, 2}, "set"))
+def test_ladder_errors_match_the_single_level_functions(drawn):
+    model, ns, form = drawn
+    order = list(ns)  # the iteration order; a set iterates the same way each time
+    fresh = (lambda: (n for n in order)) if form == "generator" else (lambda: ns)
+    for whole, calls in ((lambda: spectrum(model, fresh()), _LEVEL_CALLS),
+                         (lambda: _level_gaps(model, None, fresh(), "closed"), _GAP_CALLS)):
+        # the first level in order that a single-level function rejects decides the error
+        bad = next((n for n in order if _error(lambda: calls[0](model, n))), None)
+        got = _error(whole)
+        if bad is None:
+            assert got is None
+            continue
+        want = _error(lambda: calls[0](model, bad))
+        assert got == want and want[0] is OutOfRangeError
+        assert all(_error(lambda: call(model, bad)) == want for call in calls)
+        if isinstance(bad, bool):
+            assert want == (OutOfRangeError, f"quantum number must be an integer, got {bad!r}")
+    if all(_error(lambda: sl.energy_level(model, n)) is None for n in order):
+        spec = spectrum(model, fresh())
+        assert spec == {n: (sl.energy_level(model, n).energy, sl.classical_period(model, n).tau) for n in order}
+    if all(_error(lambda: sl.level_gap_energy(model, n)) is None for n in order):
+        assert _level_gaps(model, None, fresh(), "closed") == tuple(sl.level_gap(model, n) for n in order)

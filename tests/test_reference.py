@@ -22,7 +22,8 @@ from scipy.optimize import brentq
 
 import speclimit as sl
 from speclimit import semiclassical as sc
-from speclimit.models import _pchip, well_profile
+from speclimit.models import well_profile
+from speclimit.profiles import _pchip
 from speclimit.units import SI
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

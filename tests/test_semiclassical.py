@@ -548,7 +548,8 @@ def test_stalled_tables_classify(op):
 def test_period_of_an_orbit_on_one_piece():
     # an orbit with no knot strictly inside it lies on one piece and has one theta-segment; its period
     # is that cubic's, not half of it with a warning. U = x^2 on the one piece [-1, 1]: tau = pi sqrt(2m)
-    from speclimit.models import CubicPieces, WellProfile
+    from speclimit.models import WellProfile
+    from speclimit.profiles import CubicPieces
 
     mass, e = 1.7, 0.25
     pieces = CubicPieces(knots=np.array([-1.0, 1.0]), coefs=np.array([[0.0], [1.0], [-2.0], [1.0]]))

@@ -23,6 +23,9 @@ preset, and the two tables), again taking turns. The file holds:
   and tracing overhead;
 * per side, the median wall time (s) of the cold runs of every config, with
   its exit code;
+* per side, the median over five fresh processes, again taking turns, of the
+  cumulative ``-X importtime`` of ``import speclimit.cli`` (s) and of the
+  share of it that the ``numpy`` entry takes (0 when numpy is not imported);
 * per side, the size of ``src/``: its line count, as ``wc -l`` counts the
   ``.py`` files, and its well-kind branches, the lines that
   ``grep -cE 'kind ?(==|!=|in )'`` matches.
@@ -81,6 +84,20 @@ def cold_cli(root: Path, sub: str, doc: dict) -> tuple[float, int]:
         return time.perf_counter() - t0, proc.returncode
 
 
+def import_time(root: Path) -> tuple[float, float]:
+    """Cumulative ``-X importtime`` (s) of ``import speclimit.cli`` in a fresh process, and numpy's share of it."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), **{v: "1" for v in THREAD_VARS}}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import speclimit.cli"],
+                          env=env, cwd=root, capture_output=True, text=True, check=True)
+    cumulative = {}  # microseconds by module, from lines "import time: self | cumulative | name"
+    for line in proc.stderr.splitlines():
+        fields = line.split("|")
+        if len(fields) == 3 and fields[1].strip().isdigit():
+            cumulative[fields[2].strip()] = int(fields[1])
+    total = cumulative["speclimit.cli"]
+    return total / 1e6, cumulative.get("numpy", 0) / total
+
+
 def source_size(root: Path) -> dict:
     """Line count and well-kind branch count of the ``.py`` files under ``root/src``."""
     lines = [line for f in sorted((root / "src").rglob("*.py")) for line in f.read_text().splitlines()]
@@ -115,6 +132,10 @@ def main(argv=None) -> int:
                 sub, doc = configs[name][config]
                 wall, codes[name][config] = cold_cli(root, sub, doc)
                 walls[name][config].append(wall)
+    imports = {name: [] for name in sides}
+    for _ in range(CLI_REPEATS):
+        for name, root in sides.items():
+            imports[name].append(import_time(root))
 
     first = records[next(iter(sides))][WORKLOADS[0]][0]
     versions = first["loop"]["versions"]
@@ -134,7 +155,10 @@ def main(argv=None) -> int:
                                    "per_layer": traced[name][workload]["metrics"]}
         cli = {config: {"wall_s": statistics.median(ws), "exit": codes[name][config]}
                for config, ws in walls[name].items()}
-        summary["sides"][name] = {"workloads": workloads, "cli_cold": cli, "src": source_size(sides[name])}
+        seconds, shares = zip(*imports[name])
+        summary["sides"][name] = {"workloads": workloads, "cli_cold": cli, "src": source_size(sides[name]),
+                                  "import_cli": {"cumulative_s": statistics.median(seconds),
+                                                 "numpy_share": statistics.median(shares)}}
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
     return 0
 
