@@ -23,7 +23,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
-from .models import EnergyLevel, ModelSpec, _ladder, level_gap_energy, n_max, n_min
+from .models import (
+    EnergyLevel,
+    ModelSpec,
+    _closed,
+    classical_period,
+    energy_level,
+    level_gap_energy,
+    n_max,
+    n_min,
+)
 
 __all__ = [
     "DEGENERATE_PERIOD_NOTE",
@@ -150,7 +159,7 @@ def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[floa
     Bohr-Sommerfeld levels with their quadrature periods.
     """
     if _resolve_method(model, method) == "closed":
-        return {n: (e, tau) for n, e, tau in _ladder(model, ns, ("energy", "period"), "levels")}
+        return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
     from . import semiclassical
 
     out = {}
@@ -164,8 +173,7 @@ def _level_gaps(model: ModelSpec, levels, ns, method: str = "auto") -> tuple[Lev
     """Gaps of the (n-1, n) pairs for n in ``ns``; ``levels`` holds both levels of each pair."""
     if _resolve_method(model, method) == "closed":
         # the closed gap formulas avoid the cancellation of E_n - E_{n-1}
-        rows = _ladder(model, ns, ("gap_energy", "gap_period"), "gaps")
-        return tuple(_gap(model, n, de, dt) for n, de, dt in rows)
+        return tuple(level_gap(model, n, "closed") for n in ns)
     return tuple(_gap_from_levels(model, n, levels) for n in ns)
 
 
@@ -183,7 +191,8 @@ def level_gap(model: ModelSpec, n: int, method: str = "auto") -> LevelGap:
     """Criterion record for the (n-1, n) pair; dE and dTau in model units."""
     how = _resolve_method(model, method)
     if how == "closed":
-        return _level_gaps(model, None, (n,), how)[0]
+        de, dt = _closed(model, n, ("gap_energy", "gap_period"), "gaps")
+        return _gap(model, n, de, dt)
     lo = n_min(model)
     if n <= lo:
         raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {lo}")

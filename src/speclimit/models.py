@@ -524,61 +524,50 @@ def _first_levels(model: ModelSpec, n_limit: int) -> range:
 _FORMS = {"energy": "energy", "period": "time", "gap_energy": "energy", "gap_period": "time"}
 
 
-def _ladder(model: ModelSpec, ns, forms: tuple[str, ...], instead: str) -> list[list]:
-    """Rows [n, value, ...] in model units: the closed ``forms`` of the model's kind at each n in ``ns``.
+def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> list[float]:
+    """The closed ``forms`` of the model's kind at level n, in model units.
 
-    The one closed-form code path. It checks the levels once (both ends of a
-    ``range``, each element of any other iterable), takes the SI view and the
-    unit factors once, and applies each kind's SI formula per n. A formula that
-    fails in float arithmetic, or gives a value that is not finite, raises
-    FloatRangeError. ``instead`` completes the error for kinds without closed forms.
+    The one closed-form code path. It checks n, takes the SI view and applies
+    each form's SI formula. A formula that fails in float arithmetic, or gives
+    a value that is not finite, raises FloatRangeError. ``instead`` completes
+    the error for kinds without closed forms.
     """
     p = model.params
     if not p.closed_forms:
         raise UnsupportedModelError(f"{model.kind}: no closed-form {instead}")
-    gap = forms[0].startswith("gap_")
-    lo, hi = p.n_min, p.n_max(model)
-    if isinstance(ns, range):  # checked at its ends
-        checked = not ns or (min(ns[0], ns[-1]) >= lo + gap and (hi is None or max(ns[0], ns[-1]) <= hi))
-    else:
-        ns, checked = list(ns), False
-    if not checked:
-        for n in ns:
-            if not (isinstance(n, int) and not isinstance(n, bool)):
-                raise OutOfRangeError(f"quantum number must be an integer, got {n!r}")
-            if n < lo:
-                raise OutOfRangeError(f"{model.kind}: n must be >= {lo}, got {n}")
-            if hi is not None and n > hi:
-                raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
-            if gap and n == lo:
-                raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
+    if not (isinstance(n, int) and not isinstance(n, bool)):
+        raise OutOfRangeError(f"quantum number must be an integer, got {n!r}")
+    lo = p.n_min
+    if n < lo:
+        raise OutOfRangeError(f"{model.kind}: n must be >= {lo}, got {n}")
+    hi = p.n_max(model)
+    if hi is not None and n > hi:
+        raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
+    if n == lo and forms[0].startswith("gap_"):
+        raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
     si = _si_view(model)
-    steps = [(form, getattr(p, form), model.units.factor(_FORMS[form])) for form in forms]
-    rows = []
-    for n in ns:
-        row = [n]
-        for form, f, k in steps:
-            try:
-                v = f(si, n) / k
-            except ArithmeticError as exc:
-                raise FloatRangeError(
-                    f"{model.kind}: {form} at n={n} leaves the float range ({type(exc).__name__})") from None
-            if not math.isfinite(v):
-                raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range (got {v!r})")
-            row.append(v)
-        rows.append(row)
-    return rows
+    values = []
+    for form in forms:
+        try:
+            v = getattr(p, form)(si, n) / model.units.factor(_FORMS[form])
+        except ArithmeticError as exc:
+            raise FloatRangeError(
+                f"{model.kind}: {form} at n={n} leaves the float range ({type(exc).__name__})") from None
+        if not math.isfinite(v):
+            raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range (got {v!r})")
+        values.append(v)
+    return values
 
 
 def energy_level(model: ModelSpec, n: int) -> EnergyLevel:
     """Closed-form level energy in the model's unit system."""
-    ((_, e),) = _ladder(model, (n,), ("energy",), "levels; use semiclassical.quantize")
+    (e,) = _closed(model, n, ("energy",), "levels; use semiclassical.quantize")
     return EnergyLevel(n=n, energy=e, bound=True)
 
 
 def classical_period(model: ModelSpec, n: int) -> PeriodPoint:
     """Closed-form classical period of the orbit with energy E_n."""
-    ((_, tau),) = _ladder(model, (n,), ("period",), "periods; use semiclassical.period_of_energy")
+    (tau,) = _closed(model, n, ("period",), "periods; use semiclassical.period_of_energy")
     return PeriodPoint(n=n, tau=tau)
 
 
@@ -590,7 +579,7 @@ def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
         from . import semiclassical
 
         return semiclassical.numeric_bound_levels(model, n_limit)
-    return [EnergyLevel(n=n, energy=e) for n, e in _ladder(model, _first_levels(model, n_limit), ("energy",), "levels")]
+    return [energy_level(model, n) for n in _first_levels(model, n_limit)]
 
 
 def level_gap_energy(model: ModelSpec, n: int) -> float:
@@ -599,12 +588,12 @@ def level_gap_energy(model: ModelSpec, n: int) -> float:
     Evaluated from per-kind difference formulas rather than by subtracting
     levels, so no precision is lost to cancellation at large n.
     """
-    return _ladder(model, (n,), ("gap_energy",), "gaps; difference semiclassical levels instead")[0][1]
+    return _closed(model, n, ("gap_energy",), "gaps; difference semiclassical levels instead")[0]
 
 
 def level_gap_period(model: ModelSpec, n: int) -> float:
     """Signed half spacing (tau_n - tau_{n-1}) / 2 in closed form, system units."""
-    return _ladder(model, (n,), ("gap_period",), "gaps; difference semiclassical periods instead")[0][1]
+    return _closed(model, n, ("gap_period",), "gaps; difference semiclassical periods instead")[0]
 
 
 # -- classical well profile (for the semiclassical engine) -------------

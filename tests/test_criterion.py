@@ -279,7 +279,7 @@ def test_complex_amplitudes(box):
     assert sl.energy_uncertainty(s) == pytest.approx(3 * math.pi**2 / 4, rel=1e-12)
 
 
-# -- one closed-form ladder pass ------------------------------------------
+# -- closed-form ladders ---------------------------------------------------
 
 
 @pytest.mark.parametrize("model, quantity, n", [
