@@ -384,7 +384,8 @@ def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
             "max_deviation_over_se": max(deviations, default=0.0),
         },
     }
-    if model.kind == "harmonic":
+    # the one period-degenerate kind, the harmonic oscillator, can only be read by energy
+    if model.params.degenerate_period:
         products = [(n, required_noise_product_for_resolution(model, n)) for n in range(25)]
         w.write_csv("required_product.csv", ["n", "product_over_hbar"], products)
         summary["required_product"] = {
@@ -399,7 +400,6 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     from .simulate import D_PRIME_CUT, PeriodProtocol, consistency_sweep
 
     lo, hi = cfg["n_range"]
-    lo = max(lo, n_min(model) + 1)
     cap = n_max(model)
     if cap is not None:
         hi = min(hi, cap)
@@ -508,27 +508,19 @@ def main(argv=None) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError("output_dir", f"cannot create output directory {outdir}: {exc}") from None
-    except ConfigError as exc:
-        _print_error("ConfigError", str(exc), exc.path)
-        return 2
-    try:
         started = _utcnow()
         writer = OutputWriter(outdir)
         _DISPATCH[args.analysis](cfg["model"], cfg, writer, seed)
         writer.write_record(args.analysis, doc, seed, started)
-        names = ", ".join(e["name"] for e in writer.entries)
-        print(f"{args.analysis}: wrote {names} and run_record.json in {outdir}")
-        return 0
     except ConfigError as exc:
         _print_error("ConfigError", str(exc), exc.path)
         return 2
-    except SpeclimitError as exc:
+    except (SpeclimitError, OSError) as exc:  # a computation that failed, or outputs that could not be written
         _print_error(type(exc).__name__, str(exc))
         return 3
-    except Exception as exc:  # the CLI reports rather than tracebacks
-        _print_error(type(exc).__name__, str(exc))
-        return 3
-
+    names = ", ".join(e["name"] for e in writer.entries)
+    print(f"{args.analysis}: wrote {names} and run_record.json in {outdir}")
+    return 0
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -19,11 +19,13 @@ with an explicit annotation instead of an error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
 from .models import (
+    DEGENERATE_PERIOD_NOTE,
+    HYDROGENOID_THRESHOLD_NOTE,
+    MORSE_TAIL_NOTE,
     EnergyLevel,
     ModelSpec,
     _closed,
@@ -48,22 +50,6 @@ __all__ = [
     "spectrum",
     "threshold",
 ]
-
-DEGENERATE_PERIOD_NOTE = "period-degenerate: criterion inconclusive by period measurement"
-
-# The closed form y(n) = pi*(2n-1)*(3n^2-3n+1) / (4 n^2 (n-1)^2) first drops
-# below 1/2 at n = 10 (y(9) ~ 0.5589, y(10) ~ 0.4993), although the threshold
-# is often quoted as n >= 9. The formula wins here; both values are reported.
-HYDROGENOID_THRESHOLD_NOTE = (
-    "hydrogenoid threshold: direct evaluation of the closed form gives the first"
-    " unresolvable level at n = 10 (y(9)/hbar = 0.5589 > 1/2, y(10)/hbar = 0.4993 < 1/2);"
-    " the often-quoted claim n >= 9 disagrees with the formula at n = 9"
-)
-
-MORSE_TAIL_NOTE = (
-    "y(n) grows toward dissociation for this well but stays below 1/2 for every"
-    " enumerated bound level"
-)
 
 
 @dataclass(frozen=True)
@@ -224,7 +210,7 @@ def _monotone(values) -> bool:
 def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -> ResolvabilityReport:
     """Full criterion report over n in [n_range[0], n_range[1]] inclusive."""
     lo, hi = n_range
-    if not (isinstance(lo, int) and isinstance(hi, int)):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)):
         raise OutOfRangeError(f"n_range must be a pair of integers, got {n_range!r}")
     first = n_min(model) + 1
     if lo < first:
@@ -256,12 +242,7 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
     tail = ys[max(len(ys) // 2, len(ys) - 5):]
     tail_monotone = _monotone(tail) if len(tail) >= 2 else True
 
-    if model.params.degenerate_period:
-        notes.append(DEGENERATE_PERIOD_NOTE)
-    if model.kind == "hydrogenoid":
-        notes.append(HYDROGENOID_THRESHOLD_NOTE)
-    if model.kind == "morse" and regime == "all-unresolvable" and ys != sorted(ys, reverse=True):
-        notes.append(MORSE_TAIL_NOTE)
+    notes.extend(model.params.notes(regime, ys))
     if not tail_monotone:
         notes.append("y(n) tail is not monotone over the scanned range; threshold is the first crossing only")
 
@@ -287,7 +268,7 @@ def threshold(model: ModelSpec, scan_limit: int = 10**6) -> int | None:
     pair resolvable. An unbounded ladder that never drops below hbar/2 within
     ``scan_limit`` pairs raises ScanLimitExceededError instead of looping on.
     """
-    if not (isinstance(scan_limit, int) and scan_limit >= 1):
+    if not (isinstance(scan_limit, int) and not isinstance(scan_limit, bool) and scan_limit >= 1):
         raise OutOfRangeError(f"scan_limit must be a positive integer, got {scan_limit!r}")
     start = n_min(model) + 1
     cap = n_max(model)

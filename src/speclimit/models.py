@@ -67,12 +67,18 @@ __all__ = [
 
 _REQUIRED = object()  # default of a config key that must be present
 
+DEGENERATE_PERIOD_NOTE = "period-degenerate: criterion inconclusive by period measurement"
+
+MORSE_TAIL_NOTE = (
+    "y(n) grows toward dissociation for this well but stays below 1/2 for every"
+    " enumerated bound level"
+)
+
 
 @dataclass(frozen=True)
 class EnergyLevel:
     n: int
     energy: float
-    bound: bool = True
 
 
 @dataclass(frozen=True)
@@ -135,7 +141,8 @@ class WellKind:
     ``n_min`` and default Maslov count ``maslov``, and implements ``si``
     (its SI view), ``profile`` (its ``WellProfile``) and, unless
     ``closed_forms`` is false, the SI closed forms ``energy``, ``period``,
-    ``gap_energy`` and ``gap_period`` of the SI view and n.
+    ``gap_energy`` and ``gap_period`` of the SI view and n. ``notes`` gives
+    the kind's remarks on a criterion report.
     """
 
     kind: ClassVar[str]
@@ -154,6 +161,10 @@ class WellKind:
     def n_max(self, model: ModelSpec) -> int | None:
         """Largest enumerated level, or None when the ladder is unbounded."""
         return None
+
+    def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
+        """The kind's notes on a criterion report of this ``regime`` and y(n)/hbar values ``ys``."""
+        return (DEGENERATE_PERIOD_NOTE,) if self.degenerate_period else ()
 
 
 @dataclass(frozen=True)
@@ -270,6 +281,26 @@ class HydrogenoidParams(WellKind):
             e_scale=mu * c**2 / (2.0 * HBAR_SI**2),
         )
 
+    def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
+        return (HYDROGENOID_THRESHOLD_NOTE,)
+
+
+def _hydrogenoid_y(n: int) -> float:
+    """y(n)/hbar of any hydrogenoid: the product dE dTau does not depend on mu, Z or e."""
+    si = HydrogenoidParams(1.0, 1).si(ATOMIC)
+    return abs(HydrogenoidParams.gap_energy(si, n) * HydrogenoidParams.gap_period(si, n)) / HBAR_SI
+
+
+# The closed form y(n) = pi*(2n-1)*(3n^2-3n+1) / (4 n^2 (n-1)^2) first drops
+# below 1/2 at n = 10, although the threshold is often quoted as n >= 9. The
+# formula wins here; both values are reported.
+HYDROGENOID_THRESHOLD_NOTE = (
+    "hydrogenoid threshold: direct evaluation of the closed form gives the first"
+    f" unresolvable level at n = 10 (y(9)/hbar = {_hydrogenoid_y(9):.4f} > 1/2,"
+    f" y(10)/hbar = {_hydrogenoid_y(10):.4f} < 1/2);"
+    " the often-quoted claim n >= 9 disagrees with the formula at n = 9"
+)
+
 
 @dataclass(frozen=True)
 class MorseParams(WellKind):
@@ -288,7 +319,12 @@ class MorseParams(WellKind):
 
     def validate(self, units: UnitSystem):
         super().validate(units)
-        zeta = self.si(units).zeta
+        try:
+            zeta = self.si(units).zeta
+        except ArithmeticError:  # e.g. the SI mass underflows to 0
+            zeta = math.nan
+        if not math.isfinite(zeta):
+            raise ModelDefinitionError("morse: zeta = 2 depth / (hbar omega) leaves the float range in SI units")
         if zeta <= 1.0:
             raise ModelDefinitionError(
                 f"morse: zeta = 2 depth / (hbar omega) must exceed 1 for a bound level to exist, got {zeta:.6g}"
@@ -303,6 +339,11 @@ class MorseParams(WellKind):
 
     def n_max(self, model: ModelSpec) -> int:
         return math.ceil(_si_view(model).zeta / 2.0 - 0.5) - 1
+
+    def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
+        if regime == "all-unresolvable" and ys != sorted(ys, reverse=True):
+            return (MORSE_TAIL_NOTE,)
+        return ()
 
     energy = staticmethod(lambda si, n: -si.depth * (1.0 - (n + 0.5) / si.zeta) ** 2)
     period = staticmethod(  # 2 pi / alpha sqrt(m / (2 |E_n|))
@@ -362,10 +403,14 @@ class NumericPotentialParams(WellKind):
             )
         if not all(map(math.isfinite, self.x + self.u)):
             raise ModelDefinitionError("numeric: table entries must be finite")
-        if not all(a < b for a, b in zip(self.x, self.x[1:])):
+        # checked in SI, where the engine works: the spans must stay finite floats there
+        si = self.si(units)
+        if not (math.isfinite(si.x[-1] - si.x[0]) and math.isfinite(max(si.u) - min(si.u))):
+            raise ModelDefinitionError("numeric: the table's x span or u range leaves the float range in SI units")
+        if not all(a < b for a, b in zip(si.x, si.x[1:])):
             raise ModelDefinitionError("numeric: abscissae must be strictly increasing")
-        imin = self.u.index(min(self.u))  # the first lowest knot, as argmin finds it
-        if imin == 0 or imin == len(self.u) - 1:
+        imin = si.u.index(min(si.u))  # the first lowest knot, as argmin finds it
+        if imin == 0 or imin == len(si.u) - 1:
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
 
     def si(self, units: UnitSystem):
@@ -562,7 +607,7 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
 def energy_level(model: ModelSpec, n: int) -> EnergyLevel:
     """Closed-form level energy in the model's unit system."""
     (e,) = _closed(model, n, ("energy",), "levels; use semiclassical.quantize")
-    return EnergyLevel(n=n, energy=e, bound=True)
+    return EnergyLevel(n=n, energy=e)
 
 
 def classical_period(model: ModelSpec, n: int) -> PeriodPoint:
@@ -572,14 +617,17 @@ def classical_period(model: ModelSpec, n: int) -> PeriodPoint:
 
 
 def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
-    """First ``n_limit`` bound levels, fewer if the ladder ends earlier."""
-    if not (isinstance(n_limit, int) and n_limit >= 1):
-        raise OutOfRangeError(f"n_limit must be an integer >= 1, got {n_limit!r}")
-    if not model.params.closed_forms:
-        from . import semiclassical
+    """First ``n_limit`` bound levels, fewer if the ladder ends earlier.
 
-        return semiclassical.numeric_bound_levels(model, n_limit)
-    return [energy_level(model, n) for n in _first_levels(model, n_limit)]
+    Each level is the closed form, or Bohr-Sommerfeld for a kind without one.
+    """
+    if not (isinstance(n_limit, int) and not isinstance(n_limit, bool) and n_limit >= 1):
+        raise OutOfRangeError(f"n_limit must be an integer >= 1, got {n_limit!r}")
+    if model.params.closed_forms:
+        level = energy_level
+    else:
+        from .semiclassical import quantize as level
+    return [level(model, n) for n in _first_levels(model, n_limit)]
 
 
 def level_gap_energy(model: ModelSpec, n: int) -> float:

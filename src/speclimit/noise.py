@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     DegenerateEnsembleError,
+    FloatRangeError,
     InvalidArgumentError,
     InvalidCountError,
     InvalidSigmaError,
@@ -107,6 +108,21 @@ def _variance(arr: np.ndarray, m: float, ddof: int = 1) -> float:
     ss = _exact_sum(d * d)
     corr = _exact_sum(d) ** 2 / arr.size
     return (ss - corr) / (arr.size - ddof)
+
+
+def _moments(arr: np.ndarray, what: str) -> tuple[float, float]:
+    """Exactly rounded mean and sample variance of ``arr``.
+
+    Where a sum or a square of finite values leaves the float range, this
+    raises FloatRangeError, naming ``what``, instead of fsum's OverflowError
+    or an infinite variance.
+    """
+    try:
+        with np.errstate(over="raise"):
+            m = fmean(arr)
+            return m, _variance(arr, m)
+    except (OverflowError, FloatingPointError):
+        raise FloatRangeError(f"{what}: a sum or a square of {arr.size} values leaves the float range") from None
 
 
 def fmean(values) -> float:
@@ -212,7 +228,12 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
         raise InvalidArgumentError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not (isinstance(stream, int) and not isinstance(stream, bool) and 0 <= stream < 2**64):
         raise InvalidArgumentError(f"stream must be an integer in [0, 2^64), got {stream!r}")
-    samples = float(center) + float(sigma) * _rng(seed, stream).standard_normal(count)
+    try:
+        with np.errstate(over="raise"):
+            samples = float(center) + float(sigma) * _rng(seed, stream).standard_normal(count)
+    except FloatingPointError:
+        raise InvalidSigmaError(
+            f"sigma={sigma!r} about center={center!r} draws outcomes past the float range") from None
     return MeasurementEnsemble(samples=tuple(samples.tolist()), seed=seed, stream=stream,
                                true_center=float(center), sigma=float(sigma))
 
@@ -287,44 +308,41 @@ class GaussianState:
         return not self.budget.preparable
 
     def position_density(self, x):
-        if self.delta_x <= 0.0:
-            raise InvalidArgumentError("position density undefined for a zero width")
-        arr = np.asarray(x, dtype=float)
-        norm = 1.0 / (self.delta_x * math.sqrt(2.0 * math.pi))
-        return norm * np.exp(-((arr - self.r) ** 2) / (2.0 * self.delta_x**2))
+        return _gaussian_density(x, self.r, self.delta_x, "position")
 
     def momentum_density(self, p):
-        if self.delta_p <= 0.0:
-            raise InvalidArgumentError("momentum density undefined for a zero width")
-        arr = np.asarray(p, dtype=float)
-        norm = 1.0 / (self.delta_p * math.sqrt(2.0 * math.pi))
-        return norm * np.exp(-((arr - self.d) ** 2) / (2.0 * self.delta_p**2))
+        return _gaussian_density(p, self.d, self.delta_p, "momentum")
+
+
+def _gaussian_density(x, center: float, width: float, label: str):
+    if width <= 0.0:
+        raise InvalidArgumentError(f"{label} density undefined for a zero width")
+    arr = np.asarray(x, dtype=float)
+    norm = 1.0 / (width * math.sqrt(2.0 * math.pi))
+    try:
+        with np.errstate(over="raise"):
+            return norm * np.exp(-((arr - center) ** 2) / (2.0 * width**2))
+    except ArithmeticError:  # numpy's FloatingPointError, or OverflowError from width**2
+        raise FloatRangeError(f"{label} density: a square leaves the float range") from None
 
 
 def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: MeasurementEnsemble,
                       hbar: float = 1.0) -> GaussianState:
     """Fit the ensemble-mean Gaussian: centers from means, widths from sample sd."""
 
-    pos, mom = position_ens._array, momentum_ens._array
-    r, d = fmean(pos), fmean(mom)
-
-    def width(ens: MeasurementEnsemble, arr: np.ndarray, m: float, label: str) -> float:
+    def fit(ens: MeasurementEnsemble, label: str) -> tuple[float, float]:
         if ens.count < 2:
             raise InvalidCountError(f"{label} ensemble needs at least 2 outcomes")
-        w = math.sqrt(_variance(arr, m))
+        center, var = _moments(ens._array, f"{label} ensemble")
+        w = math.sqrt(var)
         if w == 0.0 and ens.sigma > 0.0:
             raise DegenerateEnsembleError(
                 f"{label} ensemble declares sigma={ens.sigma:.6g} but its sample variance is zero"
             )
-        return w
+        return center, w
 
-    return GaussianState(
-        r=r,
-        d=d,
-        delta_x=width(position_ens, pos, r, "position"),
-        delta_p=width(momentum_ens, mom, d, "momentum"),
-        hbar=hbar,
-    )
+    (r, delta_x), (d, delta_p) = fit(position_ens, "position"), fit(momentum_ens, "momentum")
+    return GaussianState(r=r, d=d, delta_x=delta_x, delta_p=delta_p, hbar=hbar)
 
 
 # -- harmonic-oscillator error propagation --------------------------------
@@ -368,7 +386,8 @@ def required_noise_product_for_resolution(model: ModelSpec, n: int) -> float:
     hbar w / 2 gives a^2 = hbar w / (8 E_n) = 1 / (8 (n + 1/2)), and the
     product a^2 / 2 is returned. It stays below 1/2 for every n.
     """
-    if model.kind != "harmonic":
+    # the harmonic oscillator, the one kind whose period carries no level information, is read by energy
+    if not model.params.degenerate_period:
         raise UnsupportedModelError(f"noise-product resolution analysis is for harmonic models, not {model.kind!r}")
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
         raise OutOfRangeError(f"n must be an integer >= 0, got {n!r}")

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PotentialDomainError
+from .errors import FloatRangeError, PotentialDomainError
 
 
 def box_potential(a: float) -> Callable:
@@ -126,19 +126,29 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 
 def _pchip(x, y) -> CubicPieces:
-    """PCHIP pieces through the knots (x, y), each given as a sequence of floats."""
+    """PCHIP pieces through the knots (x, y), each given as a sequence of floats.
+
+    Raises FloatRangeError when a piece evaluated at its right end, by the
+    formula the engine uses, is not finite: the knot spacing or a slope
+    leaves the float range in some term, and every quadrature over that
+    piece would too.
+    """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-    d = np.zeros_like(y)
-    with np.errstate(all="ignore"):  # entries that divide by a zero secant are discarded
+    with np.errstate(all="ignore"):  # entries that divide by a zero secant are discarded; overflow is checked below
+        h = np.diff(x)
+        m = np.diff(y) / h
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        d = np.zeros_like(y)
         d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return CubicPieces(knots=x, coefs=np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        coefs = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+        ends = CubicPieces._sum(coefs, h)
+    if not np.isfinite(ends).all():
+        raise FloatRangeError("numeric: a cubic piece of the table leaves the float range in SI units")
+    return CubicPieces(knots=x, coefs=coefs)
 
 
 def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:

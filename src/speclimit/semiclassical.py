@@ -61,6 +61,7 @@ import numpy as np
 
 from .errors import (
     ActionOutOfRangeError,
+    FloatRangeError,
     NoBoundMotionError,
     OutOfRangeError,
     QuadratureFailureError,
@@ -83,7 +84,6 @@ __all__ = [
     "quantize",
     "action_curve",
     "numeric_level_count",
-    "numeric_bound_levels",
 ]
 
 _GL_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
@@ -479,7 +479,7 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     lo = _bracket_low(profile, target, act)
     hi = _bracket_high(profile, target, act)
     e_si = _brentq(lambda e: act(e) - target, lo, hi, 1e-24 * profile.e_scale, 1e-13, f"{model.kind} level n={n}")
-    return EnergyLevel(n=n, energy=u.from_si(float(e_si), "energy"), bound=True)
+    return EnergyLevel(n=n, energy=u.from_si(float(e_si), "energy"))
 
 
 # -- numeric-model level enumeration --------------------------------------
@@ -492,11 +492,8 @@ def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
     nu = _maslov_count(model, maslov)
     profile = well_profile(model)
     e_top = profile.u_min + (profile.e_ceiling - profile.u_min) * (1.0 - 1e-9)
-    i_top = _action_si(profile, e_top)
-    count = math.floor(i_top / (2.0 * math.pi * HBAR_SI) - nu / 4.0) + 1
-    return max(count, 0)
-
-
-def numeric_bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
-    count = min(numeric_level_count(model), n_limit)
-    return [quantize(model, n) for n in range(count)]
+    quanta = _action_si(profile, e_top) / (2.0 * math.pi * HBAR_SI) - nu / 4.0
+    if not math.isfinite(quanta):
+        raise FloatRangeError(
+            f"{model.kind}: the action at the top of the well leaves the float range (got {quanta!r})")
+    return max(math.floor(quanta) + 1, 0)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, _level_gaps, spectrum
-from .errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError
+from .errors import DegeneratePeriodError, FloatRangeError, InvalidArgumentError, OutOfRangeError
 from .models import ModelSpec, n_min
-from .noise import _variance, fmean, fvariance
+from .noise import _moments, fmean, fvariance
 
 __all__ = [
     "PeriodProtocol",
@@ -100,7 +100,11 @@ def _saturating_delta_t(model: ModelSpec, gap: LevelGap) -> float:
 
 def _estimates(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=np.array([protocol.seed, n], dtype=np.uint64)))
-    return tau + protocol.estimator_sd(delta_t) * gen.standard_normal(protocol.trials)
+    try:
+        with np.errstate(over="raise"):
+            return tau + protocol.estimator_sd(delta_t) * gen.standard_normal(protocol.trials)
+    except FloatingPointError:
+        raise FloatRangeError(f"level {n}: period estimates at delta_t={delta_t!r} leave the float range") from None
 
 
 def _samples(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> PeriodSampleSet:
@@ -140,17 +144,42 @@ class DiscriminationResult:
 
 
 def _bayes_overlap(m1: float, s1: float, m2: float, s2: float) -> float:
-    """Equal-prior error rate of the two fitted Gaussians, 0.5 * integral min."""
+    """Equal-prior error rate of the two fitted Gaussians, 0.5 * integral of min(f1, f2), in closed form.
+
+    In units of the narrower width s, centred on its mean, the wider cloud
+    sits at d = |m2 - m1| / s with width k s, k >= 1. The densities cross
+    where (k^2 - 1) z^2 + 2 d z - d^2 - 2 k^2 ln k = 0, at
+
+        z- = -(d + k r) / (k^2 - 1),  z+ = (d^2 + 2 k^2 ln k) / (k r + d),
+        r = sqrt(d^2 + 2 (k^2 - 1) ln k),
+
+    z+ written without the cancellation of (k r - d) / (k^2 - 1) as k -> 1.
+    The narrower density is the smaller one outside [z-, z+] and the wider
+    one between, so the integral is a sum of normal tail masses. Equal widths
+    leave the one crossing z+ = d / 2 and 0.5 erfc(d / (2 sqrt 2)).
+    """
     if s1 <= 0.0 or s2 <= 0.0:
         return 0.5 if m1 == m2 else 0.0
-    lo = min(m1 - 10.0 * s1, m2 - 10.0 * s2)
-    hi = max(m1 + 10.0 * s1, m2 + 10.0 * s2)
-    x, dx = np.linspace(lo, hi, 20001, retstep=True)
-    f1 = np.exp(-0.5 * ((x - m1) / s1) ** 2) / (s1 * math.sqrt(2.0 * math.pi))
-    f2 = np.exp(-0.5 * ((x - m2) / s2) ** 2) / (s2 * math.sqrt(2.0 * math.pi))
-    g = np.minimum(f1, f2)
-    integral = float(dx * (np.sum(g) - 0.5 * (g[0] + g[-1])))
-    return min(max(0.5 * integral, 0.0), 0.5)
+    if s2 < s1:
+        m1, s1, m2, s2 = m2, s2, m1, s1
+    d = abs(m2 - m1) / s1
+    km1 = (s2 - s1) / s1  # k - 1
+    if d == 0.0 and km1 == 0.0:
+        return 0.5
+    k, ln_k = 1.0 + km1, math.log1p(km1)
+    k2m1 = km1 * (k + 1.0)  # k^2 - 1
+    r = math.sqrt(d * d + 2.0 * k2m1 * ln_k)
+    hi = (d * d + 2.0 * k * k * ln_k) / (k * r + d)
+    lo = -(d + k * r) / k2m1 if k2m1 > 0.0 else -math.inf
+    # the wider cloud's mass between the crossings, from its mirrored tails: neither term rounds to 1 when both
+    # crossings lie far on one side of its mean
+    wide = _tail((d - hi) / k) - _tail((d - lo) / k)
+    return min(max(0.5 * (_tail(-lo) + _tail(hi) + wide), 0.0), 0.5)
+
+
+def _tail(z: float) -> float:
+    """Standard normal mass above z."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def _compare(model: ModelSpec, protocol: PeriodProtocol, levels, gap: LevelGap) -> DiscriminationResult:
@@ -160,8 +189,7 @@ def _compare(model: ModelSpec, protocol: PeriodProtocol, levels, gap: LevelGap) 
     delta_t = protocol.delta_t if protocol.delta_t is not None else _saturating_delta_t(model, gap)
     tau_low, tau_high = levels[n - 1][1], levels[n][1]
     low, high = _estimates(n - 1, protocol, tau_low, delta_t), _estimates(n, protocol, tau_high, delta_t)
-    mean_low, mean_high = fmean(low), fmean(high)
-    var_low, var_high = _variance(low, mean_low), _variance(high, mean_high)
+    (mean_low, var_low), (mean_high, var_high) = _moments(low, f"level {n - 1}"), _moments(high, f"level {n}")
     sd_low, sd_high = math.sqrt(var_low), math.sqrt(var_high)
     pooled = math.sqrt((var_low + var_high) / 2.0)
     noise_free = pooled == 0.0
@@ -226,7 +254,7 @@ def consistency_sweep(model: ModelSpec, n_range: tuple[int, int], protocol: Peri
     """
     lo, hi = n_range
     first = n_min(model) + 1
-    if not (isinstance(lo, int) and isinstance(hi, int) and first <= lo <= hi):
+    if not (all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)) and first <= lo <= hi):
         raise OutOfRangeError(f"n_range must be integers with {first} <= lo <= hi, got {n_range!r}")
     levels = spectrum(model, range(lo - 1, hi + 1))
     gaps = _level_gaps(model, levels, range(lo, hi + 1))

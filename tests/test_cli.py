@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclimit import cli
+from speclimit import cli, errors
 from speclimit.cli import main
 
 
@@ -167,6 +167,46 @@ def test_closed_form_outside_the_float_range_exits_3_typed(tmp_path, capsys, par
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err == {"type": "FloatRangeError",
                    "message": "box: energy at n=1 leaves the float range (ZeroDivisionError)"}
+
+
+def _table_model(mass, x, u):
+    return {"kind": "numeric", "units": "si", "params": {"mass": mass, "x": x, "u": u}}
+
+
+# Configs whose values pass the JSON checks but leave the float range somewhere in the engine.
+_CRAFTED_MODELS = {
+    # zeta = 2 D / (hbar omega): the SI mass underflows to 0
+    "morse-zeta": {"kind": "morse", "units": "molecular", "params": {"mass": 1e-300, "depth": 1e300, "range": 1e300}},
+    "table-x-span": _table_model(1.0, [-1e308, 0.0, 1e308], [1.0, 0.0, 1.0]),
+    "table-u-range": _table_model(1.0, [-1.0, 0.0, 1.0], [1e308, -1e308, 1e308]),
+    "table-top-action": _table_model(1e300, [0.0, 1e100, 2e100], [1e100, 0.0, 1e100]),  # the action is inf
+    "table-quadrature": _table_model(1.0, [0.0, 1e300, 2e300], [1e300, 0.0, 1e300]),  # s^2 overflows in a piece
+    "table-wide": _table_model(1.0, [-0.8e308, 0.0, 0.8e308], [1.0, 0.0, 1.0]),  # the PCHIP weights overflow
+}
+_LEVEL_SUBCOMMANDS = ("spectrum", "criterion", "simulate", "report")
+_CRAFTED = [
+    *((f"{name}-{sub}", sub, {"model": model})
+      for name, model in _CRAFTED_MODELS.items() for sub in _LEVEL_SUBCOMMANDS),
+    *((f"{name}-noise", "noise", {"model": _CRAFTED_MODELS[name]})
+      for name in ("morse-zeta", "table-x-span", "table-u-range")),
+    *((f"noise-{dx:g}-{count}", "noise", box_config(noise={"delta_x": dx, "count": count}))
+      for dx in (1e308, 1e200) for count in (10, 2500)),
+    # the samples' squares stay finite, but not those 8 widths out in the normalization check
+    ("noise-2e+153-10", "noise", box_config(noise={"delta_x": 2e153, "count": 10})),
+    ("simulate-delta-t", "simulate", box_config(protocol={"delta_t": 1e308, "trials": 50})),
+]
+
+
+@pytest.mark.parametrize("sub, doc", [case[1:] for case in _CRAFTED], ids=[case[0] for case in _CRAFTED])
+def test_crafted_config_exits_typed(tmp_path, capsys, sub, doc):
+    # numpy warnings are errors under the test settings, so a warning would escape main as well
+    rc = main([sub, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    err = json.loads(lines[0])["error"]
+    assert issubclass(getattr(errors, err["type"]), errors.SpeclimitError)
+    assert rc == (2 if err["type"] == "ConfigError" else 3)
 
 
 @pytest.mark.parametrize("below", [False, True])
@@ -486,7 +526,7 @@ def test_numeric_spectrum_check_quantizes_each_level_once(tmp_path, monkeypatch)
 _SCIPY_PROBE = """
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
-from speclimit import cli
+from speclimit import cli, errors
 
 def run(sub, doc):
     cfg = Path(tempfile.mkdtemp())
@@ -532,7 +572,7 @@ _NUMPY_PROBE = """
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
 import speclimit, speclimit.cli
-from speclimit import cli
+from speclimit import cli, errors
 
 def run(sub, doc):
     cfg = Path(tempfile.mkdtemp())

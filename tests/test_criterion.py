@@ -37,14 +37,51 @@ def test_box_y_examples(box):
     assert sl.y_function(box, 4) == pytest.approx(7 * math.pi / 48, abs=1e-12)
 
 
-def test_box_y_closed_form(box):
-    for n in list(range(2, 50)) + [100, 500, 1000]:
-        assert sl.y_function(box, n) == pytest.approx(box_y(n), rel=1e-12)
+_UNIT_SYSTEMS = sorted(UNIT_SYSTEMS.values(), key=lambda u: u.name)
 
 
-def test_hydrogenoid_y_closed_form(hyd):
-    for n in range(2, 101):
-        assert sl.y_function(hyd, n) == pytest.approx(hyd_y(n), rel=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(units=st.sampled_from(_UNIT_SYSTEMS), mass=st.floats(0.2, 5.0), width=st.floats(0.2, 5.0),
+       n=st.one_of(st.integers(2, 60), st.sampled_from((100, 500, 1000))))
+@example(units=UNIT_SYSTEMS["natural-box"], mass=1.0, width=1.0, n=2)
+def test_box_y_closed_form(units, mass, width, n):
+    # the same y/hbar for every mass and width, in every unit system
+    assert sl.y_function(sl.box(mass, width, units), n) == pytest.approx(box_y(n), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(units=st.sampled_from(_UNIT_SYSTEMS), mu=st.floats(0.2, 5.0), z=st.integers(1, 5), e=st.floats(0.2, 5.0),
+       n=st.integers(2, 100))
+@example(units=UNIT_SYSTEMS["atomic"], mu=1.0, z=1, e=1.0, n=9)
+def test_hydrogenoid_y_closed_form(units, mu, z, e, n):
+    # y/hbar depends on neither the reduced mass, nor Z, nor e
+    assert sl.y_function(sl.hydrogenoid(mu, z, e, units), n) == pytest.approx(hyd_y(n), rel=1e-12)
+
+
+def morse_y(zeta: float, n: int) -> float:
+    # independent closed form: y(n)/hbar = (pi / (2 zeta)) (1 - n/zeta) / ((1 - (n + 1/2)/zeta)(1 - (n - 1/2)/zeta))
+    return (math.pi / (2.0 * zeta)) * (1.0 - n / zeta) / ((1.0 - (n + 0.5) / zeta) * (1.0 - (n - 0.5) / zeta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(units=st.sampled_from(_UNIT_SYSTEMS), mass=st.floats(0.2, 5.0), depth=st.floats(0.2, 5.0),
+       alpha=st.floats(0.2, 5.0), scale=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+       step=st.integers(0, 10**6))
+def test_morse_y_depends_on_zeta_alone(units, mass, depth, alpha, scale, step):
+    try:
+        model = sl.morse(mass, depth, alpha, units)
+    except ModelDefinitionError:  # a Morse well without a bound level
+        assume(False)
+    assume(sl.n_max(model) >= 1)
+    n = 1 + step % sl.n_max(model)
+    y = sl.y_function(model, n)
+    assert y == pytest.approx(morse_y(model.zeta, n), rel=1e-12)
+    # zeta = sqrt(2 D m) / (hbar alpha) stays put under m -> l m, D -> k D, alpha -> sqrt(l k) alpha
+    lm, kd = scale
+    twin = sl.morse(lm * mass, kd * depth, math.sqrt(lm * kd) * alpha, units)
+    assert twin.zeta == pytest.approx(model.zeta, rel=1e-14)
+    assume(sl.n_max(twin) == sl.n_max(model))
+    assert sl.y_function(twin, n) == pytest.approx(y, rel=1e-12)
 
 
 def test_hydrogenoid_boundary_values(hyd):
@@ -120,6 +157,18 @@ def test_threshold_morse(morse_h2):
 def test_threshold_scan_limit(box):
     with pytest.raises(ScanLimitExceededError):
         sl.threshold(box, scan_limit=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sl.classify(sl.harmonic(), (True, 3)),
+    lambda: sl.classify(sl.harmonic(), (1, True)),
+    lambda: sl.threshold(sl.box(), scan_limit=True),
+    lambda: sl.bound_levels(sl.box(), True),
+    lambda: sl.consistency_sweep(sl.get_preset("morse-h2"), (True, 3), sl.PeriodProtocol(trials=10)),
+], ids=["classify-lo", "classify-hi", "threshold", "bound_levels", "consistency_sweep"])
+def test_bools_are_not_counts(call):
+    with pytest.raises(OutOfRangeError, match="integer"):
+        call()
 
 
 # -- classify ----------------------------------------------------------------

@@ -411,7 +411,7 @@ def test_maslov_count_is_checked(maslov):
 
 
 def test_numeric_bound_levels(numeric_harmonic):
-    levels = sc.numeric_bound_levels(numeric_harmonic, 4)
+    levels = sl.bound_levels(numeric_harmonic, 4)
     assert [lv.n for lv in levels] == [0, 1, 2, 3]
     for lv in levels:
         assert lv.energy == pytest.approx(lv.n + 0.5, rel=1e-6)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import speclimit as sl
 from speclimit.errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError, SpeclimitError
-from speclimit.simulate import D_PRIME_CAP, D_PRIME_CUT
+from speclimit.simulate import D_PRIME_CAP, D_PRIME_CUT, _bayes_overlap
+from speclimit.units import UNIT_SYSTEMS
 
 
 def test_protocol_validation():
@@ -80,14 +83,39 @@ def test_zero_delta_t_noise_free(box):
     assert result.mc_resolvable
 
 
+def _d_prime_se(d_prime: float, trials: int) -> float:
+    # standard error of d' from two clouds of ``trials`` estimates each
+    return math.sqrt(2.0 / trials + d_prime**2 / (4.0 * trials))
+
+
 def test_discriminate_box_crossover_levels(box):
     proto = sl.PeriodProtocol(trials=10000, seed=7)
     r3 = sl.discriminate(box, 3, proto)
     assert r3.mc_resolvable and r3.criterion_resolvable
-    assert r3.d_prime == pytest.approx(4 * sl.y_function(box, 3), rel=0.1)
+    assert abs(r3.d_prime - 4 * sl.y_function(box, 3)) <= 6 * _d_prime_se(r3.d_prime, proto.trials)
     r5 = sl.discriminate(box, 5, proto)
     assert not r5.mc_resolvable and not r5.criterion_resolvable
     assert r5.d_prime < D_PRIME_CUT
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("box", "hydrogenoid", "morse")),
+       units=st.sampled_from(sorted(UNIT_SYSTEMS.values(), key=lambda u: u.name)),
+       a=st.floats(0.2, 5.0), b=st.floats(0.2, 5.0), c=st.floats(0.2, 5.0), z=st.integers(1, 3),
+       step=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_d_prime_tracks_4y_at_saturating_accuracy(kind, units, a, b, c, z, step, seed):
+    # with delta_t = hbar / (2 dE_n) the population d' is 4 y(n) / hbar
+    try:
+        model = {"box": lambda: sl.box(a, b, units), "hydrogenoid": lambda: sl.hydrogenoid(a, z, c, units),
+                 "morse": lambda: sl.morse(a, b, c, units)}[kind]()
+    except sl.ModelDefinitionError:  # a Morse well without a bound level
+        assume(False)
+    first, last = sl.n_min(model) + 1, sl.n_max(model)
+    assume(last is None or last >= first)
+    n = first + (step - 1) % (last - first + 1) if last is not None else first + step - 1
+    proto = sl.PeriodProtocol(trials=4000, seed=seed)
+    r = sl.discriminate(model, n, proto)
+    assert abs(r.d_prime - 4 * sl.y_function(model, n)) <= 6 * _d_prime_se(r.d_prime, proto.trials)
 
 
 def test_discriminate_auto_delta_t_is_saturating(box):
@@ -120,6 +148,64 @@ def test_bayes_error_gaussian_oracle(box):
     r = sl.discriminate(box, 4, proto)
     oracle = 0.5 * math.erfc(r.d_prime / (2 * math.sqrt(2)))
     assert r.bayes_error == pytest.approx(oracle, abs=0.01)
+
+
+def _reference_bayes(m1: float, s1: float, m2: float, s2: float) -> float:
+    """0.5 * integral of min(f1, f2) by scipy quadrature, split at the crossings brentq finds."""
+    from scipy import integrate, optimize
+
+    def log_density(x, m, s):  # without the common -log(sqrt(2 pi))
+        return -0.5 * ((x - m) / s) ** 2 - math.log(s)
+
+    def g(x):
+        return log_density(x, m1, s1) - log_density(x, m2, s2)
+
+    lo, hi = min(m1 - 40 * s1, m2 - 40 * s2), max(m1 + 40 * s1, m2 + 40 * s2)
+    marks = [lo, hi]
+    if s1 != s2:  # g is a parabola; its vertex separates the two crossings
+        vertex = (m1 / s1**2 - m2 / s2**2) / (1 / s1**2 - 1 / s2**2)
+        if lo < vertex < hi:
+            marks.insert(1, vertex)
+    cuts = [optimize.brentq(g, a, b, xtol=1e-300, rtol=1e-15)
+            for a, b in zip(marks, marks[1:]) if (g(a) < 0) != (g(b) < 0)]
+    points = sorted({lo, hi, m1, m2, *cuts})
+
+    def smaller(x):
+        return math.exp(min(log_density(x, m1, s1), log_density(x, m2, s2))) / math.sqrt(2 * math.pi)
+
+    with warnings.catch_warnings():  # quad doubts its last digits at 1e-13; the comparison is at 1e-11
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        parts = [integrate.quad(smaller, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                 for a, b in zip(points, points[1:])]
+    return 0.5 * math.fsum(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_s=st.floats(-3.0, 3.0), ratio=st.one_of(st.just(1.0), st.floats(-9.0, 1.0).map(lambda e: 1.0 + 10**e)),
+       log_d=st.floats(-3.0, math.log10(40.0)), offset=st.floats(-1e6, 1e6),
+       signs=st.tuples(st.booleans(), st.booleans()))
+@example(log_s=0.0, ratio=1.0 + 1e-9, log_d=-3.0, offset=1e6, signs=(True, False))
+@example(log_s=-3.0, ratio=11.0, log_d=math.log10(40.0), offset=-1e6, signs=(False, True))
+def test_bayes_error_matches_quadrature(log_s, ratio, log_d, offset, signs):
+    s1 = 10**log_s
+    m1 = offset * s1
+    m2 = m1 + (-1 if signs[0] else 1) * 10**log_d * s1
+    s2 = ratio * s1
+    if signs[1]:  # the wider cloud first
+        m1, s1, m2, s2 = m2, s2, m1, s1
+    got = _bayes_overlap(m1, s1, m2, s2)
+    # the reference integrates about m1: at |m| / s ~ 1e6 the rounding of x itself would move its tails by 1e-9
+    want = _reference_bayes(0.0, s1, m2 - m1, s2)
+    assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+    assert got == _bayes_overlap(m2, s2, m1, s1)
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-3, 0.5, 2.0, 7.5, 40.0])
+def test_bayes_error_equal_widths_is_half_erfc(d):
+    for m, s in ((0.0, 1.0), (3e5, 0.25), (-7.0, 40.0)):
+        m2 = m + d * s
+        d_held = (m2 - m) / s  # the separation m2 holds after rounding
+        assert _bayes_overlap(m, s, m2, s) == pytest.approx(0.5 * math.erfc(d_held / (2 * math.sqrt(2))), rel=1e-14)
 
 
 def test_consistency_sweep_box(box):
