@@ -14,12 +14,9 @@ from --out, then $SPECLIMIT_OUT, then the config's output_dir, then
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -67,16 +64,22 @@ _GRID_U_VALUES = (0.25, 0.5, 1.0, 1.5, 2.0)
 
 
 def _fmt(v) -> str:
+    """One CSV field: a float to 12 significant digits, a bool as true/false, an int as is.
+
+    Any other type raises TypeError, so no field ever needs CSV quoting.
+    """
+    if isinstance(v, float):
+        return format(v, ".12g")
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+    raise TypeError(f"cannot write a {type(v).__name__} as a CSV field")
 
 
 _QUOTE = json.encoder.encode_basestring_ascii
+# exponents that the 12-digit form prints but repr spells positionally
+_REPR_POSITIONAL = ("e+12", "e+13", "e+14", "e+15")
 
 
 def _json12(obj) -> str:
@@ -89,57 +92,76 @@ def _json12(obj) -> str:
     and values str, float, int, bool, None, dict, list or tuple; anything else
     raises TypeError. A float that is not finite raises ValueError at the end
     of the walk, so a TypeError anywhere in ``obj`` takes precedence.
+
+    Each float is formatted once. Two decimals of at most 15 digits never
+    round to the same normal float, so the 12-digit string already holds the
+    digits of the rounded float's repr; only the spelling differs. ``.0`` is
+    appended to an integral value, and the string is parsed and re-printed
+    only where repr spells it otherwise: exponents 12 to 15 (repr prints them
+    positionally), |v| < 1e-307 (the decimal may round to a subnormal with a
+    shorter repr), inf and nan. The sorted keys of a dict and their quoted
+    heads are built once per key set and depth.
     """
     parts: list[str] = []
+    put = parts.append
     non_finite: list[float] = []
-    _walk(obj, "\n", parts.append, non_finite)
+    heads: dict[tuple, list] = {}  # (keys, indent) -> [(key, '{' or ',', indent and '"key": '), ...], sorted
+
+    def walk(v, indent: str):
+        """Append the JSON text of ``v``; ``indent`` is the newline and indent of its line."""
+        if isinstance(v, float):
+            s = format(v, ".12g")
+            if "e" in s:
+                if s[-4:] in _REPR_POSITIONAL or -1e-307 < v < 1e-307:
+                    s = float.__repr__(float(s))
+            elif "." not in s:
+                if s[-1] in "fn":  # inf, -inf, nan
+                    non_finite.append(float(s))
+                else:
+                    s += ".0"
+            put(s)
+        elif isinstance(v, str):
+            put(_QUOTE(v))
+        elif v is None or isinstance(v, bool):
+            put("null" if v is None else "true" if v else "false")
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = indent + "  "
+            keys = tuple(v)
+            items = heads.get((keys, indent))
+            if items is None:
+                for k in keys:
+                    if not isinstance(k, str):
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                items = heads[keys, indent] = [(k, ("," if i else "{") + inner + _QUOTE(k) + ": ")
+                                               for i, k in enumerate(sorted(keys))]
+            for k, head in items:
+                put(head)
+                walk(v[k], inner)
+            put(indent + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for x in v:
+                put(sep)
+                walk(x, inner)
+                sep = "," + inner
+            put(indent + "]")
+        else:
+            raise TypeError(f"cannot serialize {type(v).__name__}")
+
+    walk(obj, "\n")
     if non_finite:
         raise ValueError(f"Out of range float values are not JSON compliant: {non_finite[0]!r}")
-    parts.append("\n")
+    put("\n")
     return "".join(parts)
-
-
-def _walk(v, indent: str, put, non_finite: list):
-    """Append the JSON text of ``v`` to ``put``; ``indent`` is the newline and indent of its line."""
-    if isinstance(v, str):
-        put(_QUOTE(v))
-    elif isinstance(v, float):
-        r = float(format(v, ".12g"))
-        if not math.isfinite(r):
-            non_finite.append(r)
-        put(float.__repr__(r))
-    elif v is None or isinstance(v, bool):
-        put("null" if v is None else "true" if v else "false")
-    elif isinstance(v, int):
-        put(int.__repr__(v))
-    elif isinstance(v, dict):
-        if not v:
-            put("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for k in sorted(v):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            put(sep)
-            put(_QUOTE(k))
-            put(": ")
-            _walk(v[k], inner, put, non_finite)
-            sep = "," + inner
-        put(indent + "}")
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            put("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for x in v:
-            put(sep)
-            _walk(x, inner, put, non_finite)
-            sep = "," + inner
-        put(indent + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 class OutputWriter:
@@ -147,6 +169,12 @@ class OutputWriter:
 
     Each file's text is built in memory and written once as UTF-8; its
     manifest entry is the digest and size of those bytes.
+
+    ``write_csv`` takes a header of plain column names and rows whose fields
+    are floats (12 significant digits), bools (``true``/``false``) or ints;
+    it joins them with commas and ends every line with ``\\n``. Any other
+    field type raises TypeError, so no field needs quoting. ``write_json``
+    writes ``_json12`` text.
     """
 
     def __init__(self, outdir: Path):
@@ -162,11 +190,10 @@ class OutputWriter:
         self._register(name, data)
 
     def write_csv(self, name: str, header, rows):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([_fmt(v) for v in row] for row in rows)
-        self._put(name, buf.getvalue())
+        lines = [",".join(header)]
+        lines += [",".join(map(_fmt, row)) for row in rows]
+        lines.append("")
+        self._put(name, "\n".join(lines))
 
     def write_json(self, name: str, obj):
         self._put(name, _json12(obj))

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, ClassVar
 
 from .errors import ConfigError, FloatRangeError, ModelDefinitionError, OutOfRangeError, UnsupportedModelError
@@ -519,6 +520,23 @@ class ModelSpec:
             raise UnsupportedModelError(f"zeta is defined for morse models, not {self.kind!r}")
         return si.zeta
 
+    # The SI view and the well profile are built on first use and kept on the
+    # instance, so a per-level closed form reads them without hashing the model.
+    @cached_property
+    def _si(self):
+        try:
+            return self.params.si(self.units)
+        except ArithmeticError as exc:
+            raise FloatRangeError(f"{self.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
+
+    @cached_property
+    def _profile(self) -> WellProfile:
+        return self.params.profile(self)
+
+    def __getstate__(self):
+        # a profile holds closures, which do not pickle; a copy builds its own
+        return {"kind": self.kind, "params": self.params, "units": self.units}
+
     def converted(self, units: UnitSystem) -> "ModelSpec":
         """Re-express the same physical model in another unit system."""
         p = self.params
@@ -534,12 +552,13 @@ class ModelSpec:
         return {"kind": self.kind, "units": self.units.name, "params": params}
 
 
-@lru_cache(maxsize=512)
 def _si_view(model: ModelSpec):
-    try:
-        return model.params.si(model.units)
-    except ArithmeticError as exc:
-        raise FloatRangeError(f"{model.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
+    """The model's parameters and derived constants in SI, as attributes.
+
+    Built on the model's first call and kept on it; parameters whose SI values
+    leave the float range raise FloatRangeError.
+    """
+    return model._si
 
 
 # -- level range -------------------------------------------------------
@@ -567,6 +586,7 @@ def _first_levels(model: ModelSpec, n_limit: int) -> range:
 
 # unit dimension of each closed form of a WellKind; a gap needs level n - 1 as well
 _FORMS = {"energy": "energy", "period": "time", "gap_energy": "energy", "gap_period": "time"}
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float
 
 
 def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> list[float]:
@@ -574,8 +594,10 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
 
     The one closed-form code path. It checks n, takes the SI view and applies
     each form's SI formula. A formula that fails in float arithmetic, or gives
-    a value that is not finite, raises FloatRangeError. ``instead`` completes
-    the error for kinds without closed forms.
+    a value that is not finite, or zero or subnormal in SI or in model units,
+    raises FloatRangeError; the one value allowed to be 0 is the period gap of
+    a period-degenerate kind. ``instead`` completes the error for kinds
+    without closed forms.
     """
     p = model.params
     if not p.closed_forms:
@@ -594,12 +616,18 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
     values = []
     for form in forms:
         try:
-            v = getattr(p, form)(si, n) / model.units.factor(_FORMS[form])
+            s = getattr(p, form)(si, n)
+            v = s / model.units.factor(_FORMS[form])
         except ArithmeticError as exc:
             raise FloatRangeError(
                 f"{model.kind}: {form} at n={n} leaves the float range ({type(exc).__name__})") from None
         if not math.isfinite(v):
             raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range (got {v!r})")
+        # a zero or subnormal value has lost some or all of its digits; only
+        # the period gap of a period-degenerate kind is exactly 0
+        if (abs(s) < _NORMAL_MIN or abs(v) < _NORMAL_MIN) and not (form == "gap_period" and p.degenerate_period):
+            raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range"
+                                  f" (underflows to {s!r} in SI, {v!r} in model units)")
         values.append(v)
     return values
 
@@ -647,10 +675,13 @@ def level_gap_period(model: ModelSpec, n: int) -> float:
 # -- classical well profile (for the semiclassical engine) -------------
 
 
-@lru_cache(maxsize=512)
 def well_profile(model: ModelSpec) -> WellProfile:
-    """Build the SI well description used by the semiclassical engine."""
-    return model.params.profile(model)
+    """The SI well description used by the semiclassical engine.
+
+    Built on the model's first call and kept on it, so it lives as long as the
+    model does.
+    """
+    return model._profile
 
 
 # -- JSON loading and presets ------------------------------------------

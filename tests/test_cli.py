@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from speclimit import cli, errors
 from speclimit.cli import main
@@ -78,8 +79,25 @@ def _json_values(leaves):
         st.dictionaries(st.text(), kids, max_size=4)), max_leaves=24)
 
 
+# floats whose 12-digit form is spelled otherwise than the repr of its value
+_WRITER_EXAMPLES = (999999999999.5, -999999999999.5, 1e12, 9.999999999995e15, 1e16, 2.2250738585072014e-308,
+                    2.225073858507e-308, 1e-307, 5e-324, -0.0, 100000.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(obj=_json_values(_scalars))
+@example(obj=999999999999.5)
+@example(obj=-999999999999.5)
+@example(obj=1e12)
+@example(obj=9.999999999995e15)
+@example(obj=1e16)
+@example(obj=2.2250738585072014e-308)
+@example(obj=2.225073858507e-308)
+@example(obj=1e-307)
+@example(obj=5e-324)
+@example(obj=-0.0)
+@example(obj=100000.0)
+@example(obj={"a": list(_WRITER_EXAMPLES), "b": [{"x": v, "y": -v} for v in _WRITER_EXAMPLES]})
 def test_json_writer_matches_stdlib(obj):
     assert cli._json12(obj) == _stdlib_json12(obj)
 
@@ -89,6 +107,52 @@ def test_json_writer_matches_stdlib(obj):
 def test_json_writer_raises_as_stdlib(obj):
     # a TypeError anywhere in the object wins over a non-finite float, as it did with two passes
     assert _outcome(cli._json12, obj) == _outcome(_stdlib_json12, obj)
+
+
+# -- the CSV writer against the csv module -----------------------------------
+
+
+def _csv_module_fmt(v) -> str:
+    """The field formatter the CSV writer used with csv.writer, kept as its reference."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return format(v, ".12g")
+    return str(v)
+
+
+def _csv_module_text(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_csv_module_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+_csv_fields = st.one_of(st.booleans(), st.integers(-2**80, 2**80), _floats, _floats.map(np.float64),
+                        st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(st.from_regex(r"[A-Za-z_]{1,8}", fullmatch=True), min_size=1, max_size=8),
+       rows=st.lists(st.lists(_csv_fields, max_size=8), max_size=12))
+def test_csv_writer_matches_csv_module(tmp_path_factory, header, rows):
+    out = tmp_path_factory.mktemp("csv")
+    w = cli.OutputWriter(out)
+    w.write_csv("t.csv", header, rows)
+    data = (out / "t.csv").read_bytes()
+    assert data == _csv_module_text(header, rows).encode()
+    assert w.entries == [{"name": "t.csv", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}]
+
+
+@pytest.mark.parametrize("field", ["1.5", None, np.bool_(True), np.int64(3), np.float32(1.5), 1j, b"1"],
+                         ids=lambda v: type(v).__name__)
+def test_csv_writer_rejects_other_field_types(tmp_path, field):
+    with pytest.raises(TypeError, match="CSV field"):
+        cli.OutputWriter(tmp_path).write_csv("t.csv", ["a", "b"], [(1, 2.0), (3, field)])
+    assert not (tmp_path / "t.csv").exists()
 
 
 # -- exit codes and errors ---------------------------------------------------
@@ -167,6 +231,19 @@ def test_closed_form_outside_the_float_range_exits_3_typed(tmp_path, capsys, par
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err == {"type": "FloatRangeError",
                    "message": "box: energy at n=1 leaves the float range (ZeroDivisionError)"}
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "criterion", "report"])
+def test_closed_form_that_underflows_exits_3_typed(tmp_path, capsys, sub):
+    # E_1 of this box is 0 in SI; criterion and report used to divide by it
+    doc = {"model": {"kind": "box", "units": "natural-box", "params": {"mass": 1e260, "width": 1.0}}}
+    rc = main([sub, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "FloatRangeError"
+    assert err["message"] == "box: energy at n=1 leaves the float range (underflows to 0.0 in SI, 0.0 in model units)"
 
 
 def _table_model(mass, x, u):

@@ -334,7 +334,7 @@ def test_complex_amplitudes(box):
 @pytest.mark.parametrize("model, quantity, n", [
     (sl.box(1e-300, 1e-300), "energy", 1),  # width^2 underflows to 0: division by zero
     (sl.box(1e300, 1e300), "energy", 1),  # width^2 overflows
-    (sl.hydrogenoid(1e-300, 1, 1e-300), "period", 1),  # mu e^4 underflows to 0
+    (sl.hydrogenoid(1e-300, 1, 1e-300), "energy", 1),  # mu e^4 underflows to 0: E_1 is -0.0
     (sl.harmonic(1e-300, 1e300), "energy", 1),  # omega is inf
 ])
 def test_closed_forms_outside_the_float_range_raise_a_typed_error(model, quantity, n):
@@ -344,6 +344,36 @@ def test_closed_forms_outside_the_float_range_raise_a_typed_error(model, quantit
     single = sl.energy_level if quantity == "energy" else sl.classical_period
     with pytest.raises(sl.FloatRangeError, match=f"^{model.kind}: {quantity} at n={n} "):
         single(model, n)
+
+
+def test_closed_forms_that_underflow_raise_a_typed_error():
+    # E_n and (E_n - E_{n-1})/2 of a heavy box are 0 or subnormal in SI: a y of 0 or digits lost
+    for model, n in ((sl.box(1e262, 1.0), 2), (sl.box(1e260, 1.0), 2), (sl.box(1e255, 1.0), 40)):
+        with pytest.raises(sl.FloatRangeError, match=f"^box: gap_energy at n={n} leaves the float range \\(underflows"):
+            sl.level_gap(model, n)
+        with pytest.raises(sl.FloatRangeError, match="^box: energy at n=1 leaves the float range \\(underflows"):
+            sl.classify(model, (2, 5))  # divided dE by E_1 = 0
+    # the period of a hydrogenoid whose mu e^4 underflows still fails on its own
+    with pytest.raises(sl.FloatRangeError, match=r"^hydrogenoid: period at n=1 leaves the float range \(ZeroDivision"):
+        sl.classical_period(sl.hydrogenoid(1e-300, 1, 1e-300), 1)
+    # a period-degenerate kind's period gap is exactly 0, and allowed to be
+    assert sl.level_gap_period(sl.harmonic(), 3) == 0.0
+    assert sl.level_gap(sl.harmonic(), 3).y_over_hbar == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass_exp=st.floats(-300.0, 300.0), n=st.one_of(st.integers(2, 60), st.sampled_from((100, 1000))))
+@example(mass_exp=262.0, n=2)
+@example(mass_exp=255.0, n=40)
+def test_box_y_is_exact_or_a_typed_error_for_every_mass(mass_exp, n):
+    # y(n)/hbar of a box does not depend on its mass: any y given must be the closed form's. In
+    # natural-box units at width 1 every intermediate of the formulas is a normal float; at other
+    # widths and in other unit systems m a^2 can be subnormal inside a formula (see CHANGES.md)
+    try:
+        y = sl.y_function(sl.box(10.0**mass_exp, 1.0), n)
+    except sl.FloatRangeError:
+        return
+    assert y == pytest.approx(box_y(n), rel=1e-12)
 
 
 def test_si_parameters_outside_the_float_range_raise_a_typed_error():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -232,6 +234,19 @@ def test_to_dict_from_dict_round_trip(kind):
     assert doc["kind"] == kind and doc["units"] == model.units.name
     assert sl.model_from_dict(doc) == model
     assert sl.model_from_json(json.dumps(doc)) == model
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_model_keeps_its_si_view_and_profile_and_still_pickles(kind):
+    from speclimit.models import _si_view, well_profile
+
+    model = ALL_KINDS[kind]()
+    si, profile = _si_view(model), well_profile(model)
+    assert _si_view(model) is si and well_profile(model) is profile  # built once, kept on the model
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone == model and hash(clone) == hash(model)
+        assert well_profile(clone) is not profile and well_profile(clone).e_ceiling == profile.e_ceiling
+        assert vars(_si_view(clone)) == vars(si)
 
 
 def test_converted_preserves_physics(hyd):
