@@ -39,16 +39,8 @@ from .models import (
 
 SCHEMA_VERSION = "1"
 DEFAULT_OUT = "speclimit-out"
-ANALYSES = ("spectrum", "criterion", "noise", "simulate", "report")
 
 _COMMON_KEYS = ("model", "analysis", "output_dir", "seed")
-_ANALYSIS_KEYS = {
-    "spectrum": ("n_limit", "semiclassical_check"),
-    "criterion": ("n_range", "method"),
-    "noise": ("noise",),
-    "simulate": ("n_range", "protocol"),
-    "report": ("n_limit", "n_range", "method", "semiclassical_check"),
-}
 _NOISE_DEFAULTS = {
     "position_center": 2.0,
     "momentum_center": -1.0,
@@ -259,8 +251,8 @@ def _opt_n_range(doc, model: ModelSpec):
 
 
 def validate_config(doc: dict, analysis: str) -> dict:
-    allowed = _COMMON_KEYS + _ANALYSIS_KEYS[analysis]
-    _check_keys(doc, allowed, "")
+    keys = _COMMANDS[analysis][1]
+    _check_keys(doc, _COMMON_KEYS + keys, "")
     if "model" not in doc:
         raise ConfigError("model", "missing required key")
     model = model_from_dict(doc["model"])
@@ -274,17 +266,17 @@ def validate_config(doc: dict, analysis: str) -> dict:
     out["output_dir"] = od
     out["seed"] = _get_int(doc, "seed", "", None, lo=0, hi=2**64 - 1)
 
-    if analysis in ("spectrum", "report"):
+    if "n_limit" in keys:
         out["n_limit"] = _get_int(doc, "n_limit", "", None, lo=1)
         out["semiclassical_check"] = _get_bool(doc, "semiclassical_check", "", False)
-    if analysis in ("criterion", "simulate", "report"):
+    if "n_range" in keys:
         out["n_range"] = _opt_n_range(doc, model)
-    if analysis in ("criterion", "report"):
+    if "method" in keys:
         method = doc.get("method", "auto")
         if method not in ("auto", "closed", "semiclassical"):
             raise ConfigError("method", f"expected auto, closed, or semiclassical, got {method!r}")
         out["method"] = method
-    if analysis == "noise":
+    if "noise" in keys:
         sub = doc.get("noise", {})
         if not isinstance(sub, dict):
             raise ConfigError("noise", f"expected an object, got {sub!r}")
@@ -296,7 +288,7 @@ def validate_config(doc: dict, analysis: str) -> dict:
             "delta_p": _get_number(sub, "delta_p", "noise", _NOISE_DEFAULTS["delta_p"], minimum=0.0),
             "count": _get_int(sub, "count", "noise", _NOISE_DEFAULTS["count"], lo=2),
         }
-    if analysis == "simulate":
+    if "protocol" in keys:
         sub = doc.get("protocol", {})
         if not isinstance(sub, dict):
             raise ConfigError("protocol", f"expected an object, got {sub!r}")
@@ -313,9 +305,10 @@ def validate_config(doc: dict, analysis: str) -> dict:
 # -- analyses ------------------------------------------------------------
 
 
-def _write_spectrum(model: ModelSpec, n_limit: int, semi_check: bool, w: OutputWriter) -> int:
-    """Write spectrum.csv for the first ``n_limit`` levels; return the number of rows."""
-    rows = [[n, e, tau] for n, (e, tau) in spectrum(model, _first_levels(model, n_limit)).items()]
+def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int) -> int:
+    """Write spectrum.csv for the first ``n_limit`` levels (10 when unset); return the number of rows."""
+    semi_check = cfg["semiclassical_check"]
+    rows = [[n, e, tau] for n, (e, tau) in spectrum(model, _first_levels(model, cfg["n_limit"] or 10)).items()]
     if semi_check:
         from . import semiclassical
 
@@ -326,30 +319,16 @@ def _write_spectrum(model: ModelSpec, n_limit: int, semi_check: bool, w: OutputW
     return len(rows)
 
 
-def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
-    _write_spectrum(model, cfg["n_limit"] or 10, cfg["semiclassical_check"], w)
-
-
-def _criterion_outputs(model: ModelSpec, n_range, method, w: OutputWriter, prefix=""):
-    rep = classify(model, n_range, method)
-    w.write_csv(
-        prefix + "criterion.csv",
-        ["n", "E_n", "tau_n", "dE", "dTau", "y_over_hbar", "resolvable"],
-        rep.csv_rows(),
-    )
-    w.write_csv(
-        prefix + "y_curve.csv",
-        ["n", "y_over_hbar", "half"],
-        [(g.n, g.y_over_hbar, 0.5) for g in rep.gaps],
-    )
+def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
+    """Write the criterion table, the y curve and their summary; return the report."""
+    n_range = cfg["n_range"]
+    rep = classify(model, n_range, cfg["method"])
+    w.write_csv("criterion.csv", ["n", "E_n", "tau_n", "dE", "dTau", "y_over_hbar", "resolvable"], rep.csv_rows())
+    w.write_csv("y_curve.csv", ["n", "y_over_hbar", "half"], [(g.n, g.y_over_hbar, 0.5) for g in rep.gaps])
     summary = {"analysis": "criterion", "model": model.to_dict(), "n_range": list(n_range)}
     summary.update(rep.to_json_dict())
-    w.write_json(prefix + "criterion_summary.json", summary)
+    w.write_json("criterion_summary.json", summary)
     return rep
-
-
-def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
-    _criterion_outputs(model, cfg["n_range"], cfg["method"], w)
 
 
 def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
@@ -460,9 +439,9 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 
 
 def cmd_report(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
-    n_range = cfg["n_range"]
-    level_count = _write_spectrum(model, cfg["n_limit"] or max(10, n_range[1]), cfg["semiclassical_check"], w)
-    rep = _criterion_outputs(model, n_range, cfg["method"], w)
+    # the spectrum reaches the criterion's last level unless n_limit is set
+    level_count = cmd_spectrum(model, {**cfg, "n_limit": cfg["n_limit"] or max(10, cfg["n_range"][1])}, w, seed)
+    rep = cmd_criterion(model, cfg, w, seed)
     w.write_json("report.json", {
         "analysis": "report",
         "model": model.to_dict(),
@@ -476,12 +455,14 @@ def cmd_report(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     })
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "criterion": cmd_criterion,
-    "noise": cmd_noise,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
+# subcommand -> (help, its config keys beside _COMMON_KEYS, the function that runs it)
+_COMMANDS = {
+    "spectrum": ("tabulate energy levels and classical periods", ("n_limit", "semiclassical_check"), cmd_spectrum),
+    "criterion": ("evaluate the y(n) resolvability criterion", ("n_range", "method"), cmd_criterion),
+    "noise": ("Gaussian measurement-noise ensembles and SQL checks", ("noise",), cmd_noise),
+    "simulate": ("Monte Carlo period-timing discrimination sweep", ("n_range", "protocol"), cmd_simulate),
+    "report": ("spectrum plus criterion in one run", ("n_limit", "n_range", "method", "semiclassical_check"),
+               cmd_report),
 }
 
 
@@ -496,15 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__} (schema {SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="analysis", required=True)
-    descriptions = {
-        "spectrum": "tabulate energy levels and classical periods",
-        "criterion": "evaluate the y(n) resolvability criterion",
-        "noise": "Gaussian measurement-noise ensembles and SQL checks",
-        "simulate": "Monte Carlo period-timing discrimination sweep",
-        "report": "spectrum plus criterion in one run",
-    }
-    for name in ANALYSES:
-        sp = sub.add_parser(name, help=descriptions[name])
+    for name, (summary, _, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=True, help="path to the JSON run configuration")
         sp.add_argument("--out", default=None, help="output directory (overrides config and environment)")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (overrides the config)")
@@ -537,7 +511,7 @@ def main(argv=None) -> int:
             raise ConfigError("output_dir", f"cannot create output directory {outdir}: {exc}") from None
         started = _utcnow()
         writer = OutputWriter(outdir)
-        _DISPATCH[args.analysis](cfg["model"], cfg, writer, seed)
+        _COMMANDS[args.analysis][2](cfg["model"], cfg, writer, seed)
         writer.write_record(args.analysis, doc, seed, started)
     except ConfigError as exc:
         _print_error("ConfigError", str(exc), exc.path)

@@ -39,6 +39,7 @@ from .models import (
 __all__ = [
     "DEGENERATE_PERIOD_NOTE",
     "HYDROGENOID_THRESHOLD_NOTE",
+    "MORSE_TAIL_NOTE",
     "SuperpositionState",
     "LevelGap",
     "ResolvabilityReport",

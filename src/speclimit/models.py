@@ -37,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 from .errors import ConfigError, FloatRangeError, ModelDefinitionError, OutOfRangeError, UnsupportedModelError
@@ -122,13 +123,6 @@ class Param:
         return tuple(v * r for v in value) if self.type is tuple else value * r
 
 
-class _SI:
-    """A model's parameters and derived constants in SI, as attributes."""
-
-    def __init__(self, **values):
-        self.__dict__.update(values)
-
-
 def _positive(name: str, value, kind: str) -> float:
     if not (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value > 0):
         raise ModelDefinitionError(f"{kind}: {name} must be a positive finite number, got {value!r}")
@@ -179,7 +173,7 @@ class BoxParams(WellKind):
     maslov = 0
 
     def si(self, units: UnitSystem):
-        return _SI(mass=units.to_si(self.mass, "mass"), width=units.to_si(self.width, "length"))
+        return SimpleNamespace(mass=units.to_si(self.mass, "mass"), width=units.to_si(self.width, "length"))
 
     energy = staticmethod(lambda si, n: (HBAR_SI * math.pi * n) ** 2 / (2.0 * si.mass * si.width**2))
     period = staticmethod(lambda si, n: 2.0 * si.width**2 * si.mass / (HBAR_SI * math.pi * n))
@@ -189,7 +183,7 @@ class BoxParams(WellKind):
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import box_potential
 
-        si = _si_view(model)
+        si = model._si
         a = si.width
         return WellProfile(mass=si.mass, potential=box_potential(a), turning_points=lambda e: (0.0, a),
                            u_min=0.0, e_ceiling=math.inf, e_scale=self.energy(si, 1))
@@ -209,7 +203,7 @@ class HarmonicParams(WellKind):
     def si(self, units: UnitSystem):
         m = units.to_si(self.mass, "mass")
         k = units.to_si(self.stiffness, "stiffness")
-        return _SI(mass=m, stiffness=k, omega=math.sqrt(k / m))
+        return SimpleNamespace(mass=m, stiffness=k, omega=math.sqrt(k / m))
 
     energy = staticmethod(lambda si, n: HBAR_SI * si.omega * (n + 0.5))
     period = staticmethod(lambda si, n: 2.0 * math.pi / si.omega)
@@ -219,7 +213,7 @@ class HarmonicParams(WellKind):
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import harmonic_potential
 
-        si = _si_view(model)
+        si = model._si
         k = si.stiffness
 
         def turning_points(e):
@@ -258,7 +252,7 @@ class HydrogenoidParams(WellKind):
 
     def si(self, units: UnitSystem):
         # coupling Z e^2 in J m
-        return _SI(mass=units.to_si(self.reduced_mass, "mass"),
+        return SimpleNamespace(mass=units.to_si(self.reduced_mass, "mass"),
                                coupling=self.z * units.to_si(self.charge**2, "coulomb"))
 
     energy = staticmethod(lambda si, n: -si.mass * si.coupling**2 / (2.0 * HBAR_SI**2 * n**2))
@@ -271,7 +265,7 @@ class HydrogenoidParams(WellKind):
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import coulomb_potential
 
-        si = _si_view(model)
+        si = model._si
         mu, c = si.mass, si.coupling
         return WellProfile(
             mass=mu,
@@ -336,10 +330,10 @@ class MorseParams(WellKind):
         d = units.to_si(self.depth, "energy")
         a = units.to_si(self.alpha, "inverse_length")
         omega = a * math.sqrt(2.0 * d / m)
-        return _SI(mass=m, depth=d, alpha=a, omega=omega, zeta=2.0 * d / (HBAR_SI * omega))
+        return SimpleNamespace(mass=m, depth=d, alpha=a, omega=omega, zeta=2.0 * d / (HBAR_SI * omega))
 
     def n_max(self, model: ModelSpec) -> int:
-        return math.ceil(_si_view(model).zeta / 2.0 - 0.5) - 1
+        return math.ceil(model._si.zeta / 2.0 - 0.5) - 1
 
     def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
         if regime == "all-unresolvable" and ys != sorted(ys, reverse=True):
@@ -357,7 +351,7 @@ class MorseParams(WellKind):
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import morse_potential
 
-        si = _si_view(model)
+        si = model._si
         d, a = si.depth, si.alpha
 
         def turning_points(e):
@@ -415,7 +409,7 @@ class NumericPotentialParams(WellKind):
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
 
     def si(self, units: UnitSystem):
-        return _SI(mass=units.to_si(self.mass, "mass"),
+        return SimpleNamespace(mass=units.to_si(self.mass, "mass"),
                                x=tuple(units.to_si(v, "length") for v in self.x),
                                u=tuple(units.to_si(v, "energy") for v in self.u))
 
@@ -439,7 +433,7 @@ class NumericPotentialParams(WellKind):
         """
         from .profiles import _numeric_turning_points, _pchip
 
-        si = _si_view(model)
+        si = model._si
         pieces = _pchip(si.x, si.u)
         bottom = si.u.index(min(si.u))
         um = si.u[bottom]
@@ -460,44 +454,45 @@ KINDS = {k.kind: k for k in (BoxParams, HarmonicParams, HydrogenoidParams, Morse
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model kind, its parameters, and the unit system they are stated in."""
+    """A model's parameters, whose class is its kind, and the unit system they are stated in."""
 
-    kind: str
     params: WellKind
     units: UnitSystem
 
     def __post_init__(self):
-        expected = KINDS.get(self.kind) if isinstance(self.kind, str) else None
-        if expected is None:
-            raise ModelDefinitionError(f"unknown model kind {self.kind!r}; expected one of {tuple(KINDS)}")
-        if not isinstance(self.params, expected):
-            raise ModelDefinitionError(f"{self.kind}: params must be {expected.__name__}")
+        if not isinstance(self.params, WellKind):
+            raise ModelDefinitionError(f"params must be a WellKind, got {type(self.params).__name__}")
         self.params.validate(self.units)
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def box(cls, mass: float = 1.0, width: float = 1.0, units: UnitSystem = NATURAL_BOX) -> "ModelSpec":
-        return cls("box", BoxParams(float(mass), float(width)), units)
+        return cls(BoxParams(float(mass), float(width)), units)
 
     @classmethod
     def harmonic(cls, mass: float = 1.0, stiffness: float = 1.0, units: UnitSystem = OSCILLATOR) -> "ModelSpec":
-        return cls("harmonic", HarmonicParams(float(mass), float(stiffness)), units)
+        return cls(HarmonicParams(float(mass), float(stiffness)), units)
 
     @classmethod
     def hydrogenoid(cls, reduced_mass: float = 1.0, z: int = 1, charge: float = 1.0,
                     units: UnitSystem = ATOMIC) -> "ModelSpec":
-        return cls("hydrogenoid", HydrogenoidParams(float(reduced_mass), int(z), float(charge)), units)
+        return cls(HydrogenoidParams(float(reduced_mass), int(z), float(charge)), units)
 
     @classmethod
     def morse(cls, mass: float, depth: float, alpha: float, units: UnitSystem = MOLECULAR) -> "ModelSpec":
-        return cls("morse", MorseParams(float(mass), float(depth), float(alpha)), units)
+        return cls(MorseParams(float(mass), float(depth), float(alpha)), units)
 
     @classmethod
     def numeric(cls, mass: float, x, u, units: UnitSystem = OSCILLATOR) -> "ModelSpec":
-        return cls("numeric", NumericPotentialParams(float(mass), tuple(map(float, x)), tuple(map(float, u))), units)
+        return cls(NumericPotentialParams(float(mass), tuple(map(float, x)), tuple(map(float, u))), units)
 
     # -- derived quantities --------------------------------------------
+
+    @property
+    def kind(self) -> str:
+        """The kind's name, as its params class states it."""
+        return self.params.kind
 
     @property
     def hbar(self) -> float:
@@ -507,7 +502,7 @@ class ModelSpec:
     @property
     def omega(self) -> float:
         """Angular frequency at the well bottom, in system units (1/time)."""
-        si = _si_view(self)
+        si = self._si
         if not hasattr(si, "omega"):
             raise UnsupportedModelError(f"omega is defined for harmonic and morse models, not {self.kind!r}")
         return si.omega * self.units.time_s
@@ -515,7 +510,7 @@ class ModelSpec:
     @property
     def zeta(self) -> float:
         """Morse well capacity 2 D / (hbar omega), dimensionless."""
-        si = _si_view(self)
+        si = self._si
         if not hasattr(si, "zeta"):
             raise UnsupportedModelError(f"zeta is defined for morse models, not {self.kind!r}")
         return si.zeta
@@ -524,6 +519,10 @@ class ModelSpec:
     # instance, so a per-level closed form reads them without hashing the model.
     @cached_property
     def _si(self):
+        """The parameters and derived constants in SI, as attributes.
+
+        Parameters whose SI values leave the float range raise FloatRangeError.
+        """
         try:
             return self.params.si(self.units)
         except ArithmeticError as exc:
@@ -535,13 +534,13 @@ class ModelSpec:
 
     def __getstate__(self):
         # a profile holds closures, which do not pickle; a copy builds its own
-        return {"kind": self.kind, "params": self.params, "units": self.units}
+        return {"params": self.params, "units": self.units}
 
     def converted(self, units: UnitSystem) -> "ModelSpec":
         """Re-express the same physical model in another unit system."""
         p = self.params
         values = {q.attr: q.rescaled(getattr(p, q.attr), self.units, units) for q in p.schema}
-        return ModelSpec(self.kind, type(p)(**values), units)
+        return ModelSpec(type(p)(**values), units)
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the model, matching the config schema."""
@@ -550,15 +549,6 @@ class ModelSpec:
             value = getattr(self.params, q.attr)
             params[q.key] = list(value) if q.type is tuple else value
         return {"kind": self.kind, "units": self.units.name, "params": params}
-
-
-def _si_view(model: ModelSpec):
-    """The model's parameters and derived constants in SI, as attributes.
-
-    Built on the model's first call and kept on it; parameters whose SI values
-    leave the float range raise FloatRangeError.
-    """
-    return model._si
 
 
 # -- level range -------------------------------------------------------
@@ -612,7 +602,7 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
         raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
     if n == lo and forms[0].startswith("gap_"):
         raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
-    si = _si_view(model)
+    si = model._si
     values = []
     for form in forms:
         try:
@@ -785,7 +775,7 @@ def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:
     _check_keys(params, [p.key for p in cls.schema], ppath)
     try:
         values = {p.attr: _get_param(params, p, ppath) for p in cls.schema}
-        return ModelSpec(kind, cls(**values), units)
+        return ModelSpec(cls(**values), units)
     except ModelDefinitionError as exc:
         raise ConfigError(ppath, str(exc)) from None
 

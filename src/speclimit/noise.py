@@ -99,42 +99,39 @@ def _exact_sum(arr: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _variance(arr: np.ndarray, m: float, ddof: int = 1) -> float:
-    """Sample variance of ``arr`` about its already computed exactly rounded mean ``m``."""
-    if arr.size <= ddof:
-        raise InvalidArgumentError(f"variance needs more than {ddof} values, got {arr.size}")
-    d = arr - m
-    # second pass with a correction term for the residual mean error
-    ss = _exact_sum(d * d)
-    corr = _exact_sum(d) ** 2 / arr.size
-    return (ss - corr) / (arr.size - ddof)
+def _moments(values, what: str, ddof: int | None = 1) -> tuple[float, float | None]:
+    """Exactly rounded mean of ``values`` and, unless ``ddof`` is None, their sample variance.
 
-
-def _moments(arr: np.ndarray, what: str) -> tuple[float, float]:
-    """Exactly rounded mean and sample variance of ``arr``.
-
-    Where a sum or a square of finite values leaves the float range, this
-    raises FloatRangeError, naming ``what``, instead of fsum's OverflowError
-    or an infinite variance.
+    The one checked path of every statistic here: a sum or a squared deviation
+    of finite values that leaves the float range raises FloatRangeError naming
+    ``what``, and fsum's refusal of inf + -inf InvalidArgumentError. Values
+    holding inf or nan otherwise keep fsum's results.
     """
+    arr = _as_array(values)
+    if ddof is not None and arr.size <= ddof:
+        raise InvalidArgumentError(f"variance needs more than {ddof} values, got {arr.size}")
+    if not arr.size:
+        raise InvalidArgumentError("mean of an empty sequence")
     try:
-        with np.errstate(over="raise"):
-            m = fmean(arr)
-            return m, _variance(arr, m)
+        with np.errstate(over="raise", invalid="ignore"):
+            m = _exact_sum(arr) / arr.size
+            if ddof is None:
+                return m, None
+            d = arr - m
+            # second pass with a correction term for the residual mean error
+            return m, (_exact_sum(d * d) - _exact_sum(d) ** 2 / arr.size) / (arr.size - ddof)
     except (OverflowError, FloatingPointError):
         raise FloatRangeError(f"{what}: a sum or a square of {arr.size} values leaves the float range") from None
+    except ValueError:  # fsum's inf + -inf
+        raise InvalidArgumentError(f"{what}: a sum of inf and -inf is undefined") from None
 
 
 def fmean(values) -> float:
-    arr = _as_array(values)
-    if not arr.size:
-        raise InvalidArgumentError("mean of an empty sequence")
-    return _exact_sum(arr) / arr.size
+    return _moments(values, "mean", None)[0]
 
 
 def fvariance(values, ddof: int = 1) -> float:
-    arr = _as_array(values)
-    return _variance(arr, fmean(arr) if arr.size else 0.0, ddof)
+    return _moments(values, "variance", ddof)[1]
 
 
 @dataclass(frozen=True)
@@ -212,8 +209,17 @@ class MeasurementEnsemble:
         return cls(samples=samples, seed=seed, stream=stream, true_center=center, sigma=sigma)
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+def _draw(center: float, sigma: float, count: int, seed: int, stream: int, what: str) -> np.ndarray:
+    """``count`` outcomes center + sigma N(0, 1) from Philox keyed [seed, stream], for ensembles and estimates alike.
+
+    Outcomes past the float range raise FloatRangeError naming ``what``.
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    try:
+        with np.errstate(over="raise"):
+            return center + sigma * gen.standard_normal(count)
+    except FloatingPointError:
+        raise FloatRangeError(f"{what} leave the float range") from None
 
 
 def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: int = 0) -> MeasurementEnsemble:
@@ -224,16 +230,11 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
         raise InvalidSigmaError(f"sigma must be finite and >= 0, got {sigma!r}")
     if not math.isfinite(center):
         raise InvalidArgumentError(f"center must be finite, got {center!r}")
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed < 2**64):
-        raise InvalidArgumentError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not (isinstance(stream, int) and not isinstance(stream, bool) and 0 <= stream < 2**64):
-        raise InvalidArgumentError(f"stream must be an integer in [0, 2^64), got {stream!r}")
-    try:
-        with np.errstate(over="raise"):
-            samples = float(center) + float(sigma) * _rng(seed, stream).standard_normal(count)
-    except FloatingPointError:
-        raise InvalidSigmaError(
-            f"sigma={sigma!r} about center={center!r} draws outcomes past the float range") from None
+    for name, v in (("seed", seed), ("stream", stream)):
+        if not (isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64):
+            raise InvalidArgumentError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+    samples = _draw(float(center), float(sigma), count, seed, stream,
+                    f"outcomes of sigma={sigma!r} about center={center!r}")
     return MeasurementEnsemble(samples=tuple(samples.tolist()), seed=seed, stream=stream,
                                true_center=float(center), sigma=float(sigma))
 
@@ -270,16 +271,16 @@ def characteristic_check(ensemble: MeasurementEnsemble, p: float, hbar: float = 
         phase = p * (ensemble._array - ensemble.true_center) / hbar
     if np.isinf(phase).any():
         raise InvalidArgumentError(f"characteristic phase p (x - center) / hbar overflows at p={p!r}")
-    cos_terms, sin_terms = np.cos(phase), -np.sin(phase)
-    mc_real, mc_imag = fmean(cos_terms), fmean(sin_terms)
+    mc_real, var_real = _moments(np.cos(phase), "characteristic check")
+    mc_imag, var_imag = _moments(-np.sin(phase), "characteristic check")
     return CharacteristicCheck(
         p=p,
         delta_x=ensemble.sigma,
         mc_real=mc_real,
         mc_imag=mc_imag,
         exact=characteristic_factor(ensemble.sigma, p, hbar),
-        se_real=math.sqrt(_variance(cos_terms, mc_real) / phase.size),
-        se_imag=math.sqrt(_variance(sin_terms, mc_imag) / phase.size),
+        se_real=math.sqrt(var_real / phase.size),
+        se_imag=math.sqrt(var_imag / phase.size),
     )
 
 
@@ -348,14 +349,33 @@ def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: Measureme
 # -- harmonic-oscillator error propagation --------------------------------
 
 
+def _oscillator_omega(m: float, k: float, a: float, hbar: float) -> float:
+    """omega = sqrt(k / m), once m, k and hbar are checked positive and finite and the noise scale a finite and >= 0.
+
+    A bad input raises InvalidArgumentError, an omega out of the positive finite floats FloatRangeError.
+    """
+    for name, v in (("m", m), ("k", k), ("hbar", hbar)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise InvalidArgumentError(f"{name} must be positive and finite, got {v!r}")
+    if not (math.isfinite(a) and a >= 0.0):
+        raise InvalidArgumentError(f"noise scale a must be finite and >= 0, got {a!r}")
+    omega = math.sqrt(k / m)
+    if not 0.0 < omega < math.inf:
+        raise FloatRangeError(f"omega = sqrt(k / m) leaves the float range at k={k!r}, m={m!r}")
+    return omega
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise FloatRangeError(f"{what} leaves the float range (got {value!r})")
+    return value
+
+
 def noise_widths(m: float, k: float, a: float, hbar: float = 1.0) -> tuple[float, float]:
     """Balanced noise pair (delta_q, delta_p) with product a^2 hbar / 2."""
-    if m <= 0 or k <= 0:
-        raise InvalidArgumentError("m and k must be positive")
-    if a < 0:
-        raise InvalidArgumentError(f"noise scale a must be >= 0, got {a!r}")
-    omega = math.sqrt(k / m)
-    return math.sqrt(hbar / (2.0 * m * omega)) * a, math.sqrt(m * hbar * omega / 2.0) * a
+    omega = _oscillator_omega(m, k, a, hbar)
+    return (_finite(math.sqrt(hbar / (2.0 * m * omega)) * a, "delta_q"),
+            _finite(math.sqrt(m * hbar * omega / 2.0) * a, "delta_p"))
 
 
 def harmonic_energy_error(q: float, p: float, m: float, k: float, a: float,
@@ -365,13 +385,11 @@ def harmonic_energy_error(q: float, p: float, m: float, k: float, a: float,
     Equals [|p| sqrt(hbar w / 2m) + k |q| sqrt(hbar / 2mw)] a, and its square
     is (2/hbar) [same bracket]^2 delta_p delta_q.
     """
-    if m <= 0 or k <= 0:
-        raise InvalidArgumentError("m and k must be positive")
-    if a < 0:
-        raise InvalidArgumentError(f"noise scale a must be >= 0, got {a!r}")
-    omega = math.sqrt(k / m)
+    if not (math.isfinite(q) and math.isfinite(p)):
+        raise InvalidArgumentError(f"q and p must be finite, got {q!r}, {p!r}")
+    omega = _oscillator_omega(m, k, a, hbar)
     bracket = abs(p) * math.sqrt(hbar * omega / (2.0 * m)) + k * abs(q) * math.sqrt(hbar / (2.0 * m * omega))
-    return bracket * a
+    return _finite(bracket * a, "harmonic energy error")
 
 
 def required_noise_product_for_resolution(model: ModelSpec, n: int) -> float:

@@ -158,17 +158,13 @@ def _adaptive(f, segments) -> float:
 # -- turning points ------------------------------------------------------
 
 
-def _require_bound(profile: WellProfile, e: float):
+def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
     if not math.isfinite(e):
         raise NoBoundMotionError(f"energy must be finite, got {e!r}")
     if e <= profile.u_min or e >= profile.e_ceiling:
         lo = "-inf" if profile.u_min == -math.inf else f"{profile.u_min:.6g}"
         hi = "inf" if profile.e_ceiling == math.inf else f"{profile.e_ceiling:.6g}"
         raise NoBoundMotionError(f"no bound orbit at E={e:.6g} J; well supports ({lo}, {hi}) J")
-
-
-def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
-    _require_bound(profile, e)
     return profile.turning_points(e)
 
 
@@ -185,15 +181,17 @@ def turning_points(model: ModelSpec, energy: float) -> TurningPoints:
 def _theta_segments(profile: WellProfile, xm: float, xp: float):
     """Split [0, pi/2] at the preimages of the table knots inside (xm, xp).
 
-    Returns the segments and, on a table, the list of the PCHIP pieces under
-    them; both come from the same knots, so segment i lies on piece
-    ``pieces[i]``. A cut that coincides with the next drops the empty
-    segment and its piece together. Closed-form wells get the one segment
-    and None. On a table the orbit must lie inside the tabulated range.
+    Returns the segments, the list of the PCHIP pieces under them on a
+    table (None off one), and U(x, rows) for x on the theta rows ``rows``
+    of the segments. Segments and pieces come from the same knots, so
+    segment i lies on piece ``pieces[i]``, and U evaluates each row on its
+    piece without a search. A cut that coincides with the next drops the
+    empty segment and its piece together. Closed-form wells get the one
+    segment. On a table the orbit must lie inside the tabulated range.
     """
     table = profile.pieces
     if table is None:
-        return [(0.0, math.pi / 2.0)], None
+        return [(0.0, math.pi / 2.0)], None, lambda x, rows: profile.potential(x)
     table.require_inside(xm, xp)
     knots = table.knots
     first = max(bisect.bisect_right(knots, xm), 1)  # the first interior knot past xm
@@ -201,14 +199,8 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
     dx = xp - xm
     cuts = [0.0, *(math.asin(math.sqrt((xb - xm) / dx)) for xb in knots[first:stop].tolist()), math.pi / 2.0]
     keep = [i for i in range(len(cuts) - 1) if cuts[i] < cuts[i + 1]]
-    return [(cuts[i], cuts[i + 1]) for i in keep], [first - 1 + i for i in keep]
-
-
-def _segment_potential(profile: WellProfile, pieces):
-    """U(x, rows) for x on the theta rows ``rows`` of the segments lying on ``pieces`` (None off a table)."""
-    if pieces is None:
-        return lambda x, rows: profile.potential(x)
-    return profile.pieces._on_rows(pieces)
+    pieces = [first - 1 + i for i in keep]
+    return [(cuts[i], cuts[i + 1]) for i in keep], pieces, table._on_rows(pieces)
 
 
 def _action_si(profile: WellProfile, e: float) -> float:
@@ -216,8 +208,7 @@ def _action_si(profile: WellProfile, e: float) -> float:
         return 0.0  # degenerate orbit at the well bottom
     xm, xp = _turning_points_si(profile, e)
     dx = xp - xm
-    segments, pieces = _theta_segments(profile, xm, xp)
-    u = _segment_potential(profile, pieces)
+    segments, _, u = _theta_segments(profile, xm, xp)
 
     def integrand(theta, rows):
         s = np.sin(theta)
@@ -273,8 +264,7 @@ def _factored_ends(interior, table, pieces, xm: float, xp: float):
 def _period_si(profile: WellProfile, e: float) -> float:
     xm, xp = _turning_points_si(profile, e)
     dx = xp - xm
-    segments, pieces = _theta_segments(profile, xm, xp)
-    u = _segment_potential(profile, pieces)
+    segments, pieces, u = _theta_segments(profile, xm, xp)
 
     def integrand(theta, rows):
         s = np.sin(theta)

@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, _level_gaps, spectrum
-from .errors import DegeneratePeriodError, FloatRangeError, InvalidArgumentError, OutOfRangeError
+from .errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError
 from .models import ModelSpec, n_min
-from .noise import _moments, fmean, fvariance
+from .noise import _draw, _moments, fmean, fvariance
 
 __all__ = [
     "PeriodProtocol",
@@ -98,13 +96,9 @@ def _saturating_delta_t(model: ModelSpec, gap: LevelGap) -> float:
     return model.units.hbar / (2.0 * gap.dE)
 
 
-def _estimates(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=np.array([protocol.seed, n], dtype=np.uint64)))
-    try:
-        with np.errstate(over="raise"):
-            return tau + protocol.estimator_sd(delta_t) * gen.standard_normal(protocol.trials)
-    except FloatingPointError:
-        raise FloatRangeError(f"level {n}: period estimates at delta_t={delta_t!r} leave the float range") from None
+def _estimates(n: int, protocol: PeriodProtocol, tau: float, delta_t: float):
+    return _draw(tau, protocol.estimator_sd(delta_t), protocol.trials, protocol.seed, n,
+                 f"level {n}: period estimates at delta_t={delta_t!r}")
 
 
 def _samples(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> PeriodSampleSet:

@@ -238,15 +238,28 @@ def test_to_dict_from_dict_round_trip(kind):
 
 @pytest.mark.parametrize("kind", sorted(ALL_KINDS))
 def test_model_keeps_its_si_view_and_profile_and_still_pickles(kind):
-    from speclimit.models import _si_view, well_profile
+    from speclimit.models import well_profile
 
     model = ALL_KINDS[kind]()
-    si, profile = _si_view(model), well_profile(model)
-    assert _si_view(model) is si and well_profile(model) is profile  # built once, kept on the model
+    si, profile = model._si, well_profile(model)
+    assert model._si is si and well_profile(model) is profile  # built once, kept on the model
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert clone == model and hash(clone) == hash(model)
         assert well_profile(clone) is not profile and well_profile(clone).e_ceiling == profile.e_ceiling
-        assert vars(_si_view(clone)) == vars(si)
+        assert vars(clone._si) == vars(si)
+
+
+def test_model_spec_rejects_params_that_are_not_a_kind():
+    with pytest.raises(ModelDefinitionError):
+        sl.ModelSpec(object(), sl.SI)
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_model_kind_comes_from_its_params(kind):
+    model = ALL_KINDS[kind]()
+    assert model.kind == type(model.params).kind == kind
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone.kind == kind and clone == model
 
 
 def test_converted_preserves_physics(hyd):

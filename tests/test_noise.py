@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import speclimit as sl
 from speclimit import noise
 from speclimit.errors import (
     DegenerateEnsembleError,
+    FloatRangeError,
     InvalidArgumentError,
     InvalidCountError,
     InvalidSigmaError,
@@ -198,14 +200,33 @@ def _fsum_variance(values, ddof: int = 1) -> float:
     return (math.fsum((d * d).tolist()) - math.fsum(d.tolist()) ** 2 / arr.size) / (arr.size - ddof)
 
 
-def _outcome(f, values):
-    """f(values) as float hex ("nan" for any nan), or the type of the exception it raises."""
+def _outcome(f, values, quiet: bool = True):
+    """f(values) as float hex ("nan" for any nan), or the type of the exception it raises.
+
+    ``quiet`` ignores numpy's floating-point warnings; otherwise every warning is an error.
+    """
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore") if quiet else warnings.catch_warnings():
+            if not quiet:
+                warnings.simplefilter("error")
             value = f(values)
     except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
         return type(exc)
     return "nan" if math.isnan(value) else value.hex()
+
+
+def _as_reported(outcome, values):
+    """fsum's outcome under the statistics' contract.
+
+    fsum's refusal of inf + -inf is InvalidArgumentError; its overflow, and an
+    infinite result from finite values, are FloatRangeError; any other value,
+    nan and inf from non-finite values included, is fsum's.
+    """
+    if outcome is ValueError:
+        return InvalidArgumentError
+    if outcome is OverflowError or (outcome in (math.inf.hex(), (-math.inf).hex()) and all(map(math.isfinite, values))):
+        return FloatRangeError
+    return outcome
 
 
 @pytest.mark.parametrize("values", [
@@ -214,8 +235,10 @@ def _outcome(f, values):
     [1.2e308, 1.2e308, -1.2e308, -1.2e308, 1e308],  # the partial sums overflow in between
 ])
 def test_statistics_of_non_finite_and_overflowing_values_match_fsum(values):
-    assert _outcome(fmean, values) == _outcome(lambda v: math.fsum(v) / len(v), values)
-    assert _outcome(fvariance, values) == _outcome(_fsum_variance, values)
+    # the exact exception type, and no warning on the way
+    fsum_mean = _outcome(lambda v: math.fsum(v) / len(v), values)
+    assert _outcome(fmean, values, quiet=False) == _as_reported(fsum_mean, values)
+    assert _outcome(fvariance, values, quiet=False) == _as_reported(_outcome(_fsum_variance, values), values)
 
 
 # -- ensembles ----------------------------------------------------------------
@@ -248,6 +271,12 @@ def test_sample_ensemble_statistics():
     se = 0.5 / math.sqrt(ens.count)
     assert abs(ens.mean() - 2.0) <= 5 * se
     assert ens.stdev() == pytest.approx(0.5, rel=0.02)
+
+
+def test_ensemble_past_the_float_range_is_a_float_range_error():
+    # 2500 draws at sigma 1e308 hold some |N(0, 1)| above 1.8, whose outcome overflows
+    with pytest.raises(FloatRangeError, match="leave the float range"):
+        sl.sample_ensemble(0.0, 1e308, 2500, seed=0)
 
 
 def test_sample_ensemble_validation():
@@ -388,6 +417,25 @@ def test_harmonic_energy_error_two_routes():
         p = float(rng.uniform(-2, 2))
         direct = abs(p / m) * dp + abs(k * q) * dq
         assert sl.harmonic_energy_error(q, p, m, k, a) == pytest.approx(direct, rel=1e-12)
+
+
+_ANY_FLOAT = st.floats()  # nan, +-inf, subnormals and both zeros included
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_ANY_FLOAT, p=_ANY_FLOAT, m=_ANY_FLOAT, k=_ANY_FLOAT, a=_ANY_FLOAT, hbar=_ANY_FLOAT)
+@example(q=0.0, p=0.0, m=math.nan, k=1.0, a=1.0, hbar=1.0)
+@example(q=0.0, p=0.0, m=1.0, k=math.inf, a=1.0, hbar=1.0)
+@example(q=0.0, p=0.0, m=1.0, k=1.0, a=1.0, hbar=-1.0)
+@example(q=1e300, p=1.0, m=1e-300, k=1e300, a=1.0, hbar=1.0)
+def test_oscillator_noise_is_finite_or_a_typed_error(q, p, m, k, a, hbar):
+    calls = (lambda: sl.noise_widths(m, k, a, hbar), lambda: (sl.harmonic_energy_error(q, p, m, k, a, hbar),))
+    for call in calls:
+        try:
+            values = call()
+        except SpeclimitError:
+            continue
+        assert all(math.isfinite(v) for v in values)
 
 
 def test_required_product_examples(osc):

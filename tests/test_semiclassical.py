@@ -473,7 +473,7 @@ def _subtracted_period(profile, e: float) -> float:
     dx = xp - xm
     nodes, weights = sc._gl_rule(1024)
     total = 0.0
-    segments, _ = sc._theta_segments(profile, xm, xp)
+    segments, _, _ = sc._theta_segments(profile, xm, xp)
     for a, b in segments:
         theta = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         s = np.sin(theta)
@@ -615,12 +615,13 @@ def test_batched_quadrature_matches_per_panel_reference(monkeypatch):
 def test_per_segment_potential_matches_searched_potential(monkeypatch):
     # each theta-segment's piece, broadcast over its row, against profile.potential's search for every node
     from speclimit.models import well_profile
+    from speclimit.profiles import CubicPieces
 
     cases = [case for case in _bit_identity_cases() if case[0].pieces is not None]
     for mass, _, xs, us in _STALLED_TABLES.values():
         profile = well_profile(sl.numeric(mass, xs, us))
         cases.append((profile, [profile.u_min + f * (profile.e_ceiling - profile.u_min) for f in (0.01, 0.3, 0.97)]))
     per_segment = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
-    monkeypatch.setattr(sc, "_segment_potential", lambda profile, pieces: lambda x, rows: profile.potential(x))
+    monkeypatch.setattr(CubicPieces, "_on_rows", lambda table, pieces: lambda x, rows: table(x))
     searched = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
     assert per_segment == searched

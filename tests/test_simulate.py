@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import speclimit as sl
-from speclimit.errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError, SpeclimitError
+from speclimit.errors import (DegeneratePeriodError, FloatRangeError, InvalidArgumentError, OutOfRangeError,
+                              SpeclimitError)
 from speclimit.simulate import D_PRIME_CAP, D_PRIME_CUT, _bayes_overlap
 from speclimit.units import UNIT_SYSTEMS
 
@@ -242,6 +243,11 @@ def test_sweep_fixed_delta_t_mode(box):
     sweep = sl.consistency_sweep(box, (2, 4), proto)
     assert sweep.delta_t_mode == "fixed"
     assert all(r.delta_t == 0.01 for r in sweep.results)
+
+
+def test_sweep_estimates_past_the_float_range_are_a_float_range_error(box):
+    with pytest.raises(FloatRangeError, match="period estimates at delta_t=1e\\+308 leave the float range"):
+        sl.consistency_sweep(box, (2, 4), sl.PeriodProtocol(delta_t=1e308, trials=50))
 
 
 def test_sweep_range_validation(box):

@@ -27,13 +27,15 @@ preset, and the two tables), again taking turns. The file holds:
   cumulative ``-X importtime`` of ``import speclimit.cli`` (s) and of the
   share of it that the ``numpy`` entry takes (0 when numpy is not imported);
 * per side, the size of ``src/``: its line count, as ``wc -l`` counts the
-  ``.py`` files, and its well-kind branches, the lines that
-  ``grep -cE 'kind ?(==|!=|in )'`` matches.
+  ``.py`` files; its code lines, those that are not blank, a comment or part
+  of a module, class or function docstring; and its well-kind branches, the
+  lines that ``grep -cE 'kind ?(==|!=|in )'`` matches.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -98,10 +100,24 @@ def import_time(root: Path) -> tuple[float, float]:
     return total / 1e6, cumulative.get("numpy", 0) / total
 
 
+def code_lines(text: str) -> int:
+    """Lines of Python source ``text`` that are not blank, a comment or part of a docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(getattr(first.value, "value", None), str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#") and i not in docstrings)
+
+
 def source_size(root: Path) -> dict:
-    """Line count and well-kind branch count of the ``.py`` files under ``root/src``."""
-    lines = [line for f in sorted((root / "src").rglob("*.py")) for line in f.read_text().splitlines()]
-    return {"lines": len(lines), "kind_branches": sum(bool(re.search(r"kind ?(==|!=|in )", line)) for line in lines)}
+    """Line count, code line count and well-kind branch count of the ``.py`` files under ``root/src``."""
+    texts = [f.read_text() for f in sorted((root / "src").rglob("*.py"))]
+    lines = [line for text in texts for line in text.splitlines()]
+    return {"lines": len(lines), "code_lines": sum(map(code_lines, texts)),
+            "kind_branches": sum(bool(re.search(r"kind ?(==|!=|in )", line)) for line in lines)}
 
 
 def main(argv=None) -> int:
