@@ -25,28 +25,30 @@ from pathlib import Path
 from . import __version__
 from .criterion import classify, spectrum
 from .errors import ConfigError, SpeclimitError
-from .models import (
-    ModelSpec,
-    _check_keys,
-    _first_levels,
-    _get_bool,
-    _get_int,
-    _get_number,
-    model_from_dict,
-    n_max,
-    n_min,
-)
+from .models import ModelSpec, Param, _check_keys, _first_levels, _get_param, model_from_dict, n_max, n_min
 
 SCHEMA_VERSION = "1"
 DEFAULT_OUT = "speclimit-out"
 
 _COMMON_KEYS = ("model", "analysis", "output_dir", "seed")
-_NOISE_DEFAULTS = {
-    "position_center": 2.0,
-    "momentum_center": -1.0,
-    "delta_x": 0.5,
-    "delta_p": 1.2,
-    "count": 100000,
+_SEED = Param("seed", type=int, default=None, lo=0, hi=2**64 - 1)
+_SPECTRUM_KEYS = (Param("n_limit", type=int, default=None, lo=1),
+                  Param("semiclassical_check", type=bool, default=False))
+# config block -> its keys in read order; the protocol's keys are PeriodProtocol's field names
+_BLOCKS = {
+    "noise": (
+        Param("position_center", default=2.0),
+        Param("momentum_center", default=-1.0),
+        Param("delta_x", default=0.5, lo=0.0),
+        Param("delta_p", default=1.2, lo=0.0),
+        Param("count", type=int, default=100000, lo=2),
+    ),
+    "protocol": (
+        Param("s", type=int, default=1, lo=1),
+        Param("delta_t", default=None, lo=0.0),
+        Param("trials", type=int, default=10000, lo=10),
+        Param("per_inversion", type=bool, default=False),
+    ),
 }
 _GRID_WIDTH_FACTORS = (0.5, 0.75, 1.0, 1.5)
 _GRID_U_VALUES = (0.25, 0.5, 1.0, 1.5, 2.0)
@@ -264,11 +266,10 @@ def validate_config(doc: dict, analysis: str) -> dict:
     if od is not None and not isinstance(od, str):
         raise ConfigError("output_dir", f"expected a string, got {od!r}")
     out["output_dir"] = od
-    out["seed"] = _get_int(doc, "seed", "", None, lo=0, hi=2**64 - 1)
+    out["seed"] = _get_param(doc, _SEED, "")
 
     if "n_limit" in keys:
-        out["n_limit"] = _get_int(doc, "n_limit", "", None, lo=1)
-        out["semiclassical_check"] = _get_bool(doc, "semiclassical_check", "", False)
+        out.update((p.key, _get_param(doc, p, "")) for p in _SPECTRUM_KEYS)
     if "n_range" in keys:
         out["n_range"] = _opt_n_range(doc, model)
     if "method" in keys:
@@ -276,29 +277,13 @@ def validate_config(doc: dict, analysis: str) -> dict:
         if method not in ("auto", "closed", "semiclassical"):
             raise ConfigError("method", f"expected auto, closed, or semiclassical, got {method!r}")
         out["method"] = method
-    if "noise" in keys:
-        sub = doc.get("noise", {})
-        if not isinstance(sub, dict):
-            raise ConfigError("noise", f"expected an object, got {sub!r}")
-        _check_keys(sub, tuple(_NOISE_DEFAULTS), "noise")
-        out["noise"] = {
-            "position_center": _get_number(sub, "position_center", "noise", _NOISE_DEFAULTS["position_center"]),
-            "momentum_center": _get_number(sub, "momentum_center", "noise", _NOISE_DEFAULTS["momentum_center"]),
-            "delta_x": _get_number(sub, "delta_x", "noise", _NOISE_DEFAULTS["delta_x"], minimum=0.0),
-            "delta_p": _get_number(sub, "delta_p", "noise", _NOISE_DEFAULTS["delta_p"], minimum=0.0),
-            "count": _get_int(sub, "count", "noise", _NOISE_DEFAULTS["count"], lo=2),
-        }
-    if "protocol" in keys:
-        sub = doc.get("protocol", {})
-        if not isinstance(sub, dict):
-            raise ConfigError("protocol", f"expected an object, got {sub!r}")
-        _check_keys(sub, ("s", "delta_t", "trials", "per_inversion"), "protocol")
-        out["protocol"] = {
-            "s": _get_int(sub, "s", "protocol", 1, lo=1),
-            "delta_t": _get_number(sub, "delta_t", "protocol", None, minimum=0.0),
-            "trials": _get_int(sub, "trials", "protocol", 10000, lo=10),
-            "per_inversion": _get_bool(sub, "per_inversion", "protocol", False),
-        }
+    for name, schema in _BLOCKS.items():
+        if name in keys:
+            sub = doc.get(name, {})
+            if not isinstance(sub, dict):
+                raise ConfigError(name, f"expected an object, got {sub!r}")
+            _check_keys(sub, [p.key for p in schema], name)
+            out[name] = {p.key: _get_param(sub, p, name) for p in schema}
     return out
 
 
@@ -319,8 +304,8 @@ def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int) -> int
     return len(rows)
 
 
-def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
-    """Write the criterion table, the y curve and their summary; return the report."""
+def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int) -> dict:
+    """Write the criterion table, the y curve and their summary; return the summary."""
     n_range = cfg["n_range"]
     rep = classify(model, n_range, cfg["method"])
     w.write_csv("criterion.csv", ["n", "E_n", "tau_n", "dE", "dTau", "y_over_hbar", "resolvable"], rep.csv_rows())
@@ -328,7 +313,7 @@ def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     summary = {"analysis": "criterion", "model": model.to_dict(), "n_range": list(n_range)}
     summary.update(rep.to_json_dict())
     w.write_json("criterion_summary.json", summary)
-    return rep
+    return summary
 
 
 def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
@@ -405,14 +390,8 @@ def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     from .simulate import D_PRIME_CUT, PeriodProtocol, consistency_sweep
 
-    lo, hi = cfg["n_range"]
-    cap = n_max(model)
-    if cap is not None:
-        hi = min(hi, cap)
-    p = cfg["protocol"]
-    protocol = PeriodProtocol(s=p["s"], delta_t=p["delta_t"], trials=p["trials"],
-                              seed=seed, per_inversion=p["per_inversion"])
-    summary = consistency_sweep(model, (lo, hi), protocol)
+    protocol = PeriodProtocol(**cfg["protocol"], seed=seed)
+    summary = consistency_sweep(model, cfg["n_range"], protocol)
     ys = dict(summary.y_values)
     w.write_csv(
         "sweep.csv",
@@ -423,9 +402,8 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     w.write_json("simulate_summary.json", {
         "analysis": "simulate",
         "model": model.to_dict(),
-        "n_range": [lo, hi],
-        "protocol": {"s": protocol.s, "delta_t": protocol.delta_t, "trials": protocol.trials,
-                     "per_inversion": protocol.per_inversion, "delta_t_mode": summary.delta_t_mode},
+        "n_range": [summary.results[0].n_high, summary.results[-1].n_high],  # clipped at the ladder's end
+        "protocol": {**cfg["protocol"], "delta_t_mode": summary.delta_t_mode},
         "seed": seed,
         "d_prime_cut": D_PRIME_CUT,
         "mc_crossover": summary.mc_crossover,
@@ -441,16 +419,13 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 def cmd_report(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     # the spectrum reaches the criterion's last level unless n_limit is set
     level_count = cmd_spectrum(model, {**cfg, "n_limit": cfg["n_limit"] or max(10, cfg["n_range"][1])}, w, seed)
-    rep = cmd_criterion(model, cfg, w, seed)
+    summary = cmd_criterion(model, cfg, w, seed)
     w.write_json("report.json", {
         "analysis": "report",
         "model": model.to_dict(),
         "hbar": model.units.hbar,
         "level_count": level_count,
-        "threshold": rep.threshold,
-        "regime": rep.regime,
-        "max_y_over_hbar": max((g.y_over_hbar for g in rep.gaps), default=0.0),
-        "notes": list(rep.notes),
+        **{key: summary[key] for key in ("threshold", "regime", "max_y_over_hbar", "notes")},
         "outputs": [e["name"] for e in w.entries],
     })
 

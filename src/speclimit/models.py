@@ -104,13 +104,22 @@ class WellProfile:
 
 @dataclass(frozen=True)
 class Param:
-    """One parameter of a kind: JSON key, dataclass attribute, type, unit dimension, default."""
+    """One config key: JSON key, dataclass attribute, type, unit dimension, default and bounds.
+
+    ``attr`` defaults to the key. A float must be >= ``lo``; an int must lie in [``lo``, ``hi``].
+    """
 
     key: str
-    attr: str
-    type: type = float  # float, int, or tuple (a list of floats in JSON)
+    attr: str = ""
+    type: type = float  # float, int, bool, or tuple (a list of floats in JSON)
     dim: str | None = None  # unit dimension; "charge" is e, whose square has dimension "coulomb"
     default: object = _REQUIRED
+    lo: float | None = None
+    hi: int | None = None
+
+    def __post_init__(self):
+        if not self.attr:
+            object.__setattr__(self, "attr", self.key)
 
     def rescaled(self, value, src: UnitSystem, dst: UnitSystem):
         """``value`` stated in ``src`` units, re-expressed in ``dst`` units."""
@@ -136,8 +145,9 @@ class WellKind:
     ``n_min`` and default Maslov count ``maslov``, and implements ``si``
     (its SI view), ``profile`` (its ``WellProfile``) and, unless
     ``closed_forms`` is false, the SI closed forms ``energy``, ``period``,
-    ``gap_energy`` and ``gap_period`` of the SI view and n. ``notes`` gives
-    the kind's remarks on a criterion report.
+    ``gap_energy`` and ``gap_period`` of the SI view and n. An SI view may
+    hold ``product``, the product of parameters that all four forms share,
+    computed once. ``notes`` gives the kind's remarks on a criterion report.
     """
 
     kind: ClassVar[str]
@@ -162,23 +172,32 @@ class WellKind:
         return (DEGENERATE_PERIOD_NOTE,) if self.degenerate_period else ()
 
 
+def _times_square(m: float, a: float) -> float:
+    """m a**2, or inf where a**2 leaves the float range."""
+    try:
+        return m * a**2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class BoxParams(WellKind):
     mass: float
     width: float
 
     kind = "box"
-    schema = (Param("mass", "mass", dim="mass"), Param("width", "width", dim="length"))
+    schema = (Param("mass", dim="mass"), Param("width", dim="length"))
     n_min = 1
     maslov = 0
 
     def si(self, units: UnitSystem):
-        return SimpleNamespace(mass=units.to_si(self.mass, "mass"), width=units.to_si(self.width, "length"))
+        m, a = units.to_si(self.mass, "mass"), units.to_si(self.width, "length")
+        return SimpleNamespace(mass=m, width=a, product=_times_square(m, a))  # m a^2, in all four forms
 
-    energy = staticmethod(lambda si, n: (HBAR_SI * math.pi * n) ** 2 / (2.0 * si.mass * si.width**2))
-    period = staticmethod(lambda si, n: 2.0 * si.width**2 * si.mass / (HBAR_SI * math.pi * n))
-    gap_energy = staticmethod(lambda si, n: HBAR_SI**2 * math.pi**2 * (2 * n - 1) / (4.0 * si.mass * si.width**2))
-    gap_period = staticmethod(lambda si, n: -si.width**2 * si.mass / (HBAR_SI * math.pi * n * (n - 1)))
+    energy = staticmethod(lambda si, n: (HBAR_SI * math.pi * n) ** 2 / (2.0 * si.product))
+    period = staticmethod(lambda si, n: 2.0 * si.product / (HBAR_SI * math.pi * n))
+    gap_energy = staticmethod(lambda si, n: HBAR_SI**2 * math.pi**2 * (2 * n - 1) / (4.0 * si.product))
+    gap_period = staticmethod(lambda si, n: -si.product / (HBAR_SI * math.pi * n * (n - 1)))
 
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import box_potential
@@ -195,7 +214,7 @@ class HarmonicParams(WellKind):
     stiffness: float
 
     kind = "harmonic"
-    schema = (Param("mass", "mass", dim="mass"), Param("stiffness", "stiffness", dim="stiffness"))
+    schema = (Param("mass", dim="mass"), Param("stiffness", dim="stiffness"))
     n_min = 0
     maslov = 2
     degenerate_period = True
@@ -238,9 +257,9 @@ class HydrogenoidParams(WellKind):
 
     kind = "hydrogenoid"
     schema = (
-        Param("reduced_mass", "reduced_mass", dim="mass"),
-        Param("z", "z", type=int),
-        Param("charge", "charge", dim="charge", default=1.0),
+        Param("reduced_mass", dim="mass"),
+        Param("z", type=int),
+        Param("charge", dim="charge", default=1.0),
     )
     n_min = 1
     maslov = 0
@@ -251,29 +270,27 @@ class HydrogenoidParams(WellKind):
             raise ModelDefinitionError(f"hydrogenoid: z must be an integer >= 1, got {self.z!r}")
 
     def si(self, units: UnitSystem):
-        # coupling Z e^2 in J m
-        return SimpleNamespace(mass=units.to_si(self.reduced_mass, "mass"),
-                               coupling=self.z * units.to_si(self.charge**2, "coulomb"))
+        mu = units.to_si(self.reduced_mass, "mass")
+        c = self.z * units.to_si(self.charge**2, "coulomb")  # coupling Z e^2 in J m
+        return SimpleNamespace(mass=mu, coupling=c, product=_times_square(mu, c))  # mu (Z e^2)^2, in all four forms
 
-    energy = staticmethod(lambda si, n: -si.mass * si.coupling**2 / (2.0 * HBAR_SI**2 * n**2))
-    period = staticmethod(lambda si, n: 2.0 * math.pi * HBAR_SI**3 * n**3 / (si.mass * si.coupling**2))
-    gap_energy = staticmethod(
-        lambda si, n: si.mass * si.coupling**2 * (2 * n - 1) / (4.0 * HBAR_SI**2 * n**2 * (n - 1) ** 2))
-    gap_period = staticmethod(
-        lambda si, n: math.pi * HBAR_SI**3 * (3 * n**2 - 3 * n + 1) / (si.mass * si.coupling**2))
+    energy = staticmethod(lambda si, n: -si.product / (2.0 * HBAR_SI**2 * n**2))
+    period = staticmethod(lambda si, n: 2.0 * math.pi * HBAR_SI**3 * n**3 / si.product)
+    gap_energy = staticmethod(lambda si, n: si.product * (2 * n - 1) / (4.0 * HBAR_SI**2 * n**2 * (n - 1) ** 2))
+    gap_period = staticmethod(lambda si, n: math.pi * HBAR_SI**3 * (3 * n**2 - 3 * n + 1) / si.product)
 
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import coulomb_potential
 
         si = model._si
-        mu, c = si.mass, si.coupling
+        c = si.coupling
         return WellProfile(
-            mass=mu,
+            mass=si.mass,
             potential=coulomb_potential(c),
             turning_points=lambda e: (0.0, float(-c / e)),  # the singular wall and r = Z e^2 / |E|
             u_min=-math.inf,
             e_ceiling=0.0,
-            e_scale=mu * c**2 / (2.0 * HBAR_SI**2),
+            e_scale=si.product / (2.0 * HBAR_SI**2),
         )
 
     def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
@@ -305,8 +322,8 @@ class MorseParams(WellKind):
 
     kind = "morse"
     schema = (
-        Param("mass", "mass", dim="mass"),
-        Param("depth", "depth", dim="energy"),
+        Param("mass", dim="mass"),
+        Param("depth", dim="energy"),
         Param("range", "alpha", dim="inverse_length"),
     )
     n_min = 0
@@ -380,9 +397,9 @@ class NumericPotentialParams(WellKind):
     kind = "numeric"
     # JSON read order: a bad table is reported before a bad mass
     schema = (
-        Param("x", "x", type=tuple, dim="length"),
-        Param("u", "u", type=tuple, dim="energy"),
-        Param("mass", "mass", dim="mass"),
+        Param("x", type=tuple, dim="length"),
+        Param("u", type=tuple, dim="energy"),
+        Param("mass", dim="mass"),
     )
     n_min = 0
     maslov = 2
@@ -603,6 +620,11 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
     if n == lo and forms[0].startswith("gap_"):
         raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
     si = model._si
+    # every form inherits a shared product that overflowed or lost digits; one that is 0 fails in the forms
+    product = getattr(si, "product", 1.0)
+    if product and not _NORMAL_MIN <= abs(product) < math.inf:
+        raise FloatRangeError(f"{model.kind}: {forms[0]} at n={n} leaves the float range"
+                              f" (the SI product of its parameters is {product!r})")
     values = []
     for form in forms:
         try:
@@ -693,51 +715,46 @@ def _check_keys(doc: dict, allowed, path: str = ""):
             raise ConfigError(_key_path(path, key), "unknown key")
 
 
-def _get_number(doc: dict, key: str, path: str = "", default=_REQUIRED, minimum=None):
-    """A finite number as float; null is accepted only for a key whose default is None."""
-    v = doc.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(_key_path(path, key), "missing required key")
-    if v is None and default is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigError(_key_path(path, key), f"expected a finite number, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(_key_path(path, key), f"must be >= {minimum}, got {v}")
-    return float(v)
-
-
-def _get_int(doc: dict, key: str, path: str = "", default=_REQUIRED, lo=None, hi=None):
-    """An integer in [lo, hi]; null is accepted only for a key whose default is None."""
-    v = doc.get(key, default)
-    if v is _REQUIRED:
-        raise ConfigError(_key_path(path, key), "missing required key")
-    if v is None and default is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(_key_path(path, key), f"expected an integer, got {v!r}")
-    if (lo is not None and v < lo) or (hi is not None and v > hi):
-        raise ConfigError(_key_path(path, key), f"must be in [{lo}, {hi}], got {v}")
-    return v
-
-
-def _get_bool(doc: dict, key: str, path: str, default: bool) -> bool:
-    """A JSON true or false; ``default`` when the key is absent."""
-    v = doc.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(_key_path(path, key), f"expected true or false, got {v!r}")
-    return v
+def _finite_number(v) -> bool:
+    """Whether ``v`` is a JSON number (not a bool) that is a finite float; an int too large for a float is not."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _get_param(doc: dict, p: Param, path: str):
+    """The value of ``p`` in ``doc``, checked against its type and bounds; ``p.default`` when the key is absent.
+
+    A missing key without a default raises ConfigError, and null is accepted
+    only where the default is None. A float is returned as float.
+    """
+    where = _key_path(path, p.key)
     if p.type is tuple:
         seq = doc.get(p.key)
-        if not isinstance(seq, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in seq
-        ):
-            raise ConfigError(f"{path}.{p.key}", "expected a list of finite numbers")
+        if not isinstance(seq, list) or not all(map(_finite_number, seq)):
+            raise ConfigError(where, "expected a list of finite numbers")
         return tuple(map(float, seq))
-    return (_get_int if p.type is int else _get_number)(doc, p.key, path, p.default)
+    v = doc.get(p.key, p.default)
+    if v is _REQUIRED:
+        raise ConfigError(where, "missing required key")
+    if v is None and p.default is None:
+        return None
+    if p.type is bool:
+        if not isinstance(v, bool):
+            raise ConfigError(where, f"expected true or false, got {v!r}")
+        return v
+    if p.type is int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(where, f"expected an integer, got {v!r}")
+        if (p.lo is not None and v < p.lo) or (p.hi is not None and v > p.hi):
+            raise ConfigError(where, f"must be in [{p.lo}, {p.hi}], got {v}")
+        return v
+    if not _finite_number(v):
+        raise ConfigError(where, f"expected a finite number, got {v!r}")
+    if p.lo is not None and v < p.lo:
+        raise ConfigError(where, f"must be >= {p.lo}, got {v}")
+    return float(v)
 
 
 def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:

@@ -41,7 +41,7 @@ from .errors import (
     OutOfRangeError,
     UnsupportedModelError,
 )
-from .models import ModelSpec
+from .models import _NORMAL_MIN, ModelSpec
 
 __all__ = [
     "NoiseBudget",
@@ -349,10 +349,14 @@ def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: Measureme
 # -- harmonic-oscillator error propagation --------------------------------
 
 
-def _oscillator_omega(m: float, k: float, a: float, hbar: float) -> float:
-    """omega = sqrt(k / m), once m, k and hbar are checked positive and finite and the noise scale a finite and >= 0.
+def _oscillator_roots(m: float, k: float, a: float, hbar: float) -> tuple[float, float, float]:
+    """(a sqrt(hbar / 2), sqrt(m), sqrt(omega)) with omega = sqrt(k / m), once m, k and hbar are checked
+    positive and finite and the noise scale a finite and >= 0.
 
-    A bad input raises InvalidArgumentError, an omega out of the positive finite floats FloatRangeError.
+    Each square root is taken on its own, so the widths formed from them
+    overflow or underflow only where the widths themselves do. A bad input
+    raises InvalidArgumentError, an omega out of the positive finite floats
+    FloatRangeError.
     """
     for name, v in (("m", m), ("k", k), ("hbar", hbar)):
         if not (math.isfinite(v) and v > 0.0):
@@ -362,20 +366,25 @@ def _oscillator_omega(m: float, k: float, a: float, hbar: float) -> float:
     omega = math.sqrt(k / m)
     if not 0.0 < omega < math.inf:
         raise FloatRangeError(f"omega = sqrt(k / m) leaves the float range at k={k!r}, m={m!r}")
-    return omega
+    return math.sqrt(0.5) * math.sqrt(hbar) * a, math.sqrt(m), math.sqrt(omega)
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
+def _finite(value: float, what: str, a: float | None = None) -> float:
+    """``value`` if it is finite and, for a width at noise scale ``a``, a normal float or the 0 of a = 0."""
+    if not math.isfinite(value) or (a is not None and value < _NORMAL_MIN and not value == a == 0.0):
         raise FloatRangeError(f"{what} leaves the float range (got {value!r})")
     return value
 
 
 def noise_widths(m: float, k: float, a: float, hbar: float = 1.0) -> tuple[float, float]:
-    """Balanced noise pair (delta_q, delta_p) with product a^2 hbar / 2."""
-    omega = _oscillator_omega(m, k, a, hbar)
-    return (_finite(math.sqrt(hbar / (2.0 * m * omega)) * a, "delta_q"),
-            _finite(math.sqrt(m * hbar * omega / 2.0) * a, "delta_p"))
+    """Balanced noise pair (delta_q, delta_p) with product a^2 hbar / 2.
+
+    delta_q = a sqrt(hbar / 2) / sqrt(m omega) and delta_p = a sqrt(hbar / 2) sqrt(m omega). A width that
+    is subnormal, or 0 at a > 0, has lost its digits and raises FloatRangeError.
+    """
+    scale, root_m, root_w = _oscillator_roots(m, k, a, hbar)
+    root = root_m * root_w  # sqrt(m omega)
+    return _finite(scale / root, "delta_q", a), _finite(scale * root, "delta_p", a)
 
 
 def harmonic_energy_error(q: float, p: float, m: float, k: float, a: float,
@@ -387,9 +396,9 @@ def harmonic_energy_error(q: float, p: float, m: float, k: float, a: float,
     """
     if not (math.isfinite(q) and math.isfinite(p)):
         raise InvalidArgumentError(f"q and p must be finite, got {q!r}, {p!r}")
-    omega = _oscillator_omega(m, k, a, hbar)
-    bracket = abs(p) * math.sqrt(hbar * omega / (2.0 * m)) + k * abs(q) * math.sqrt(hbar / (2.0 * m * omega))
-    return _finite(bracket * a, "harmonic energy error")
+    scale, root_m, root_w = _oscillator_roots(m, k, a, hbar)
+    error = abs(p) * (scale * (root_w / root_m)) + abs(q) * (scale * (k / (root_m * root_w)))
+    return _finite(error, "harmonic energy error")
 
 
 def required_noise_product_for_resolution(model: ModelSpec, n: int) -> float:

@@ -219,7 +219,7 @@ def _action_si(profile: WellProfile, e: float) -> float:
     return 2.0 * math.sqrt(2.0 * profile.mass) * dx * value
 
 
-def _factored_ends(interior, table, pieces, xm: float, xp: float):
+def _factored_ends(interior, profile: WellProfile, e: float, pieces, xm: float, xp: float):
     """The period integrand with E - U factored on the end pieces of a table.
 
     The first theta-segment lies on the piece that holds x-, and the last on
@@ -232,21 +232,30 @@ def _factored_ends(interior, table, pieces, xm: float, xp: float):
     at the last takes those rows from the end formulas, however the segments
     are grouped into calls.
 
-    An orbit just above the well bottom, whose turning point next to the
-    bottom knot rounds onto that knot, has no knot strictly inside it: it
-    lies on one piece and has one segment. Both turning points are then
-    roots of that piece's cubic, to rounding, so E - U(x) is
-    dx^2 sin^2(theta) cos^2(theta) U[x-, x+, x], with the second divided
-    difference U[x-, x+, x], and the integrand is the smooth
+    An orbit with no knot strictly inside it lies on one piece and has one
+    segment. Both turning points are then roots of that piece's cubic, so
+    E - U(x) is dx^2 sin^2(theta) cos^2(theta) U[x-, x+, x], with the second
+    divided difference U[x-, x+, x], and the integrand is the smooth
     2 / (dx sqrt(U[x-, x+, x])) on the whole segment.
+
+    Within rounding of a table's bottom E has no period that floats can give,
+    and QuadratureFailureError names E and u_min. Every piece of a table is
+    monotone, so a table orbit lies on one piece only when a turning point
+    rounds onto the bottom knot; and the factored E - U of an end piece,
+    positive in exact arithmetic, can round to 0 or below on a nearly flat
+    piece.
     """
-    dx = xp - xm
-    count = len(pieces)
+    table, dx, count = profile.pieces, xp - xm, len(pieces)
+    knots = table.knots
     if count == 1:
+        if xm == knots[pieces[0]] or xp == knots[pieces[0] + 1]:
+            raise _near_bottom(profile, e, "a turning point rounds onto the bottom knot")
         base, slope = table._chord_series(pieces[0], xm, dx)  # sigma = sin^2
         return lambda theta, rows: 1.0 / np.sqrt(slope * np.sin(theta) ** 2 + base)
     lo = table._end_series(pieces[0], xm, dx)  # sigma = sin^2
     hi = table._end_series(pieces[-1], xp, -dx)  # sigma = cos^2
+    if _least(lo, (knots[pieces[0] + 1] - xm) / dx) <= 0.0 or _least(hi, (xp - knots[pieces[-1]]) / dx) <= 0.0:
+        raise _near_bottom(profile, e, "E - U on an end piece rounds to 0 or below")
 
     def integrand(theta, rows):
         first, final = int(rows.start == 0), int(rows.stop == count)
@@ -259,6 +268,20 @@ def _factored_ends(interior, table, pieces, xm: float, xp: float):
                                np.sin(t_hi) / np.sqrt((hi[2] * c + hi[1]) * c + hi[0])))
 
     return integrand
+
+
+def _least(series, top: float) -> float:
+    """Least value of c0 + c1 s + c2 s^2 over 0 <= s <= top, for ``series`` (c0, c1, c2)."""
+    c0, c1, c2 = series
+    points = [0.0, top]
+    if c2 > 0.0 and 0.0 < -c1 < 2.0 * c2 * top:  # the vertex lies inside
+        points.append(-c1 / (2.0 * c2))
+    return min((c2 * s + c1) * s + c0 for s in points)
+
+
+def _near_bottom(profile: WellProfile, e: float, why: str) -> QuadratureFailureError:
+    return QuadratureFailureError(
+        f"numeric: no period at E={e!r} J, within rounding of the well bottom u_min={profile.u_min!r} J ({why})")
 
 
 def _period_si(profile: WellProfile, e: float) -> float:
@@ -275,7 +298,7 @@ def _period_si(profile: WellProfile, e: float) -> float:
         return out
 
     if pieces is not None:
-        integrand = _factored_ends(integrand, profile.pieces, pieces, xm, xp)
+        integrand = _factored_ends(integrand, profile, e, pieces, xm, xp)
     value = _adaptive(integrand, segments)
     return math.sqrt(2.0 * profile.mass) * dx * value
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, _level_gaps, spectrum
-from .errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError
+from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, ResolvabilityReport, _level_gaps, classify, spectrum
+from .errors import DegeneratePeriodError, InvalidArgumentError
 from .models import ModelSpec, n_min
 from .noise import _draw, _moments, fmean, fvariance
 
@@ -176,12 +176,13 @@ def _tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _compare(model: ModelSpec, protocol: PeriodProtocol, levels, gap: LevelGap) -> DiscriminationResult:
-    """Simulate levels n-1 and n of ``gap`` from their computed (E, tau) and compare the clouds."""
+def _compare(model: ModelSpec, protocol: PeriodProtocol, rep: ResolvabilityReport, i: int) -> DiscriminationResult:
+    """Simulate levels n-1 and n of the report's i-th gap from their computed periods and compare the clouds."""
     _require_period_spread(model)
+    gap = rep.gaps[i]
     n = gap.n
     delta_t = protocol.delta_t if protocol.delta_t is not None else _saturating_delta_t(model, gap)
-    tau_low, tau_high = levels[n - 1][1], levels[n][1]
+    tau_low, tau_high = rep.levels[i][2], rep.levels[i + 1][2]  # the levels start at the first gap's n - 1
     low, high = _estimates(n - 1, protocol, tau_low, delta_t), _estimates(n, protocol, tau_high, delta_t)
     (mean_low, var_low), (mean_high, var_high) = _moments(low, f"level {n - 1}"), _moments(high, f"level {n}")
     sd_low, sd_high = math.sqrt(var_low), math.sqrt(var_high)
@@ -212,11 +213,11 @@ def _compare(model: ModelSpec, protocol: PeriodProtocol, levels, gap: LevelGap) 
 
 
 def discriminate(model: ModelSpec, n: int, protocol: PeriodProtocol) -> DiscriminationResult:
-    """Simulate levels n-1 and n under one protocol and compare the clouds."""
-    if n <= n_min(model):
-        raise OutOfRangeError(f"{model.kind}: discrimination at n={n} needs level n-1")
-    levels = spectrum(model, (n - 1, n))
-    return _compare(model, protocol, levels, _level_gaps(model, levels, (n,))[0])
+    """Simulate levels n-1 and n under one protocol and compare the clouds.
+
+    The pair is ``classify``'s over (n, n), with its range errors.
+    """
+    return _compare(model, protocol, classify(model, (n, n)), 0)
 
 
 @dataclass(frozen=True)
@@ -244,29 +245,23 @@ def consistency_sweep(model: ModelSpec, n_range: tuple[int, int], protocol: Peri
 
     With delta_t = None each pair is timed at its own saturating accuracy
     hbar / (2 dE_n), which is the regime where the MC crossover and the
-    y-threshold are expected to land within one level of each other.
+    y-threshold are expected to land within one level of each other. The
+    range check, the clipping at the ladder's last level, the levels, the
+    gaps and the threshold are ``classify``'s.
     """
-    lo, hi = n_range
-    first = n_min(model) + 1
-    if not (all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)) and first <= lo <= hi):
-        raise OutOfRangeError(f"n_range must be integers with {first} <= lo <= hi, got {n_range!r}")
-    levels = spectrum(model, range(lo - 1, hi + 1))
-    gaps = _level_gaps(model, levels, range(lo, hi + 1))
-    results = [_compare(model, protocol, levels, g) for g in gaps]
-    ys = [(g.n, g.y_over_hbar) for g in gaps]
+    rep = classify(model, n_range)
+    results = [_compare(model, protocol, rep, i) for i in range(len(rep.gaps))]
 
     def crossover(cut: float):
         return next((r.n_high for r in results if r.d_prime < cut), None)
 
-    mc_cross = crossover(D_PRIME_CUT)
-    crit = next((n for n, y in ys if y < 0.5), None)
     agree = tuple((r.n_high, r.mc_resolvable == r.criterion_resolvable) for r in results)
     n_agree = sum(1 for _, ok in agree if ok)
     return SweepSummary(
         results=tuple(results),
-        y_values=tuple(ys),
-        mc_crossover=mc_cross,
-        criterion_threshold=crit,
+        y_values=tuple((g.n, g.y_over_hbar) for g in rep.gaps),
+        mc_crossover=crossover(D_PRIME_CUT),
+        criterion_threshold=rep.threshold,
         agreement_by_n=agree,
         agreements=n_agree,
         disagreements=len(agree) - n_agree,

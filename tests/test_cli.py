@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from speclimit import cli, errors
 from speclimit.cli import main
+from speclimit.models import KINDS, _get_param
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -158,6 +159,126 @@ def test_csv_writer_rejects_other_field_types(tmp_path, field):
 # -- exit codes and errors ---------------------------------------------------
 
 
+# -- the config reader against the three getters it replaced -------------------
+
+_REQUIRED = object()
+
+
+def _ref_key_path(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _ref_number(doc, key, path="", default=_REQUIRED, minimum=None):
+    v = doc.get(key, default)
+    if v is _REQUIRED:
+        raise errors.ConfigError(_ref_key_path(path, key), "missing required key")
+    if v is None and default is None:
+        return None
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise errors.ConfigError(_ref_key_path(path, key), f"expected a finite number, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise errors.ConfigError(_ref_key_path(path, key), f"must be >= {minimum}, got {v}")
+    return float(v)
+
+
+def _ref_int(doc, key, path="", default=_REQUIRED, lo=None, hi=None):
+    v = doc.get(key, default)
+    if v is _REQUIRED:
+        raise errors.ConfigError(_ref_key_path(path, key), "missing required key")
+    if v is None and default is None:
+        return None
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise errors.ConfigError(_ref_key_path(path, key), f"expected an integer, got {v!r}")
+    if (lo is not None and v < lo) or (hi is not None and v > hi):
+        raise errors.ConfigError(_ref_key_path(path, key), f"must be in [{lo}, {hi}], got {v}")
+    return v
+
+
+def _ref_bool(doc, key, path, default):
+    v = doc.get(key, default)
+    if not isinstance(v, bool):
+        raise errors.ConfigError(_ref_key_path(path, key), f"expected true or false, got {v!r}")
+    return v
+
+
+def _ref_list(doc, key, path):
+    seq = doc.get(key)
+    if not isinstance(seq, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in seq
+    ):
+        raise errors.ConfigError(f"{path}.{key}", "expected a list of finite numbers")
+    return tuple(map(float, seq))
+
+
+_MODEL = "model.params"
+# every key the reader serves, as the getters read it: (path, key) -> the call on the key's enclosing object
+_REFERENCE_READS = {
+    ("", "seed"): lambda d: _ref_int(d, "seed", "", None, lo=0, hi=2**64 - 1),
+    ("", "n_limit"): lambda d: _ref_int(d, "n_limit", "", None, lo=1),
+    ("", "semiclassical_check"): lambda d: _ref_bool(d, "semiclassical_check", "", False),
+    ("noise", "position_center"): lambda d: _ref_number(d, "position_center", "noise", 2.0),
+    ("noise", "momentum_center"): lambda d: _ref_number(d, "momentum_center", "noise", -1.0),
+    ("noise", "delta_x"): lambda d: _ref_number(d, "delta_x", "noise", 0.5, minimum=0.0),
+    ("noise", "delta_p"): lambda d: _ref_number(d, "delta_p", "noise", 1.2, minimum=0.0),
+    ("noise", "count"): lambda d: _ref_int(d, "count", "noise", 100000, lo=2),
+    ("protocol", "s"): lambda d: _ref_int(d, "s", "protocol", 1, lo=1),
+    ("protocol", "delta_t"): lambda d: _ref_number(d, "delta_t", "protocol", None, minimum=0.0),
+    ("protocol", "trials"): lambda d: _ref_int(d, "trials", "protocol", 10000, lo=10),
+    ("protocol", "per_inversion"): lambda d: _ref_bool(d, "per_inversion", "protocol", False),
+    (_MODEL, "z"): lambda d: _ref_int(d, "z", _MODEL),
+    (_MODEL, "charge"): lambda d: _ref_number(d, "charge", _MODEL, 1.0),
+    (_MODEL, "x"): lambda d: _ref_list(d, "x", _MODEL),
+    (_MODEL, "u"): lambda d: _ref_list(d, "u", _MODEL),
+}
+for _key in ("mass", "width", "stiffness", "reduced_mass", "depth", "range"):
+    _REFERENCE_READS[_MODEL, _key] = lambda d, key=_key: _ref_number(d, key, _MODEL)
+
+
+def _reader_params():
+    """(path, Param) of every config key: the CLI's and every model kind's."""
+    yield "", cli._SEED
+    yield from (("", p) for p in cli._SPECTRUM_KEYS)
+    yield from ((name, p) for name, schema in cli._BLOCKS.items() for p in schema)
+    yield from ((_MODEL, p) for kind in KINDS.values() for p in kind.schema)
+
+
+def _read(call):
+    try:
+        v = call()
+    except errors.ConfigError as exc:
+        return "error", exc.path, str(exc)
+    return "value", type(v), v
+
+
+_ABSENT = object()
+_BIG = st.one_of(st.integers(10**300, 10**400), st.integers(-10**400, -10**300))
+_config_values = st.one_of(
+    st.just(_ABSENT), st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.sampled_from([-1, 0, 1, 2, 9, 10, 2**64 - 1, 2**64]), _BIG, st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(-2**70, 2**70), _BIG, st.booleans(), st.none()), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_config_values)
+@example(value=10**400)
+@example(value=[1.0, -10**400])
+@example(value=-0.0)
+def test_config_reader_matches_the_getters_it_replaced(value):
+    params = list(_reader_params())
+    assert {(path, p.key) for path, p in params} == set(_REFERENCE_READS)
+    for path, p in params:
+        doc = {} if value is _ABSENT else {p.key: value}
+        try:
+            want = _read(lambda: _REFERENCE_READS[path, p.key](doc))
+        except OverflowError:
+            # the getters crashed on an int past the float range; the reader calls it what it is
+            where = _ref_key_path(path, p.key)
+            message = "expected a list of finite numbers" if p.type is tuple else f"expected a finite number, got {value!r}"
+            want = "error", where, str(errors.ConfigError(where, message))
+        assert _read(lambda: _get_param(doc, p, path)) == want
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = main(["spectrum", "--config", str(tmp_path / "absent.json")])
     assert rc == 2
@@ -271,6 +392,10 @@ _CRAFTED = [
     # the samples' squares stay finite, but not those 8 widths out in the normalization check
     ("noise-2e+153-10", "noise", box_config(noise={"delta_x": 2e153, "count": 10})),
     ("simulate-delta-t", "simulate", box_config(protocol={"delta_t": 1e308, "trials": 50})),
+    # a JSON int past the float range, where the config reader used to raise OverflowError
+    ("big-int-mass-criterion", "criterion",
+     {"model": {"kind": "box", "units": "natural-box", "params": {"mass": 10**400, "width": 1.0}}}),
+    ("big-int-delta-x-noise", "noise", box_config(noise={"delta_x": -10**400})),
 ]
 
 

@@ -362,18 +362,33 @@ def test_closed_forms_that_underflow_raise_a_typed_error():
 
 
 @settings(max_examples=300, deadline=None)
-@given(mass_exp=st.floats(-300.0, 300.0), n=st.one_of(st.integers(2, 60), st.sampled_from((100, 1000))))
-@example(mass_exp=262.0, n=2)
-@example(mass_exp=255.0, n=40)
-def test_box_y_is_exact_or_a_typed_error_for_every_mass(mass_exp, n):
-    # y(n)/hbar of a box does not depend on its mass: any y given must be the closed form's. In
-    # natural-box units at width 1 every intermediate of the formulas is a normal float; at other
-    # widths and in other unit systems m a^2 can be subnormal inside a formula (see CHANGES.md)
+@given(mass_exp=st.floats(-300.0, 300.0), width_exp=st.floats(-300.0, 300.0), units=st.sampled_from(_UNIT_SYSTEMS),
+       n=st.one_of(st.integers(2, 60), st.sampled_from((100, 1000))))
+@example(mass_exp=262.0, width_exp=0.0, units=UNIT_SYSTEMS["natural-box"], n=2)
+@example(mass_exp=255.0, width_exp=0.0, units=UNIT_SYSTEMS["natural-box"], n=40)
+@example(mass_exp=0.0, width_exp=-131.0, units=UNIT_SYSTEMS["atomic"], n=2)  # m a^2 is 2.55e-313 in SI
+def test_box_y_is_exact_or_a_typed_error_for_every_mass(mass_exp, width_exp, units, n):
+    # y(n)/hbar of a box depends on neither its mass nor its width: any y given must be the closed form's
     try:
-        y = sl.y_function(sl.box(10.0**mass_exp, 1.0), n)
+        y = sl.y_function(sl.box(10.0**mass_exp, 10.0**width_exp, units), n)
     except sl.FloatRangeError:
         return
     assert y == pytest.approx(box_y(n), rel=1e-12)
+
+
+def test_closed_forms_with_a_subnormal_shared_product_raise_a_typed_error():
+    # in SI, m a^2 is 2.55e-313 and mu (Z e^2)^2 is 4.8e-321: every form would inherit their lost digits
+    atomic = UNIT_SYSTEMS["atomic"]
+    with pytest.raises(sl.FloatRangeError, match=r"^box: gap_energy at n=2 leaves the float range \(the SI product "
+                                                 r"of its parameters is 2\.55\d*e-313\)$"):
+        sl.y_function(sl.box(1.0, 1e-131, atomic), 2)
+    with pytest.raises(sl.FloatRangeError, match=r"^hydrogenoid: energy at n=1 leaves the float range \(the SI "
+                                                 r"product of its parameters is 4\.8\d*e-321\)$"):
+        sl.energy_level(sl.hydrogenoid(1e-235, 1, 1.0, atomic), 1)
+    # a product that overflows is named the same way
+    with pytest.raises(sl.FloatRangeError, match=r"^box: period at n=1 leaves the float range \(the SI product "
+                                                 r"of its parameters is inf\)$"):
+        sl.classical_period(sl.box(1e300, 1e300), 1)
 
 
 def test_si_parameters_outside_the_float_range_raise_a_typed_error():

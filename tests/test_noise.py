@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -428,6 +430,8 @@ _ANY_FLOAT = st.floats()  # nan, +-inf, subnormals and both zeros included
 @example(q=0.0, p=0.0, m=1.0, k=math.inf, a=1.0, hbar=1.0)
 @example(q=0.0, p=0.0, m=1.0, k=1.0, a=1.0, hbar=-1.0)
 @example(q=1e300, p=1.0, m=1e-300, k=1e300, a=1.0, hbar=1.0)
+@example(q=0.0, p=0.0, m=1e308, k=1e308, a=1.0, hbar=1.0)  # 2 m omega overflowed: delta_q read 0.0
+@example(q=1.0, p=1.0, m=1e308, k=1e308, a=1.0, hbar=1.0)  # the error read 0.0, not about 7.07e153
 def test_oscillator_noise_is_finite_or_a_typed_error(q, p, m, k, a, hbar):
     calls = (lambda: sl.noise_widths(m, k, a, hbar), lambda: (sl.harmonic_energy_error(q, p, m, k, a, hbar),))
     for call in calls:
@@ -436,6 +440,13 @@ def test_oscillator_noise_is_finite_or_a_typed_error(q, p, m, k, a, hbar):
         except SpeclimitError:
             continue
         assert all(math.isfinite(v) for v in values)
+        if len(values) == 2:
+            # the widths' product is a^2 hbar / 2 wherever that is a normal float, compared exactly
+            half = Fraction(a) ** 2 * Fraction(hbar) / 2
+            if sys.float_info.min <= half <= sys.float_info.max:
+                assert abs(Fraction(values[0]) * Fraction(values[1]) - half) <= Fraction(1e-12) * half
+    if (q, p, m, k, a, hbar) == (1.0, 1.0, 1e308, 1e308, 1.0, 1.0):
+        assert sl.harmonic_energy_error(q, p, m, k, a, hbar) == pytest.approx(math.sqrt(0.5) * 1e154, rel=1e-12)
 
 
 def test_required_product_examples(osc):

@@ -563,6 +563,34 @@ def test_period_of_an_orbit_on_one_piece():
     assert tau == pytest.approx(math.pi * math.sqrt(2.0 * mass), rel=1e-12)
 
 
+# a table whose left piece is nearly flat at its bottom knot (U' and U'' about 0 there), so the period grows
+# toward the bottom; SI, mass 1
+_FLAT_BOTTOM_TABLE = (
+    (3.58e-14, 5.3701027606966, 5.3711027606966, 5.372102760696601, 6.3519687506059945),
+    (0.0, -9.907168410584577, -7.763315000956611, 2.13e-151, 0.9798659899093938),
+)
+
+
+def test_period_within_rounding_of_a_table_bottom_is_a_typed_error():
+    from speclimit.units import SI
+
+    model = sl.numeric(1.0, *_FLAT_BOTTOM_TABLE, units=SI)
+    u_min = min(_FLAT_BOTTOM_TABLE[1])
+    ulps = [u_min]
+    for _ in range(100):
+        ulps.append(math.nextafter(ulps[-1], math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1 ulp up the left turning point rounds onto the bottom knot; 2 ulps up its factored E - U rounds below 0
+        for k, why in ((1, "a turning point rounds onto the bottom knot"), (2, "E - U on an end piece rounds")):
+            with pytest.raises(QuadratureFailureError) as ei:
+                sc.period_of_energy(model, ulps[k], self_check=False)
+            assert str(ei.value).startswith(f"numeric: no period at E={ulps[k]!r} J, within rounding of the well"
+                                            f" bottom u_min={u_min!r} J ({why}")
+        got = [sc.period_of_energy(model, ulps[k], self_check=False) for k in (3, 4, 100)]
+    assert got == [2063.14958505158, 1518.2700484837644, 664.1252256172749]
+
+
 # -- batched quadrature against the per-panel reference ---------------------
 
 

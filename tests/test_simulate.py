@@ -255,6 +255,29 @@ def test_sweep_range_validation(box):
         sl.consistency_sweep(box, (1, 5), sl.PeriodProtocol())
 
 
+def test_sweep_clips_at_the_ladders_end_as_classify_does(morse_h2):
+    # H2 enumerates levels up to n = 8: a sweep asked for (1, 12) is the sweep over (1, 8)
+    proto = sl.PeriodProtocol(trials=200, seed=4)
+    assert sl.n_max(morse_h2) == 8
+    clipped = sl.consistency_sweep(morse_h2, (1, 12), proto)
+    assert clipped == sl.consistency_sweep(morse_h2, (1, 8), proto)
+    assert [r.n_high for r in clipped.results] == list(range(1, 9))
+    with pytest.raises(OutOfRangeError, match="^morse: no level pairs at or above n = 9$"):
+        sl.discriminate(morse_h2, 9, proto)
+
+
+def test_range_errors_are_classifys(box):
+    proto = sl.PeriodProtocol(trials=50)
+    for call, message in ((lambda: sl.discriminate(box, 1, proto), "box: n_range must start at 2 or above, got 1"),
+                          (lambda: sl.consistency_sweep(box, (3, 2), proto),
+                           "n_range upper bound 2 is below lower bound 3"),
+                          (lambda: sl.consistency_sweep(box, (2.0, 3), proto),
+                           "n_range must be a pair of integers, got (2.0, 3)")):
+        with pytest.raises(OutOfRangeError) as ei:
+            call()
+        assert str(ei.value) == message
+
+
 def test_sweep_morse(morse_h2):
     # every H2 pair is below threshold; MC at saturating accuracy agrees
     proto = sl.PeriodProtocol(trials=4000, seed=9)
