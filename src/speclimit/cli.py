@@ -5,8 +5,9 @@ JSON config, writes CSV/JSON files plus a run_record.json manifest with
 sha256 digests, and exits 0 on success, 2 on a config error, 3 on a
 computation error (one machine-readable JSON error line on stderr).
 
-All numbers are printed with 12 significant digits so reruns with the same
-config, seed, and version are byte-identical. The output directory is taken
+All numbers in the data files are printed with 12 significant digits so
+reruns with the same config, seed, and version are byte-identical; the
+manifest echoes the config at full precision. The output directory is taken
 from --out, then $SPECLIMIT_OUT, then the config's output_dir, then
 ./speclimit-out.
 """
@@ -168,7 +169,8 @@ class OutputWriter:
     are floats (12 significant digits), bools (``true``/``false``) or ints;
     it joins them with commas and ends every line with ``\\n``. Any other
     field type raises TypeError, so no field needs quoting. ``write_json``
-    writes ``_json12`` text.
+    writes ``_json12`` text, and ``write_record`` the stdlib's JSON at full
+    precision.
     """
 
     def __init__(self, outdir: Path):
@@ -208,7 +210,9 @@ class OutputWriter:
             "finished_utc": _utcnow(),
             "outputs": self.entries,
         }
-        (self.outdir / "run_record.json").write_bytes(_json12(record).encode())
+        # every float at full precision, so the record's config reruns the run
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        (self.outdir / "run_record.json").write_bytes(text.encode())
 
 
 def _utcnow() -> str:

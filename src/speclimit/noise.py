@@ -20,7 +20,10 @@ of those few partial sums once with math.fsum. A correctly rounded sum has one
 value, so every sum has the bits of math.fsum over the values, Shewchuk's
 exactly rounded summation (Discrete Comput. Geom. 18, 1997). A squared
 deviation is the correctly rounded product d * d, and a mean that is also
-reported is computed once and reused in the variance.
+reported is computed once and reused in the variance. A variance sums its
+residual-mean term only where that term can change the result (see
+``_moments``), so a characteristic_check takes 4 sums, or 6 when the term
+can change a variance. A drawn ensemble's cached array is the draw itself.
 """
 
 from __future__ import annotations
@@ -74,16 +77,17 @@ def _exact_sum(arr: np.ndarray) -> float:
     q = (sigma + p) - sigma, where sigma = 2^(e + m), 2^e > max|p| and
     2^m >= len + 2 (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008). Every
     q lies on the grid of sigma / 2^53 and is at most 2^e in size, so every
-    partial sum of the q is exact in any order and np.sum returns the exact
-    sum. The passes end when the residual p' is all zeros, and math.fsum
-    rounds the exact total of the few partial sums once. Non-finite input,
-    and values large enough that sigma could overflow, go to math.fsum
+    partial sum of the q is exact in any order and ndarray.sum returns the
+    exact sum. The passes end when the residual p' is all zeros, and
+    math.fsum rounds the exact total of the few partial sums once. Non-finite
+    input, and values large enough that sigma could overflow, go to math.fsum
     itself, which keeps its values and exceptions for inf, nan and
-    intermediate overflow.
+    intermediate overflow. The reductions are ndarray methods, which skip
+    the dispatch of np.sum and np.max.
     """
     if not arr.size:
         return 0.0
-    top = float(np.max(np.abs(arr)))
+    top = float(np.abs(arr).max())
     m = (arr.size + 1).bit_length()
     e = math.frexp(top)[1]
     if not math.isfinite(top) or e + m + 1 > 1000:
@@ -92,9 +96,9 @@ def _exact_sum(arr: np.ndarray) -> float:
     while top:
         sigma = math.ldexp(1.0, e + m)
         q = (sigma + arr) - sigma
-        parts.append(float(np.sum(q)))
+        parts.append(float(q.sum()))
         arr = arr - q
-        top = float(np.max(np.abs(arr)))
+        top = float(np.abs(arr).max())
         e = math.frexp(top)[1]
     return math.fsum(parts)
 
@@ -102,26 +106,48 @@ def _exact_sum(arr: np.ndarray) -> float:
 def _moments(values, what: str, ddof: int | None = 1) -> tuple[float, float | None]:
     """Exactly rounded mean of ``values`` and, unless ``ddof`` is None, their sample variance.
 
+    The variance is (S(d d) - S(d)^2 / n) / (n - ddof) with d = x - mean and
+    S the exactly rounded sum. The residual-mean term S(d)^2 / n is summed
+    only where it can change the result. Plain numpy sums bound |S(d)| by
+    B = |sum d| + 2 n 2^-53 sum |d|: in any order the error of a float sum is
+    at most gamma_(n-1) sum |d| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, section 4.2), and the factor 2 n covers the rounding of
+    sum |d| itself. When c = B^2 / n (1 + 1e-12) is a normal float below
+    ulp(ss) / 4, with ss = S(d d), the rounded term r = fl(fl(t^2) / n) of the
+    correctly rounded t = S(d) is below c (the 1e-12 covers every rounding on
+    the way), so 0 <= r < ulp(ss) / 4. That is less than half the spacing of
+    the floats under ss, a power of two included, and rounding is monotone,
+    so fl(ss - r) == ss and the variance is ss / (n - ddof) with the same
+    bits. Otherwise, a subnormal c, ss == 0, a non-finite B, or data with a
+    large offset and a small spread, the term is summed as well. B is
+    squared in Python floats, which overflow to inf without raising, and its
+    numpy sums cannot overflow: once S(d d) is finite, sum |d| is at most
+    sqrt(n S(d d)).
+
     The one checked path of every statistic here: a sum or a squared deviation
     of finite values that leaves the float range raises FloatRangeError naming
     ``what``, and fsum's refusal of inf + -inf InvalidArgumentError. Values
     holding inf or nan otherwise keep fsum's results.
     """
     arr = _as_array(values)
-    if ddof is not None and arr.size <= ddof:
-        raise InvalidArgumentError(f"variance needs more than {ddof} values, got {arr.size}")
-    if not arr.size:
+    n = arr.size
+    if ddof is not None and n <= ddof:
+        raise InvalidArgumentError(f"variance needs more than {ddof} values, got {n}")
+    if not n:
         raise InvalidArgumentError("mean of an empty sequence")
     try:
         with np.errstate(over="raise", invalid="ignore"):
-            m = _exact_sum(arr) / arr.size
+            m = _exact_sum(arr) / n
             if ddof is None:
                 return m, None
             d = arr - m
-            # second pass with a correction term for the residual mean error
-            return m, (_exact_sum(d * d) - _exact_sum(d) ** 2 / arr.size) / (arr.size - ddof)
+            ss = _exact_sum(d * d)
+            bound = abs(float(d.sum())) + 2 * n * 2.0**-53 * float(np.abs(d).sum())
+            if _NORMAL_MIN <= bound * bound / n * (1.0 + 1e-12) < math.ulp(ss) / 4:
+                return m, ss / (n - ddof)
+            return m, (ss - _exact_sum(d) ** 2 / n) / (n - ddof)
     except (OverflowError, FloatingPointError):
-        raise FloatRangeError(f"{what}: a sum or a square of {arr.size} values leaves the float range") from None
+        raise FloatRangeError(f"{what}: a sum or a square of {n} values leaves the float range") from None
     except ValueError:  # fsum's inf + -inf
         raise InvalidArgumentError(f"{what}: a sum of inf and -inf is undefined") from None
 
@@ -235,8 +261,11 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
             raise InvalidArgumentError(f"{name} must be an integer in [0, 2^64), got {v!r}")
     samples = _draw(float(center), float(sigma), count, seed, stream,
                     f"outcomes of sigma={sigma!r} about center={center!r}")
-    return MeasurementEnsemble(samples=tuple(samples.tolist()), seed=seed, stream=stream,
-                               true_center=float(center), sigma=float(sigma))
+    samples.flags.writeable = False
+    ens = MeasurementEnsemble(samples=tuple(samples.tolist()), seed=seed, stream=stream,
+                              true_center=float(center), sigma=float(sigma))
+    ens.__dict__["_array"] = samples  # the draw is the cached array, so the tuple is never converted back
+    return ens
 
 
 def characteristic_factor(delta_x: float, p: float, hbar: float = 1.0) -> float:

@@ -123,12 +123,13 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _adaptive(f, segments) -> float:
+def _adaptive(f, segments, stage: str, e: float) -> float:
     """Composite Gauss-Legendre with order doubling until 1e-10 relative.
 
     Each order makes one call ``f(theta, rows)``: ``theta`` holds one row of
     nodes per segment and ``rows`` is the slice of ``segments`` those rows
-    are. The panel sums are then added in segment order.
+    are. The panel sums are then added in segment order. A floor warning or
+    a stall names the ``stage`` ("action" or "period") and the energy ``e`` in J.
     """
     a, b = np.array(segments).T
     mids = 0.5 * (a + b)
@@ -145,14 +146,11 @@ def _adaptive(f, segments) -> float:
             if rel <= _RTOL_TARGET:
                 return val
         prev = val
+    change = f"at relative change {rel:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
     if rel <= _RTOL_FLOOR:
-        warnings.warn(QuadratureFloorWarning(
-            f"quadrature accepted at relative change {rel:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
-        ), stacklevel=2)
+        warnings.warn(QuadratureFloorWarning(f"{stage} at E={e!r} J: quadrature accepted {change}"), stacklevel=2)
         return prev
-    raise QuadratureFailureError(
-        f"quadrature stalled at relative change {rel:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
-    )
+    raise QuadratureFailureError(f"{stage} at E={e!r} J: quadrature stalled {change}")
 
 
 # -- turning points ------------------------------------------------------
@@ -215,7 +213,7 @@ def _action_si(profile: WellProfile, e: float) -> float:
         v = e - u(xm + dx * s * s, rows)
         return np.sqrt(np.maximum(v, 0.0)) * np.sin(2.0 * theta)
 
-    value = _adaptive(integrand, segments)
+    value = _adaptive(integrand, segments, "action", e)
     return 2.0 * math.sqrt(2.0 * profile.mass) * dx * value
 
 
@@ -299,7 +297,7 @@ def _period_si(profile: WellProfile, e: float) -> float:
 
     if pieces is not None:
         integrand = _factored_ends(integrand, profile, e, pieces, xm, xp)
-    value = _adaptive(integrand, segments)
+    value = _adaptive(integrand, segments, "period", e)
     return math.sqrt(2.0 * profile.mass) * dx * value
 
 
@@ -445,12 +443,15 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, what: str) -> flo
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # the C code divides to inf or nan here, and rejects the step
+                stry = math.inf
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # a good short step
                 spre, scur = scur, stry
             else:

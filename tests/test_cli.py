@@ -411,6 +411,30 @@ def test_crafted_config_exits_typed(tmp_path, capsys, sub, doc):
     assert rc == (2 if err["type"] == "ConfigError" else 3)
 
 
+# Brent's extrapolation denominator rounds to 0 in the check's root search; the run died with a ZeroDivisionError
+_ZERO_STEP_HYDROGENOID = {
+    "model": {"kind": "hydrogenoid", "units": "natural-box",
+              "params": {"reduced_mass": 8.075016415089637e+246, "z": 3, "charge": 7205747691.101466}},
+    "semiclassical_check": True, "n_limit": 2,
+}
+
+
+def test_semiclassical_check_whose_root_step_divides_by_zero_exits_cleanly(tmp_path):
+    cfg, out = write_config(tmp_path, _ZERO_STEP_HYDROGENOID), tmp_path / "out"
+    argv = ["spectrum", "--config", cfg, "--out", str(out)]
+    proc = _run_probe(f"import sys; from speclimit.cli import main; sys.exit(main({argv!r}))")
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode == 0:
+        rows = read_csv(out / "spectrum.csv")
+        assert rows[0] == ["n", "E_n", "tau_n", "E_semiclassical"] and len(rows) == 3
+        for row in rows[1:]:  # the semiclassical levels are the closed forms' to the printed digits
+            assert row[3] == row[1]
+    else:
+        lines = proc.stderr.splitlines()
+        assert (proc.returncode, len(lines)) == (3, 1), proc.stderr
+        assert issubclass(getattr(errors, json.loads(lines[0])["error"]["type"]), errors.SpeclimitError)
+
+
 @pytest.mark.parametrize("below", [False, True])
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, below):
     taken = tmp_path / "taken"
@@ -687,6 +711,18 @@ def test_run_record_manifest(tmp_path):
         stamps = ('  "started_utc": ', '  "finished_utc": ')
         assert json.dumps(record, indent=2, sort_keys=True) + "\n" == "".join(
             line for line in text.splitlines(keepends=True) if not line.startswith(stamps))
+
+
+def test_run_record_config_reruns_the_run(tmp_path):
+    # echoed at 12 digits, the center read back as 7205747691.1 and every outcome moved
+    doc = box_config(seed=3, noise={"count": 200, "position_center": 7205747691.101466, "delta_x": 0.1234567890123456})
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["noise", "--config", write_config(tmp_path, doc), "--out", str(first)]) == 0
+    record = json.loads((first / "run_record.json").read_text())
+    assert record["config"] == doc
+    replay = write_config(tmp_path, record["config"], "replay.json")
+    assert main(["noise", "--config", replay, "--out", str(again)]) == 0
+    assert json.loads((again / "run_record.json").read_text())["outputs"] == record["outputs"]
 
 
 def test_rerun_is_byte_identical(tmp_path):

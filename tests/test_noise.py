@@ -135,17 +135,25 @@ def test_characteristic_check_rejects_an_infinite_phase():
 
 
 def test_characteristic_check_sums_six_times(monkeypatch):
-    # two means, then a sum of squares and a residual sum for each variance
-    # about the mean already formed (recomputing the means made it 8)
+    # two means, then a sum of squares for each variance about the mean already
+    # formed (recomputing the means made it 8); the residual sum of each variance
+    # is taken only where it can change the result, so centred terms take 4
     calls = []
     exact_sum = noise._exact_sum
     monkeypatch.setattr(noise, "_exact_sum", lambda arr: calls.append(1) or exact_sum(arr))
     sl.characteristic_check(sl.sample_ensemble(0.5, 1.5, 1000, seed=3), 0.8)
+    assert len(calls) == 4
+    # outcomes 1 +- 1e-9 read against a center of 0: every phase sits near p, so the
+    # cosines and sines both have a large offset and a tiny spread and take 6 sums
+    calls.clear()
+    offset = dataclasses.replace(sl.sample_ensemble(1.0, 1e-9, 1000, seed=3), true_center=0.0)
+    sl.characteristic_check(offset, math.pi / 4)
     assert len(calls) == 6
 
 
 def test_each_ensemble_is_converted_to_an_array_once(monkeypatch):
-    # statistics on one ensemble share one cached array of its samples
+    # statistics on one ensemble share one cached array of its samples, and a
+    # drawn ensemble's cache is the draw itself: its tuple is never converted
     converted = []
     as_array = noise._as_array
     monkeypatch.setattr(noise, "_as_array",
@@ -156,7 +164,8 @@ def test_each_ensemble_is_converted_to_an_array_once(monkeypatch):
     for p in (0.5, 1.0, 2.0):
         sl.characteristic_check(pos, p)
     assert (pos.mean(), pos.stdev(), mom.mean()) == (state.r, state.delta_x, state.d)
-    assert [t for t in converted if t is not np.ndarray] == [tuple, tuple]
+    assert [t for t in converted if t is not np.ndarray] == []
+    assert pos._array.tolist() == list(pos.samples)
     assert not pos._array.flags.writeable
     # the cache is not a field: equality, hash and repr see only the samples
     fresh = sl.sample_ensemble(2.0, 0.5, 1000, seed=3, stream=0)
@@ -241,6 +250,63 @@ def test_statistics_of_non_finite_and_overflowing_values_match_fsum(values):
     fsum_mean = _outcome(lambda v: math.fsum(v) / len(v), values)
     assert _outcome(fmean, values, quiet=False) == _as_reported(fsum_mean, values)
     assert _outcome(fvariance, values, quiet=False) == _as_reported(_outcome(_fsum_variance, values), values)
+
+
+def _fsum_moments(arr: np.ndarray, ddof: int):
+    """The statistics' contract with math.fsum on every sum: mean and variance as hex, or the error type."""
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            m = math.fsum(arr.tolist()) / arr.size
+            d = arr - m
+            dd = d * d
+        var = (math.fsum(dd.tolist()) - math.fsum(d.tolist()) ** 2 / arr.size) / (arr.size - ddof)
+    except (FloatingPointError, OverflowError):
+        return FloatRangeError
+    except ValueError:
+        return InvalidArgumentError
+    return tuple("nan" if math.isnan(v) else v.hex() for v in (m, var))
+
+
+def test_moments_match_the_fsum_formula_bit_for_bit(monkeypatch):
+    """_moments gives the bits and errors of the fsum formula, whether or not it sums the residual mean.
+
+    The residual sum S(d)^2 / n is skipped where it cannot change the
+    variance; both branches must be taken, so the count of exact sums per
+    call (2 skipped, 3 summed) is tallied over the examples.
+    """
+    calls, taken = [], set()
+    exact_sum = noise._exact_sum
+    monkeypatch.setattr(noise, "_exact_sum", lambda arr: calls.append(1) or exact_sum(arr))
+
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1),
+           center=st.one_of(st.just(0.0), st.floats(-1e300, 1e300)), log_sigma=st.floats(-300.0, 300.0),
+           shape=st.sampled_from(("gaussian", "discrete", "magnitudes", "relative")), ddof=st.integers(0, 1))
+    @example(count=2500, seed=1, center=0.0, log_sigma=0.0, shape="gaussian", ddof=1)  # unit Gaussian: skipped
+    @example(count=2500, seed=1, center=1e8, log_sigma=-6.0, shape="gaussian", ddof=1)  # offset 1e8, sigma 1e-6
+    def check(count, seed, center, log_sigma, shape, ddof):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if shape == "magnitudes":  # each value at its own scale
+                arr = rng.standard_normal(count) * 10.0 ** rng.uniform(-300.0, 300.0, count)
+            elif shape == "relative":  # a spread of 1e-12 to 1e-4 of the center: the residual term nears ulp(ss)
+                arr = center * (1.0 + 10.0 ** (log_sigma / 75.0 - 8.0) * rng.standard_normal(count))
+            else:
+                draws = rng.standard_normal(count) if shape == "gaussian" else rng.integers(-3, 4, count)
+                arr = center + 10.0**log_sigma * draws
+        calls.clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                m, var = noise._moments(arr, "check", ddof)
+        except SpeclimitError as exc:
+            assert type(exc) is _fsum_moments(arr, ddof)
+            return
+        assert tuple("nan" if math.isnan(v) else v.hex() for v in (m, var)) == _fsum_moments(arr, ddof)
+        taken.add(len(calls))
+
+    check()
+    assert taken == {2, 3}
 
 
 # -- ensembles ----------------------------------------------------------------

@@ -11,6 +11,7 @@ pieces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -159,3 +160,18 @@ def test_brent_port_matches_reference(monkeypatch):
             sl.classify(sl.numeric(op["mass"], op["x"], op["u"]), (op["n"], op["n"] + 2))
     assert len(found) > 300
     assert [a for a, _ in found] == [b for _, b in found]
+
+
+def _scaled_cubic(x, scale=1e-110, root=0.2):
+    return scale * (x**3 - root)
+
+
+def test_brent_port_bisects_where_a_step_divides_by_zero():
+    # the extrapolation denominator dblk * dpre * (fblk - fpre) underflows to 0 at these scales; the C
+    # code divides to inf and rejects the step, and the port raised ZeroDivisionError
+    got = sc._brentq(_scaled_cubic, 0.0, 1.0, 1e-12, 1e-13, "t").hex()
+    assert got == float(brentq(_scaled_cubic, 0.0, 1.0, xtol=1e-12, rtol=1e-13)).hex() == "0x1.2b6b5edf6afb2p-1"
+    for scale, root in itertools.product((1e-120, 1e-200, 1e-300), (0.2, 0.5, 0.7)):
+        f = functools.partial(_scaled_cubic, scale=scale, root=root)
+        assert sc._brentq(f, 0.0, 1.0, 1e-12, 1e-13, "t").hex() == float(brentq(f, 0.0, 1.0, xtol=1e-12,
+                                                                                 rtol=1e-13)).hex()

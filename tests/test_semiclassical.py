@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -425,9 +426,22 @@ def test_adaptive_warns_on_floor_acceptance(monkeypatch):
     # only to about 5e-9, between the target and the floor. Stopping at order
     # 64 spares the test the seconds that the order-512 and 1024 rules take.
     monkeypatch.setattr(sc, "_GL_ORDERS", (16, 32, 64))
-    with pytest.warns(QuadratureFloorWarning, match=r"accepted at relative change 5(\.\d+)?e-09"):
-        value = sc._adaptive(lambda t, rows: t**1.5, [(0.0, 1.0)])
+    accepted = r"^period at E=0\.25 J: quadrature accepted at relative change 5(\.\d+)?e-09"
+    with pytest.warns(QuadratureFloorWarning, match=accepted):
+        value = sc._adaptive(lambda t, rows: t**1.5, [(0.0, 1.0)], "period", 0.25)
     assert value == pytest.approx(0.4, rel=1e-8)
+
+
+def test_quadrature_errors_name_the_stage_and_energy(monkeypatch):
+    from speclimit.models import well_profile
+
+    monkeypatch.setattr(sc, "_GL_ORDERS", (8, 16))  # too few orders for a Morse orbit's action to converge
+    profile = well_profile(sl.get_preset("morse-h2"))
+    e = 0.5 * profile.u_min
+    with pytest.raises(QuadratureFailureError, match=rf"^action at E={re.escape(repr(e))} J: quadrature stalled at"):
+        sc._action_si(profile, e)
+    with pytest.warns(QuadratureFloorWarning, match=rf"^period at E={re.escape(repr(e))} J: quadrature accepted at"):
+        sc._period_si(profile, e)
 
 
 # name -> (table ends, potential) of the wells tabulated below
@@ -594,7 +608,7 @@ def test_period_within_rounding_of_a_table_bottom_is_a_typed_error():
 # -- batched quadrature against the per-panel reference ---------------------
 
 
-def _reference_adaptive(f, segments) -> float:
+def _reference_adaptive(f, segments, stage, e) -> float:
     # one integrand call per panel per order
     def panel(i, order):
         a, b = segments[i]
