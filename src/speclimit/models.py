@@ -22,12 +22,16 @@ Four analytic wells plus a sampled-table potential:
   semiclassical engine.
 
 Each kind is one params dataclass (a ``WellKind``) holding everything about
-it: name, parameter schema, validation, SI view, lowest quantum number,
+it: name, parameter schema, validation, scales, lowest quantum number,
 Maslov count, closed forms and classical well profile. The functions below
 are generic over that object. Parameters are stated in the model's declared
-unit system and converted to SI once; every formula is evaluated in SI and
-converted back on return. The module uses ``math`` alone: the array side of
-each well profile (potentials and a table's PCHIP pieces) is in ``profiles``.
+unit system, and the closed forms stay in it: each kind computes a few
+scales of the model once (an energy and a time, or omega), each formed from
+``math.frexp`` mantissas so that no intermediate product leaves the float
+range, and each form is a scale times a factor in n. Only the well profile,
+which the semiclassical engine integrates, converts the parameters to SI.
+The module uses ``math`` alone: the array side of each well profile
+(potentials and a table's PCHIP pieces) is in ``profiles``.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ __all__ = [
 ]
 
 _REQUIRED = object()  # default of a config key that must be present
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float
 
 DEGENERATE_PERIOD_NOTE = "period-degenerate: criterion inconclusive by period measurement"
 
@@ -142,12 +147,13 @@ class WellKind:
     """Base of the five params dataclasses; each subclass is one well kind.
 
     A kind states its ``kind`` name, ``schema``, lowest quantum number
-    ``n_min`` and default Maslov count ``maslov``, and implements ``si``
-    (its SI view), ``profile`` (its ``WellProfile``) and, unless
-    ``closed_forms`` is false, the SI closed forms ``energy``, ``period``,
-    ``gap_energy`` and ``gap_period`` of the SI view and n. An SI view may
-    hold ``product``, the product of parameters that all four forms share,
-    computed once. ``notes`` gives the kind's remarks on a criterion report.
+    ``n_min`` and default Maslov count ``maslov``, and implements ``profile``
+    (its ``WellProfile``, in SI) and, unless ``closed_forms`` is false,
+    ``scales`` and the closed forms ``energy``, ``period``, ``gap_energy``
+    and ``gap_period``. ``scales(units)`` gives the model's constants in its
+    own units, all positive, and each form is a function of those scales and
+    n, in the same units. ``notes`` gives the kind's remarks on a criterion
+    report.
     """
 
     kind: ClassVar[str]
@@ -167,16 +173,35 @@ class WellKind:
         """Largest enumerated level, or None when the ladder is unbounded."""
         return None
 
+    def scales(self, units: UnitSystem) -> SimpleNamespace:
+        """The constants the closed forms share, in model units; none for a kind without closed forms."""
+        return SimpleNamespace()
+
     def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
         """The kind's notes on a criterion report of this ``regime`` and y(n)/hbar values ``ys``."""
         return (DEGENERATE_PERIOD_NOTE,) if self.degenerate_period else ()
 
 
-def _times_square(m: float, a: float) -> float:
-    """m a**2, or inf where a**2 leaves the float range."""
+def _scaled(num, den=(), root: bool = False) -> float:
+    """The product of ``num`` over the product of ``den``, or its square root, with no intermediate under- or overflow.
+
+    The products run over the ``math.frexp`` mantissas, which lie in
+    [1/2, 1), and the exponents are summed apart, so one ``math.ldexp`` puts
+    the result in place. Where every intermediate of the plain
+    ``(num[0] * num[1] * ...) / (den[0] * ...)`` is a normal float, the bits
+    are that expression's, or those of its ``math.sqrt`` with ``root``.
+    Elsewhere the result is still correctly scaled: inf past the largest
+    float (and for a division by 0), and subnormal or 0 below the smallest
+    normal one.
+    """
     try:
-        return m * a**2
-    except OverflowError:
+        top, bottom = [math.frexp(x) for x in num], [math.frexp(x) for x in den]
+        m = math.prod(f for f, _ in top) / math.prod(f for f, _ in bottom)
+        e = sum(k for _, k in top) - sum(k for _, k in bottom)
+        if root:  # halve an even exponent
+            m, e = math.sqrt(m * 2.0 ** (e % 2)), e // 2
+        return math.ldexp(m, e)
+    except ArithmeticError:  # past the largest float, a division by 0, or an int too large for a float
         return math.inf
 
 
@@ -190,22 +215,25 @@ class BoxParams(WellKind):
     n_min = 1
     maslov = 0
 
-    def si(self, units: UnitSystem):
-        m, a = units.to_si(self.mass, "mass"), units.to_si(self.width, "length")
-        return SimpleNamespace(mass=m, width=a, product=_times_square(m, a))  # m a^2, in all four forms
+    def scales(self, units: UnitSystem):
+        # t1 = 2 m a^2 / (C hbar pi), C the coherence factor, and e1 = pi hbar / t1 = C hbar^2 pi^2 / (2 m a^2):
+        # the errors of t1 cancel in y = |dE dTau| / hbar
+        c, hbar, m, a = units.factor("coherence"), units.hbar, self.mass, self.width
+        t1 = _scaled((2, m, a, a), (c, hbar, math.pi))
+        return SimpleNamespace(t1=t1, e1=_scaled((math.pi, hbar), (t1,)))
 
-    energy = staticmethod(lambda si, n: (HBAR_SI * math.pi * n) ** 2 / (2.0 * si.product))
-    period = staticmethod(lambda si, n: 2.0 * si.product / (HBAR_SI * math.pi * n))
-    gap_energy = staticmethod(lambda si, n: HBAR_SI**2 * math.pi**2 * (2 * n - 1) / (4.0 * si.product))
-    gap_period = staticmethod(lambda si, n: -si.product / (HBAR_SI * math.pi * n * (n - 1)))
+    energy = staticmethod(lambda s, n: s.e1 * n**2)
+    period = staticmethod(lambda s, n: s.t1 / n)
+    gap_energy = staticmethod(lambda s, n: s.e1 * (n - 0.5))
+    gap_period = staticmethod(lambda s, n: -s.t1 / (2 * n * (n - 1)))
 
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import box_potential
 
-        si = model._si
-        a = si.width
-        return WellProfile(mass=si.mass, potential=box_potential(a), turning_points=lambda e: (0.0, a),
-                           u_min=0.0, e_ceiling=math.inf, e_scale=self.energy(si, 1))
+        u = model.units
+        m, a = u.to_si(self.mass, "mass"), u.to_si(self.width, "length")
+        return WellProfile(mass=m, potential=box_potential(a), turning_points=lambda e: (0.0, a),
+                           u_min=0.0, e_ceiling=math.inf, e_scale=(HBAR_SI * math.pi) ** 2 / (2.0 * (m * a**2)))
 
 
 @dataclass(frozen=True)
@@ -219,34 +247,27 @@ class HarmonicParams(WellKind):
     maslov = 2
     degenerate_period = True
 
-    def si(self, units: UnitSystem):
-        m = units.to_si(self.mass, "mass")
-        k = units.to_si(self.stiffness, "stiffness")
-        return SimpleNamespace(mass=m, stiffness=k, omega=math.sqrt(k / m))
+    def scales(self, units: UnitSystem):
+        omega = _scaled((self.stiffness,), (self.mass,), root=True)
+        return SimpleNamespace(omega=omega, hw=units.hbar * omega)
 
-    energy = staticmethod(lambda si, n: HBAR_SI * si.omega * (n + 0.5))
-    period = staticmethod(lambda si, n: 2.0 * math.pi / si.omega)
-    gap_energy = staticmethod(lambda si, n: HBAR_SI * si.omega / 2.0)
-    gap_period = staticmethod(lambda si, n: 0.0)
+    energy = staticmethod(lambda s, n: s.hw * (n + 0.5))
+    period = staticmethod(lambda s, n: 2.0 * math.pi / s.omega)
+    gap_energy = staticmethod(lambda s, n: s.hw / 2.0)
+    gap_period = staticmethod(lambda s, n: 0.0)
 
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import harmonic_potential
 
-        si = model._si
-        k = si.stiffness
+        u = model.units
+        m, k = u.to_si(self.mass, "mass"), u.to_si(self.stiffness, "stiffness")
 
         def turning_points(e):
             amp = math.sqrt(2.0 * e / k)
             return -amp, amp
 
-        return WellProfile(
-            mass=si.mass,
-            potential=harmonic_potential(k),
-            turning_points=turning_points,
-            u_min=0.0,
-            e_ceiling=math.inf,
-            e_scale=HBAR_SI * si.omega,
-        )
+        return WellProfile(mass=m, potential=harmonic_potential(k), turning_points=turning_points,
+                           u_min=0.0, e_ceiling=math.inf, e_scale=HBAR_SI * math.sqrt(k / m))
 
 
 @dataclass(frozen=True)
@@ -269,29 +290,26 @@ class HydrogenoidParams(WellKind):
         if not (isinstance(self.z, int) and not isinstance(self.z, bool) and self.z >= 1):
             raise ModelDefinitionError(f"hydrogenoid: z must be an integer >= 1, got {self.z!r}")
 
-    def si(self, units: UnitSystem):
-        mu = units.to_si(self.reduced_mass, "mass")
-        c = self.z * units.to_si(self.charge**2, "coulomb")  # coupling Z e^2 in J m
-        return SimpleNamespace(mass=mu, coupling=c, product=_times_square(mu, c))  # mu (Z e^2)^2, in all four forms
+    def scales(self, units: UnitSystem):
+        # e1 = mu Z^2 q^4 / (2 C hbar^2), C the coherence factor, and t1 = pi hbar / e1 (errors cancel in y)
+        c, hbar, mu, z, q = units.factor("coherence"), units.hbar, self.reduced_mass, self.z, self.charge
+        e1 = _scaled((mu, z, z, q, q, q, q), (2, c, hbar, hbar))
+        return SimpleNamespace(e1=e1, t1=_scaled((math.pi, hbar), (e1,)))
 
-    energy = staticmethod(lambda si, n: -si.product / (2.0 * HBAR_SI**2 * n**2))
-    period = staticmethod(lambda si, n: 2.0 * math.pi * HBAR_SI**3 * n**3 / si.product)
-    gap_energy = staticmethod(lambda si, n: si.product * (2 * n - 1) / (4.0 * HBAR_SI**2 * n**2 * (n - 1) ** 2))
-    gap_period = staticmethod(lambda si, n: math.pi * HBAR_SI**3 * (3 * n**2 - 3 * n + 1) / si.product)
+    energy = staticmethod(lambda s, n: -s.e1 / n**2)
+    period = staticmethod(lambda s, n: s.t1 * n**3)
+    gap_energy = staticmethod(lambda s, n: s.e1 * ((2 * n - 1) / (2 * n**2 * (n - 1) ** 2)))
+    gap_period = staticmethod(lambda s, n: s.t1 * ((3 * n**2 - 3 * n + 1) / 2))
 
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import coulomb_potential
 
-        si = model._si
-        c = si.coupling
-        return WellProfile(
-            mass=si.mass,
-            potential=coulomb_potential(c),
-            turning_points=lambda e: (0.0, float(-c / e)),  # the singular wall and r = Z e^2 / |E|
-            u_min=-math.inf,
-            e_ceiling=0.0,
-            e_scale=si.product / (2.0 * HBAR_SI**2),
-        )
+        u = model.units
+        mu = u.to_si(self.reduced_mass, "mass")
+        c = self.z * u.to_si(self.charge**2, "coulomb")  # coupling Z e^2 in J m
+        # the turning points are the singular wall and r = Z e^2 / |E|
+        return WellProfile(mass=mu, potential=coulomb_potential(c), turning_points=lambda e: (0.0, float(-c / e)),
+                           u_min=-math.inf, e_ceiling=0.0, e_scale=mu * c**2 / (2.0 * HBAR_SI**2))
 
     def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
         return (HYDROGENOID_THRESHOLD_NOTE,)
@@ -299,8 +317,8 @@ class HydrogenoidParams(WellKind):
 
 def _hydrogenoid_y(n: int) -> float:
     """y(n)/hbar of any hydrogenoid: the product dE dTau does not depend on mu, Z or e."""
-    si = HydrogenoidParams(1.0, 1).si(ATOMIC)
-    return abs(HydrogenoidParams.gap_energy(si, n) * HydrogenoidParams.gap_period(si, n)) / HBAR_SI
+    s = HydrogenoidParams(1.0, 1).scales(ATOMIC)
+    return abs(HydrogenoidParams.gap_energy(s, n) * HydrogenoidParams.gap_period(s, n)) / ATOMIC.hbar
 
 
 # The closed form y(n) = pi*(2n-1)*(3n^2-3n+1) / (4 n^2 (n-1)^2) first drops
@@ -331,45 +349,45 @@ class MorseParams(WellKind):
 
     def validate(self, units: UnitSystem):
         super().validate(units)
-        try:
-            zeta = self.si(units).zeta
-        except ArithmeticError:  # e.g. the SI mass underflows to 0
-            zeta = math.nan
+        zeta = self.scales(units).zeta
         if not math.isfinite(zeta):
-            raise ModelDefinitionError("morse: zeta = 2 depth / (hbar omega) leaves the float range in SI units")
+            raise ModelDefinitionError("morse: zeta = 2 depth / (hbar omega) leaves the float range")
         if zeta <= 1.0:
             raise ModelDefinitionError(
                 f"morse: zeta = 2 depth / (hbar omega) must exceed 1 for a bound level to exist, got {zeta:.6g}"
             )
 
-    def si(self, units: UnitSystem):
-        m = units.to_si(self.mass, "mass")
-        d = units.to_si(self.depth, "energy")
-        a = units.to_si(self.alpha, "inverse_length")
-        omega = a * math.sqrt(2.0 * d / m)
-        return SimpleNamespace(mass=m, depth=d, alpha=a, omega=omega, zeta=2.0 * d / (HBAR_SI * omega))
+    def scales(self, units: UnitSystem):
+        # omega = alpha sqrt(2 D C / m), C the coherence factor, and zeta = 2 D / (hbar omega)
+        c, hbar, m, d, a = units.factor("coherence"), units.hbar, self.mass, self.depth, self.alpha
+        omega = _scaled((2, d, c, a, a), (m,), root=True)
+        zeta = _scaled((2, d, m), (c, hbar, hbar, a, a), root=True)
+        return SimpleNamespace(depth=d, omega=omega, zeta=zeta, hw=hbar * omega)
 
     def n_max(self, model: ModelSpec) -> int:
-        return math.ceil(model._si.zeta / 2.0 - 0.5) - 1
+        return math.ceil(model._scales.zeta / 2.0 - 0.5) - 1
 
     def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
         if regime == "all-unresolvable" and ys != sorted(ys, reverse=True):
             return (MORSE_TAIL_NOTE,)
         return ()
 
-    energy = staticmethod(lambda si, n: -si.depth * (1.0 - (n + 0.5) / si.zeta) ** 2)
-    period = staticmethod(  # 2 pi / alpha sqrt(m / (2 |E_n|))
-        lambda si, n: (2.0 * math.pi / si.alpha) * math.sqrt(si.mass / (2.0 * (si.depth * (1.0 - (n + 0.5) / si.zeta) ** 2))))
+    # Each factor 1 - (n +- 1/2) / zeta of an enumerated level lies in (1/2, 1], so a division by it
+    # comes first, where it cannot overflow, and an underflow shows in the result.
+    energy = staticmethod(lambda s, n: -s.depth * (1.0 - (n + 0.5) / s.zeta) ** 2)
+    period = staticmethod(lambda s, n: 2.0 * math.pi / (1.0 - (n + 0.5) / s.zeta) / s.omega)
     # (E_n - E_{n-1})/2 = (hbar omega / 2)(1 - n / zeta)
-    gap_energy = staticmethod(lambda si, n: HBAR_SI * si.omega * (1.0 - n / si.zeta) / 2.0)
+    gap_energy = staticmethod(lambda s, n: s.hw * (1.0 - n / s.zeta) / 2.0)
     gap_period = staticmethod(
-        lambda si, n: (math.pi / (si.omega * si.zeta)) / ((1.0 - (n + 0.5) / si.zeta) * (1.0 - (n - 0.5) / si.zeta)))
+        lambda s, n: math.pi / ((1.0 - (n + 0.5) / s.zeta) * (1.0 - (n - 0.5) / s.zeta)) / (s.omega * s.zeta))
 
     def profile(self, model: ModelSpec) -> WellProfile:
         from .profiles import morse_potential
 
-        si = model._si
-        d, a = si.depth, si.alpha
+        u = model.units
+        m = u.to_si(self.mass, "mass")
+        d = u.to_si(self.depth, "energy")
+        a = u.to_si(self.alpha, "inverse_length")
 
         def turning_points(e):
             # U = E at exp(-a x) = 1 +- s; the outer root 1 - s is written as
@@ -378,14 +396,8 @@ class MorseParams(WellKind):
             s = math.sqrt(1.0 + r)
             return -math.log1p(s) / a, -math.log(-r / (1.0 + s)) / a
 
-        return WellProfile(
-            mass=si.mass,
-            potential=morse_potential(d, a),
-            turning_points=turning_points,
-            u_min=-d,
-            e_ceiling=0.0,
-            e_scale=d,
-        )
+        return WellProfile(mass=m, potential=morse_potential(d, a), turning_points=turning_points,
+                           u_min=-d, e_ceiling=0.0, e_scale=d)
 
 
 @dataclass(frozen=True)
@@ -426,6 +438,7 @@ class NumericPotentialParams(WellKind):
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
 
     def si(self, units: UnitSystem):
+        """The table and the mass in SI, for the checks and the engine."""
         return SimpleNamespace(mass=units.to_si(self.mass, "mass"),
                                x=tuple(units.to_si(v, "length") for v in self.x),
                                u=tuple(units.to_si(v, "energy") for v in self.u))
@@ -450,7 +463,7 @@ class NumericPotentialParams(WellKind):
         """
         from .profiles import _numeric_turning_points, _pchip
 
-        si = model._si
+        si = self.si(model.units)
         pieces = _pchip(si.x, si.u)
         bottom = si.u.index(min(si.u))
         um = si.u[bottom]
@@ -519,35 +532,40 @@ class ModelSpec:
     @property
     def omega(self) -> float:
         """Angular frequency at the well bottom, in system units (1/time)."""
-        si = self._si
-        if not hasattr(si, "omega"):
+        s = self._scales
+        if not hasattr(s, "omega"):
             raise UnsupportedModelError(f"omega is defined for harmonic and morse models, not {self.kind!r}")
-        return si.omega * self.units.time_s
+        return s.omega
 
     @property
     def zeta(self) -> float:
         """Morse well capacity 2 D / (hbar omega), dimensionless."""
-        si = self._si
-        if not hasattr(si, "zeta"):
+        s = self._scales
+        if not hasattr(s, "zeta"):
             raise UnsupportedModelError(f"zeta is defined for morse models, not {self.kind!r}")
-        return si.zeta
+        return s.zeta
 
-    # The SI view and the well profile are built on first use and kept on the
+    # The scales and the well profile are built on first use and kept on the
     # instance, so a per-level closed form reads them without hashing the model.
     @cached_property
-    def _si(self):
-        """The parameters and derived constants in SI, as attributes.
+    def _scales(self) -> SimpleNamespace:
+        """The kind's scales in model units, checked once.
 
-        Parameters whose SI values leave the float range raise FloatRangeError.
+        ``failure`` names the first scale that is not a normal finite float,
+        and is None when there is none.
         """
-        try:
-            return self.params.si(self.units)
-        except ArithmeticError as exc:
-            raise FloatRangeError(f"{self.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
+        s = self.params.scales(self.units)
+        bad = (f"the scale {k} is {v!r}" for k, v in vars(s).items() if not _NORMAL_MIN <= v < math.inf)
+        s.failure = next(bad, None)
+        return s
 
     @cached_property
     def _profile(self) -> WellProfile:
-        return self.params.profile(self)
+        """The well in SI; parameters whose SI values leave the float range raise FloatRangeError."""
+        try:
+            return self.params.profile(self)
+        except ArithmeticError as exc:
+            raise FloatRangeError(f"{self.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
 
     def __getstate__(self):
         # a profile holds closures, which do not pickle; a copy builds its own
@@ -591,20 +609,16 @@ def _first_levels(model: ModelSpec, n_limit: int) -> range:
 # -- closed forms ------------------------------------------------------
 
 
-# unit dimension of each closed form of a WellKind; a gap needs level n - 1 as well
-_FORMS = {"energy": "energy", "period": "time", "gap_energy": "energy", "gap_period": "time"}
-_NORMAL_MIN = sys.float_info.min  # the smallest normal float
-
-
 def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> list[float]:
     """The closed ``forms`` of the model's kind at level n, in model units.
 
-    The one closed-form code path. It checks n, takes the SI view and applies
-    each form's SI formula. A formula that fails in float arithmetic, or gives
-    a value that is not finite, or zero or subnormal in SI or in model units,
-    raises FloatRangeError; the one value allowed to be 0 is the period gap of
-    a period-degenerate kind. ``instead`` completes the error for kinds
-    without closed forms.
+    The one closed-form code path. It checks n, takes the model's scales and
+    applies each form to them and n. A scale that is not a normal finite
+    float, or a form that fails in float arithmetic or gives a value that is
+    not finite, or is zero or subnormal, raises FloatRangeError; the one value
+    allowed to be 0 is the period gap of a period-degenerate kind. A gap needs
+    level n - 1 as well. ``instead`` completes the error for kinds without
+    closed forms.
     """
     p = model.params
     if not p.closed_forms:
@@ -619,17 +633,13 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
         raise OutOfRangeError(f"{model.kind}: n must be <= {hi} for these parameters, got {n}")
     if n == lo and forms[0].startswith("gap_"):
         raise OutOfRangeError(f"{model.kind}: gap at n={n} needs level n-1; lowest level is {n}")
-    si = model._si
-    # every form inherits a shared product that overflowed or lost digits; one that is 0 fails in the forms
-    product = getattr(si, "product", 1.0)
-    if product and not _NORMAL_MIN <= abs(product) < math.inf:
-        raise FloatRangeError(f"{model.kind}: {forms[0]} at n={n} leaves the float range"
-                              f" (the SI product of its parameters is {product!r})")
+    s = model._scales
+    if s.failure:  # every form would inherit a scale that overflowed or lost digits
+        raise FloatRangeError(f"{model.kind}: {forms[0]} at n={n} leaves the float range ({s.failure})")
     values = []
     for form in forms:
         try:
-            s = getattr(p, form)(si, n)
-            v = s / model.units.factor(_FORMS[form])
+            v = getattr(p, form)(s, n)
         except ArithmeticError as exc:
             raise FloatRangeError(
                 f"{model.kind}: {form} at n={n} leaves the float range ({type(exc).__name__})") from None
@@ -637,9 +647,8 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
             raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range (got {v!r})")
         # a zero or subnormal value has lost some or all of its digits; only
         # the period gap of a period-degenerate kind is exactly 0
-        if (abs(s) < _NORMAL_MIN or abs(v) < _NORMAL_MIN) and not (form == "gap_period" and p.degenerate_period):
-            raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range"
-                                  f" (underflows to {s!r} in SI, {v!r} in model units)")
+        if abs(v) < _NORMAL_MIN and not (form == "gap_period" and p.degenerate_period):
+            raise FloatRangeError(f"{model.kind}: {form} at n={n} leaves the float range (underflows to {v!r})")
         values.append(v)
     return values
 

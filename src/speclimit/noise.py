@@ -215,7 +215,7 @@ class MeasurementEnsemble:
             w.writerow(["seed", "stream", "center", "sigma", "count"])
             w.writerow([self.seed, self.stream, repr(self.true_center), repr(self.sigma), self.count])
             w.writerow(["outcome"])
-            fh.write("".join([f"{v!r}\n" for v in self.samples]))
+            fh.write("\n".join([*map(repr, self.samples), ""]))
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementEnsemble":

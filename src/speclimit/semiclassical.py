@@ -20,8 +20,10 @@ at the Coulomb 1/x endpoint) and leaves integrands smooth on [0, pi/2].
 Gauss-Legendre rules of doubling order are applied until two successive
 orders agree to 1e-10 relative. A result whose last two orders agree only
 to between 1e-10 and 1e-8 is returned with a QuadratureFloorWarning that
-names the change; one that stalls before reaching 1e-8 is rejected. Each
-order makes one integrand call, on the nodes of every theta-segment at once.
+names the change; one that stalls before reaching 1e-8 is rejected. Both
+name the stage and E, and ``quantize`` puts the model's kind and the level
+in front of its action's errors. Each order makes one integrand call, on
+the nodes of every theta-segment at once.
 
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
@@ -488,11 +490,19 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
         raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
     u = model.units
     profile = well_profile(model)
+    what = f"{model.kind} level n={n}"
+
     # memoised: the root search starts at the bracket ends, which the bracket search integrated
-    act = lru_cache(maxsize=None)(lambda e: _action_si(profile, e))
+    @lru_cache(maxsize=None)
+    def act(e):
+        try:
+            return _action_si(profile, e)
+        except QuadratureFailureError as exc:
+            raise QuadratureFailureError(f"{what}: {exc}") from None
+
     lo = _bracket_low(profile, target, act)
     hi = _bracket_high(profile, target, act)
-    e_si = _brentq(lambda e: act(e) - target, lo, hi, 1e-24 * profile.e_scale, 1e-13, f"{model.kind} level n={n}")
+    e_si = _brentq(lambda e: act(e) - target, lo, hi, 1e-24 * profile.e_scale, 1e-13, what)
     return EnergyLevel(n=n, energy=u.from_si(float(e_si), "energy"))
 
 

@@ -1,10 +1,13 @@
 """Unit systems and physical constants.
 
-All model formulas are evaluated internally in SI; a UnitSystem only says how
-to translate quantities at the API boundary. Each system records the SI size
-of one unit of energy, time, length and mass, plus the numerical value hbar
-takes inside the system. The product ``hbar * energy_J * time_s`` must equal
-hbar in J s, which is validated at construction.
+Each system records the SI size of one unit of energy, time, length and
+mass, plus the numerical value hbar takes inside the system. The product
+``hbar * energy_J * time_s`` must equal hbar in J s, which is validated at
+construction. The closed forms run in a model's own units and need one more
+number from its system, the coherence factor energy x time^2 / (mass x
+length^2), which is 1 wherever the energy unit is the mass unit times the
+square of the velocity unit. The semiclassical engine runs in SI, and a
+UnitSystem translates its inputs and results.
 
 The two abstract systems are anchored to SI base units so their conversion
 factors are well defined:
@@ -88,6 +91,9 @@ class UnitSystem:
             )
         # Conversion factor for the dimensions the models use. "coulomb" is the
         # Gaussian-style coupling e^2 with dimension energy x length.
+        # "coherence" is dimensionless, the SI value of one energy unit over
+        # one mass unit times a velocity unit squared: 1 up to rounding in every
+        # built-in system but molecular (eV fs^2 / (amu A^2), about 9.65e-3).
         object.__setattr__(self, "_factors", {
             "energy": self.energy_J,
             "time": self.time_s,
@@ -97,6 +103,7 @@ class UnitSystem:
             "stiffness": self.mass_kg / self.time_s**2,
             "action": self.energy_J * self.time_s,
             "coulomb": self.energy_J * self.length_m,
+            "coherence": self.energy_J * self.time_s**2 / (self.mass_kg * self.length_m**2),
         })
 
     def factor(self, dimension: str) -> float:

@@ -345,26 +345,33 @@ def test_computation_error_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("params", [{"mass": 1e-300, "width": 1e-300}, {"mass": 1.0, "width": 1e-200}])
 def test_closed_form_outside_the_float_range_exits_3_typed(tmp_path, capsys, params):
-    # width^2 underflows to 0, so E_1 divides by zero
+    # m width^2 is 1e-900 or 1e-400, so t1 = 2 m width^2 / pi underflows to 0 and E_1 = pi / t1 overflows
     doc = {"model": {"kind": "box", "units": "natural-box", "params": params}}
     rc = main(["report", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err == {"type": "FloatRangeError",
-                   "message": "box: energy at n=1 leaves the float range (ZeroDivisionError)"}
+                   "message": "box: energy at n=1 leaves the float range (the scale t1 is 0.0)"}
 
 
 @pytest.mark.parametrize("sub", ["spectrum", "criterion", "report"])
 def test_closed_form_that_underflows_exits_3_typed(tmp_path, capsys, sub):
-    # E_1 of this box is 0 in SI; criterion and report used to divide by it
-    doc = {"model": {"kind": "box", "units": "natural-box", "params": {"mass": 1e260, "width": 1.0}}}
+    # E_1 of this box is subnormal, 4.93e-310, as t1 = 2 m a^2 / pi overflows; criterion and report used to
+    # divide by such a value
+    doc = {"model": {"kind": "box", "units": "natural-box", "params": {"mass": 1e300, "width": 1e5}}}
     rc = main([sub, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
     assert rc == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])["error"]
     assert err["type"] == "FloatRangeError"
-    assert err["message"] == "box: energy at n=1 leaves the float range (underflows to 0.0 in SI, 0.0 in model units)"
+    assert err["message"] == "box: energy at n=1 leaves the float range (the scale t1 is inf)"
+    # E_1 of a box of mass 1e260 is 4.93e-260, a normal float: it was 0 when the forms ran in SI
+    doc["model"]["params"] = {"mass": 1e260, "width": 1.0}
+    out = tmp_path / "heavy"
+    assert main([sub, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    rows = read_csv(out / ("spectrum.csv" if sub != "criterion" else "criterion.csv"))
+    assert rows[1][:2] == (["1", "4.93480220054e-260"] if sub != "criterion" else ["2", "1.97392088022e-259"])
 
 
 def _table_model(mass, x, u):

@@ -332,13 +332,14 @@ def test_complex_amplitudes(box):
 
 
 @pytest.mark.parametrize("model, quantity, n", [
-    (sl.box(1e-300, 1e-300), "energy", 1),  # width^2 underflows to 0: division by zero
-    (sl.box(1e300, 1e300), "energy", 1),  # width^2 overflows
-    (sl.hydrogenoid(1e-300, 1, 1e-300), "energy", 1),  # mu e^4 underflows to 0: E_1 is -0.0
-    (sl.harmonic(1e-300, 1e300), "energy", 1),  # omega is inf
+    (sl.box(1e-300, 1e-300), "energy", 1),  # t1 = 2e-900 / pi is 0, so E_1 = pi / t1 is inf
+    (sl.box(1e300, 1e300), "energy", 1),  # t1 = 2e900 / pi is inf, so E_1 is 0
+    (sl.hydrogenoid(1e-300, 1, 1e-300), "energy", 1),  # e1 = mu e^4 / 2 = 5e-1501 is 0
+    (sl.harmonic(1e-320, 1e300), "energy", 1),  # omega = 1e310 is inf
 ])
 def test_closed_forms_outside_the_float_range_raise_a_typed_error(model, quantity, n):
-    with pytest.raises(sl.FloatRangeError, match=f"^{model.kind}: {quantity} at n={n} leaves the float range"):
+    with pytest.raises(sl.FloatRangeError, match=f"^{model.kind}: {quantity} at n={n} leaves the float range"
+                                                 r" \(the scale (t1|e1|omega) is (inf|0\.0)\)$"):
         sl.classify(model, (2, 6))
     assert issubclass(sl.FloatRangeError, SpeclimitError) and issubclass(sl.FloatRangeError, ArithmeticError)
     single = sl.energy_level if quantity == "energy" else sl.classical_period
@@ -347,14 +348,22 @@ def test_closed_forms_outside_the_float_range_raise_a_typed_error(model, quantit
 
 
 def test_closed_forms_that_underflow_raise_a_typed_error():
-    # E_n and (E_n - E_{n-1})/2 of a heavy box are 0 or subnormal in SI: a y of 0 or digits lost
-    for model, n in ((sl.box(1e262, 1.0), 2), (sl.box(1e260, 1.0), 2), (sl.box(1e255, 1.0), 40)):
-        with pytest.raises(sl.FloatRangeError, match=f"^box: gap_energy at n={n} leaves the float range \\(underflows"):
-            sl.level_gap(model, n)
-        with pytest.raises(sl.FloatRangeError, match="^box: energy at n=1 leaves the float range \\(underflows"):
-            sl.classify(model, (2, 5))  # divided dE by E_1 = 0
-    # the period of a hydrogenoid whose mu e^4 underflows still fails on its own
-    with pytest.raises(sl.FloatRangeError, match=r"^hydrogenoid: period at n=1 leaves the float range \(ZeroDivision"):
+    # E_1 = pi^2 / (2 m a^2) of a heavy box is subnormal, and t1 = 2 m a^2 / pi overflows: no form keeps its digits
+    for model, n in ((sl.box(1e300, 1e5), 2), (sl.box(1e308, 2.0), 40), (sl.box(1e300, 1e300), 1)):
+        reason = r"leaves the float range \(the scale t1 is inf\)$"
+        with pytest.raises(sl.FloatRangeError, match=f"^box: period at n={n} {reason}"):
+            sl.classical_period(model, n)
+        with pytest.raises(sl.FloatRangeError, match=f"^box: energy at n=1 {reason}"):
+            sl.classify(model, (2, 5))
+    # a form can underflow where its scales do not: hbar omega = 3.16e-308 is normal, half of it is not
+    osc = sl.harmonic(1e300, 9e-248, UNIT_SYSTEMS["si"])
+    assert sl.energy_level(osc, 1).energy == pytest.approx(1.5 * osc.hbar * osc.omega, rel=1e-15)
+    with pytest.raises(sl.FloatRangeError,
+                       match=r"^harmonic: gap_energy at n=2 leaves the float range \(underflows to 1\.58\d*e-308\)$"):
+        sl.classify(osc, (2, 6))
+    # the period of a hydrogenoid whose mu e^4 underflows fails as well
+    with pytest.raises(sl.FloatRangeError,
+                       match=r"^hydrogenoid: period at n=1 leaves the float range \(the scale e1 is 0\.0\)$"):
         sl.classical_period(sl.hydrogenoid(1e-300, 1, 1e-300), 1)
     # a period-degenerate kind's period gap is exactly 0, and allowed to be
     assert sl.level_gap_period(sl.harmonic(), 3) == 0.0
@@ -376,24 +385,15 @@ def test_box_y_is_exact_or_a_typed_error_for_every_mass(mass_exp, width_exp, uni
     assert y == pytest.approx(box_y(n), rel=1e-12)
 
 
-def test_closed_forms_with_a_subnormal_shared_product_raise_a_typed_error():
-    # in SI, m a^2 is 2.55e-313 and mu (Z e^2)^2 is 4.8e-321: every form would inherit their lost digits
-    atomic = UNIT_SYSTEMS["atomic"]
-    with pytest.raises(sl.FloatRangeError, match=r"^box: gap_energy at n=2 leaves the float range \(the SI product "
-                                                 r"of its parameters is 2\.55\d*e-313\)$"):
-        sl.y_function(sl.box(1.0, 1e-131, atomic), 2)
-    with pytest.raises(sl.FloatRangeError, match=r"^hydrogenoid: energy at n=1 leaves the float range \(the SI "
-                                                 r"product of its parameters is 4\.8\d*e-321\)$"):
-        sl.energy_level(sl.hydrogenoid(1e-235, 1, 1.0, atomic), 1)
-    # a product that overflows is named the same way
-    with pytest.raises(sl.FloatRangeError, match=r"^box: period at n=1 leaves the float range \(the SI product "
-                                                 r"of its parameters is inf\)$"):
-        sl.classical_period(sl.box(1e300, 1e300), 1)
-
-
 def test_si_parameters_outside_the_float_range_raise_a_typed_error():
-    with pytest.raises(sl.FloatRangeError, match="^hydrogenoid: SI parameters leave the float range"):
-        sl.classify(sl.hydrogenoid(1.0, 1, 1e300), (2, 6))  # charge^2 overflows
+    # e^4 = 1e1200: the closed forms' scale is inf, and the engine's SI charge^2 overflows
+    model = sl.hydrogenoid(1.0, 1, 1e300)
+    with pytest.raises(sl.FloatRangeError,
+                       match=r"^hydrogenoid: energy at n=1 leaves the float range \(the scale e1 is inf\)$"):
+        sl.classify(model, (2, 6))
+    with pytest.raises(sl.FloatRangeError,
+                       match=r"^hydrogenoid: SI parameters leave the float range \(OverflowError\)$"):
+        sl.quantize(model, 2)
 
 
 _LEVEL_CALLS = (sl.energy_level, sl.classical_period)

@@ -241,12 +241,13 @@ def test_model_keeps_its_si_view_and_profile_and_still_pickles(kind):
     from speclimit.models import well_profile
 
     model = ALL_KINDS[kind]()
-    si, profile = model._si, well_profile(model)
-    assert model._si is si and well_profile(model) is profile  # built once, kept on the model
+    scales, profile = model._scales, well_profile(model)
+    assert model._scales is scales and well_profile(model) is profile  # built once, kept on the model
+    assert scales.failure is None and (len(vars(scales)) > 1) == model.params.closed_forms
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         assert clone == model and hash(clone) == hash(model)
         assert well_profile(clone) is not profile and well_profile(clone).e_ceiling == profile.e_ceiling
-        assert vars(clone._si) == vars(si)
+        assert vars(clone._scales) == vars(scales)
 
 
 def test_model_spec_rejects_params_that_are_not_a_kind():

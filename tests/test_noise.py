@@ -368,6 +368,15 @@ def test_ensemble_csv_round_trip(tmp_path):
     assert header == "seed,stream,center,sigma,count"
 
 
+@pytest.mark.parametrize("samples", [(), (0.1, -2.5e-300, 3.0)])
+def test_ensemble_csv_writes_one_repr_per_line(tmp_path, samples):
+    ens = sl.MeasurementEnsemble(samples=samples, seed=4, stream=1, true_center=0.5, sigma=2.0)
+    path = tmp_path / "ens.csv"
+    ens.to_csv(path)
+    head = f"seed,stream,center,sigma,count\n4,1,0.5,2.0,{len(samples)}\noutcome\n"
+    assert path.read_bytes() == (head + "".join(f"{v!r}\n" for v in samples)).encode()
+
+
 # -- characteristic factor ------------------------------------------------------
 
 

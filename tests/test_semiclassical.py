@@ -442,6 +442,10 @@ def test_quadrature_errors_name_the_stage_and_energy(monkeypatch):
         sc._action_si(profile, e)
     with pytest.warns(QuadratureFloorWarning, match=rf"^period at E={re.escape(repr(e))} J: quadrature accepted at"):
         sc._period_si(profile, e)
+    # quantize names the model and the level first
+    with pytest.raises(QuadratureFailureError,
+                       match=r"^morse level n=3: action at E=-\d\S* J: quadrature stalled at relative change "):
+        sc.quantize(sl.get_preset("morse-h2"), 3)
 
 
 # name -> (table ends, potential) of the wells tabulated below

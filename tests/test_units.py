@@ -58,6 +58,14 @@ def test_atomic_coulomb_in_ev_angstrom():
     assert c_mol == pytest.approx(14.3996, abs=2e-3)
 
 
+@pytest.mark.parametrize("system", list(units.UNIT_SYSTEMS.values()), ids=lambda u: u.name)
+def test_coherence_factor(system):
+    # energy time^2 / (mass length^2): 1 where the energy unit is mass x (length / time)^2, up to rounding
+    want = 1.602176634e-19 * 1e-15**2 / (1.66053906660e-27 * 1e-10**2) if system.name == "molecular" else 1.0
+    assert system.factor("coherence") == pytest.approx(want, rel=4e-16)
+    assert units.MOLECULAR.factor("coherence") == pytest.approx(9.6485332e-3, rel=1e-8)
+
+
 def test_natural_box_scales():
     nb = units.NATURAL_BOX
     assert nb.hbar == 1.0 and nb.mass_kg == 1.0 and nb.length_m == 1.0
