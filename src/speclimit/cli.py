@@ -240,11 +240,9 @@ def _opt_n_range(doc, model: ModelSpec):
     v = doc.get("n_range")
     first = n_min(model) + 1
     if v is None:
-        hi = first + 18
+        # 19 pairs, fewer where the ladder ends, and (first, first) where it holds none, which classify refuses
         cap = n_max(model)
-        if cap is not None:
-            hi = min(hi, cap)
-        return (first, hi)
+        return (first, first + 18 if cap is None else max(first, min(first + 18, cap)))
     if (not isinstance(v, list) or len(v) != 2
             or any(isinstance(x, bool) or not isinstance(x, int) for x in v)):
         raise ConfigError("n_range", f"expected [lo, hi] with two integers, got {v!r}")

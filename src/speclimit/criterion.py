@@ -19,6 +19,7 @@ with an explicit annotation instead of an error.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
@@ -63,6 +64,9 @@ class SuperpositionState:
     level_n_minus_1: EnergyLevel
 
     def __post_init__(self):
+        values = (self.amplitude_a, self.amplitude_b, self.level_n.energy, self.level_n_minus_1.energy)
+        if not all(map(cmath.isfinite, values)):  # a NaN norm would pass the check below
+            raise InvalidArgumentError(f"amplitudes and level energies must be finite, got {values!r}")
         norm = abs(self.amplitude_a) ** 2 + abs(self.amplitude_b) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise InvalidArgumentError(f"amplitudes must satisfy |a|^2 + |b|^2 = 1, got {norm!r}")
@@ -236,9 +240,7 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
         regime = "all-resolvable"
     else:
         regime = "crossover"
-    crossings = tuple(
-        b.n for a, b in zip(gaps, gaps[1:]) if (a.y_over_hbar >= 0.5) != (b.y_over_hbar >= 0.5)
-    )
+    crossings = tuple(b.n for a, b in zip(gaps, gaps[1:]) if a.resolvable != b.resolvable)
     ys = [g.y_over_hbar for g in gaps]
     tail = ys[max(len(ys) // 2, len(ys) - 5):]
     tail_monotone = _monotone(tail) if len(tail) >= 2 else True
@@ -281,6 +283,6 @@ def threshold(model: ModelSpec, scan_limit: int = 10**6) -> int | None:
             raise ScanLimitExceededError(
                 f"no y(n) < hbar/2 found within {scan_limit} pairs starting at n = {start}"
             )
-        if y_function(model, n) < 0.5:
+        if not level_gap(model, n).resolvable:
             return n
         n += 1

@@ -29,7 +29,9 @@ unit system, and the closed forms stay in it: each kind computes a few
 scales of the model once (an energy and a time, or omega), each formed from
 ``math.frexp`` mantissas so that no intermediate product leaves the float
 range, and each form is a scale times a factor in n. Only the well profile,
-which the semiclassical engine integrates, converts the parameters to SI.
+which the semiclassical engine integrates, is in SI: the model's params are
+restated in SI through their schema, whose ``Param.dim`` is the one statement
+of each parameter's unit, and the kind's ``profile`` reads those SI fields.
 The module uses ``math`` alone: the array side of each well profile
 (potentials and a table's PCHIP pieces) is in ``profiles``.
 """
@@ -45,7 +47,7 @@ from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 from .errors import ConfigError, FloatRangeError, ModelDefinitionError, OutOfRangeError, UnsupportedModelError
-from .units import HBAR_SI, UnitSystem, get_unit_system, MOLECULAR, NATURAL_BOX, OSCILLATOR, ATOMIC
+from .units import HBAR_SI, SI, UnitSystem, get_unit_system, MOLECULAR, NATURAL_BOX, OSCILLATOR, ATOMIC
 
 __all__ = [
     "BoxParams",
@@ -146,14 +148,16 @@ def _positive(name: str, value, kind: str) -> float:
 class WellKind:
     """Base of the five params dataclasses; each subclass is one well kind.
 
-    A kind states its ``kind`` name, ``schema``, lowest quantum number
-    ``n_min`` and default Maslov count ``maslov``, and implements ``profile``
-    (its ``WellProfile``, in SI) and, unless ``closed_forms`` is false,
-    ``scales`` and the closed forms ``energy``, ``period``, ``gap_energy``
-    and ``gap_period``. ``scales(units)`` gives the model's constants in its
-    own units, all positive, and each form is a function of those scales and
-    n, in the same units. ``notes`` gives the kind's remarks on a criterion
-    report.
+    A kind states its ``kind`` name, ``schema`` (each parameter's unit is its
+    ``Param.dim``, and nothing else restates it), lowest quantum number
+    ``n_min`` and default Maslov count ``maslov``. It implements ``profile``
+    and, unless ``closed_forms`` is false, ``scales`` and the closed forms
+    ``energy``, ``period``, ``gap_energy`` and ``gap_period``.
+    ``scales(units)`` gives the model's constants in its own units, all
+    positive, and each form is a function of those scales and n, in the same
+    units. ``profile()`` is called on params already restated in SI through
+    the schema, so it reads its own fields as SI values and returns the
+    ``WellProfile``. ``notes`` gives the kind's remarks on a criterion report.
     """
 
     kind: ClassVar[str]
@@ -205,6 +209,11 @@ def _scaled(num, den=(), root: bool = False) -> float:
         return math.inf
 
 
+def _restated(p: WellKind, src: UnitSystem, dst: UnitSystem) -> WellKind:
+    """``p``, stated in ``src`` units, restated in ``dst`` units through its schema, unchecked."""
+    return type(p)(**{q.attr: q.rescaled(getattr(p, q.attr), src, dst) for q in p.schema})
+
+
 @dataclass(frozen=True)
 class BoxParams(WellKind):
     mass: float
@@ -227,11 +236,10 @@ class BoxParams(WellKind):
     gap_energy = staticmethod(lambda s, n: s.e1 * (n - 0.5))
     gap_period = staticmethod(lambda s, n: -s.t1 / (2 * n * (n - 1)))
 
-    def profile(self, model: ModelSpec) -> WellProfile:
+    def profile(self) -> WellProfile:
         from .profiles import box_potential
 
-        u = model.units
-        m, a = u.to_si(self.mass, "mass"), u.to_si(self.width, "length")
+        m, a = self.mass, self.width
         return WellProfile(mass=m, potential=box_potential(a), turning_points=lambda e: (0.0, a),
                            u_min=0.0, e_ceiling=math.inf, e_scale=(HBAR_SI * math.pi) ** 2 / (2.0 * (m * a**2)))
 
@@ -256,11 +264,10 @@ class HarmonicParams(WellKind):
     gap_energy = staticmethod(lambda s, n: s.hw / 2.0)
     gap_period = staticmethod(lambda s, n: 0.0)
 
-    def profile(self, model: ModelSpec) -> WellProfile:
+    def profile(self) -> WellProfile:
         from .profiles import harmonic_potential
 
-        u = model.units
-        m, k = u.to_si(self.mass, "mass"), u.to_si(self.stiffness, "stiffness")
+        m, k = self.mass, self.stiffness
 
         def turning_points(e):
             amp = math.sqrt(2.0 * e / k)
@@ -301,12 +308,10 @@ class HydrogenoidParams(WellKind):
     gap_energy = staticmethod(lambda s, n: s.e1 * ((2 * n - 1) / (2 * n**2 * (n - 1) ** 2)))
     gap_period = staticmethod(lambda s, n: s.t1 * ((3 * n**2 - 3 * n + 1) / 2))
 
-    def profile(self, model: ModelSpec) -> WellProfile:
+    def profile(self) -> WellProfile:
         from .profiles import coulomb_potential
 
-        u = model.units
-        mu = u.to_si(self.reduced_mass, "mass")
-        c = self.z * u.to_si(self.charge**2, "coulomb")  # coupling Z e^2 in J m
+        mu, c = self.reduced_mass, self.z * self.charge**2  # the coupling Z e^2 in J m
         # the turning points are the singular wall and r = Z e^2 / |E|
         return WellProfile(mass=mu, potential=coulomb_potential(c), turning_points=lambda e: (0.0, float(-c / e)),
                            u_min=-math.inf, e_ceiling=0.0, e_scale=mu * c**2 / (2.0 * HBAR_SI**2))
@@ -381,13 +386,10 @@ class MorseParams(WellKind):
     gap_period = staticmethod(
         lambda s, n: math.pi / ((1.0 - (n + 0.5) / s.zeta) * (1.0 - (n - 0.5) / s.zeta)) / (s.omega * s.zeta))
 
-    def profile(self, model: ModelSpec) -> WellProfile:
+    def profile(self) -> WellProfile:
         from .profiles import morse_potential
 
-        u = model.units
-        m = u.to_si(self.mass, "mass")
-        d = u.to_si(self.depth, "energy")
-        a = u.to_si(self.alpha, "inverse_length")
+        m, d, a = self.mass, self.depth, self.alpha
 
         def turning_points(e):
             # U = E at exp(-a x) = 1 +- s; the outer root 1 - s is written as
@@ -428,7 +430,7 @@ class NumericPotentialParams(WellKind):
         if not all(map(math.isfinite, self.x + self.u)):
             raise ModelDefinitionError("numeric: table entries must be finite")
         # checked in SI, where the engine works: the spans must stay finite floats there
-        si = self.si(units)
+        si = _restated(self, units, SI)
         if not (math.isfinite(si.x[-1] - si.x[0]) and math.isfinite(max(si.u) - min(si.u))):
             raise ModelDefinitionError("numeric: the table's x span or u range leaves the float range in SI units")
         if not all(a < b for a, b in zip(si.x, si.x[1:])):
@@ -437,18 +439,12 @@ class NumericPotentialParams(WellKind):
         if imin == 0 or imin == len(si.u) - 1:
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
 
-    def si(self, units: UnitSystem):
-        """The table and the mass in SI, for the checks and the engine."""
-        return SimpleNamespace(mass=units.to_si(self.mass, "mass"),
-                               x=tuple(units.to_si(v, "length") for v in self.x),
-                               u=tuple(units.to_si(v, "energy") for v in self.u))
-
     def n_max(self, model: ModelSpec) -> int:
         from . import semiclassical
 
         return semiclassical.numeric_level_count(model) - 1
 
-    def profile(self, model: ModelSpec) -> WellProfile:
+    def profile(self) -> WellProfile:
         """The table's well, interpolated by PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980).
 
         Slopes at interior knots are the weighted harmonic means of the
@@ -463,15 +459,14 @@ class NumericPotentialParams(WellKind):
         """
         from .profiles import _numeric_turning_points, _pchip
 
-        si = self.si(model.units)
-        pieces = _pchip(si.x, si.u)
-        bottom = si.u.index(min(si.u))
-        um = si.u[bottom]
-        ceiling = min(si.u[0], si.u[-1])
+        pieces = _pchip(self.x, self.u)
+        bottom = self.u.index(min(self.u))
+        um = self.u[bottom]
+        ceiling = min(self.u[0], self.u[-1])
         return WellProfile(
-            mass=si.mass,
+            mass=self.mass,
             potential=pieces,
-            turning_points=_numeric_turning_points(si, pieces.coefs.T.tolist(), bottom),
+            turning_points=_numeric_turning_points(self, pieces.coefs.T.tolist(), bottom),
             u_min=um,
             e_ceiling=ceiling,
             e_scale=ceiling - um,
@@ -563,7 +558,7 @@ class ModelSpec:
     def _profile(self) -> WellProfile:
         """The well in SI; parameters whose SI values leave the float range raise FloatRangeError."""
         try:
-            return self.params.profile(self)
+            return _restated(self.params, self.units, SI).profile()
         except ArithmeticError as exc:
             raise FloatRangeError(f"{self.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
 
@@ -573,9 +568,7 @@ class ModelSpec:
 
     def converted(self, units: UnitSystem) -> "ModelSpec":
         """Re-express the same physical model in another unit system."""
-        p = self.params
-        values = {q.attr: q.rescaled(getattr(p, q.attr), self.units, units) for q in p.schema}
-        return ModelSpec(type(p)(**values), units)
+        return ModelSpec(_restated(self.params, self.units, units), units)
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the model, matching the config schema."""

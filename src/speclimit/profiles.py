@@ -176,17 +176,19 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
     return x0 + t
 
 
-def _numeric_turning_points(si, coefs: list, bottom: int) -> Callable:
-    """Turning points of the table ``si.x``, ``si.u`` (SI), each the one root of a PCHIP piece.
+def _numeric_turning_points(table, coefs: list, bottom: int) -> Callable:
+    """Turning points of the table ``table.x``, ``table.u``, each the one root of a PCHIP piece.
+
+    ``table`` is a table's params restated in SI, as its ``profile`` reads them.
 
     PCHIP keeps every piece monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
     17, 1980), so the orbit at E turns in the piece just inside the first
     knot, outward from the bottom knot, whose value reaches E. Running maxima
     of the knot values outward from the bottom find that knot by bisection.
     """
-    xs = si.x
-    reach_right = list(itertools.accumulate(si.u[bottom + 1:], max))
-    reach_left = list(itertools.accumulate(si.u[bottom - 1::-1], max))
+    xs = table.x
+    reach_right = list(itertools.accumulate(table.u[bottom + 1:], max))
+    reach_left = list(itertools.accumulate(table.u[bottom - 1::-1], max))
 
     def turning_points(e):
         k = bottom - 1 - bisect.bisect_left(reach_left, e)  # the piece [x_k, x_k+1]

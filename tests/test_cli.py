@@ -389,6 +389,13 @@ _CRAFTED_MODELS = {
     "table-wide": _table_model(1.0, [-0.8e308, 0.0, 0.8e308], [1.0, 0.0, 1.0]),  # the PCHIP weights overflow
 }
 _LEVEL_SUBCOMMANDS = ("spectrum", "criterion", "simulate", "report")
+_XS13 = [-3.0 + 0.5 * i for i in range(13)]
+# Ladders with one level and so no level pair: the criterion subcommands' default n_range has nothing to cover
+_NO_PAIR_MODELS = {
+    "morse-one-level": {"kind": "morse", "units": "natural-box", "params": {"mass": 1.0, "depth": 2.0, "range": 1.0}},
+    "table-one-level": {"kind": "numeric", "units": "oscillator",
+                        "params": {"mass": 1.0, "x": _XS13, "u": [min(x * x / 2, 1.0) for x in _XS13]}},
+}
 _CRAFTED = [
     *((f"{name}-{sub}", sub, {"model": model})
       for name, model in _CRAFTED_MODELS.items() for sub in _LEVEL_SUBCOMMANDS),
@@ -403,6 +410,8 @@ _CRAFTED = [
     ("big-int-mass-criterion", "criterion",
      {"model": {"kind": "box", "units": "natural-box", "params": {"mass": 10**400, "width": 1.0}}}),
     ("big-int-delta-x-noise", "noise", box_config(noise={"delta_x": -10**400})),
+    *((f"{name}-{sub}", sub, {"model": model})
+      for name, model in _NO_PAIR_MODELS.items() for sub in _LEVEL_SUBCOMMANDS[1:]),
 ]
 
 
@@ -416,6 +425,19 @@ def test_crafted_config_exits_typed(tmp_path, capsys, sub, doc):
     err = json.loads(lines[0])["error"]
     assert issubclass(getattr(errors, err["type"]), errors.SpeclimitError)
     assert rc == (2 if err["type"] == "ConfigError" else 3)
+
+
+@pytest.mark.parametrize("sub", _LEVEL_SUBCOMMANDS[1:])
+@pytest.mark.parametrize("name", sorted(_NO_PAIR_MODELS))
+def test_default_n_range_on_a_ladder_without_a_pair_names_no_range(tmp_path, capsys, name, sub):
+    model = _NO_PAIR_MODELS[name]
+    rc = main([sub, "--config", write_config(tmp_path, {"model": model}), "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert rc == 3 and err == {"type": "OutOfRangeError",
+                               "message": f"{model['kind']}: no level pairs at or above n = 1"}
+    # its one level is still listed
+    assert main(["spectrum", "--config", write_config(tmp_path, {"model": model}), "--out", str(tmp_path / "s")]) == 0
+    assert [row[0] for row in read_csv(tmp_path / "s" / "spectrum.csv")] == ["n", "0"]
 
 
 # Brent's extrapolation denominator rounds to 0 in the check's root search; the run died with a ZeroDivisionError

@@ -322,6 +322,22 @@ def test_superposition_validation(box):
         sl.SuperpositionState(1.0, 0.0, lv3, lv1)  # not adjacent
 
 
+@pytest.mark.parametrize("a, b, e2", [
+    (math.nan, 0.0, None),
+    (1.0, complex(math.nan, 0.0), None),
+    (complex(math.nan, 0.0), 0.0, None),
+    (math.inf, 0.0, None),
+    (1.0, 0.0, math.nan),
+], ids=["nan-a", "complex-nan-b", "complex-nan-a", "inf-a", "nan-level"])
+def test_superposition_rejects_non_finite_values(box, a, b, e2):
+    # a NaN norm passes |norm - 1| > 1e-12, and energy_uncertainty then returned nan
+    lv2, lv1 = sl.energy_level(box, 2), sl.energy_level(box, 1)
+    if e2 is not None:
+        lv2 = sl.EnergyLevel(2, e2)
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        sl.SuperpositionState(a, b, lv2, lv1)
+
+
 def test_complex_amplitudes(box):
     lv2, lv1 = sl.energy_level(box, 2), sl.energy_level(box, 1)
     s = sl.SuperpositionState(1j / math.sqrt(2), -1 / math.sqrt(2), lv2, lv1)

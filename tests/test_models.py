@@ -15,6 +15,7 @@ from speclimit.errors import (
     OutOfRangeError,
     UnsupportedModelError,
 )
+from speclimit.units import UNIT_SYSTEMS
 
 # Frozen closed-form values for the shipped H2 Morse preset, derived from
 # D = 4.7446 eV, alpha = 1.9426 1/A, M = 0.50391 amu with exact eV/amu/fs
@@ -268,6 +269,27 @@ def test_converted_preserves_physics(hyd):
     e2_si = sl.energy_level(si, 2).energy
     e2 = sl.energy_level(hyd, 2).energy
     assert hyd.units.from_si(e2_si, "energy") == pytest.approx(e2, rel=1e-12)
+
+
+def _profile_bits(model) -> list[str]:
+    """The profile's mass, bottom, ceiling and scale, and its turning points and U at 3 energies, as float.hex."""
+    from speclimit.models import well_profile
+
+    p = well_profile(model)
+    values = [p.mass, p.u_min, p.e_ceiling, p.e_scale]
+    for f in (0.1, 0.5, 0.9):
+        e = p.e_ceiling - f * p.e_scale if math.isfinite(p.e_ceiling) else p.u_min + f * p.e_scale
+        xm, xp = p.turning_points(e)
+        values += [e, xm, xp, *p.potential(np.array([xm, 0.5 * (xm + xp), xp])).tolist()]
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("units", sorted(UNIT_SYSTEMS))
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_profile_is_the_profile_of_the_model_converted_to_si(kind, units):
+    # each parameter's SI value comes from its schema unit alone, so both routes build the same well, bit for bit
+    model = sl.ModelSpec(ALL_KINDS[kind]().params, UNIT_SYSTEMS[units])
+    assert _profile_bits(model) == _profile_bits(model.converted(sl.SI))
 
 
 # -- JSON construction -------------------------------------------------

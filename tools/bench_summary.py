@@ -28,8 +28,9 @@ preset, and the two tables), again taking turns. The file holds:
   share of it that the ``numpy`` entry takes (0 when numpy is not imported);
 * per side, the size of ``src/``: its line count, as ``wc -l`` counts the
   ``.py`` files; its code lines, those that are not blank, a comment or part
-  of a module, class or function docstring; and its well-kind branches, the
-  lines that ``grep -cE 'kind ?(==|!=|in )'`` matches.
+  of a module, class or function docstring, in total and per module
+  (``modules``, keyed by the path under ``src/``); and its well-kind
+  branches, the lines that ``grep -cE 'kind ?(==|!=|in )'`` matches.
 """
 
 from __future__ import annotations
@@ -113,10 +114,11 @@ def code_lines(text: str) -> int:
 
 
 def source_size(root: Path) -> dict:
-    """Line count, code line count and well-kind branch count of the ``.py`` files under ``root/src``."""
-    texts = [f.read_text() for f in sorted((root / "src").rglob("*.py"))]
-    lines = [line for text in texts for line in text.splitlines()]
-    return {"lines": len(lines), "code_lines": sum(map(code_lines, texts)),
+    """Line count, code line count, code lines per module and well-kind branch count of ``root/src``'s ``.py`` files."""
+    texts = {f.relative_to(root / "src").as_posix(): f.read_text() for f in sorted((root / "src").rglob("*.py"))}
+    lines = [line for text in texts.values() for line in text.splitlines()]
+    modules = {name: code_lines(text) for name, text in texts.items()}
+    return {"lines": len(lines), "code_lines": sum(modules.values()), "modules": modules,
             "kind_branches": sum(bool(re.search(r"kind ?(==|!=|in )", line)) for line in lines)}
 
 
