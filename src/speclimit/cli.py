@@ -26,7 +26,8 @@ from pathlib import Path
 from . import __version__
 from .criterion import classify, spectrum
 from .errors import ConfigError, SpeclimitError
-from .models import ModelSpec, Param, _check_keys, _first_levels, _get_param, model_from_dict, n_max, n_min
+from .models import (ModelSpec, Param, _check_keys, _expect_object, _first_levels, _get_param, _read_object,
+                     model_from_dict, n_max, n_min)
 
 SCHEMA_VERSION = "1"
 DEFAULT_OUT = "speclimit-out"
@@ -231,8 +232,7 @@ def load_config(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config", f"expected a JSON object, got {type(doc).__name__}")
+    _expect_object(doc, "config")
     return doc
 
 
@@ -281,11 +281,7 @@ def validate_config(doc: dict, analysis: str) -> dict:
         out["method"] = method
     for name, schema in _BLOCKS.items():
         if name in keys:
-            sub = doc.get(name, {})
-            if not isinstance(sub, dict):
-                raise ConfigError(name, f"expected an object, got {sub!r}")
-            _check_keys(sub, [p.key for p in schema], name)
-            out[name] = {p.key: _get_param(sub, p, name) for p in schema}
+            out[name] = _read_object(doc.get(name, {}), schema, name)
     return out
 
 
@@ -419,7 +415,8 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 
 
 def cmd_report(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
-    # the spectrum reaches the criterion's last level unless n_limit is set
+    # without n_limit the spectrum lists max(10, hi) levels, one short of the criterion's last level hi
+    # on a ladder that starts at 0
     level_count = cmd_spectrum(model, {**cfg, "n_limit": cfg["n_limit"] or max(10, cfg["n_range"][1])}, w, seed)
     summary = cmd_criterion(model, cfg, w, seed)
     w.write_json("report.json", {
@@ -478,9 +475,8 @@ def main(argv=None) -> int:
     try:
         doc = load_config(args.config)
         cfg = validate_config(doc, args.analysis)
-        seed = args.seed if args.seed is not None else (cfg["seed"] if cfg["seed"] is not None else 0)
-        if not 0 <= seed < 2**64:
-            raise ConfigError("seed", f"must be in [0, 2^64), got {seed}")
+        # --seed overrides the config's seed and is read through the same Param
+        seed = _get_param({"seed": cfg["seed"] if args.seed is None else args.seed}, _SEED, "") or 0
         outdir = Path(args.out or os.environ.get("SPECLIMIT_OUT") or cfg["output_dir"] or DEFAULT_OUT)
         try:
             outdir.mkdir(parents=True, exist_ok=True)

@@ -110,13 +110,13 @@ class ResolvabilityReport:
     notes: tuple[str, ...]
 
     def csv_rows(self):
-        """Rows of (n, E_n, tau_n, dE, dTau, y_over_hbar, resolvable)."""
-        by_n = {n: (e, tau) for n, e, tau in self.levels}
-        rows = []
-        for g in self.gaps:
-            e, tau = by_n[g.n]
-            rows.append((g.n, e, tau, g.dE, g.dTau, g.y_over_hbar, g.resolvable))
-        return rows
+        """Rows of (n, E_n, tau_n, dE, dTau, y_over_hbar, resolvable).
+
+        The levels run in order from the first gap's n - 1, as ``classify``
+        builds them, so each gap's upper level is the next one.
+        """
+        return [(g.n, e, tau, g.dE, g.dTau, g.y_over_hbar, g.resolvable)
+                for g, (_, e, tau) in zip(self.gaps, self.levels[1:])]
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,7 +243,7 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
     crossings = tuple(b.n for a, b in zip(gaps, gaps[1:]) if a.resolvable != b.resolvable)
     ys = [g.y_over_hbar for g in gaps]
     tail = ys[max(len(ys) // 2, len(ys) - 5):]
-    tail_monotone = _monotone(tail) if len(tail) >= 2 else True
+    tail_monotone = _monotone(tail)
 
     notes.extend(model.params.notes(regime, ys))
     if not tail_monotone:

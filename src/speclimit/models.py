@@ -559,7 +559,7 @@ class ModelSpec:
         """The well in SI; parameters whose SI values leave the float range raise FloatRangeError."""
         try:
             return _restated(self.params, self.units, SI).profile()
-        except ArithmeticError as exc:
+        except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:  # a FloatRangeError keeps its reason
             raise FloatRangeError(f"{self.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
 
     def __getstate__(self):
@@ -759,6 +759,18 @@ def _get_param(doc: dict, p: Param, path: str):
     return float(v)
 
 
+def _read_object(doc, schema, path: str) -> dict:
+    """The value of each ``Param`` of ``schema`` in the object ``doc``, keyed by its attr.
+
+    The one reader of a config object: anything but an object, or a key
+    outside the schema, raises ConfigError at ``path``, and each value is
+    read by ``_get_param``.
+    """
+    _expect_object(doc, path)
+    _check_keys(doc, [p.key for p in schema], path)
+    return {p.attr: _get_param(doc, p, path) for p in schema}
+
+
 def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:
     """Build a ModelSpec from ``{"kind", "units", "params"}`` or ``{"preset"}``.
 
@@ -788,12 +800,9 @@ def model_from_dict(doc: dict, path: str = "model") -> ModelSpec:
         units = get_unit_system(doc["units"])
     except ModelDefinitionError as exc:
         raise ConfigError(f"{path}.units", str(exc)) from None
-    params = doc["params"]
     ppath = f"{path}.params"
-    _expect_object(params, ppath)
-    _check_keys(params, [p.key for p in cls.schema], ppath)
+    values = _read_object(doc["params"], cls.schema, ppath)
     try:
-        values = {p.attr: _get_param(params, p, ppath) for p in cls.schema}
         return ModelSpec(cls(**values), units)
     except ModelDefinitionError as exc:
         raise ConfigError(ppath, str(exc)) from None

@@ -210,12 +210,11 @@ class MeasurementEnsemble:
         return math.sqrt(fvariance(self._array))
 
     def to_csv(self, path):
+        # ints and float reprs never need CSV quoting
+        head = ["seed,stream,center,sigma,count",
+                f"{self.seed},{self.stream},{self.true_center!r},{self.sigma!r},{self.count}", "outcome"]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["seed", "stream", "center", "sigma", "count"])
-            w.writerow([self.seed, self.stream, repr(self.true_center), repr(self.sigma), self.count])
-            w.writerow(["outcome"])
-            fh.write("\n".join([*map(repr, self.samples), ""]))
+            fh.write("\n".join([*head, *map(repr, self.samples), ""]))
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementEnsemble":

@@ -162,9 +162,8 @@ def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
     if not math.isfinite(e):
         raise NoBoundMotionError(f"energy must be finite, got {e!r}")
     if e <= profile.u_min or e >= profile.e_ceiling:
-        lo = "-inf" if profile.u_min == -math.inf else f"{profile.u_min:.6g}"
-        hi = "inf" if profile.e_ceiling == math.inf else f"{profile.e_ceiling:.6g}"
-        raise NoBoundMotionError(f"no bound orbit at E={e:.6g} J; well supports ({lo}, {hi}) J")
+        raise NoBoundMotionError(
+            f"no bound orbit at E={e:.6g} J; well supports ({profile.u_min:.6g}, {profile.e_ceiling:.6g}) J")
     return profile.turning_points(e)
 
 
@@ -304,12 +303,8 @@ def _period_si(profile: WellProfile, e: float) -> float:
 
 
 def _fd_step(profile: WellProfile, e: float) -> float:
-    room = [profile.e_scale]
-    if profile.u_min > -math.inf:
-        room.append(e - profile.u_min)
-    if profile.e_ceiling < math.inf:
-        room.append(profile.e_ceiling - e)
-    return 1e-3 * min(room)
+    # an infinite room (no floor or no ceiling) never wins the min over the finite e_scale
+    return 1e-3 * min(profile.e_scale, e - profile.u_min, profile.e_ceiling - e)
 
 
 def action(model: ModelSpec, energy: float) -> float:

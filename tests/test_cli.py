@@ -332,6 +332,76 @@ def test_analysis_mismatch_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]["path"] == "analysis"
 
 
+_BOX_MODEL = box_config()["model"]
+
+
+# (subcommand, config, extra argv, error path, message or None): refusals a run makes before it writes anything
+_REFUSALS = {
+    "config-not-an-object": ("spectrum", [1, 2], [], "config", "config: expected an object, got list"),
+    "no-model": ("spectrum", {"seed": 1}, [], "model", "model: missing required key"),
+    "model-not-an-object": ("spectrum", {"model": "box-natural"}, [], "model", "model: expected an object, got str"),
+    "preset-not-a-string": ("spectrum", {"model": {"preset": 1}}, [], "model.preset", None),
+    "unknown-preset": ("spectrum", {"model": {"preset": "nope"}}, [], "model.preset", None),
+    **{f"model-without-{key}": ("spectrum", {"model": {k: v for k, v in _BOX_MODEL.items() if k != key}}, [],
+                                f"model.{key}", f"model.{key}: missing required key")
+       for key in ("kind", "units", "params")},
+    "units-not-a-string": ("spectrum", {"model": {**_BOX_MODEL, "units": 1}}, [], "model.units", None),
+    "unknown-units": ("spectrum", {"model": {**_BOX_MODEL, "units": "furlongs"}}, [], "model.units", None),
+    "params-not-an-object": ("spectrum", {"model": {**_BOX_MODEL, "params": [1.0, 1.0]}}, [], "model.params",
+                             "model.params: expected an object, got list"),
+    "output-dir-not-a-string": ("spectrum", box_config(output_dir=3), [], "output_dir", None),
+    **{f"n-range-{v!r}": ("criterion", box_config(n_range=v), [], "n_range", None)
+       for v in ([2], [2, 3, 4], [2, 3.0], [True, 3], "2-3", {"lo": 2})},
+    "n-range-reversed": ("criterion", box_config(n_range=[5, 3]), [], "n_range",
+                         "n_range: hi must be >= lo, got [5, 3]"),
+    "unknown-method": ("criterion", box_config(method="fast"), [], "method", None),
+    "noise-not-an-object": ("noise", box_config(noise="x"), [], "noise", "noise: expected an object, got str"),
+    "protocol-not-an-object": ("simulate", box_config(protocol=[10]), [], "protocol",
+                               "protocol: expected an object, got list"),
+    **{f"seed-option-{v}": ("noise", box_config(), ["--seed", str(v)], "seed",
+                            f"seed: must be in [0, 18446744073709551615], got {v}") for v in (-1, 2**64)},
+}
+
+
+@pytest.mark.parametrize("sub, doc, extra, path, message", _REFUSALS.values(), ids=_REFUSALS)
+def test_config_refusal_exits_2_with_its_path(tmp_path, capsys, sub, doc, extra, path, message):
+    out = tmp_path / "out"
+    assert main([sub, "--config", write_config(tmp_path, doc), "--out", str(out), *extra]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert (err["type"], err["path"]) == ("ConfigError", path)
+    if message is not None:
+        assert err["message"] == message
+    assert not out.exists()
+
+
+_ONE_MODEL_PER_KIND = {
+    "box": _BOX_MODEL,
+    "harmonic": {"kind": "harmonic", "units": "oscillator", "params": {"mass": 1.0, "stiffness": 1.0}},
+    "hydrogenoid": {"kind": "hydrogenoid", "units": "atomic", "params": {"reduced_mass": 1.0, "z": 1}},
+    "morse": {"kind": "morse", "units": "molecular", "params": {"mass": 0.50391, "depth": 4.7446, "range": 1.9426}},
+    "numeric": {"kind": "numeric", "units": "oscillator",
+                "params": {"mass": 1.0, "x": [-1.0, 0.0, 1.0], "u": [1.0, 0.0, 1.0]}},
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, True], ids=repr)
+@pytest.mark.parametrize("kind, key", [(kind, p.key) for kind, cls in KINDS.items() for p in cls.schema
+                                       if p.type is float])
+def test_model_param_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, kind, key, value):
+    model = _ONE_MODEL_PER_KIND[kind]
+    doc = {"model": {**model, "params": {**model["params"], key: value}}}
+    assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    if isinstance(value, int) and not isinstance(value, bool):  # a number the reader passes on to the model
+        attr = "alpha" if key == "range" else key
+        assert (err["path"], err["message"]) == (
+            "model.params", f"model.params: {kind}: {attr} must be a positive finite number, got {float(value)!r}")
+    else:  # the reader refuses the value before the model sees it
+        assert err["path"] == f"model.params.{key}" and "expected a finite number" in err["message"]
+
+
 def test_computation_error_exits_3(tmp_path, capsys):
     # simulate on a harmonic model hits the degenerate-period error
     doc = {"model": {"kind": "harmonic", "units": "oscillator",

@@ -11,10 +11,12 @@ import pytest
 import speclimit as sl
 from speclimit.errors import (
     ConfigError,
+    FloatRangeError,
     ModelDefinitionError,
     OutOfRangeError,
     UnsupportedModelError,
 )
+from speclimit.models import KINDS, NumericPotentialParams, well_profile
 from speclimit.units import UNIT_SYSTEMS
 
 # Frozen closed-form values for the shipped H2 Morse preset, derived from
@@ -378,3 +380,66 @@ def test_model_from_dict_rejects_non_integer_z(z):
 def test_get_preset_unknown():
     with pytest.raises(ModelDefinitionError):
         sl.get_preset("nonexistent")
+
+
+# -- refusals ------------------------------------------------------------
+
+# valid params of each kind, in the units its dataclass is built for
+_VALID_PARAMS = {
+    "box": ({"mass": 1.0, "width": 1.0}, sl.NATURAL_BOX),
+    "harmonic": ({"mass": 1.0, "stiffness": 1.0}, sl.OSCILLATOR),
+    "hydrogenoid": ({"reduced_mass": 1.0, "z": 1, "charge": 1.0}, sl.ATOMIC),
+    "morse": ({"mass": 0.50391, "depth": 4.7446, "alpha": 1.9426}, sl.MOLECULAR),
+    "numeric": ({"mass": 1.0, "x": (-1.0, 0.0, 1.0), "u": (1.0, 0.0, 1.0)}, sl.OSCILLATOR),
+}
+_FLOAT_PARAMS = [(kind, p.attr) for kind, cls in KINDS.items() for p in cls.schema if p.type is float]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True], ids=repr)
+@pytest.mark.parametrize("kind, attr", _FLOAT_PARAMS)
+def test_float_params_must_be_positive_and_finite(kind, attr, value):
+    values, units = _VALID_PARAMS[kind]
+    params = KINDS[kind](**{**values, attr: value})
+    with pytest.raises(ModelDefinitionError) as ei:
+        sl.ModelSpec(params, units)
+    assert str(ei.value) == f"{kind}: {attr} must be a positive finite number, got {value!r}"
+
+
+def test_numeric_table_must_be_finite_tuples():
+    with pytest.raises(ModelDefinitionError, match="^numeric: x and u must be tuples of floats$"):
+        sl.ModelSpec(NumericPotentialParams(1.0, [-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]), sl.OSCILLATOR)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelDefinitionError, match="^numeric: table entries must be finite$"):
+            sl.numeric(1.0, [-1.0, 0.0, 1.0], [1.0, 0.0, bad])
+        with pytest.raises(ModelDefinitionError, match="^numeric: table entries must be finite$"):
+            sl.numeric(1.0, [bad, 0.0, 1.0], [1.0, 0.0, 1.0])
+
+
+def test_omega_and_zeta_only_on_kinds_that_have_them(box, osc):
+    with pytest.raises(UnsupportedModelError, match="omega is defined for harmonic and morse models, not 'box'"):
+        box.omega
+    with pytest.raises(UnsupportedModelError, match="zeta is defined for morse models, not 'harmonic'"):
+        osc.zeta
+
+
+def test_closed_forms_refuse_a_level_past_the_float_range(box):
+    # n^2 = 10^400 is an int too large for a float
+    with pytest.raises(FloatRangeError, match=r"^box: energy at n=10{200} leaves the float range \(OverflowError\)$"):
+        sl.energy_level(box, 10**200)
+    # e1 n^2 with n^2 = 10^308 is past the largest float
+    with pytest.raises(FloatRangeError, match=r"^box: energy at n=10{154} leaves the float range \(got inf\)$"):
+        sl.energy_level(box, 10**154)
+
+
+def test_table_profile_keeps_the_pchip_range_reason():
+    # the SI values are finite, but a cubic piece over the 1e300-wide intervals is not
+    model = sl.numeric(1.0, [-1e300, 0.0, 1e300], [1.0, 0.0, 1.0], units=sl.SI)
+    with pytest.raises(FloatRangeError) as ei:
+        well_profile(model)
+    assert str(ei.value) == "numeric: a cubic piece of the table leaves the float range in SI units"
+
+
+def test_model_from_json_rejects_invalid_json():
+    with pytest.raises(ConfigError) as ei:
+        sl.model_from_json("{not json")
+    assert ei.value.path == "model" and str(ei.value).startswith("model: invalid JSON: ")

@@ -309,3 +309,35 @@ def test_numeric_sweep_quantizes_each_level_once(monkeypatch):
         gap = sl.level_gap(model, n)
         assert r.criterion_resolvable == gap.resolvable and y == gap.y_over_hbar
         assert r.delta_t == 1.0 / (2 * gap.dE)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_saturating_delta_t_times_with_the_gap_below_or_above_the_bottom(monkeypatch, n):
+    # delta_t=None times level n at hbar / (2 dE) of its own gap, or of the gap above for the bottom level
+    from collections import Counter
+
+    from speclimit import semiclassical
+
+    xs = [0.5 * i for i in range(-16, 17)]
+    table = sl.numeric(1.0, xs, [0.5 * x * x for x in xs])
+    for model in (sl.box(1.3, 0.7), table):
+        n_model = n + sl.n_min(model)
+        gap_at = max(n_model, sl.n_min(model) + 1)
+        quantized = Counter()
+        quantize = semiclassical.quantize
+
+        def counted_quantize(m, k, *args, **kwargs):
+            quantized[k] += 1
+            return quantize(m, k, *args, **kwargs)
+
+        monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
+        sample = sl.simulate_period_measurement(model, n_model, sl.PeriodProtocol(trials=10))
+        monkeypatch.undo()
+        assert sample.delta_t == model.hbar / (2.0 * sl.level_gap(model, gap_at).dE)
+        if model is table:  # the three levels n, gap_at - 1 and gap_at, two of them the same, each quantized once
+            assert quantized == Counter({n_model, gap_at - 1, gap_at})
+            e = semiclassical.quantize(model, n_model).energy
+            assert sample.tau_true == semiclassical.period_of_energy(model, e, self_check=False)
+        else:
+            assert not quantized
+            assert sample.tau_true == sl.classical_period(model, n_model).tau
