@@ -415,8 +415,8 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 
 
 def cmd_report(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
-    # without n_limit the spectrum lists max(10, hi) levels, one short of the criterion's last level hi
-    # on a ladder that starts at 0
+    # without n_limit the spectrum lists max(10, hi) levels, so on a ladder that starts at 0 with hi >= 10
+    # it ends one level short of the criterion's last level hi
     level_count = cmd_spectrum(model, {**cfg, "n_limit": cfg["n_limit"] or max(10, cfg["n_range"][1])}, w, seed)
     summary = cmd_criterion(model, cfg, w, seed)
     w.write_json("report.json", {

@@ -116,7 +116,7 @@ class ResolvabilityReport:
         builds them, so each gap's upper level is the next one.
         """
         return [(g.n, e, tau, g.dE, g.dTau, g.y_over_hbar, g.resolvable)
-                for g, (_, e, tau) in zip(self.gaps, self.levels[1:])]
+                for g, (_, e, tau) in zip(self.gaps, self.levels[1:], strict=True)]
 
     def to_json_dict(self) -> dict:
         return {

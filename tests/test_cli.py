@@ -358,6 +358,8 @@ _REFUSALS = {
     "noise-not-an-object": ("noise", box_config(noise="x"), [], "noise", "noise: expected an object, got str"),
     "protocol-not-an-object": ("simulate", box_config(protocol=[10]), [], "protocol",
                                "protocol: expected an object, got list"),
+    "param-refused-by-the-model": ("spectrum", {"model": {**_BOX_MODEL, "params": {"mass": 0, "width": 1.0}}}, [],
+                                   "model.params", "model.params: box: mass must be a positive finite number, got 0.0"),
     **{f"seed-option-{v}": ("noise", box_config(), ["--seed", str(v)], "seed",
                             f"seed: must be in [0, 18446744073709551615], got {v}") for v in (-1, 2**64)},
 }
@@ -374,32 +376,6 @@ def test_config_refusal_exits_2_with_its_path(tmp_path, capsys, sub, doc, extra,
     if message is not None:
         assert err["message"] == message
     assert not out.exists()
-
-
-_ONE_MODEL_PER_KIND = {
-    "box": _BOX_MODEL,
-    "harmonic": {"kind": "harmonic", "units": "oscillator", "params": {"mass": 1.0, "stiffness": 1.0}},
-    "hydrogenoid": {"kind": "hydrogenoid", "units": "atomic", "params": {"reduced_mass": 1.0, "z": 1}},
-    "morse": {"kind": "morse", "units": "molecular", "params": {"mass": 0.50391, "depth": 4.7446, "range": 1.9426}},
-    "numeric": {"kind": "numeric", "units": "oscillator",
-                "params": {"mass": 1.0, "x": [-1.0, 0.0, 1.0], "u": [1.0, 0.0, 1.0]}},
-}
-
-
-@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, True], ids=repr)
-@pytest.mark.parametrize("kind, key", [(kind, p.key) for kind, cls in KINDS.items() for p in cls.schema
-                                       if p.type is float])
-def test_model_param_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, kind, key, value):
-    model = _ONE_MODEL_PER_KIND[kind]
-    doc = {"model": {**model, "params": {**model["params"], key: value}}}
-    assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 2
-    err = json.loads(capsys.readouterr().err)["error"]
-    if isinstance(value, int) and not isinstance(value, bool):  # a number the reader passes on to the model
-        attr = "alpha" if key == "range" else key
-        assert (err["path"], err["message"]) == (
-            "model.params", f"model.params: {kind}: {attr} must be a positive finite number, got {float(value)!r}")
-    else:  # the reader refuses the value before the model sees it
-        assert err["path"] == f"model.params.{key}" and "expected a finite number" in err["message"]
 
 
 def test_computation_error_exits_3(tmp_path, capsys):

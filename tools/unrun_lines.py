@@ -6,7 +6,7 @@ Run from the repository root:
     python3 tools/unrun_lines.py --root ../parent-checkout
 
 It runs the checkout's tier-1 suite (``pytest -q --continue-on-collection-errors``
-with a fixed ``--hypothesis-seed``) in this process, with ``sys.settrace``
+with ``--hypothesis-seed=0``) in this process, with ``sys.settrace``
 recording the lines executed in files under the checkout's ``src/``; frames
 of other files are not traced line by line. Tests that run the package in a
 child process are not seen. A statement counts as run when a line of its
@@ -104,10 +104,9 @@ def trace_tier1(root: Path, pytest_args: list[str]) -> dict[str, set[int]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=".", help="the checkout whose tier-1 suite and src/ are traced")
-    parser.add_argument("--hypothesis-seed", default="0", help="the seed of every hypothesis test (default 0)")
     args, rest = parser.parse_known_args(argv)
     root = Path(args.root).resolve()
-    lines = trace_tier1(root, [f"--hypothesis-seed={args.hypothesis_seed}", *rest])
+    lines = trace_tier1(root, ["--hypothesis-seed=0", *rest])
     total = 0
     report = []
     for path in sorted((root / "src").rglob("*.py")):
