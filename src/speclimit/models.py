@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, ClassVar
@@ -107,6 +107,8 @@ class WellProfile:
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
     pieces: CubicPieces | None = None  # a table's profiles.CubicPieces; None for a closed-form well
+    # I(E) in J s by SI energy, for each E the engine has integrated; see semiclassical._action_of
+    actions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

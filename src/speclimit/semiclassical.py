@@ -47,6 +47,12 @@ Levels are the roots of I(E) - 2 pi hbar (n + nu/4) by Brent's method
 (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
 inside an energy bracket that the action is checked to straddle.
 
+Each well keeps the actions it has integrated (``WellProfile.actions``, keyed
+by SI energy), and every read of I(E) goes through ``_action_of``. The levels
+of a well then share their bracket ends, and asking for a level again costs no
+quadrature. A QuadratureFloorWarning at an energy that is already stored is
+issued once per model, when that action is first integrated.
+
 Everything internal runs in SI; public functions accept and return values in
 the model's declared unit system.
 """
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -142,7 +149,7 @@ def _adaptive(f, segments, stage: str, e: float) -> float:
     for order in _GL_ORDERS:
         nodes, weights = _gl_rule(order)
         fx = f(mids[:, None] + halves[:, None] * nodes, rows)
-        val = sum(float(h) * float(np.dot(weights, row)) for h, row in zip(halves, fx))
+        val = float(sum(map(operator.mul, halves.tolist(), map(weights.dot, fx))))
         if prev is not None:
             rel = abs(val - prev) / max(abs(val), 1e-300)
             if rel <= _RTOL_TARGET:
@@ -200,6 +207,14 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
     keep = [i for i in range(len(cuts) - 1) if cuts[i] < cuts[i + 1]]
     pieces = [first - 1 + i for i in keep]
     return [(cuts[i], cuts[i + 1]) for i in keep], pieces, table._on_rows(pieces)
+
+
+def _action_of(profile: WellProfile, e: float) -> float:
+    """I(E) in J s at the SI energy ``e``: the well's stored action, or ``_action_si``'s, which is then stored."""
+    value = profile.actions.get(e)
+    if value is None:
+        value = profile.actions[e] = _action_si(profile, e)
+    return value
 
 
 def _action_si(profile: WellProfile, e: float) -> float:
@@ -310,7 +325,7 @@ def _fd_step(profile: WellProfile, e: float) -> float:
 def action(model: ModelSpec, energy: float) -> float:
     """Action I(E) of the closed orbit at ``energy``, in model units."""
     u = model.units
-    i_si = _action_si(well_profile(model), u.to_si(energy, "energy"))
+    i_si = _action_of(well_profile(model), u.to_si(energy, "energy"))
     return i_si / u.factor("action")
 
 
@@ -321,7 +336,7 @@ def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
     profile = well_profile(model)
     tau_si = _period_si(profile, e_si)
     h = _fd_step(profile, e_si)
-    fd = (_action_si(profile, e_si + h) - _action_si(profile, e_si - h)) / (2.0 * h)
+    fd = (_action_of(profile, e_si + h) - _action_of(profile, e_si - h)) / (2.0 * h)
     residual = abs(tau_si - fd) / abs(tau_si)
     return PeriodCheck(
         energy=energy,
@@ -487,11 +502,11 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     profile = well_profile(model)
     what = f"{model.kind} level n={n}"
 
-    # memoised: the root search starts at the bracket ends, which the bracket search integrated
-    @lru_cache(maxsize=None)
+    # the well's stored actions answer for the bracket ends, where the root search starts, and for
+    # every energy that an earlier level of the same well integrated
     def act(e):
         try:
-            return _action_si(profile, e)
+            return _action_of(profile, e)
         except QuadratureFailureError as exc:
             raise QuadratureFailureError(f"{what}: {exc}") from None
 
@@ -511,7 +526,7 @@ def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
     nu = _maslov_count(model, maslov)
     profile = well_profile(model)
     e_top = profile.u_min + (profile.e_ceiling - profile.u_min) * (1.0 - 1e-9)
-    quanta = _action_si(profile, e_top) / (2.0 * math.pi * HBAR_SI) - nu / 4.0
+    quanta = _action_of(profile, e_top) / (2.0 * math.pi * HBAR_SI) - nu / 4.0
     if not math.isfinite(quanta):
         raise FloatRangeError(
             f"{model.kind}: the action at the top of the well leaves the float range (got {quanta!r})")

@@ -128,6 +128,8 @@ def test_method_validation(box):
     num = sl.numeric(1.0, xs, [4.0, 1.0, 0.0, 1.0, 4.0])
     with pytest.raises(UnsupportedModelError):
         sl.level_gap(num, 1, method="closed")
+    with pytest.raises(OutOfRangeError, match="numeric: gap at n=0 needs level n-1; lowest level is 0"):
+        sl.level_gap(num, 0, method="semiclassical")
     with pytest.raises(InvalidArgumentError):  # a SpeclimitError and a ValueError
         sl.level_gap(box, 2, method="magic")
     with pytest.raises(InvalidArgumentError):
@@ -152,6 +154,10 @@ def test_threshold_harmonic(osc):
 
 def test_threshold_morse(morse_h2):
     assert sl.threshold(morse_h2) == 1
+    # zeta = 4 holds levels 0 and 1 only, and y(1) = 0.54 hbar: the ladder ends with every pair resolvable
+    shallow = sl.morse(1.0, 8.0, 1.0, units=UNIT_SYSTEMS["natural-box"])
+    assert shallow.zeta == 4.0 and sl.level_gap(shallow, 1).resolvable
+    assert sl.threshold(shallow) is None
 
 
 def test_threshold_scan_limit(box):

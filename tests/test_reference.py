@@ -144,7 +144,7 @@ def test_brent_port_matches_reference(monkeypatch):
     found = []
 
     def both(f, a, b, xtol, rtol, what):
-        # f is memoised inside quantize, so scipy re-evaluates only where the port did not go
+        # f reads the well's stored actions, so scipy integrates only where no level of the well went
         mine = port(f, a, b, xtol, rtol, what)
         found.append((mine.hex(), float(brentq(f, a, b, xtol=xtol, rtol=rtol)).hex()))
         return mine

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import warnings
 
@@ -20,6 +21,8 @@ from speclimit.errors import (
     RootNotBracketedError,
     ScanLimitExceededError,
 )
+from speclimit.models import well_profile
+from speclimit.units import HBAR_SI
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +303,58 @@ def test_quantize_integrates_each_energy_once(monkeypatch):
     assert len(energies) > 3 and len(energies) == len(set(energies))
 
 
+def test_classify_integrates_each_energy_of_a_table_once(monkeypatch):
+    # every level's bracket runs from u_min to the same top-of-well energy; the well keeps the actions it
+    # has integrated, so only the first level integrates those two
+    xs = np.linspace(-4.0, 4.0, 17)
+    table = sl.numeric(1.0, xs, 0.5 * xs**2 + 0.05 * xs**4)
+    energies = []
+    action_si = sc._action_si
+
+    def counted(profile, e):
+        energies.append(e)
+        return action_si(profile, e)
+
+    monkeypatch.setattr(sc, "_action_si", counted)
+    sl.classify(table, (2, 4))
+    assert len(energies) > 8 and len(energies) == len(set(energies))
+
+
+def test_a_level_asked_again_costs_no_quadrature(monkeypatch):
+    xs = np.linspace(-4.0, 4.0, 17)
+    table = sl.numeric(1.0, xs, 0.5 * xs**2)
+    first = sc.quantize(table, 3), sc.numeric_level_count(table)
+
+    def integrated(profile, e):
+        raise AssertionError(f"the action at E={e!r} J was integrated again")
+
+    monkeypatch.setattr(sc, "_action_si", integrated)
+    assert (sc.quantize(table, 3), sc.numeric_level_count(table)) == first
+
+
+# model builder and levels of the wells below; each is quantized after two higher levels
+_STORED_WELLS = {
+    "numeric": (lambda: sl.numeric(1.0, np.linspace(-4.0, 4.0, 17), 0.5 * np.linspace(-4.0, 4.0, 17) ** 2),
+                range(6)),
+    "harmonic": (lambda: sl.harmonic(1.0, 1.0), range(6)),
+    "morse": (lambda: sl.get_preset("morse-h2"), range(6)),
+    "hydrogenoid": (lambda: sl.get_preset("hydrogen-atomic"), range(1, 7)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STORED_WELLS))
+def test_levels_of_a_well_that_holds_other_levels_match_a_fresh_well(kind):
+    # a stored action is the value the quadrature gives, so what a well holds moves no level by a bit
+    build, levels = _STORED_WELLS[kind]
+    fresh = {n: sc.quantize(build(), n).energy.hex() for n in levels}
+    model = build()
+    for n in (levels[-1] + 1, levels[-1] + 2):
+        sc.quantize(model, n)
+    order = list(levels)
+    random.Random(kind).shuffle(order)
+    assert {n: sc.quantize(model, n).energy.hex() for n in order} == fresh
+
+
 def test_quantize_beyond_capacity(morse_h2):
     # the engine's action range ends at the dissociation action 2 pi hbar zeta:
     # I(n=16) = 2 pi hbar * 16.5 < 2 pi hbar zeta but n=17 is out
@@ -323,28 +378,90 @@ def test_quantize_validation(osc):
 # -- the level search's typed errors, driven by a stand-in action ----------
 
 
-def test_quantize_unbracketed_raises_root_not_bracketed(monkeypatch, osc):
+def test_quantize_unbracketed_raises_root_not_bracketed(monkeypatch):
     # an action above every target at both bracket ends, the well bottom included
+    osc = sl.harmonic(1.0, 1.0)  # a fresh well, so that no stored action answers for the stand-in
     monkeypatch.setattr(sc, "_action_si", lambda profile, e: 1.0)
     with pytest.raises(RootNotBracketedError, match="harmonic level n=2: action minus target has one sign"):
         sc.quantize(osc, 2)
 
 
-def test_quantize_nan_action_raises_quadrature_failure(monkeypatch, osc):
+def test_quantize_nan_action_raises_quadrature_failure(monkeypatch):
     # a bracketing action, 0 at the bottom and 1 J s from e_scale up, but NaN in between
+    osc = sl.harmonic(1.0, 1.0)
     monkeypatch.setattr(sc, "_action_si", lambda profile, e: 0.0 if e == 0.0 else (1.0 if e >= profile.e_scale
                                                                                     else math.nan))
     with pytest.raises(QuadratureFailureError, match="harmonic level n=1: the action is NaN at E="):
         sc.quantize(osc, 1)
 
 
-def test_quantize_iteration_cap_raises_scan_limit(monkeypatch, osc):
+def test_quantize_iteration_cap_raises_scan_limit(monkeypatch):
     # a smooth bracketing action whose root takes more than 3 steps; uncapped, the search converges
+    osc = sl.harmonic(1.0, 1.0)
     monkeypatch.setattr(sc, "_action_si", lambda profile, e: (e / profile.e_scale) ** 3)
     assert sc.quantize(osc, 1).energy > 0.0
     monkeypatch.setattr(sc, "_ROOT_MAXITER", 3)
     with pytest.raises(ScanLimitExceededError, match="did not converge in 3 iterations"):
         sc.quantize(osc, 1)
+
+
+@pytest.mark.parametrize("build, value, why", [
+    # a Coulomb well has no floor: the lower bracket end deepens toward -inf
+    (lambda: sl.get_preset("hydrogen-atomic"), 1.0, "no orbit with action below the target"),
+    # a harmonic well has no ceiling: the upper bracket end expands toward +inf
+    (lambda: sl.harmonic(1.0, 1.0), 0.0, "not reached while expanding the bracket"),
+])
+def test_bracket_search_gives_up_after_40_steps(monkeypatch, build, value, why):
+    energies = []
+
+    def constant(profile, e):
+        energies.append(e)
+        return value
+
+    monkeypatch.setattr(sc, "_action_si", constant)
+    with pytest.raises(ActionOutOfRangeError, match=why):
+        sc.quantize(build(), 1)
+    assert len(energies) == len(set(energies)) == 40
+
+
+def test_bracket_high_steps_toward_a_finite_ceiling_over_an_infinite_floor(monkeypatch):
+    # a Coulomb-like stand-in, 2 pi hbar sqrt(e_scale / -E) / 1e7, is 0.1 of the n=1 target at the first
+    # upper end -1e-12 e_scale; each step quarters the distance to the ceiling 0 and doubles it, so level 1
+    # takes 4 steps and level 2 one more. Level 2 reads the first 4 from the well's stored actions.
+    hyd = sl.get_preset("hydrogen-atomic")
+    profile = well_profile(hyd)
+    energies = []
+
+    def coulomb(p, e):
+        energies.append(e)
+        return 2.0 * math.pi * HBAR_SI * math.sqrt(p.e_scale / -e) / 1e7
+
+    monkeypatch.setattr(sc, "_action_si", coulomb)
+    assert sc.quantize(hyd, 1).energy == pytest.approx(hyd.units.from_si(-1e-14 * profile.e_scale, "energy"),
+                                                      rel=1e-10)
+    assert sc.quantize(hyd, 2).energy == pytest.approx(hyd.units.from_si(-0.25e-14 * profile.e_scale, "energy"),
+                                                      rel=1e-10)
+    hi, steps = profile.e_ceiling - 1e-12 * profile.e_scale, []
+    for _ in range(5):
+        hi = profile.e_ceiling - (profile.e_ceiling - hi) / 4.0
+        steps.append(hi)
+    assert [energies.count(e) for e in steps] == [1] * 5
+    assert len(energies) == len(set(energies))
+
+
+_TARGET_N1 = 2.0 * math.pi * HBAR_SI * 1.5  # I(E_1) of a harmonic well, whose Maslov count is 2
+
+
+@pytest.mark.parametrize("end, action", [
+    ("u_min", lambda p, e: _TARGET_N1 if e == p.u_min else 2.0 * _TARGET_N1),
+    ("e_scale", lambda p, e: _TARGET_N1 if e >= p.e_scale else 0.0),
+])
+def test_root_search_returns_a_bracket_end_where_the_action_meets_the_target(monkeypatch, end, action):
+    # the upper bracket end of a harmonic well is u_min + e_scale, with u_min = 0
+    osc = sl.harmonic(1.0, 1.0)
+    monkeypatch.setattr(sc, "_action_si", action)
+    profile = well_profile(osc)
+    assert sc.quantize(osc, 1).energy == osc.units.from_si(getattr(profile, end), "energy")
 
 
 # -- periods ---------------------------------------------------------------
@@ -446,6 +563,19 @@ def test_quadrature_errors_name_the_stage_and_energy(monkeypatch):
     with pytest.raises(QuadratureFailureError,
                        match=r"^morse level n=3: action at E=-\d\S* J: quadrature stalled at relative change "):
         sc.quantize(sl.get_preset("morse-h2"), 3)
+
+
+def test_a_floor_warning_is_issued_once_per_model(monkeypatch):
+    # with 8 and 16 nodes, the action of a Morse orbit at 0.9 of the depth is accepted at the floor
+    monkeypatch.setattr(sc, "_GL_ORDERS", (8, 16))
+    model = sl.get_preset("morse-h2")
+    e = -0.9 * model.params.depth
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = sc.action(model, e)
+        assert sc.action(model, e) == first  # read from the well's stored actions
+        assert sc.action(sl.get_preset("morse-h2"), e) == first  # a new model integrates it again
+    assert [type(w.message) for w in caught] == [QuadratureFloorWarning] * 2
 
 
 # name -> (table ends, potential) of the wells tabulated below

@@ -26,6 +26,10 @@ preset, and the two tables), again taking turns. The file holds:
 * per side, the median over five fresh processes, again taking turns, of the
   cumulative ``-X importtime`` of ``import speclimit.cli`` (s) and of the
   share of it that the ``numpy`` entry takes (0 when numpy is not imported);
+* per side, the action and period quadratures per op over the first 108 ops
+  of numeric-table seed 1 (``quadratures``), counted in a fresh process that
+  imports that side's ``src/`` and wraps ``semiclassical._adaptive`` by its
+  stage; the ops run as perfbench runs them, untimed;
 * per side, the size of ``src/``: its line count, as ``wc -l`` counts the
   ``.py`` files; its code lines, those that are not blank, a comment or part
   of a module, class or function docstring, in total and per module
@@ -53,6 +57,32 @@ SEEDS = (1, 2, 3)
 TRACE_SEED = 1
 CLI_REPEATS = 5
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+QUADRATURE_SEED, QUADRATURE_OPS = 1, 108
+# argv: seed and op count; run with the side's src/ on the path and its root as the working directory
+_COUNT_QUADRATURES = """
+import itertools, json, sys
+from collections import Counter
+sys.path.insert(0, "perfbench")
+import bench_workloads as bw
+import speclimit as sl
+from speclimit import semiclassical
+
+counts, adaptive = Counter(), semiclassical._adaptive
+
+def counted(f, segments, stage, e):
+    counts[stage] += 1
+    return adaptive(f, segments, stage, e)
+
+semiclassical._adaptive = counted
+ops = list(itertools.islice(bw.op_stream("numeric-table", int(sys.argv[1])), int(sys.argv[2])))
+for op in ops:
+    try:
+        sl.classify(sl.numeric(op["mass"], op["x"], op["u"]), (op["n"], op["n"] + 2))
+    except sl.SpeclimitError:
+        pass
+print(json.dumps({"seed": int(sys.argv[1]), "ops": len(ops),
+                  **{stage + "_per_op": counts[stage] / len(ops) for stage in ("action", "period")}}))
+"""
 
 
 def quartiles(values: list[float]) -> dict:
@@ -60,6 +90,11 @@ def quartiles(values: list[float]) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def side_env(root: Path) -> dict:
+    """The environment of a child process that imports ``root``'s ``src/``, on one thread."""
+    return {**os.environ, "PYTHONPATH": str(root / "src"), **{v: "1" for v in THREAD_VARS}}
 
 
 def perfbench_record(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -77,7 +112,7 @@ def golden_configs(root: Path) -> dict:
 
 def cold_cli(root: Path, sub: str, doc: dict) -> tuple[float, int]:
     """Wall time (s) and exit code of one fresh ``python -m speclimit`` on ``doc``."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), **{v: "1" for v in THREAD_VARS}}
+    env = side_env(root)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(doc))
@@ -89,7 +124,7 @@ def cold_cli(root: Path, sub: str, doc: dict) -> tuple[float, int]:
 
 def import_time(root: Path) -> tuple[float, float]:
     """Cumulative ``-X importtime`` (s) of ``import speclimit.cli`` in a fresh process, and numpy's share of it."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), **{v: "1" for v in THREAD_VARS}}
+    env = side_env(root)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import speclimit.cli"],
                           env=env, cwd=root, capture_output=True, text=True, check=True)
     cumulative = {}  # microseconds by module, from lines "import time: self | cumulative | name"
@@ -99,6 +134,14 @@ def import_time(root: Path) -> tuple[float, float]:
             cumulative[fields[2].strip()] = int(fields[1])
     total = cumulative["speclimit.cli"]
     return total / 1e6, cumulative.get("numpy", 0) / total
+
+
+def quadratures(root: Path) -> dict:
+    """Action and period quadratures per numeric-table op of ``root``'s checkout, counted in a fresh process."""
+    env = side_env(root)
+    proc = subprocess.run([sys.executable, "-c", _COUNT_QUADRATURES, str(QUADRATURE_SEED), str(QUADRATURE_OPS)],
+                          env=env, cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def code_lines(text: str) -> int:
@@ -175,6 +218,7 @@ def main(argv=None) -> int:
                for config, ws in walls[name].items()}
         seconds, shares = zip(*imports[name])
         summary["sides"][name] = {"workloads": workloads, "cli_cold": cli, "src": source_size(sides[name]),
+                                  "quadratures": quadratures(sides[name]),
                                   "import_cli": {"cumulative_s": statistics.median(seconds),
                                                  "numpy_share": statistics.median(shares)}}
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
