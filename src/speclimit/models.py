@@ -107,7 +107,7 @@ class WellProfile:
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
     pieces: CubicPieces | None = None  # a table's profiles.CubicPieces; None for a closed-form well
-    # I(E) in J s by SI energy, for each E the engine has integrated; see semiclassical._action_of
+    # I(E) in J s by SI energy, for each E a level search has integrated; see semiclassical._action_of
     actions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 

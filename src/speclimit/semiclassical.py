@@ -47,11 +47,13 @@ Levels are the roots of I(E) - 2 pi hbar (n + nu/4) by Brent's method
 (Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
 inside an energy bracket that the action is checked to straddle.
 
-Each well keeps the actions it has integrated (``WellProfile.actions``, keyed
-by SI energy), and every read of I(E) goes through ``_action_of``. The levels
-of a well then share their bracket ends, and asking for a level again costs no
-quadrature. A QuadratureFloorWarning at an energy that is already stored is
-issued once per model, when that action is first integrated.
+Each well keeps the actions its level searches have integrated
+(``WellProfile.actions``, keyed by SI energy), and every read of I(E) goes
+through ``_action_of``. The levels of a well then share their bracket ends,
+and asking for a level again costs no quadrature. A QuadratureFloorWarning at
+an energy that is already stored is issued once per model, when that action is
+first integrated. The public ``action`` and ``period_check`` read the stored
+actions but add none, so a sweep over energies does not grow the memo.
 
 Everything internal runs in SI; public functions accept and return values in
 the model's declared unit system.
@@ -149,7 +151,8 @@ def _adaptive(f, segments, stage: str, e: float) -> float:
     for order in _GL_ORDERS:
         nodes, weights = _gl_rule(order)
         fx = f(mids[:, None] + halves[:, None] * nodes, rows)
-        val = float(sum(map(operator.mul, halves.tolist(), map(weights.dot, fx))))
+        # exact floats, so every Python sums them alike (3.12+ compensates only exact floats)
+        val = sum(map(operator.mul, halves.tolist(), map(float, map(weights.dot, fx))))
         if prev is not None:
             rel = abs(val - prev) / max(abs(val), 1e-300)
             if rel <= _RTOL_TARGET:
@@ -209,11 +212,17 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
     return [(cuts[i], cuts[i + 1]) for i in keep], pieces, table._on_rows(pieces)
 
 
-def _action_of(profile: WellProfile, e: float) -> float:
-    """I(E) in J s at the SI energy ``e``: the well's stored action, or ``_action_si``'s, which is then stored."""
+def _action_of(profile: WellProfile, e: float, keep: bool = True) -> float:
+    """I(E) in J s at the SI energy ``e``: the well's stored action, or ``_action_si``'s.
+
+    With ``keep`` a newly integrated action is stored. The public one-off queries pass False, so a
+    sweep over energies leaves the well's memo as it found it.
+    """
     value = profile.actions.get(e)
     if value is None:
-        value = profile.actions[e] = _action_si(profile, e)
+        value = _action_si(profile, e)
+        if keep:
+            profile.actions[e] = value
     return value
 
 
@@ -323,20 +332,26 @@ def _fd_step(profile: WellProfile, e: float) -> float:
 
 
 def action(model: ModelSpec, energy: float) -> float:
-    """Action I(E) of the closed orbit at ``energy``, in model units."""
+    """Action I(E) of the closed orbit at ``energy``, in model units.
+
+    A stored action of the well answers if there is one; a new one is not stored.
+    """
     u = model.units
-    i_si = _action_of(well_profile(model), u.to_si(energy, "energy"))
+    i_si = _action_of(well_profile(model), u.to_si(energy, "energy"), keep=False)
     return i_si / u.factor("action")
 
 
 def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
-    """Quadrature period and the centered-difference dI/dE at one energy."""
+    """Quadrature period and the centered-difference dI/dE at one energy.
+
+    Like ``action``, it reads the well's stored actions and stores none.
+    """
     u = model.units
     e_si = u.to_si(energy, "energy")
     profile = well_profile(model)
     tau_si = _period_si(profile, e_si)
     h = _fd_step(profile, e_si)
-    fd = (_action_of(profile, e_si + h) - _action_of(profile, e_si - h)) / (2.0 * h)
+    fd = (_action_of(profile, e_si + h, keep=False) - _action_of(profile, e_si - h, keep=False)) / (2.0 * h)
     residual = abs(tau_si - fd) / abs(tau_si)
     return PeriodCheck(
         energy=energy,

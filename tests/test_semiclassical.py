@@ -332,6 +332,21 @@ def test_a_level_asked_again_costs_no_quadrature(monkeypatch):
     assert (sc.quantize(table, 3), sc.numeric_level_count(table)) == first
 
 
+def test_action_and_period_check_read_stored_actions_but_store_none():
+    xs = np.linspace(-4.0, 4.0, 17)
+    table = sl.numeric(1.0, xs, 0.5 * xs**2)
+    level = sc.quantize(table, 2).energy
+    stored = dict(well_profile(table).actions)
+    sweep = np.linspace(0.2, 7.0, 25)
+    for e in sweep:
+        sc.action(table, float(e))
+        sc.period_check(table, float(e))
+    assert well_profile(table).actions == stored
+    # the level's energy is a root-search iterate, so its action is read from the store
+    e_si = table.units.to_si(level, "energy")
+    assert sc.action(table, level) == stored[e_si] / table.units.factor("action")
+
+
 # model builder and levels of the wells below; each is quantized after two higher levels
 _STORED_WELLS = {
     "numeric": (lambda: sl.numeric(1.0, np.linspace(-4.0, 4.0, 17), 0.5 * np.linspace(-4.0, 4.0, 17) ** 2),
@@ -570,11 +585,13 @@ def test_a_floor_warning_is_issued_once_per_model(monkeypatch):
     monkeypatch.setattr(sc, "_GL_ORDERS", (8, 16))
     model = sl.get_preset("morse-h2")
     e = -0.9 * model.params.depth
+    profile, e_si, per = well_profile(model), model.units.to_si(e, "energy"), model.units.factor("action")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = sc.action(model, e)
-        assert sc.action(model, e) == first  # read from the well's stored actions
-        assert sc.action(sl.get_preset("morse-h2"), e) == first  # a new model integrates it again
+        first = sc._action_of(profile, e_si)  # as a level search reads it, which stores it
+        assert sc._action_of(profile, e_si) == first  # read from the well's stored actions
+        assert sc.action(model, e) == first / per
+        assert sc.action(sl.get_preset("morse-h2"), e) == first / per  # a new model integrates it again
     assert [type(w.message) for w in caught] == [QuadratureFloorWarning] * 2
 
 
