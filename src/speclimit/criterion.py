@@ -147,7 +147,8 @@ def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[floa
     """{n: (E_n, tau_n)} in model units, each level computed once.
 
     Closed forms where the model has them (``method="auto"``), otherwise
-    Bohr-Sommerfeld levels with their quadrature periods.
+    Bohr-Sommerfeld levels with their quadrature periods, which the well
+    keeps for the next spectrum that asks for the same level.
     """
     if _resolve_method(model, method) == "closed":
         return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
@@ -156,7 +157,7 @@ def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[floa
     out = {}
     for n in ns:
         e = semiclassical.quantize(model, n).energy
-        out[n] = (e, semiclassical.period_of_energy(model, e, self_check=False))
+        out[n] = (e, semiclassical._level_period(model, e))
     return out
 
 

@@ -22,8 +22,9 @@ orders agree to 1e-10 relative. A result whose last two orders agree only
 to between 1e-10 and 1e-8 is returned with a QuadratureFloorWarning that
 names the change; one that stalls before reaching 1e-8 is rejected. Both
 name the stage and E, and ``quantize`` puts the model's kind and the level
-in front of its action's errors. Each order makes one integrand call, on
-the nodes of every theta-segment at once.
+in front of its action's errors. The first two orders share one integrand
+call, on the nodes of both rules and of every theta-segment at once; each
+later order makes one call of its own.
 
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
@@ -54,6 +55,10 @@ and asking for a level again costs no quadrature. A QuadratureFloorWarning at
 an energy that is already stored is issued once per model, when that action is
 first integrated. The public ``action`` and ``period_check`` read the stored
 actions but add none, so a sweep over energies does not grow the memo.
+Each well keeps its levels' periods the same way (``WellProfile.periods``,
+read through ``_period_of``): a spectrum stores the period of each level it
+lists, and ``period_of_energy``, ``period_check`` and ``action_curve`` read
+the stored periods but add none.
 
 Everything internal runs in SI; public functions accept and return values in
 the model's declared unit system.
@@ -134,25 +139,42 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
+@lru_cache(maxsize=None)
+def _joined_nodes(first: int, second: int):
+    return np.concatenate((_gl_rule(first)[0], _gl_rule(second)[0]))
+
+
 def _adaptive(f, segments, stage: str, e: float) -> float:
     """Composite Gauss-Legendre with order doubling until 1e-10 relative.
 
-    Each order makes one call ``f(theta, rows)``: ``theta`` holds one row of
-    nodes per segment and ``rows`` is the slice of ``segments`` those rows
-    are. The panel sums are then added in segment order. A floor warning or
-    a stall names the ``stage`` ("action" or "period") and the energy ``e`` in J.
+    Each call ``f(theta, rows)`` gets one row of nodes per segment in
+    ``theta``, and ``rows`` is the slice of ``segments`` those rows are. The
+    first two orders share one call, on each row's nodes of both rules joined;
+    every later order makes its own. Each rule's columns are copied out
+    contiguous, and their panel sums are added in segment order. A floor
+    warning or a stall names the ``stage`` ("action" or "period") and the
+    energy ``e`` in J.
     """
     a, b = np.array(segments).T
     mids = 0.5 * (a + b)
     halves = 0.5 * (b - a)
     rows = slice(0, len(segments))
+    first, second, *rest = _GL_ORDERS
+
+    def samples():
+        fx = f(mids[:, None] + halves[:, None] * _joined_nodes(first, second), rows)
+        yield first, fx[:, :first]
+        yield second, fx[:, first:]
+        for order in rest:
+            yield order, f(mids[:, None] + halves[:, None] * _gl_rule(order)[0], rows)
+
     prev = None
     rel = math.inf
-    for order in _GL_ORDERS:
-        nodes, weights = _gl_rule(order)
-        fx = f(mids[:, None] + halves[:, None] * nodes, rows)
-        # exact floats, so every Python sums them alike (3.12+ compensates only exact floats)
-        val = sum(map(operator.mul, halves.tolist(), map(float, map(weights.dot, fx))))
+    for order, fx in samples():
+        # a strided row could take another dot kernel; exact floats, so every Python sums them
+        # alike (3.12+ compensates only exact floats)
+        fx = np.ascontiguousarray(fx)
+        val = sum(map(operator.mul, halves.tolist(), map(float, map(_gl_rule(order)[1].dot, fx))))
         if prev is not None:
             rel = abs(val - prev) / max(abs(val), 1e-300)
             if rel <= _RTOL_TARGET:
@@ -212,18 +234,31 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
     return [(cuts[i], cuts[i + 1]) for i in keep], pieces, table._on_rows(pieces)
 
 
+def _stored(memo: dict, integrate, profile: WellProfile, e: float, keep: bool) -> float:
+    """``memo``'s value at the SI energy ``e``, or ``integrate(profile, e)``'s, stored there if ``keep``."""
+    value = memo.get(e)
+    if value is None:
+        value = integrate(profile, e)
+        if keep:
+            memo[e] = value
+    return value
+
+
 def _action_of(profile: WellProfile, e: float, keep: bool = True) -> float:
     """I(E) in J s at the SI energy ``e``: the well's stored action, or ``_action_si``'s.
 
     With ``keep`` a newly integrated action is stored. The public one-off queries pass False, so a
     sweep over energies leaves the well's memo as it found it.
     """
-    value = profile.actions.get(e)
-    if value is None:
-        value = _action_si(profile, e)
-        if keep:
-            profile.actions[e] = value
-    return value
+    return _stored(profile.actions, _action_si, profile, e, keep)
+
+
+def _period_of(profile: WellProfile, e: float, keep: bool = True) -> float:
+    """tau(E) in s at the SI energy ``e``: the well's stored period, or ``_period_si``'s.
+
+    Only a level's period is stored (see ``_level_period``); the public queries pass ``keep=False``.
+    """
+    return _stored(profile.periods, _period_si, profile, e, keep)
 
 
 def _action_si(profile: WellProfile, e: float) -> float:
@@ -344,12 +379,12 @@ def action(model: ModelSpec, energy: float) -> float:
 def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
     """Quadrature period and the centered-difference dI/dE at one energy.
 
-    Like ``action``, it reads the well's stored actions and stores none.
+    Like ``action``, it reads the well's stored actions and periods and stores none.
     """
     u = model.units
     e_si = u.to_si(energy, "energy")
     profile = well_profile(model)
-    tau_si = _period_si(profile, e_si)
+    tau_si = _period_of(profile, e_si, keep=False)
     h = _fd_step(profile, e_si)
     fd = (_action_of(profile, e_si + h, keep=False) - _action_of(profile, e_si - h, keep=False)) / (2.0 * h)
     residual = abs(tau_si - fd) / abs(tau_si)
@@ -367,6 +402,7 @@ def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -
     With ``self_check`` the quadrature value is verified against the centered
     difference of the action curve; disagreement beyond 1e-6 relative raises
     SelfCheckError rather than returning a silently inconsistent period.
+    A stored period of the well answers if there is one; a new one is not stored.
     """
     if self_check:
         chk = period_check(model, energy)
@@ -376,7 +412,13 @@ def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -
             )
         return chk.period
     u = model.units
-    return u.from_si(_period_si(well_profile(model), u.to_si(energy, "energy")), "time")
+    return u.from_si(_period_of(well_profile(model), u.to_si(energy, "energy"), keep=False), "time")
+
+
+def _level_period(model: ModelSpec, energy: float) -> float:
+    """tau(E) in model units at a level's ``energy``, stored on the well for the next spectrum that asks."""
+    u = model.units
+    return u.from_si(_period_of(well_profile(model), u.to_si(energy, "energy")), "time")
 
 
 def action_curve(model: ModelSpec, energies) -> ActionCurve:

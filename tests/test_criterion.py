@@ -264,7 +264,7 @@ def test_numeric_classify_quantizes_each_level_once(monkeypatch):
     xs = [0.5 * i for i in range(-16, 17)]
     model = sl.numeric(1.0, xs, [0.5 * x * x for x in xs])
     quantized, timed = Counter(), Counter()
-    quantize, period = semiclassical.quantize, semiclassical.period_of_energy
+    quantize, period = semiclassical.quantize, semiclassical._level_period  # a spectrum's level periods
 
     def counted_quantize(m, n, *args, **kwargs):
         quantized[n] += 1
@@ -275,7 +275,7 @@ def test_numeric_classify_quantizes_each_level_once(monkeypatch):
         return period(m, e, *args, **kwargs)
 
     monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
-    monkeypatch.setattr(semiclassical, "period_of_energy", counted_period)
+    monkeypatch.setattr(semiclassical, "_level_period", counted_period)
     rep = sl.classify(model, (2, 5))
     monkeypatch.undo()
     assert quantized == Counter(range(1, 6))

@@ -36,3 +36,28 @@ def test_golden_outputs(name, tmp_path):
     for fname, data in want.items():
         assert got[fname] == data, f"{name}/{fname} differs from the golden file, first at " + _first_difference(
             got[fname], data)
+
+
+@pytest.mark.parametrize("table", ["quartic25", "harmonic13"])
+def test_report_integrates_each_level_period_once(table, tmp_path, monkeypatch):
+    # report lists a spectrum and then classifies; the criterion's levels hold the spectrum's, and the well
+    # keeps each level's period, so the report makes as many period quadratures as the criterion alone
+    from speclimit import semiclassical
+
+    energies, period_si = [], semiclassical._period_si
+
+    def counted(profile, e):
+        energies.append(e)
+        return period_si(profile, e)
+
+    monkeypatch.setattr(semiclassical, "_period_si", counted)
+    counts = {}
+    for sub in ("criterion", "report"):
+        energies.clear()
+        doc = regenerate.CONFIGS[f"criterion-{table}"][1]
+        monkeypatch.setitem(regenerate.CONFIGS, "counted", (sub, doc))
+        (tmp_path / sub).mkdir()
+        regenerate.run("counted", tmp_path / sub)
+        assert len(energies) == len(set(energies))
+        counts[sub] = len(energies)
+    assert counts["report"] == counts["criterion"] > 8

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import speclimit as sl
 from speclimit import semiclassical as sc
+from speclimit.criterion import spectrum
 from speclimit.errors import (
     ActionOutOfRangeError,
     NoBoundMotionError,
@@ -20,6 +21,7 @@ from speclimit.errors import (
     QuadratureFloorWarning,
     RootNotBracketedError,
     ScanLimitExceededError,
+    SelfCheckError,
 )
 from speclimit.models import well_profile
 from speclimit.units import HBAR_SI
@@ -72,6 +74,12 @@ def test_turning_points_unbound(morse_h2):
         sc.turning_points(morse_h2, 0.5)  # above dissociation
     with pytest.raises(NoBoundMotionError):
         sc.turning_points(morse_h2, -morse_h2.params.depth - 1.0)  # below the bottom
+
+
+def test_turning_points_refuse_a_non_finite_energy(osc):
+    for e in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NoBoundMotionError, match=r"^energy must be finite, got "):
+            sc.turning_points(osc, e)
 
 
 def test_turning_points_numeric_domain(numeric_harmonic):
@@ -502,6 +510,43 @@ def test_period_morse_vs_closed(morse_h2):
         assert tau == pytest.approx(sl.classical_period(morse_h2, n).tau, rel=1e-9)
 
 
+def test_period_self_check_refuses_a_period_that_disagrees_with_the_action(monkeypatch):
+    model = sl.harmonic(1.0, 1.0)  # a fresh well, with no stored period to answer in place of the stand-in
+    period_si = sc._period_si
+    monkeypatch.setattr(sc, "_period_si", lambda profile, e: period_si(profile, e) * (1.0 + 1e-5))
+    with pytest.raises(SelfCheckError, match=r"^period at E=3 disagrees with dI/dE by 1e-05 relative"):
+        sc.period_of_energy(model, 3.0)
+    assert sc.period_of_energy(model, 3.0, self_check=False) == pytest.approx(2 * math.pi * (1.0 + 1e-5), rel=1e-10)
+
+
+def test_least_of_a_series_whose_vertex_lies_inside():
+    # 1 - 2 s + s^2 has its vertex at s = 1, inside [0, 3], where it is 0
+    assert sc._least((1.0, -2.0, 1.0), 3.0) == 0.0
+    assert sc._least((1.0, -2.0, 1.0), 0.5) == 0.25  # the vertex lies past the top
+
+
+def test_level_periods_are_stored_but_public_period_queries_store_none(monkeypatch):
+    xs = np.linspace(-4.0, 4.0, 17)
+    table = sl.numeric(1.0, xs, 0.5 * xs**2 + 0.05 * xs**4)
+    levels = spectrum(table, (1, 2))
+    profile = well_profile(table)
+    assert len(profile.periods) == 2
+    stored = dict(profile.periods)
+    for e in np.linspace(0.2, 7.0, 9):
+        sc.period_of_energy(table, float(e), self_check=False)
+        sc.period_check(table, float(e))
+    sc.action_curve(table, np.linspace(0.3, 6.0, 5))
+    assert profile.periods == stored
+
+    def integrated(profile, e):
+        raise AssertionError(f"the period at E={e!r} J was integrated again")
+
+    monkeypatch.setattr(sc, "_period_si", integrated)
+    assert spectrum(table, (2, 1)) == levels
+    e1, tau1 = levels[1]
+    assert sc.period_of_energy(table, e1, self_check=False) == tau1  # read from the store
+
+
 def test_period_matches_action_derivative():
     # tau = dI/dE checked by centered differences at a spread of energies
     cases = [
@@ -818,3 +863,52 @@ def test_per_segment_potential_matches_searched_potential(monkeypatch):
     monkeypatch.setattr(CubicPieces, "_on_rows", lambda table, pieces: lambda x, rows: table(x))
     searched = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
     assert per_segment == searched
+
+
+def _row_integrand(rates, calls):
+    """A smooth integrand whose row i oscillates at rates[i]; it appends each call's rows to ``calls``."""
+    rates = np.asarray(rates)
+
+    def f(theta, rows):
+        calls.append(rows)
+        return np.exp(np.sin(rates[rows][:, None] * theta))
+
+    return f
+
+
+def _outcome(adaptive, f, segments):
+    """The quadrature's value as float.hex, or "stalled"; a floor warning is not an outcome."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureFloorWarning)
+        try:
+            return adaptive(f, segments, "action", 1.0).hex()
+        except QuadratureFailureError:
+            return "stalled"
+
+
+@settings(max_examples=150, deadline=None)
+@given(panels=st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(1e-3, 1.5), st.floats(0.0, 40.0)),
+                       min_size=1, max_size=30),
+       orders=st.sampled_from([(8, 16), (16, 32, 64), sc._GL_ORDERS]))
+def test_joined_first_orders_match_the_per_panel_reference(panels, orders):
+    # the first two orders share one integrand call; the sums must equal one call per panel per order bit
+    # for bit, and a call must make the rows it is given, so a mix-up of rows or of rule columns shows
+    segments = [(a, a + width) for a, width, _ in panels]
+    rates = [rate for _, _, rate in panels]
+    calls, reference_calls = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "_GL_ORDERS", orders)
+        got = _outcome(sc._adaptive, _row_integrand(rates, calls), segments)
+        want = _outcome(_reference_adaptive, _row_integrand(rates, reference_calls), segments)
+    assert got == want
+    reached = len(reference_calls) // len(segments)  # the orders the reference integrated
+    assert len(calls) == max(reached - 1, 1)
+
+
+def test_integrand_calls_are_one_fewer_than_the_orders_reached():
+    # exp(sin(w theta)) on [0, pi/2] converges at the k-th of the default orders for these rates
+    for rate, k in ((0.5, 2), (5.0, 3), (10.0, 4), (20.0, 5), (40.0, 6), (100.0, 7)):
+        calls, reference_calls = [], []
+        value = sc._adaptive(_row_integrand([rate], calls), [(0.0, math.pi / 2)], "action", 1.0)
+        assert value == _reference_adaptive(_row_integrand([rate], reference_calls), [(0.0, math.pi / 2)], "action", 1.0)
+        assert (len(reference_calls), len(calls)) == (k, k - 1)

@@ -27,9 +27,11 @@ preset, and the two tables), again taking turns. The file holds:
   cumulative ``-X importtime`` of ``import speclimit.cli`` (s) and of the
   share of it that the ``numpy`` entry takes (0 when numpy is not imported);
 * per side, the action and period quadratures per op over the first 108 ops
-  of numeric-table seed 1 (``quadratures``), counted in a fresh process that
-  imports that side's ``src/`` and wraps ``semiclassical._adaptive`` by its
-  stage; the ops run as perfbench runs them, untimed;
+  of numeric-table seed 1 (``quadratures``), and the integrand calls those
+  quadratures make per op (``action_calls_per_op``, ``period_calls_per_op``),
+  counted in a fresh process that imports that side's ``src/`` and wraps
+  ``semiclassical._adaptive``, and the integrand it is given, by stage; the
+  ops run as perfbench runs them, untimed;
 * per side, the size of ``src/``: its line count, as ``wc -l`` counts the
   ``.py`` files; its code lines, those that are not blank, a comment or part
   of a module, class or function docstring, in total and per module
@@ -71,7 +73,12 @@ counts, adaptive = Counter(), semiclassical._adaptive
 
 def counted(f, segments, stage, e):
     counts[stage] += 1
-    return adaptive(f, segments, stage, e)
+
+    def call(theta, rows):
+        counts[stage + "_calls"] += 1
+        return f(theta, rows)
+
+    return adaptive(call, segments, stage, e)
 
 semiclassical._adaptive = counted
 ops = list(itertools.islice(bw.op_stream("numeric-table", int(sys.argv[1])), int(sys.argv[2])))
@@ -81,7 +88,8 @@ for op in ops:
     except sl.SpeclimitError:
         pass
 print(json.dumps({"seed": int(sys.argv[1]), "ops": len(ops),
-                  **{stage + "_per_op": counts[stage] / len(ops) for stage in ("action", "period")}}))
+                  **{key + "_per_op": counts[key] / len(ops)
+                     for key in ("action", "period", "action_calls", "period_calls")}}))
 """
 
 
@@ -137,7 +145,10 @@ def import_time(root: Path) -> tuple[float, float]:
 
 
 def quadratures(root: Path) -> dict:
-    """Action and period quadratures per numeric-table op of ``root``'s checkout, counted in a fresh process."""
+    """Action and period quadratures, and their integrand calls, per numeric-table op of ``root``'s checkout.
+
+    They are counted in a fresh process.
+    """
     env = side_env(root)
     proc = subprocess.run([sys.executable, "-c", _COUNT_QUADRATURES, str(QUADRATURE_SEED), str(QUADRATURE_OPS)],
                           env=env, cwd=root, capture_output=True, text=True, check=True)
