@@ -161,6 +161,7 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
     c3, c2, c1, c0 = coef
     c0 -= e
     below, above = t_in, t_out
+    rising = t_in < t_out  # t stays in the closed bracket, so below and above never swap
     t = 0.5 * (t_in + t_out)
     for _ in range(100):
         g = ((c3 * t + c2) * t + c1) * t + c0
@@ -172,7 +173,8 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
         t_new = t - g / slope if slope else math.nan
         if abs(t_new - t) <= math.ulp(x0 + t):
             return x0 + t_new
-        t = t_new if min(below, above) < t_new < max(below, above) else 0.5 * (below + above)
+        inside = below < t_new < above if rising else above < t_new < below
+        t = t_new if inside else 0.5 * (below + above)
     return x0 + t
 
 

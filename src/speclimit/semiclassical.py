@@ -24,7 +24,9 @@ names the change; one that stalls before reaching 1e-8 is rejected. Both
 name the stage and E, and ``quantize`` puts the model's kind and the level
 in front of its action's errors. The first two orders share one integrand
 call, on the nodes of both rules and of every theta-segment at once; each
-later order makes one call of its own.
+later order makes one call of its own. Each order's panels are summed by one
+``np.vecdot`` over contiguous rows, which runs the same per-row ddot as
+``weights.dot``, so the sums do not depend on the batching.
 
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
@@ -151,7 +153,9 @@ def _adaptive(f, segments, stage: str, e: float) -> float:
     ``theta``, and ``rows`` is the slice of ``segments`` those rows are. The
     first two orders share one call, on each row's nodes of both rules joined;
     every later order makes its own. Each rule's columns are copied out
-    contiguous, and their panel sums are added in segment order. A floor
+    contiguous, one ``np.vecdot`` per order forms every panel's sum with the
+    same per-row ddot that ``weights.dot`` calls, and the panel sums are added
+    as exact floats in segment order. A floor
     warning or a stall names the ``stage`` ("action" or "period") and the
     energy ``e`` in J.
     """
@@ -168,13 +172,15 @@ def _adaptive(f, segments, stage: str, e: float) -> float:
         for order in rest:
             yield order, f(mids[:, None] + halves[:, None] * _gl_rule(order)[0], rows)
 
+    scales = halves.tolist()
     prev = None
     rel = math.inf
     for order, fx in samples():
-        # a strided row could take another dot kernel; exact floats, so every Python sums them
-        # alike (3.12+ compensates only exact floats)
+        # one vecdot per order runs the per-row ddot on contiguous rows (a strided row could take
+        # another kernel); exact floats, so every Python sums them alike (3.12+ compensates only
+        # exact floats)
         fx = np.ascontiguousarray(fx)
-        val = sum(map(operator.mul, halves.tolist(), map(float, map(_gl_rule(order)[1].dot, fx))))
+        val = sum(map(operator.mul, scales, np.vecdot(fx, _gl_rule(order)[1]).tolist()))
         if prev is not None:
             rel = abs(val - prev) / max(abs(val), 1e-300)
             if rel <= _RTOL_TARGET:

@@ -110,6 +110,12 @@ def test_json_writer_raises_as_stdlib(obj):
     assert _outcome(cli._json12, obj) == _outcome(_stdlib_json12, obj)
 
 
+def test_json_writer_refuses_a_non_str_key():
+    # json.dumps would write the key 1 as "1"; the writer's objects are keyed by name only
+    with pytest.raises(TypeError, match="^keys must be str, not int$"):
+        cli._json12({"a": [{1: 0.5}]})
+
+
 # -- the CSV writer against the csv module -----------------------------------
 
 

@@ -14,6 +14,7 @@ from speclimit.errors import (
     FloatRangeError,
     ModelDefinitionError,
     OutOfRangeError,
+    PotentialDomainError,
     UnsupportedModelError,
 )
 from speclimit.models import KINDS, NumericPotentialParams, well_profile
@@ -437,6 +438,17 @@ def test_table_profile_keeps_the_pchip_range_reason():
     with pytest.raises(FloatRangeError) as ei:
         well_profile(model)
     assert str(ei.value) == "numeric: a cubic piece of the table leaves the float range in SI units"
+
+
+def test_table_potential_refuses_a_query_outside_the_table():
+    xs = [-2.0, -0.5, 0.0, 1.0, 3.0]
+    potential = well_profile(sl.numeric(1.0, xs, [4.0, 0.5, 0.0, 1.0, 9.0], units=sl.SI)).potential
+    span = xs[-1] - xs[0]
+    # within 1e-12 of the span past either end the query is clipped onto the table
+    assert potential(np.array([xs[0] - 0.5e-12 * span, xs[-1] + 0.5e-12 * span])).tolist() == [4.0, 9.0]
+    for x in (xs[0] - 1e-9, xs[-1] + 1e-9):
+        with pytest.raises(PotentialDomainError, match=r"^numeric: query outside tabulated range \[-2, 3\] m$"):
+            potential(np.array([0.0, x]))
 
 
 def test_model_from_json_rejects_invalid_json():

@@ -368,6 +368,18 @@ def test_ensemble_csv_round_trip(tmp_path):
     assert header == "seed,stream,center,sigma,count"
 
 
+@pytest.mark.parametrize("lines", [
+    ["seed,stream,centre,sigma,count", "1,0,0.0,1.0,1", "outcome", "0.5"],
+    ["seed,stream,center,sigma,count", "1,0,0.0,1.0,1", "outcomes", "0.5"],
+    ["seed,stream,center,sigma,count", "1,0,0.0,1.0,0"],
+])
+def test_ensemble_csv_refuses_a_file_without_its_header(tmp_path, lines):
+    path = tmp_path / "ens.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError, match="^not an ensemble CSV: "):
+        sl.MeasurementEnsemble.from_csv(path)
+
+
 @pytest.mark.parametrize("samples", [(), (0.1, -2.5e-300, 3.0)])
 def test_ensemble_csv_writes_one_repr_per_line(tmp_path, samples):
     ens = sl.MeasurementEnsemble(samples=samples, seed=4, stream=1, true_center=0.5, sigma=2.0)
@@ -466,6 +478,18 @@ def test_degenerate_ensemble_rejected():
     mom = sl.sample_ensemble(0.0, 1.0, 100, seed=0, stream=1)
     with pytest.raises(DegenerateEnsembleError):
         sl.reconstruct_state(pos, mom)
+
+
+def test_reconstruct_state_needs_two_outcomes_in_each_ensemble(tmp_path):
+    # sample_ensemble draws at least 2, but a CSV may hold one
+    path = tmp_path / "one.csv"
+    path.write_text("seed,stream,center,sigma,count\n0,1,0.0,1.0,1\noutcome\n0.25\n")
+    one = sl.MeasurementEnsemble.from_csv(path)
+    two = sl.sample_ensemble(0.0, 1.0, 2, seed=0)
+    with pytest.raises(InvalidCountError, match="^position ensemble needs at least 2 outcomes$"):
+        sl.reconstruct_state(one, two)
+    with pytest.raises(InvalidCountError, match="^momentum ensemble needs at least 2 outcomes$"):
+        sl.reconstruct_state(two, one)
 
 
 def test_zero_width_density_rejected():

@@ -912,3 +912,73 @@ def test_integrand_calls_are_one_fewer_than_the_orders_reached():
         value = sc._adaptive(_row_integrand([rate], calls), [(0.0, math.pi / 2)], "action", 1.0)
         assert value == _reference_adaptive(_row_integrand([rate], reference_calls), [(0.0, math.pi / 2)], "action", 1.0)
         assert (len(reference_calls), len(calls)) == (k, k - 1)
+
+
+# 16+32 columns of the joined first call, and the widest order's own call
+_PANEL_BLOCK = 16 + 32 + max(sc._GL_ORDERS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.sampled_from(sc._GL_ORDERS), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       exponents=st.tuples(st.integers(-330, 300), st.integers(-330, 300)), zeros=st.floats(0.0, 0.5),
+       negative=st.floats(0.0, 1.0))
+def test_panel_sums_by_vecdot_match_per_row_dots(order, rows, seed, exponents, zeros, negative):
+    # one vecdot per order must run the per-row dot kernel: values from 1e-330 (subnormal or zero) to 1e300,
+    # zeros and mixed signs, on rows copied out of column slices as _adaptive copies them
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(exponents)
+    block = rng.uniform(1.0, 10.0, (rows, _PANEL_BLOCK)) * 10.0 ** rng.integers(lo, hi, (rows, _PANEL_BLOCK),
+                                                                                  endpoint=True)
+    block[rng.random(block.shape) < zeros] = 0.0
+    block[rng.random(block.shape) < negative] *= -1.0
+    first, second = sc._GL_ORDERS[:2]
+    start = {first: 0, second: first}.get(order, first + second)
+    fx = np.ascontiguousarray(block[:, start:start + order])
+    w = sc._gl_rule(order)[1]
+    assert list(map(float.hex, np.vecdot(fx, w).tolist())) == [float(w.dot(r)).hex() for r in fx]
+
+
+# -- a table's turning points against the reference walk --------------------
+
+
+def _reference_piece_root(coef, x0, e, t_in, t_out):
+    # the bracket test orders its ends on every step; _piece_root fixes their order once, from t_in and t_out
+    c3, c2, c1, c0 = coef
+    c0 -= e
+    below, above = t_in, t_out
+    t = 0.5 * (t_in + t_out)
+    for _ in range(100):
+        g = ((c3 * t + c2) * t + c1) * t + c0
+        if g < 0.0:
+            below = t
+        else:
+            above = t
+        slope = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        t_new = t - g / slope if slope else math.nan
+        if abs(t_new - t) <= math.ulp(x0 + t):
+            return x0 + t_new
+        t = t_new if min(below, above) < t_new < max(below, above) else 0.5 * (below + above)
+    return x0 + t
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.floats(1e-3, 10.0), min_size=2, max_size=12), x0=st.floats(-50.0, 50.0),
+       us=st.lists(st.floats(-10.0, 10.0), min_size=13, max_size=13), piece=st.integers(0, 10),
+       f=st.floats(0.0, 1.0, exclude_min=True))
+def test_piece_root_matches_the_reference_walk(gaps, x0, us, piece, f):
+    # a PCHIP piece is monotone; its root at an energy between its end values, walked in from the lower end
+    # as a table's turning points walk it, on pieces that rise (x_plus) and fall (x_minus)
+    from speclimit.profiles import _pchip, _piece_root
+
+    xs = (x0 + np.concatenate(([0.0], np.cumsum(gaps)))).tolist()
+    us = us[:len(xs)]
+    k = piece % (len(xs) - 1)
+    h = xs[k + 1] - xs[k]
+    assume(us[k] != us[k + 1])
+    coef = _pchip(xs, us).coefs[:, k].tolist()
+    low, high = sorted((us[k], us[k + 1]))
+    e = low + f * (high - low)
+    assume(e > low)
+    t_in, t_out = (0.0, h) if us[k] < us[k + 1] else (h, 0.0)
+    got = _piece_root(coef, xs[k], e, t_in, t_out)
+    assert got.hex() == _reference_piece_root(coef, xs[k], e, t_in, t_out).hex()

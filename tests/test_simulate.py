@@ -209,6 +209,15 @@ def test_bayes_error_equal_widths_is_half_erfc(d):
         assert _bayes_overlap(m, s, m2, s) == pytest.approx(0.5 * math.erfc(d_held / (2 * math.sqrt(2))), rel=1e-14)
 
 
+def test_bayes_error_of_one_zero_width_cloud(box):
+    # a clock error below half an ulp of tau_1 = 2 tau_2 leaves every level-1 estimate on tau_1, while level 2,
+    # one binade lower, still spreads: a point mass against a Gaussian overlaps nowhere
+    delta_t = 0.3 * math.ulp(sl.discriminate(box, 2, sl.PeriodProtocol(delta_t=0.0, trials=10)).tau_high)
+    res = sl.discriminate(box, 2, sl.PeriodProtocol(delta_t=delta_t, trials=10, seed=0))
+    assert (res.sd_low, res.mean_low) == (0.0, res.tau_low) and res.sd_high > 0.0
+    assert not res.noise_free and res.bayes_error == 0.0
+
+
 def test_consistency_sweep_box(box):
     proto = sl.PeriodProtocol(trials=10000, seed=0)
     sweep = sl.consistency_sweep(box, (2, 12), proto)

@@ -4,6 +4,12 @@ Run from the repository root:
 
     python3 tools/output_digest.py closed-form 1 400
     python3 tools/output_digest.py --root ../parent-checkout closed-form 1 400
+    python3 tools/output_digest.py
+
+With no workload it prints the five standard digests, one per line after
+their workload, seed and count: numeric-table 1, 2 and 3 over 216 ops,
+closed-form 1 over 400 and monte-carlo 1 over 300. Two checkouts' outputs
+are then compared with one ``diff``.
 
 It takes the first N ops of ``op_stream(workload, seed)`` from the
 checkout's ``perfbench/bench_workloads.py`` and runs them against the
@@ -80,15 +86,27 @@ def digest(root: Path, workload: str, seed: int, count: int) -> str:
     return h.hexdigest()
 
 
+STANDARD = (("numeric-table", 1, 216), ("numeric-table", 2, 216), ("numeric-table", 3, 216),
+            ("closed-form", 1, 400), ("monte-carlo", 1, 300))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("workload", choices=("closed-form", "numeric-table", "monte-carlo"))
-    ap.add_argument("seed", type=int)
-    ap.add_argument("count", type=int, help="number of ops, from the start of the stream")
+    ap.add_argument("workload", nargs="?", choices=("closed-form", "numeric-table", "monte-carlo"),
+                    help="omit it, with seed and count, for the five standard digests")
+    ap.add_argument("seed", type=int, nargs="?")
+    ap.add_argument("count", type=int, nargs="?", help="number of ops, from the start of the stream")
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout whose src/ and perfbench/ are used (default: this one)")
     args = ap.parse_args(argv)
-    print(digest(args.root.resolve(), args.workload, args.seed, args.count))
+    root = args.root.resolve()
+    if args.workload is None:
+        for workload, seed, count in STANDARD:
+            print(workload, seed, count, digest(root, workload, seed, count), flush=True)
+    elif args.count is None:
+        ap.error("a workload needs its seed and count")
+    else:
+        print(digest(root, args.workload, args.seed, args.count))
     return 0
 
 
