@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, OutOfRangeError, ScanLimitExceededError, UnsupportedModelError
+from .errors import InvalidArgumentError, OutOfRangeError, ScanLimitExceededError, UnsupportedModelError, _integer
 from .models import (
     DEGENERATE_PERIOD_NOTE,
     HYDROGENOID_THRESHOLD_NOTE,
@@ -272,8 +272,7 @@ def threshold(model: ModelSpec, scan_limit: int = 10**6) -> int | None:
     pair resolvable. An unbounded ladder that never drops below hbar/2 within
     ``scan_limit`` pairs raises ScanLimitExceededError instead of looping on.
     """
-    if not (isinstance(scan_limit, int) and not isinstance(scan_limit, bool) and scan_limit >= 1):
-        raise OutOfRangeError(f"scan_limit must be a positive integer, got {scan_limit!r}")
+    _integer(scan_limit, "scan_limit", OutOfRangeError, lo=1)
     start = n_min(model) + 1
     cap = n_max(model)
     n = start

@@ -3,9 +3,27 @@
 Every error raised by the public API derives from SpeclimitError so callers
 can catch one base class. Most types also inherit a matching builtin
 (ValueError, RuntimeError) to stay idiomatic.
+
+Two rules check the numeric arguments of the public functions and
+dataclasses, and each caller names the SpeclimitError subclass to raise
+(the config reader, ``classify``'s level range and the engine's energies
+keep checks of their own):
+
+* ``_integer``: an int that is not a bool, optionally within [lo, hi]. It
+  refuses with ``<what> must be an integer, got 2.5``,
+  ``<what> must be an integer >= 1, got 0`` or
+  ``<what> must be an integer in [0, 4], got 7``.
+* ``_real``: a finite ``numbers.Real`` that is not a bool, so numpy scalars
+  pass and an int too large for a float does not, optionally ``>= lo`` or
+  ``> 0``. It refuses with ``<what> must be a finite number, got nan``,
+  ``<what> must be a finite number >= 0, got 'a'`` or
+  ``<what> must be a positive finite number, got True``.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 __all__ = [
     "SpeclimitError",
@@ -117,3 +135,32 @@ class ConfigError(SpeclimitError, ValueError):
 
 class FloatRangeError(SpeclimitError, ArithmeticError):
     """A model's SI parameters, or a closed form at level n, overflowed, divided by zero or left the finite floats."""
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that is a finite float; an int too large for a float is not."""
+    try:
+        # float comes first: it is the common case, and numbers.Real takes 20 times as long to test
+        return not isinstance(value, bool) and isinstance(value, (float, numbers.Real)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _integer(value, what: str, error: type[SpeclimitError], lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, within [``lo``, ``hi``]; otherwise ``error`` naming ``what``."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if is_int and (lo is None or value >= lo) and (hi is None or value <= hi):
+        return value
+    bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise error(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def _real(value, what: str, error: type[SpeclimitError], lo: float | None = None, positive: bool = False):
+    """``value`` if it is a finite real number, not a bool, that is ``>= lo``, or ``> 0`` when ``positive``.
+
+    Otherwise ``error`` naming ``what``.
+    """
+    if _finite_real(value) and (lo is None or value >= lo) and (not positive or value > 0):
+        return value
+    bound = "a positive finite number" if positive else "a finite number" if lo is None else f"a finite number >= {lo}"
+    raise error(f"{what} must be {bound}, got {value!r}")

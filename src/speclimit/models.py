@@ -40,13 +40,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, ClassVar
 
-from .errors import ConfigError, FloatRangeError, ModelDefinitionError, OutOfRangeError, UnsupportedModelError
+from .errors import (ConfigError, FloatRangeError, ModelDefinitionError, OutOfRangeError, UnsupportedModelError,
+                     _finite_real, _integer, _real)
 from .units import HBAR_SI, SI, UnitSystem, get_unit_system, MOLECULAR, NATURAL_BOX, OSCILLATOR, ATOMIC
 
 __all__ = [
@@ -143,12 +146,6 @@ class Param:
         return tuple(v * r for v in value) if self.type is tuple else value * r
 
 
-def _positive(name: str, value, kind: str) -> float:
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value > 0):
-        raise ModelDefinitionError(f"{kind}: {name} must be a positive finite number, got {value!r}")
-    return float(value)
-
-
 class WellKind:
     """Base of the five params dataclasses; each subclass is one well kind.
 
@@ -175,7 +172,7 @@ class WellKind:
         """Raise ModelDefinitionError unless every float parameter is positive and finite."""
         for p in self.schema:
             if p.type is float:
-                _positive(p.attr, getattr(self, p.attr), self.kind)
+                _real(getattr(self, p.attr), f"{self.kind}: {p.attr}", ModelDefinitionError, positive=True)
 
     def n_max(self, model: ModelSpec) -> int | None:
         """Largest enumerated level, or None when the ladder is unbounded."""
@@ -211,6 +208,23 @@ def _scaled(num, den=(), root: bool = False) -> float:
         return math.ldexp(m, e)
     except ArithmeticError:  # past the largest float, a division by 0, or an int too large for a float
         return math.inf
+
+
+def _converted(kind: type[WellKind], **args) -> WellKind:
+    """``kind``'s params from constructor arguments, each converted to its schema type where that type's rule takes it.
+
+    A finite real number becomes a float, with its bits, table entries
+    included, and a numpy integer becomes an int. Any other argument is
+    passed on unconverted, so ``validate`` refuses it with the rule's message.
+    """
+    def convert(p: Param, v):
+        if p.type is tuple:
+            return tuple(float(x) if _finite_real(x) else x for x in v) if isinstance(v, Iterable) else v
+        if p.type is int:
+            return int(v) if isinstance(v, numbers.Integral) and not isinstance(v, bool) else v
+        return float(v) if _finite_real(v) else v
+
+    return kind(**{p.attr: convert(p, args[p.attr]) for p in kind.schema})
 
 
 def _restated(p: WellKind, src: UnitSystem, dst: UnitSystem) -> WellKind:
@@ -298,8 +312,7 @@ class HydrogenoidParams(WellKind):
 
     def validate(self, units: UnitSystem):
         super().validate(units)
-        if not (isinstance(self.z, int) and not isinstance(self.z, bool) and self.z >= 1):
-            raise ModelDefinitionError(f"hydrogenoid: z must be an integer >= 1, got {self.z!r}")
+        _integer(self.z, "hydrogenoid: z", ModelDefinitionError, lo=1)
 
     def scales(self, units: UnitSystem):
         # e1 = mu Z^2 q^4 / (2 C hbar^2), C the coherence factor, and t1 = pi hbar / e1 (errors cancel in y)
@@ -431,7 +444,7 @@ class NumericPotentialParams(WellKind):
             raise ModelDefinitionError(
                 f"numeric: need at least 3 samples with matching lengths, got {len(self.x)} x and {len(self.u)} u"
             )
-        if not all(map(math.isfinite, self.x + self.u)):
+        if not all(map(_finite_real, self.x + self.u)):
             raise ModelDefinitionError("numeric: table entries must be finite")
         # checked in SI, where the engine works: the spans must stay finite floats there
         si = _restated(self, units, SI)
@@ -497,24 +510,24 @@ class ModelSpec:
 
     @classmethod
     def box(cls, mass: float = 1.0, width: float = 1.0, units: UnitSystem = NATURAL_BOX) -> "ModelSpec":
-        return cls(BoxParams(float(mass), float(width)), units)
+        return cls(_converted(BoxParams, mass=mass, width=width), units)
 
     @classmethod
     def harmonic(cls, mass: float = 1.0, stiffness: float = 1.0, units: UnitSystem = OSCILLATOR) -> "ModelSpec":
-        return cls(HarmonicParams(float(mass), float(stiffness)), units)
+        return cls(_converted(HarmonicParams, mass=mass, stiffness=stiffness), units)
 
     @classmethod
     def hydrogenoid(cls, reduced_mass: float = 1.0, z: int = 1, charge: float = 1.0,
                     units: UnitSystem = ATOMIC) -> "ModelSpec":
-        return cls(HydrogenoidParams(float(reduced_mass), int(z), float(charge)), units)
+        return cls(_converted(HydrogenoidParams, reduced_mass=reduced_mass, z=z, charge=charge), units)
 
     @classmethod
     def morse(cls, mass: float, depth: float, alpha: float, units: UnitSystem = MOLECULAR) -> "ModelSpec":
-        return cls(MorseParams(float(mass), float(depth), float(alpha)), units)
+        return cls(_converted(MorseParams, mass=mass, depth=depth, alpha=alpha), units)
 
     @classmethod
     def numeric(cls, mass: float, x, u, units: UnitSystem = OSCILLATOR) -> "ModelSpec":
-        return cls(NumericPotentialParams(float(mass), tuple(map(float, x)), tuple(map(float, u))), units)
+        return cls(_converted(NumericPotentialParams, mass=mass, x=x, u=u), units)
 
     # -- derived quantities --------------------------------------------
 
@@ -620,8 +633,7 @@ def _closed(model: ModelSpec, n: int, forms: tuple[str, ...], instead: str) -> l
     p = model.params
     if not p.closed_forms:
         raise UnsupportedModelError(f"{model.kind}: no closed-form {instead}")
-    if not (isinstance(n, int) and not isinstance(n, bool)):
-        raise OutOfRangeError(f"quantum number must be an integer, got {n!r}")
+    _integer(n, "quantum number", OutOfRangeError)
     lo = p.n_min
     if n < lo:
         raise OutOfRangeError(f"{model.kind}: n must be >= {lo}, got {n}")
@@ -667,8 +679,7 @@ def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
 
     Each level is the closed form, or Bohr-Sommerfeld for a kind without one.
     """
-    if not (isinstance(n_limit, int) and not isinstance(n_limit, bool) and n_limit >= 1):
-        raise OutOfRangeError(f"n_limit must be an integer >= 1, got {n_limit!r}")
+    _integer(n_limit, "n_limit", OutOfRangeError, lo=1)
     if model.params.closed_forms:
         level = energy_level
     else:
@@ -721,14 +732,6 @@ def _check_keys(doc: dict, allowed, path: str = ""):
             raise ConfigError(_key_path(path, key), "unknown key")
 
 
-def _finite_number(v) -> bool:
-    """Whether ``v`` is a JSON number (not a bool) that is a finite float; an int too large for a float is not."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:
-        return False
-
-
 def _get_param(doc: dict, p: Param, path: str):
     """The value of ``p`` in ``doc``, checked against its type and bounds; ``p.default`` when the key is absent.
 
@@ -738,7 +741,7 @@ def _get_param(doc: dict, p: Param, path: str):
     where = _key_path(path, p.key)
     if p.type is tuple:
         seq = doc.get(p.key)
-        if not isinstance(seq, list) or not all(map(_finite_number, seq)):
+        if not isinstance(seq, list) or not all(map(_finite_real, seq)):
             raise ConfigError(where, "expected a list of finite numbers")
         return tuple(map(float, seq))
     v = doc.get(p.key, p.default)
@@ -753,14 +756,12 @@ def _get_param(doc: dict, p: Param, path: str):
     if p.type is int:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(where, f"expected an integer, got {v!r}")
-        if (p.lo is not None and v < p.lo) or (p.hi is not None and v > p.hi):
-            raise ConfigError(where, f"must be in [{p.lo}, {p.hi}], got {v}")
-        return v
-    if not _finite_number(v):
+    elif not _finite_real(v):
         raise ConfigError(where, f"expected a finite number, got {v!r}")
-    if p.lo is not None and v < p.lo:
-        raise ConfigError(where, f"must be >= {p.lo}, got {v}")
-    return float(v)
+    if (p.lo is not None and v < p.lo) or (p.hi is not None and v > p.hi):
+        bound = f">= {p.lo}" if p.hi is None else f"in [{p.lo}, {p.hi}]"
+        raise ConfigError(where, f"must be {bound}, got {v}")
+    return v if p.type is int else float(v)
 
 
 def _read_object(doc, schema, path: str) -> dict:

@@ -43,6 +43,8 @@ from .errors import (
     InvalidSigmaError,
     OutOfRangeError,
     UnsupportedModelError,
+    _integer,
+    _real,
 )
 from .models import _NORMAL_MIN, ModelSpec
 
@@ -167,12 +169,9 @@ class NoiseBudget:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta_x) and self.delta_x >= 0.0):
-            raise InvalidSigmaError(f"delta_x must be finite and >= 0, got {self.delta_x!r}")
-        if not (math.isfinite(self.delta_p) and self.delta_p >= 0.0):
-            raise InvalidSigmaError(f"delta_p must be finite and >= 0, got {self.delta_p!r}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise InvalidArgumentError(f"hbar must be positive, got {self.hbar!r}")
+        _real(self.delta_x, "delta_x", InvalidSigmaError, lo=0)
+        _real(self.delta_p, "delta_p", InvalidSigmaError, lo=0)
+        _real(self.hbar, "hbar", InvalidArgumentError, positive=True)
 
     @property
     def product_over_hbar(self) -> float:
@@ -249,15 +248,11 @@ def _draw(center: float, sigma: float, count: int, seed: int, stream: int, what:
 
 def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: int = 0) -> MeasurementEnsemble:
     """Draw count outcomes center + N(0, sigma^2); bit-reproducible per (seed, stream)."""
-    if not (isinstance(count, int) and not isinstance(count, bool) and count >= 2):
-        raise InvalidCountError(f"count must be an integer >= 2, got {count!r}")
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not math.isfinite(sigma) or sigma < 0:
-        raise InvalidSigmaError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if not math.isfinite(center):
-        raise InvalidArgumentError(f"center must be finite, got {center!r}")
+    _integer(count, "count", InvalidCountError, lo=2)
+    _real(sigma, "sigma", InvalidSigmaError, lo=0)
+    _real(center, "center", InvalidArgumentError)
     for name, v in (("seed", seed), ("stream", stream)):
-        if not (isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**64):
-            raise InvalidArgumentError(f"{name} must be an integer in [0, 2^64), got {v!r}")
+        _integer(v, name, InvalidArgumentError, 0, 2**64 - 1)
     samples = _draw(float(center), float(sigma), count, seed, stream,
                     f"outcomes of sigma={sigma!r} about center={center!r}")
     samples.flags.writeable = False
@@ -269,10 +264,9 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
 
 def characteristic_factor(delta_x: float, p: float, hbar: float = 1.0) -> float:
     """Ensemble-mean attenuation exp(-p^2 delta_x^2 / (2 hbar^2))."""
-    if not (math.isfinite(delta_x) and math.isfinite(p)):
-        raise InvalidArgumentError("delta_x and p must be finite")
-    if not (math.isfinite(hbar) and hbar > 0.0):
-        raise InvalidArgumentError(f"hbar must be positive, got {hbar!r}")
+    _real(delta_x, "delta_x", InvalidArgumentError)
+    _real(p, "p", InvalidArgumentError)
+    _real(hbar, "hbar", InvalidArgumentError, positive=True)
     return math.exp(-(p * delta_x) ** 2 / (2.0 * hbar**2))
 
 
@@ -387,10 +381,8 @@ def _oscillator_roots(m: float, k: float, a: float, hbar: float) -> tuple[float,
     FloatRangeError.
     """
     for name, v in (("m", m), ("k", k), ("hbar", hbar)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise InvalidArgumentError(f"{name} must be positive and finite, got {v!r}")
-    if not (math.isfinite(a) and a >= 0.0):
-        raise InvalidArgumentError(f"noise scale a must be finite and >= 0, got {a!r}")
+        _real(v, name, InvalidArgumentError, positive=True)
+    _real(a, "noise scale a", InvalidArgumentError, lo=0)
     omega = math.sqrt(k / m)
     if not 0.0 < omega < math.inf:
         raise FloatRangeError(f"omega = sqrt(k / m) leaves the float range at k={k!r}, m={m!r}")
@@ -422,8 +414,8 @@ def harmonic_energy_error(q: float, p: float, m: float, k: float, a: float,
     Equals [|p| sqrt(hbar w / 2m) + k |q| sqrt(hbar / 2mw)] a, and its square
     is (2/hbar) [same bracket]^2 delta_p delta_q.
     """
-    if not (math.isfinite(q) and math.isfinite(p)):
-        raise InvalidArgumentError(f"q and p must be finite, got {q!r}, {p!r}")
+    _real(q, "q", InvalidArgumentError)
+    _real(p, "p", InvalidArgumentError)
     scale, root_m, root_w = _oscillator_roots(m, k, a, hbar)
     error = abs(p) * (scale * (root_w / root_m)) + abs(q) * (scale * (k / (root_m * root_w)))
     return _finite(error, "harmonic energy error")
@@ -444,6 +436,5 @@ def required_noise_product_for_resolution(model: ModelSpec, n: int) -> float:
     # the harmonic oscillator, the one kind whose period carries no level information, is read by energy
     if not model.params.degenerate_period:
         raise UnsupportedModelError(f"noise-product resolution analysis is for harmonic models, not {model.kind!r}")
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-        raise OutOfRangeError(f"n must be an integer >= 0, got {n!r}")
+    _integer(n, "n", OutOfRangeError, lo=0)
     return 1.0 / (16.0 * (n + 0.5))

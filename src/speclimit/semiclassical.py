@@ -87,6 +87,7 @@ from .errors import (
     RootNotBracketedError,
     ScanLimitExceededError,
     SelfCheckError,
+    _integer,
 )
 from .models import EnergyLevel, ModelSpec, WellProfile, well_profile
 from .units import HBAR_SI
@@ -542,10 +543,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, what: str) -> flo
 
 def _maslov_count(model: ModelSpec, maslov) -> int:
     """The Maslov count nu to use: ``maslov``, or the kind's default when it is None."""
-    nu = model.params.maslov if maslov is None else maslov
-    if not (isinstance(nu, int) and not isinstance(nu, bool) and 0 <= nu <= 4):
-        raise OutOfRangeError(f"maslov count must be an integer in [0, 4], got {maslov!r}")
-    return nu
+    return _integer(model.params.maslov if maslov is None else maslov, "maslov count", OutOfRangeError, 0, 4)
 
 
 def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel:
@@ -555,8 +553,7 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     can extend past the model's declared level budget (levels between the
     budget cutoff and dissociation are still orbits of the potential).
     """
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
-        raise OutOfRangeError(f"quantum number must be an integer >= 0, got {n!r}")
+    _integer(n, "quantum number", OutOfRangeError, lo=0)
     nu = _maslov_count(model, maslov)
     target = 2.0 * math.pi * HBAR_SI * (n + nu / 4.0)
     if target <= 0.0:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, ResolvabilityReport, _level_gaps, classify, spectrum
-from .errors import DegeneratePeriodError, InvalidArgumentError
+from .errors import DegeneratePeriodError, InvalidArgumentError, _integer, _real
 from .models import ModelSpec, n_min
 from .noise import _draw, _moments, fmean, fvariance
 
@@ -55,16 +55,11 @@ class PeriodProtocol:
     per_inversion: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.s, int) and not isinstance(self.s, bool) and self.s >= 1):
-            raise InvalidArgumentError(f"s must be an integer >= 1, got {self.s!r}")
-        if not (isinstance(self.trials, int) and not isinstance(self.trials, bool) and self.trials >= 10):
-            raise InvalidArgumentError(f"trials must be an integer >= 10, got {self.trials!r}")
+        _integer(self.s, "s", InvalidArgumentError, lo=1)
+        _integer(self.trials, "trials", InvalidArgumentError, lo=10)
         if self.delta_t is not None:
-            ok = isinstance(self.delta_t, (int, float)) and not isinstance(self.delta_t, bool)
-            if not (ok and math.isfinite(self.delta_t) and self.delta_t >= 0.0):
-                raise InvalidArgumentError(f"delta_t must be None or a finite number >= 0, got {self.delta_t!r}")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool) and 0 <= self.seed < 2**64):
-            raise InvalidArgumentError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+            _real(self.delta_t, "delta_t", InvalidArgumentError, lo=0)
+        _integer(self.seed, "seed", InvalidArgumentError, 0, 2**64 - 1)
 
     def estimator_sd(self, delta_t: float) -> float:
         if self.per_inversion:
@@ -142,18 +137,22 @@ def _bayes_overlap(m1: float, s1: float, m2: float, s2: float) -> float:
 
     In units of the narrower width s, centred on its mean, the wider cloud
     sits at d = |m2 - m1| / s with width k s, k >= 1. The densities cross
-    where (k^2 - 1) z^2 + 2 d z - d^2 - 2 k^2 ln k = 0, at
+    where (k^2 - 1) z^2 + 2 d z - d^2 - 2 k^2 ln k = 0. Divided through by
+    k^2, so that no term overflows however far apart the widths are, the
+    crossings are
 
-        z- = -(d + k r) / (k^2 - 1),  z+ = (d^2 + 2 k^2 ln k) / (k r + d),
-        r = sqrt(d^2 + 2 (k^2 - 1) ln k),
+        z- = -(d / k^2 + rho) / q,  z+ = ((d / k)^2 + 2 ln k) / (rho + d / k^2),
+        q = 1 - 1 / k^2,  rho = sqrt((d / k)^2 + 2 q ln k),
 
-    z+ written without the cancellation of (k r - d) / (k^2 - 1) as k -> 1.
+    z+ written without the cancellation of (rho - d / k^2) / q as k -> 1.
     The narrower density is the smaller one outside [z-, z+] and the wider
     one between, so the integral is a sum of normal tail masses. Equal widths
-    leave the one crossing z+ = d / 2 and 0.5 erfc(d / (2 sqrt 2)).
+    leave the one crossing z+ = d / 2 and 0.5 erfc(d / (2 sqrt 2)). A zero
+    width shares no mass with a positive one, and two zero widths share all
+    of it at one mean.
     """
     if s1 <= 0.0 or s2 <= 0.0:
-        return 0.5 if m1 == m2 else 0.0
+        return 0.5 if m1 == m2 and s1 == s2 else 0.0
     if s2 < s1:
         m1, s1, m2, s2 = m2, s2, m1, s1
     d = abs(m2 - m1) / s1
@@ -161,10 +160,11 @@ def _bayes_overlap(m1: float, s1: float, m2: float, s2: float) -> float:
     if d == 0.0 and km1 == 0.0:
         return 0.5
     k, ln_k = 1.0 + km1, math.log1p(km1)
-    k2m1 = km1 * (k + 1.0)  # k^2 - 1
-    r = math.sqrt(d * d + 2.0 * k2m1 * ln_k)
-    hi = (d * d + 2.0 * k * k * ln_k) / (k * r + d)
-    lo = -(d + k * r) / k2m1 if k2m1 > 0.0 else -math.inf
+    q = km1 / k * (1.0 + 1.0 / k)  # (k^2 - 1) / k^2
+    dk, dk2 = d / k, d / k / k
+    rho = math.sqrt(dk * dk + 2.0 * q * ln_k)
+    hi = (dk * dk + 2.0 * ln_k) / (rho + dk2)
+    lo = -(dk2 + rho) / q if q > 0.0 else -math.inf
     # the wider cloud's mass between the crossings, from its mirrored tails: neither term rounds to 1 when both
     # crossings lie far on one side of its mean
     wide = _tail((d - hi) / k) - _tail((d - lo) / k)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ModelDefinitionError
+from .errors import ModelDefinitionError, _real
 
 __all__ = [
     "HBAR_SI",
@@ -81,9 +81,7 @@ class UnitSystem:
 
     def __post_init__(self):
         for field in ("hbar", "energy_J", "time_s", "length_m", "mass_kg"):
-            value = getattr(self, field)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ModelDefinitionError(f"unit system {self.name!r}: {field} must be a positive finite number")
+            _real(getattr(self, field), f"unit system {self.name!r}: {field}", ModelDefinitionError, positive=True)
         check = self.hbar * self.energy_J * self.time_s
         if abs(check / HBAR_SI - 1.0) > 1e-9:
             raise ModelDefinitionError(

@@ -196,7 +196,8 @@ def _ref_int(doc, key, path="", default=_REQUIRED, lo=None, hi=None):
     if isinstance(v, bool) or not isinstance(v, int):
         raise errors.ConfigError(_ref_key_path(path, key), f"expected an integer, got {v!r}")
     if (lo is not None and v < lo) or (hi is not None and v > hi):
-        raise errors.ConfigError(_ref_key_path(path, key), f"must be in [{lo}, {hi}], got {v}")
+        bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise errors.ConfigError(_ref_key_path(path, key), f"must be {bound}, got {v}")
     return v
 
 

@@ -12,13 +12,16 @@ import speclimit as sl
 from speclimit.errors import (
     ConfigError,
     FloatRangeError,
+    InvalidArgumentError,
+    InvalidCountError,
+    InvalidSigmaError,
     ModelDefinitionError,
     OutOfRangeError,
     PotentialDomainError,
     UnsupportedModelError,
 )
 from speclimit.models import KINDS, NumericPotentialParams, well_profile
-from speclimit.units import UNIT_SYSTEMS
+from speclimit.units import SI, UNIT_SYSTEMS, UnitSystem
 
 # Frozen closed-form values for the shipped H2 Morse preset, derived from
 # D = 4.7446 eV, alpha = 1.9426 1/A, M = 0.50391 amu with exact eV/amu/fs
@@ -404,6 +407,93 @@ def test_float_params_must_be_positive_and_finite(kind, attr, value):
     with pytest.raises(ModelDefinitionError) as ei:
         sl.ModelSpec(params, units)
     assert str(ei.value) == f"{kind}: {attr} must be a positive finite number, got {value!r}"
+
+
+_BOX, _OSC = sl.box(), sl.harmonic()
+_UNIT_FIELDS = {f: getattr(SI, f) for f in ("hbar", "energy_J", "time_s", "length_m", "mass_kg")}
+# (argument, call with the value in that argument's place, error)
+_NUMERIC_ARGUMENTS = [
+    *((f"{kind}.{attr}", lambda v, kind=kind, attr=attr: sl.ModelSpec(
+        KINDS[kind](**{**_VALID_PARAMS[kind][0], attr: v}), _VALID_PARAMS[kind][1]), ModelDefinitionError)
+      for kind, attr in _FLOAT_PARAMS),
+    ("hydrogenoid.z", lambda v: sl.ModelSpec(KINDS["hydrogenoid"](1.0, v), sl.ATOMIC), ModelDefinitionError),
+    ("box(mass)", lambda v: sl.box(v), ModelDefinitionError),
+    ("box(width)", lambda v: sl.box(1.0, v), ModelDefinitionError),
+    ("harmonic(mass)", lambda v: sl.harmonic(v), ModelDefinitionError),
+    ("harmonic(stiffness)", lambda v: sl.harmonic(1.0, v), ModelDefinitionError),
+    ("hydrogenoid(reduced_mass)", lambda v: sl.hydrogenoid(v), ModelDefinitionError),
+    ("hydrogenoid(z)", lambda v: sl.hydrogenoid(1.0, v), ModelDefinitionError),
+    ("hydrogenoid(charge)", lambda v: sl.hydrogenoid(1.0, 1, v), ModelDefinitionError),
+    ("morse(mass)", lambda v: sl.morse(v, 4.7446, 1.9426), ModelDefinitionError),
+    ("morse(depth)", lambda v: sl.morse(0.50391, v, 1.9426), ModelDefinitionError),
+    ("morse(alpha)", lambda v: sl.morse(0.50391, 4.7446, v), ModelDefinitionError),
+    ("numeric(mass)", lambda v: sl.numeric(v, [-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]), ModelDefinitionError),
+    ("numeric(x entry)", lambda v: sl.numeric(1.0, [v, 0.0, 1.0], [1.0, 0.0, 1.0]), ModelDefinitionError),
+    ("numeric(u entry)", lambda v: sl.numeric(1.0, [-1.0, 0.0, 1.0], [1.0, 0.0, v]), ModelDefinitionError),
+    ("energy_level(n)", lambda v: sl.energy_level(_BOX, v), OutOfRangeError),
+    ("level_gap_period(n)", lambda v: sl.level_gap_period(_BOX, v), OutOfRangeError),
+    ("bound_levels(n_limit)", lambda v: sl.bound_levels(_BOX, v), OutOfRangeError),
+    ("threshold(scan_limit)", lambda v: sl.threshold(_BOX, v), OutOfRangeError),
+    ("quantize(n)", lambda v: sl.quantize(_OSC, v), OutOfRangeError),
+    ("quantize(maslov)", lambda v: sl.quantize(_OSC, 1, maslov=v), OutOfRangeError),
+    ("NoiseBudget(delta_x)", lambda v: sl.NoiseBudget(v, 1.0), InvalidSigmaError),
+    ("NoiseBudget(delta_p)", lambda v: sl.NoiseBudget(1.0, v), InvalidSigmaError),
+    ("NoiseBudget(hbar)", lambda v: sl.NoiseBudget(1.0, 1.0, v), InvalidArgumentError),
+    ("sample_ensemble(center)", lambda v: sl.sample_ensemble(v, 1.0, 10, 0), InvalidArgumentError),
+    ("sample_ensemble(sigma)", lambda v: sl.sample_ensemble(0.0, v, 10, 0), InvalidSigmaError),
+    ("sample_ensemble(count)", lambda v: sl.sample_ensemble(0.0, 1.0, v, 0), InvalidCountError),
+    ("sample_ensemble(seed)", lambda v: sl.sample_ensemble(0.0, 1.0, 10, v), InvalidArgumentError),
+    ("sample_ensemble(stream)", lambda v: sl.sample_ensemble(0.0, 1.0, 10, 0, v), InvalidArgumentError),
+    ("characteristic_factor(delta_x)", lambda v: sl.characteristic_factor(v, 1.0), InvalidArgumentError),
+    ("characteristic_factor(p)", lambda v: sl.characteristic_factor(1.0, v), InvalidArgumentError),
+    ("characteristic_factor(hbar)", lambda v: sl.characteristic_factor(1.0, 1.0, v), InvalidArgumentError),
+    *((f"noise_widths({name})", lambda v, i=i: sl.noise_widths(*[1.0] * i, v, *[1.0] * (3 - i)), InvalidArgumentError)
+      for i, name in enumerate(("m", "k", "a", "hbar"))),
+    *((f"harmonic_energy_error({name})", lambda v, i=i: sl.harmonic_energy_error(*[1.0] * i, v, *[1.0] * (5 - i)),
+       InvalidArgumentError) for i, name in enumerate(("q", "p", "m", "k", "a", "hbar"))),
+    ("required_noise_product_for_resolution(n)", lambda v: sl.required_noise_product_for_resolution(_OSC, v),
+     OutOfRangeError),
+    ("PeriodProtocol(s)", lambda v: sl.PeriodProtocol(s=v), InvalidArgumentError),
+    ("PeriodProtocol(trials)", lambda v: sl.PeriodProtocol(trials=v), InvalidArgumentError),
+    ("PeriodProtocol(delta_t)", lambda v: sl.PeriodProtocol(delta_t=v), InvalidArgumentError),
+    ("PeriodProtocol(seed)", lambda v: sl.PeriodProtocol(seed=v), InvalidArgumentError),
+    *((f"UnitSystem({f})", lambda v, f=f: UnitSystem("test", **{**_UNIT_FIELDS, f: v}), ModelDefinitionError)
+      for f in _UNIT_FIELDS),
+]
+# 10**400 is too large for a float and above the bound of a bounded integer; an integer argument without an upper
+# bound takes 2.0 in its place, a whole number that is not an int
+_UNBOUNDED_INTEGERS = {"hydrogenoid.z", "hydrogenoid(z)", "energy_level(n)", "level_gap_period(n)",
+                       "bound_levels(n_limit)", "threshold(scan_limit)", "quantize(n)", "sample_ensemble(count)",
+                       "required_noise_product_for_resolution(n)", "PeriodProtocol(s)", "PeriodProtocol(trials)"}
+_NONE_IS_DEFAULT = {"quantize(maslov)", "PeriodProtocol(delta_t)"}
+
+
+@pytest.mark.parametrize("value", ["a", None, True, math.nan, math.inf, -math.inf, 10**400],
+                         ids=["'a'", "None", "True", "nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("argument, call, error", _NUMERIC_ARGUMENTS, ids=[a[0] for a in _NUMERIC_ARGUMENTS])
+def test_each_numeric_argument_refuses_a_bad_value_with_its_typed_error(argument, call, error, value):
+    if value is None and argument in _NONE_IS_DEFAULT:
+        pytest.skip("None selects the default")
+    with pytest.raises(error):
+        call(2.0 if value == 10**400 and argument in _UNBOUNDED_INTEGERS else value)
+
+
+def test_constructors_convert_numbers_and_name_the_argument_they_refuse():
+    assert sl.hydrogenoid(1.0, np.int64(2)).params == sl.hydrogenoid(1.0, 2).params
+    assert type(sl.hydrogenoid(1.0, np.int64(2)).params.z) is int
+    x = np.float64(0.1) + np.float64(0.2)
+    box, table = sl.box(x, 3).params, sl.numeric(x, np.array([-1.0, 0.0, x]), [1, 0, 1]).params
+    assert (box.mass, box.width, table.mass, table.x[2], table.u[0]) == (float(x), 3.0, float(x), float(x), 1.0)
+    assert all(type(v) is float for v in (box.mass, box.width, table.mass, *table.x, *table.u))
+    for call, message in ((lambda: sl.hydrogenoid(1.0, 2.7), "hydrogenoid: z must be an integer >= 1, got 2.7"),
+                          (lambda: sl.hydrogenoid(1.0, 2.0), "hydrogenoid: z must be an integer >= 1, got 2.0"),
+                          (lambda: sl.box("1.5"), "box: mass must be a positive finite number, got '1.5'"),
+                          (lambda: sl.box(True), "box: mass must be a positive finite number, got True"),
+                          (lambda: sl.numeric(1.0, [-1.0, "0", 1.0], [1.0, 0.0, 1.0]),
+                           "numeric: table entries must be finite")):
+        with pytest.raises(ModelDefinitionError) as ei:
+            call()
+        assert str(ei.value) == message
 
 
 def test_numeric_table_must_be_finite_tuples():

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from mpmath import MPContext
 
 import speclimit as sl
 from speclimit.errors import (DegeneratePeriodError, FloatRangeError, InvalidArgumentError, OutOfRangeError,
@@ -216,6 +217,55 @@ def test_bayes_error_of_one_zero_width_cloud(box):
     res = sl.discriminate(box, 2, sl.PeriodProtocol(delta_t=delta_t, trials=10, seed=0))
     assert (res.sd_low, res.mean_low) == (0.0, res.tau_low) and res.sd_high > 0.0
     assert not res.noise_free and res.bayes_error == 0.0
+
+
+_mp = MPContext()
+_mp.dps = 60
+
+
+def _mp_bayes(m1: float, s1: float, m2: float, s2: float) -> float:
+    """0.5 * integral of min(f1, f2) from the crossings of the k^2 - 1 quadratic, at 60 digits."""
+    if s1 == 0.0 or s2 == 0.0:
+        return 0.5 if m1 == m2 and s1 == s2 else 0.0
+    m1, s1, m2, s2 = map(_mp.mpf, (m1, s1, m2, s2))
+    if s2 < s1:
+        m1, s1, m2, s2 = m2, s2, m1, s1
+    d, k = abs(m2 - m1) / s1, s2 / s1
+    if k == 1:
+        if d == 0:
+            return 0.5
+        lo, hi = -_mp.inf, d / 2
+    else:
+        r = _mp.sqrt(d**2 + 2 * (k**2 - 1) * _mp.log(k))
+        lo, hi = -(d + k * r) / (k**2 - 1), (k * r - d) / (k**2 - 1)
+
+    def tail(z):
+        return _mp.erfc(z / _mp.sqrt(2)) / 2
+
+    return float((tail(-lo) + tail(hi) + tail((d - hi) / k) - tail((d - lo) / k)) / 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_s=st.floats(-3.0, 3.0),
+       ratio=st.one_of(st.just(1.0), st.floats(-15.0, 0.0).map(lambda e: 1.0 + 10**e),
+                       st.floats(0.0, 300.0).map(lambda e: 10**e)),
+       widths=st.floats(0.0, 40.0), per_wide=st.booleans(), offset=st.sampled_from([0.0, -3.5, 1e6]),
+       zero=st.sampled_from(["", "narrow", "wide", "both"]), wide_first=st.booleans())
+@example(log_s=0.0, ratio=1.0, widths=0.0, per_wide=False, offset=1.0, zero="narrow", wide_first=False)
+@example(log_s=-155.0 / 2, ratio=1e155, widths=0.0, per_wide=False, offset=1.0, zero="", wide_first=False)
+@example(log_s=3.0, ratio=1e300, widths=40.0, per_wide=True, offset=0.0, zero="", wide_first=True)
+def test_bayes_error_matches_mpmath_at_any_width_ratio(log_s, ratio, widths, per_wide, offset, zero, wide_first):
+    # one zero width overlaps nowhere, and past a width ratio of about 1e154 k^2 - 1 leaves the floats
+    s1 = 10**log_s
+    s2 = s1 * ratio
+    m1 = offset
+    m2 = m1 + widths * (s2 if per_wide else s1)
+    s1, s2 = (0.0 if zero in ("narrow", "both") else s1), (0.0 if zero in ("wide", "both") else s2)
+    if wide_first:
+        m1, s1, m2, s2 = m2, s2, m1, s1
+    got = _bayes_overlap(m1, s1, m2, s2)
+    assert abs(got - _mp_bayes(m1, s1, m2, s2)) <= 1e-12
+    assert got == _bayes_overlap(m2, s2, m1, s1)
 
 
 def test_consistency_sweep_box(box):
