@@ -27,7 +27,7 @@ from . import __version__
 from .criterion import classify, spectrum
 from .errors import ConfigError, SpeclimitError
 from .models import (ModelSpec, Param, _check_keys, _expect_object, _first_levels, _get_param, _read_object,
-                     model_from_dict, n_max, n_min)
+                     model_from_dict, n_min)
 
 SCHEMA_VERSION = "1"
 DEFAULT_OUT = "speclimit-out"
@@ -240,9 +240,8 @@ def _opt_n_range(doc, model: ModelSpec):
     v = doc.get("n_range")
     first = n_min(model) + 1
     if v is None:
-        # 19 pairs, fewer where the ladder ends, and (first, first) where it holds none, which classify refuses
-        cap = n_max(model)
-        return (first, first + 18 if cap is None else max(first, min(first + 18, cap)))
+        # the pairs of the first 20 levels, and (first, first) where the ladder holds none, which classify refuses
+        return (first, max(first, _first_levels(model, 20).stop - 1))
     if (not isinstance(v, list) or len(v) != 2
             or any(isinstance(x, bool) or not isinstance(x, int) for x in v)):
         raise ConfigError("n_range", f"expected [lo, hi] with two integers, got {v!r}")

@@ -30,10 +30,10 @@ from .models import (
     EnergyLevel,
     ModelSpec,
     _closed,
+    _first_levels,
     classical_period,
     energy_level,
     level_gap_energy,
-    n_max,
     n_min,
 )
 
@@ -214,7 +214,11 @@ def _monotone(values) -> bool:
 
 
 def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -> ResolvabilityReport:
-    """Full criterion report over n in [n_range[0], n_range[1]] inclusive."""
+    """Full criterion report over the pairs (n-1, n), n in [n_range[0], n_range[1]] inclusive.
+
+    A range past the ladder's last level is clipped there, with a note; one
+    that starts past it raises OutOfRangeError.
+    """
     lo, hi = n_range
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (lo, hi)):
         raise OutOfRangeError(f"n_range must be a pair of integers, got {n_range!r}")
@@ -224,10 +228,10 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
     if hi < lo:
         raise OutOfRangeError(f"n_range upper bound {hi} is below lower bound {lo}")
     notes = []
-    cap = n_max(model)
-    if cap is not None and hi > cap:
-        notes.append(f"n_range clipped at the model's last bound level n = {cap}")
-        hi = cap
+    last = _first_levels(model, hi - first + 2).stop - 1  # levels n_min to hi, or to the ladder's end
+    if last < hi:
+        notes.append(f"n_range clipped at the model's last bound level n = {last}")
+        hi = last
         if lo > hi:
             raise OutOfRangeError(f"{model.kind}: no level pairs at or above n = {lo}")
     how = _resolve_method(model, method)
@@ -266,23 +270,17 @@ def classify(model: ModelSpec, n_range: tuple[int, int], method: str = "auto") -
 
 
 def threshold(model: ModelSpec, scan_limit: int = 10**6) -> int | None:
-    """Smallest n with y(n) < hbar/2, scanning upward from n_min + 1.
+    """Smallest n with y(n) < hbar/2 over the ladder's first ``scan_limit`` pairs, from n_min + 1 up.
 
-    Returns None when a finite model runs out of levels with every scanned
-    pair resolvable. An unbounded ladder that never drops below hbar/2 within
-    ``scan_limit`` pairs raises ScanLimitExceededError instead of looping on.
+    Returns None when the ladder ends within the scan with every scanned pair
+    resolvable. A ladder that still has a level past the scan, as an unbounded
+    one always does, raises ScanLimitExceededError instead of scanning on.
     """
     _integer(scan_limit, "scan_limit", OutOfRangeError, lo=1)
-    start = n_min(model) + 1
-    cap = n_max(model)
-    n = start
-    while True:
-        if cap is not None and n > cap:
-            return None
-        if n - start >= scan_limit:
-            raise ScanLimitExceededError(
-                f"no y(n) < hbar/2 found within {scan_limit} pairs starting at n = {start}"
-            )
+    levels = _first_levels(model, scan_limit + 2)  # the scanned pairs' levels and the one past them
+    for n in levels[1:scan_limit + 1]:
         if not level_gap(model, n).resolvable:
             return n
-        n += 1
+    if len(levels) <= scan_limit + 1:
+        return None
+    raise ScanLimitExceededError(f"no y(n) < hbar/2 found within {scan_limit} pairs starting at n = {levels[1]}")

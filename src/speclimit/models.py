@@ -609,11 +609,16 @@ def n_max(model: ModelSpec):
     return model.params.n_max(model)
 
 
-def _first_levels(model: ModelSpec, n_limit: int) -> range:
-    """Quantum numbers of the first ``n_limit`` levels, fewer if the ladder ends earlier."""
+def _first_levels(model: ModelSpec, count: int) -> range:
+    """Quantum numbers of the first ``count`` levels, fewer if the ladder ends earlier.
+
+    The one place, with ``n_max`` and ``_closed``'s check of a single level,
+    that knows whether a ladder ends. ``stop - 1`` is the last level taken,
+    ``n_min - 1`` for a well that holds none (the range is then empty), so a
+    caller compares it with the level it wanted instead of indexing the range.
+    """
     lo, hi = n_min(model), n_max(model)
-    last = lo + n_limit - 1 if hi is None else min(lo + n_limit - 1, hi)
-    return range(lo, last + 1)
+    return range(lo, lo + count if hi is None else min(lo + count, hi + 1))
 
 
 # -- closed forms ------------------------------------------------------

@@ -28,6 +28,7 @@ can change a variance. A drawn ensemble's cached array is the draw itself.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -46,7 +47,7 @@ from .errors import (
     _integer,
     _real,
 )
-from .models import _NORMAL_MIN, ModelSpec
+from .models import _NORMAL_MIN, ModelSpec, _scaled
 
 __all__ = [
     "NoiseBudget",
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 SQL_SLACK = 1e-12  # widths at hbar/2 - slack still count as preparable
+_MAX_COUNT = np.iinfo(np.intp).max // 8  # the most float64 outcomes numpy can size one array for
 
 
 def _as_array(values) -> np.ndarray:
@@ -248,7 +250,7 @@ def _draw(center: float, sigma: float, count: int, seed: int, stream: int, what:
 
 def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: int = 0) -> MeasurementEnsemble:
     """Draw count outcomes center + N(0, sigma^2); bit-reproducible per (seed, stream)."""
-    _integer(count, "count", InvalidCountError, lo=2)
+    _integer(count, "count", InvalidCountError, 2, _MAX_COUNT)
     _real(sigma, "sigma", InvalidSigmaError, lo=0)
     _real(center, "center", InvalidArgumentError)
     for name, v in (("seed", seed), ("stream", stream)):
@@ -263,11 +265,22 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
 
 
 def characteristic_factor(delta_x: float, p: float, hbar: float = 1.0) -> float:
-    """Ensemble-mean attenuation exp(-p^2 delta_x^2 / (2 hbar^2))."""
+    """Ensemble-mean attenuation exp(-p^2 delta_x^2 / (2 hbar^2)), for any finite arguments.
+
+    Where both squares are finite and 2 hbar^2 is a normal float, this is the
+    plain expression, with its bits. Elsewhere the exponent is formed by
+    ``models._scaled`` from the mantissas and exponents of p, delta_x and
+    hbar apart, so neither p delta_x nor a square leaves the float range on
+    the way: the factor is 0 where the exponent is past the largest float,
+    and 1 where it is below the smallest.
+    """
     _real(delta_x, "delta_x", InvalidArgumentError)
     _real(p, "p", InvalidArgumentError)
     _real(hbar, "hbar", InvalidArgumentError, positive=True)
-    return math.exp(-(p * delta_x) ** 2 / (2.0 * hbar**2))
+    with contextlib.suppress(OverflowError):  # a square past the largest float
+        if (den := 2.0 * hbar**2) >= _NORMAL_MIN:  # a subnormal one has lost digits, and 0 would divide by zero
+            return math.exp(-(p * delta_x) ** 2 / den)
+    return math.exp(-_scaled((p, delta_x, p, delta_x), (2.0, hbar, hbar)))
 
 
 @dataclass(frozen=True)
@@ -289,6 +302,7 @@ class CharacteristicCheck:
 
 def characteristic_check(ensemble: MeasurementEnsemble, p: float, hbar: float = 1.0) -> CharacteristicCheck:
     """Monte Carlo mean of exp(-i p xi / hbar) against the Gaussian factor."""
+    exact = characteristic_factor(ensemble.sigma, p, hbar)  # checks p and hbar before the phase is formed
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught as an infinite phase
         phase = p * (ensemble._array - ensemble.true_center) / hbar
     if np.isinf(phase).any():
@@ -300,7 +314,7 @@ def characteristic_check(ensemble: MeasurementEnsemble, p: float, hbar: float = 
         delta_x=ensemble.sigma,
         mc_real=mc_real,
         mc_imag=mc_imag,
-        exact=characteristic_factor(ensemble.sigma, p, hbar),
+        exact=exact,
         se_real=math.sqrt(var_real / phase.size),
         se_imag=math.sqrt(var_imag / phase.size),
     )
@@ -352,6 +366,7 @@ def _gaussian_density(x, center: float, width: float, label: str):
 def reconstruct_state(position_ens: MeasurementEnsemble, momentum_ens: MeasurementEnsemble,
                       hbar: float = 1.0) -> GaussianState:
     """Fit the ensemble-mean Gaussian: centers from means, widths from sample sd."""
+    _real(hbar, "hbar", InvalidArgumentError, positive=True)
 
     def fit(ens: MeasurementEnsemble, label: str) -> tuple[float, float]:
         if ens.count < 2:
@@ -436,5 +451,5 @@ def required_noise_product_for_resolution(model: ModelSpec, n: int) -> float:
     # the harmonic oscillator, the one kind whose period carries no level information, is read by energy
     if not model.params.degenerate_period:
         raise UnsupportedModelError(f"noise-product resolution analysis is for harmonic models, not {model.kind!r}")
-    _integer(n, "n", OutOfRangeError, lo=0)
+    _integer(n, "n", OutOfRangeError, 0, 2**53)
     return 1.0 / (16.0 * (n + 0.5))

@@ -553,7 +553,7 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     can extend past the model's declared level budget (levels between the
     budget cutoff and dissociation are still orbits of the potential).
     """
-    _integer(n, "quantum number", OutOfRangeError, lo=0)
+    _integer(n, "quantum number", OutOfRangeError, 0, 2**53)
     nu = _maslov_count(model, maslov)
     target = 2.0 * math.pi * HBAR_SI * (n + nu / 4.0)
     if target <= 0.0:

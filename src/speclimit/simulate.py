@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, ResolvabilityReport, _level_gaps, classify, spectrum
 from .errors import DegeneratePeriodError, InvalidArgumentError, _integer, _real
 from .models import ModelSpec, n_min
-from .noise import _draw, _moments, fmean, fvariance
+from .noise import _MAX_COUNT, _draw, _moments, fmean, fvariance
 
 __all__ = [
     "PeriodProtocol",
@@ -55,8 +55,8 @@ class PeriodProtocol:
     per_inversion: bool = False
 
     def __post_init__(self):
-        _integer(self.s, "s", InvalidArgumentError, lo=1)
-        _integer(self.trials, "trials", InvalidArgumentError, lo=10)
+        _integer(self.s, "s", InvalidArgumentError, 1, 2**53)
+        _integer(self.trials, "trials", InvalidArgumentError, 10, _MAX_COUNT)
         if self.delta_t is not None:
             _real(self.delta_t, "delta_t", InvalidArgumentError, lo=0)
         _integer(self.seed, "seed", InvalidArgumentError, 0, 2**64 - 1)
@@ -87,8 +87,9 @@ def _require_period_spread(model: ModelSpec):
         raise DegeneratePeriodError(DEGENERATE_PERIOD_NOTE)
 
 
-def _saturating_delta_t(model: ModelSpec, gap: LevelGap) -> float:
-    return model.units.hbar / (2.0 * gap.dE)
+def _delta_t(model: ModelSpec, protocol: PeriodProtocol, gap: LevelGap | None) -> float:
+    """The protocol's delta_t, else the saturating accuracy hbar / (2 dE) of ``gap``."""
+    return protocol.delta_t if protocol.delta_t is not None else model.units.hbar / (2.0 * gap.dE)
 
 
 def _estimates(n: int, protocol: PeriodProtocol, tau: float, delta_t: float):
@@ -105,13 +106,14 @@ def simulate_period_measurement(model: ModelSpec, n: int, protocol: PeriodProtoc
     """Monte Carlo period estimates for level n; trial i occupies RNG slot i."""
     _require_period_spread(model)
     if protocol.delta_t is not None:
-        return _samples(n, protocol, spectrum(model, (n,))[n][1], protocol.delta_t)
-    # saturating accuracy hbar / (2 dE) at this level's gap (the gap above,
-    # for the bottom level, which has no lower neighbor)
-    gap_at = max(n, n_min(model) + 1)
-    levels = spectrum(model, dict.fromkeys((n, gap_at - 1, gap_at)))  # each level once, n first
-    (gap,) = _level_gaps(model, levels, (gap_at,))
-    return _samples(n, protocol, levels[n][1], _saturating_delta_t(model, gap))
+        levels, gap = spectrum(model, (n,)), None
+    else:
+        # saturating accuracy at this level's gap (the gap above, for the
+        # bottom level, which has no lower neighbor)
+        gap_at = max(n, n_min(model) + 1)
+        levels = spectrum(model, dict.fromkeys((n, gap_at - 1, gap_at)))  # each level once, n first
+        (gap,) = _level_gaps(model, levels, (gap_at,))
+    return _samples(n, protocol, levels[n][1], _delta_t(model, protocol, gap))
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,7 @@ def _compare(model: ModelSpec, protocol: PeriodProtocol, rep: ResolvabilityRepor
     _require_period_spread(model)
     gap = rep.gaps[i]
     n = gap.n
-    delta_t = protocol.delta_t if protocol.delta_t is not None else _saturating_delta_t(model, gap)
+    delta_t = _delta_t(model, protocol, gap)
     tau_low, tau_high = rep.levels[i][2], rep.levels[i + 1][2]  # the levels start at the first gap's n - 1
     low, high = _estimates(n - 1, protocol, tau_low, delta_t), _estimates(n, protocol, tau_high, delta_t)
     (mean_low, var_low), (mean_high, var_high) = _moments(low, f"level {n - 1}"), _moments(high, f"level {n}")
@@ -190,10 +192,8 @@ def _compare(model: ModelSpec, protocol: PeriodProtocol, rep: ResolvabilityRepor
     noise_free = pooled == 0.0
     if noise_free:
         d_prime = 0.0 if mean_low == mean_high else D_PRIME_CAP
-        bayes = 0.5 if mean_low == mean_high else 0.0
     else:
         d_prime = min(abs(mean_high - mean_low) / pooled, D_PRIME_CAP)
-        bayes = _bayes_overlap(mean_low, sd_low, mean_high, sd_high)
     return DiscriminationResult(
         n_low=n - 1,
         n_high=n,
@@ -205,7 +205,7 @@ def _compare(model: ModelSpec, protocol: PeriodProtocol, rep: ResolvabilityRepor
         sd_high=sd_high,
         delta_t=delta_t,
         d_prime=d_prime,
-        bayes_error=bayes,
+        bayes_error=_bayes_overlap(mean_low, sd_low, mean_high, sd_high),
         noise_free=noise_free,
         mc_resolvable=d_prime >= D_PRIME_CUT,
         criterion_resolvable=gap.resolvable,

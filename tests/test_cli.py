@@ -443,11 +443,15 @@ _CRAFTED_MODELS = {
 }
 _LEVEL_SUBCOMMANDS = ("spectrum", "criterion", "simulate", "report")
 _XS13 = [-3.0 + 0.5 * i for i in range(13)]
-# Ladders with one level and so no level pair: the criterion subcommands' default n_range has nothing to cover
+# Ladders with one level or none and so no level pair: the criterion subcommands' default n_range has nothing
+# to cover
 _NO_PAIR_MODELS = {
     "morse-one-level": {"kind": "morse", "units": "natural-box", "params": {"mass": 1.0, "depth": 2.0, "range": 1.0}},
     "table-one-level": {"kind": "numeric", "units": "oscillator",
                         "params": {"mass": 1.0, "x": _XS13, "u": [min(x * x / 2, 1.0) for x in _XS13]}},
+    # the well holds less than one quantum, so n_max is -1
+    "table-no-level": {"kind": "numeric", "units": "oscillator",
+                       "params": {"mass": 1.0, "x": [-1.0, 0.0, 1.0], "u": [0.1, 0.0, 0.1]}},
 }
 _CRAFTED = [
     *((f"{name}-{sub}", sub, {"model": model})
@@ -463,6 +467,10 @@ _CRAFTED = [
     ("big-int-mass-criterion", "criterion",
      {"model": {"kind": "box", "units": "natural-box", "params": {"mass": 10**400, "width": 1.0}}}),
     ("big-int-delta-x-noise", "noise", box_config(noise={"delta_x": -10**400})),
+    # integers that the config's open upper bounds take, past the bounds of the functions they reach
+    ("big-int-count-noise", "noise", box_config(noise={"count": 10**100})),
+    ("big-int-trials-simulate", "simulate", box_config(protocol={"trials": 10**100})),
+    ("big-int-s-simulate", "simulate", box_config(protocol={"s": 10**400})),
     *((f"{name}-{sub}", sub, {"model": model})
       for name, model in _NO_PAIR_MODELS.items() for sub in _LEVEL_SUBCOMMANDS[1:]),
 ]
@@ -488,9 +496,10 @@ def test_default_n_range_on_a_ladder_without_a_pair_names_no_range(tmp_path, cap
     err = json.loads(capsys.readouterr().err)["error"]
     assert rc == 3 and err == {"type": "OutOfRangeError",
                                "message": f"{model['kind']}: no level pairs at or above n = 1"}
-    # its one level is still listed
+    # its one level is still listed, and a table without a level writes the header alone
     assert main(["spectrum", "--config", write_config(tmp_path, {"model": model}), "--out", str(tmp_path / "s")]) == 0
-    assert [row[0] for row in read_csv(tmp_path / "s" / "spectrum.csv")] == ["n", "0"]
+    levels = [] if name == "table-no-level" else ["0"]
+    assert [row[0] for row in read_csv(tmp_path / "s" / "spectrum.csv")] == ["n", *levels]
 
 
 # Brent's extrapolation denominator rounds to 0 in the check's root search; the run died with a ZeroDivisionError

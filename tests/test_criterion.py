@@ -158,11 +158,23 @@ def test_threshold_morse(morse_h2):
     shallow = sl.morse(1.0, 8.0, 1.0, units=UNIT_SYSTEMS["natural-box"])
     assert shallow.zeta == 4.0 and sl.level_gap(shallow, 1).resolvable
     assert sl.threshold(shallow) is None
+    # a scan of one pair covers the ladder's last pair, so the ladder ends within it
+    assert sl.threshold(shallow, scan_limit=1) is None
 
 
 def test_threshold_scan_limit(box):
-    with pytest.raises(ScanLimitExceededError):
+    with pytest.raises(ScanLimitExceededError, match=r"^no y\(n\) < hbar/2 found within 2 pairs starting at n = 2$"):
         sl.threshold(box, scan_limit=2)
+    assert sl.threshold(box, scan_limit=3) == 4  # y(4) = 7 pi / 48 hbar is the first below hbar/2
+
+
+def test_a_table_without_a_level_has_no_pair_and_no_threshold():
+    # the well holds less than one quantum, so n_max is -1 and the ladder is empty
+    table = sl.numeric(1.0, [-1.0, 0.0, 1.0], [0.1, 0.0, 0.1], units=sl.OSCILLATOR)
+    assert sl.n_max(table) == -1
+    with pytest.raises(OutOfRangeError, match="^numeric: no level pairs at or above n = 1$"):
+        sl.classify(table, (1, 3))
+    assert sl.threshold(table) is None and sl.bound_levels(table, 5) == []
 
 
 @pytest.mark.parametrize("call", [

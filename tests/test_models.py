@@ -410,6 +410,7 @@ def test_float_params_must_be_positive_and_finite(kind, attr, value):
 
 
 _BOX, _OSC = sl.box(), sl.harmonic()
+_ENS = sl.sample_ensemble(0.0, 1.0, 10, 0)
 _UNIT_FIELDS = {f: getattr(SI, f) for f in ("hbar", "energy_J", "time_s", "length_m", "mass_kg")}
 # (argument, call with the value in that argument's place, error)
 _NUMERIC_ARGUMENTS = [
@@ -447,6 +448,9 @@ _NUMERIC_ARGUMENTS = [
     ("characteristic_factor(delta_x)", lambda v: sl.characteristic_factor(v, 1.0), InvalidArgumentError),
     ("characteristic_factor(p)", lambda v: sl.characteristic_factor(1.0, v), InvalidArgumentError),
     ("characteristic_factor(hbar)", lambda v: sl.characteristic_factor(1.0, 1.0, v), InvalidArgumentError),
+    ("characteristic_check(p)", lambda v: sl.characteristic_check(_ENS, v), InvalidArgumentError),
+    ("characteristic_check(hbar)", lambda v: sl.characteristic_check(_ENS, 1.0, v), InvalidArgumentError),
+    ("reconstruct_state(hbar)", lambda v: sl.reconstruct_state(_ENS, _ENS, v), InvalidArgumentError),
     *((f"noise_widths({name})", lambda v, i=i: sl.noise_widths(*[1.0] * i, v, *[1.0] * (3 - i)), InvalidArgumentError)
       for i, name in enumerate(("m", "k", "a", "hbar"))),
     *((f"harmonic_energy_error({name})", lambda v, i=i: sl.harmonic_energy_error(*[1.0] * i, v, *[1.0] * (5 - i)),
@@ -463,8 +467,7 @@ _NUMERIC_ARGUMENTS = [
 # 10**400 is too large for a float and above the bound of a bounded integer; an integer argument without an upper
 # bound takes 2.0 in its place, a whole number that is not an int
 _UNBOUNDED_INTEGERS = {"hydrogenoid.z", "hydrogenoid(z)", "energy_level(n)", "level_gap_period(n)",
-                       "bound_levels(n_limit)", "threshold(scan_limit)", "quantize(n)", "sample_ensemble(count)",
-                       "required_noise_product_for_resolution(n)", "PeriodProtocol(s)", "PeriodProtocol(trials)"}
+                       "bound_levels(n_limit)", "threshold(scan_limit)"}
 _NONE_IS_DEFAULT = {"quantize(maslov)", "PeriodProtocol(delta_t)"}
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import MPContext
 
 import speclimit as sl
 from speclimit import noise
@@ -400,6 +401,31 @@ def test_characteristic_factor_limits():
     assert sl.characteristic_factor(0.0, 5.0) == 1.0
     assert sl.characteristic_factor(3.0, 0.0) == 1.0
     assert sl.characteristic_factor(10.0, 10.0) < 1e-21
+
+
+_mp50 = MPContext()
+_mp50.dps = 50
+_magnitudes = st.builds(lambda e, s: s * 10.0**e, st.floats(-300, 300), st.sampled_from((1.0, -1.0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_magnitudes, _magnitudes, st.floats(-300, 300).map(lambda e: 10.0**e))
+@example(1e-10, 1e300, 1.0)  # (p delta_x)^2 overflows, the factor is 0
+@example(1.0, 1.0, 1e200)  # hbar^2 overflows, the factor is 1
+@example(1e300, 1e300, 1e300)  # p delta_x overflows, p delta_x / hbar does not
+@example(3e-160, 1.0, 1e-160)  # 2 hbar^2 is subnormal and holds a few digits only
+@example(1e-200, 1e-200, 1e-200)  # both squares underflow to 0
+def test_characteristic_factor_matches_mpmath_at_any_scale(delta_x, p, hbar):
+    got = sl.characteristic_factor(delta_x, p, hbar)
+    x, q, h = _mp50.mpf(delta_x), _mp50.mpf(p), _mp50.mpf(hbar)
+    want = _mp50.exp(-(q * x) ** 2 / (2 * h**2))
+    assert abs(got - want) <= 1e-12 * want or (got < sys.float_info.min and want < sys.float_info.min)
+    try:  # where the plain expression holds its digits, its bits are kept
+        den = 2.0 * hbar**2
+        plain = math.exp(-(p * delta_x) ** 2 / den) if den >= sys.float_info.min else None
+    except OverflowError:
+        plain = None
+    assert plain is None or got == plain
 
 
 def test_characteristic_mc_within_3se_grid():

@@ -370,6 +370,18 @@ def test_numeric_sweep_quantizes_each_level_once(monkeypatch):
         assert r.delta_t == 1.0 / (2 * gap.dE)
 
 
+@pytest.mark.parametrize("delta_t", [None, 0.1])
+def test_period_measurement_refuses_a_level_as_the_single_level_functions_do(box, morse_h2, delta_t):
+    protocol = sl.PeriodProtocol(delta_t=delta_t, trials=10)
+    for model, n, message in ((box, 0, "box: n must be >= 1, got 0"),
+                              (box, True, "quantum number must be an integer, got True"),
+                              (box, 1.0, "quantum number must be an integer, got 1.0"),
+                              (morse_h2, 9, "morse: n must be <= 8 for these parameters, got 9")):
+        with pytest.raises(OutOfRangeError) as ei:
+            sl.simulate_period_measurement(model, n, protocol)
+        assert str(ei.value) == message
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_saturating_delta_t_times_with_the_gap_below_or_above_the_bottom(monkeypatch, n):
     # delta_t=None times level n at hbar / (2 dE) of its own gap, or of the gap above for the bottom level
