@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .criterion import classify, spectrum
+from .criterion import _resolve_method, classify, spectrum
 from .errors import ConfigError, SpeclimitError
 from .models import (ModelSpec, Param, _check_keys, _expect_object, _first_levels, _get_param, _read_object,
                      model_from_dict, n_min)
@@ -73,56 +73,64 @@ def _fmt(v) -> str:
     raise TypeError(f"cannot write a {type(v).__name__} as a CSV field")
 
 
+# the C formatter of each exact field type a CSV column can hold throughout
+_CSV_COLUMN_FORMATS = {float: "%.12g".__mod__, int: int.__repr__, bool: ("false", "true").__getitem__}
 _QUOTE = json.encoder.encode_basestring_ascii
 # exponents that the 12-digit form prints but repr spells positionally
 _REPR_POSITIONAL = ("e+12", "e+13", "e+14", "e+15")
+# the JSON types a class can subclass, each with the function that gives its value as the exact type
+_JSON_BASES = ((str, str.__str__), (int, int.__int__), (float, float.__float__), (dict, dict), (list, list),
+               (tuple, tuple))
 
 
-def _json12(obj) -> str:
-    """``obj`` as indented JSON text, every float rounded to 12 significant digits.
+def _json_text(obj, spell) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\\n"``, each float ``v``
+    written as the repr of the float that ``spell(v)`` denotes.
 
-    One walk gives the text of ``json.dumps(obj, indent=2, sort_keys=True,
-    allow_nan=False) + "\n"`` with each float first replaced by
-    ``float(format(v, ".12g"))``: strings quoted ASCII-only, sorted keys, and
-    containers broken over lines two spaces deep. Dict keys must be strings,
-    and values str, float, int, bool, None, dict, list or tuple; anything else
-    raises TypeError. A float that is not finite raises ValueError at the end
-    of the walk, so a TypeError anywhere in ``obj`` takes precedence.
+    Strings are quoted ASCII-only, keys sorted, and containers broken over
+    lines two spaces deep. Dict keys must be strings, and values str, float,
+    int, bool, None, dict, list or tuple; anything else raises TypeError. A
+    float that is not finite raises ValueError at the end of the walk, so a
+    TypeError anywhere in ``obj`` takes precedence.
 
-    Each float is formatted once. Two decimals of at most 15 digits never
-    round to the same normal float, so the 12-digit string already holds the
-    digits of the rounded float's repr; only the spelling differs. ``.0`` is
-    appended to an integral value, and the string is parsed and re-printed
-    only where repr spells it otherwise: exponents 12 to 15 (repr prints them
-    positionally), |v| < 1e-307 (the decimal may round to a subnormal with a
-    shorter repr), inf and nan. The sorted keys of a dict and their quoted
+    The walk dispatches on each value's exact type, and a container writes
+    its scalar children in its own loop. A subclass of a JSON type is written
+    as the value of its base type. The sorted keys of a dict and their quoted
     heads are built once per key set and depth.
+
+    ``spell`` is ``float.__repr__`` for full precision, or ``"%.12g".__mod__``,
+    whose text already holds the digits of the rounded float's repr: two
+    decimals of at most 15 digits never round to the same normal float. Only
+    the spelling then differs: ``.0`` is appended to an integral value, and
+    the text is parsed and re-printed only where repr spells it otherwise,
+    at exponents 12 to 15 (repr prints them positionally) and |v| < 1e-307
+    (the decimal may round to a subnormal with a shorter repr). A repr is
+    left as it is by both steps.
     """
     parts: list[str] = []
     put = parts.append
     non_finite: list[float] = []
     heads: dict[tuple, list] = {}  # (keys, indent) -> [(key, '{' or ',', indent and '"key": '), ...], sorted
 
+    def float_text(v: float) -> str:
+        s = spell(v)
+        if "e" in s:
+            if s[-4:] in _REPR_POSITIONAL or -1e-307 < v < 1e-307:
+                return float.__repr__(float(s))
+        elif "." not in s:
+            if s[-1] not in "fn":
+                return s + ".0"
+            non_finite.append(v)  # inf, -inf or nan
+        return s
+
+    # exact type -> its JSON text
+    scalars = {float: float_text, int: int.__repr__, bool: ("false", "true").__getitem__, str: _QUOTE,
+               type(None): lambda _: "null"}
+
     def walk(v, indent: str):
         """Append the JSON text of ``v``; ``indent`` is the newline and indent of its line."""
-        if isinstance(v, float):
-            s = format(v, ".12g")
-            if "e" in s:
-                if s[-4:] in _REPR_POSITIONAL or -1e-307 < v < 1e-307:
-                    s = float.__repr__(float(s))
-            elif "." not in s:
-                if s[-1] in "fn":  # inf, -inf, nan
-                    non_finite.append(float(s))
-                else:
-                    s += ".0"
-            put(s)
-        elif isinstance(v, str):
-            put(_QUOTE(v))
-        elif v is None or isinstance(v, bool):
-            put("null" if v is None else "true" if v else "false")
-        elif isinstance(v, int):
-            put(int.__repr__(v))
-        elif isinstance(v, dict):
+        t = type(v)
+        if t is dict:
             if not v:
                 put("{}")
                 return
@@ -136,22 +144,36 @@ def _json12(obj) -> str:
                 items = heads[keys, indent] = [(k, ("," if i else "{") + inner + _QUOTE(k) + ": ")
                                                for i, k in enumerate(sorted(keys))]
             for k, head in items:
-                put(head)
-                walk(v[k], inner)
+                x = v[k]
+                text = scalars.get(type(x))
+                if text is None:
+                    put(head)
+                    walk(x, inner)
+                else:
+                    put(head + text(x))
             put(indent + "}")
-        elif isinstance(v, (list, tuple)):
+        elif t is list or t is tuple:
             if not v:
                 put("[]")
                 return
             inner = indent + "  "
-            sep = "[" + inner
+            head = "[" + inner
             for x in v:
-                put(sep)
-                walk(x, inner)
-                sep = "," + inner
+                text = scalars.get(type(x))
+                if text is None:
+                    put(head)
+                    walk(x, inner)
+                else:
+                    put(head + text(x))
+                head = "," + inner
             put(indent + "]")
+        elif t in scalars:
+            put(scalars[t](v))
         else:
-            raise TypeError(f"cannot serialize {type(v).__name__}")
+            exact = next((f for base, f in _JSON_BASES if isinstance(v, base)), None)
+            if exact is None:
+                raise TypeError(f"cannot serialize {t.__name__}")
+            walk(exact(v), indent)
 
     walk(obj, "\n")
     if non_finite:
@@ -160,18 +182,29 @@ def _json12(obj) -> str:
     return "".join(parts)
 
 
+def _json12(obj) -> str:
+    """``obj`` as indented JSON text, every float rounded to 12 significant digits.
+
+    The text of ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    + "\\n"`` with each float first replaced by ``float(format(v, ".12g"))``;
+    see ``_json_text``.
+    """
+    return _json_text(obj, "%.12g".__mod__)
+
+
 class OutputWriter:
     """Writes output files under one directory and keeps a digest manifest.
 
     Each file's text is built in memory and written once as UTF-8; its
     manifest entry is the digest and size of those bytes.
 
-    ``write_csv`` takes a header of plain column names and rows whose fields
-    are floats (12 significant digits), bools (``true``/``false``) or ints;
-    it joins them with commas and ends every line with ``\\n``. Any other
-    field type raises TypeError, so no field needs quoting. ``write_json``
-    writes ``_json12`` text, and ``write_record`` the stdlib's JSON at full
-    precision.
+    ``write_csv`` takes a header of plain column names and rows of the
+    header's width whose fields are floats (12 significant digits), bools
+    (``true``/``false``) or ints; it joins them with commas and ends every
+    line with ``\\n``. A row of another width raises ValueError and any other
+    field type TypeError, both before the file is written, so no field needs
+    quoting. ``write_json`` writes ``_json12`` text, and ``write_record`` the
+    same walk's text with every float at full precision.
     """
 
     def __init__(self, outdir: Path):
@@ -187,10 +220,13 @@ class OutputWriter:
         self._register(name, data)
 
     def write_csv(self, name: str, header, rows):
-        lines = [",".join(header)]
-        lines += [",".join(map(_fmt, row)) for row in rows]
-        lines.append("")
-        self._put(name, "\n".join(lines))
+        columns = list(zip(header, *rows, strict=True))
+        for i, (head, *values) in enumerate(columns):
+            # a column of one exact type is formatted in C; any other goes field by field through _fmt
+            kinds = set(map(type, values))
+            fmt = _CSV_COLUMN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+            columns[i] = (head, *map(fmt or _fmt, values))
+        self._put(name, "\n".join(map(",".join, zip(*columns))) + "\n")
 
     def write_json(self, name: str, obj):
         self._put(name, _json12(obj))
@@ -212,8 +248,7 @@ class OutputWriter:
             "outputs": self.entries,
         }
         # every float at full precision, so the record's config reruns the run
-        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        (self.outdir / "run_record.json").write_bytes(text.encode())
+        (self.outdir / "run_record.json").write_bytes(_json_text(record, float.__repr__).encode())
 
 
 def _utcnow() -> str:
@@ -287,10 +322,17 @@ def validate_config(doc: dict, analysis: str) -> dict:
 # -- analyses ------------------------------------------------------------
 
 
-def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int) -> int:
-    """Write spectrum.csv for the first ``n_limit`` levels (10 when unset); return the number of rows."""
+def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int, known=None) -> int:
+    """Write spectrum.csv for the first ``n_limit`` levels (10 when unset); return the number of rows.
+
+    ``known`` maps levels already computed by ``spectrum``'s method to their (E_n, tau_n); only the others are
+    computed here.
+    """
     semi_check = cfg["semiclassical_check"]
-    rows = [[n, e, tau] for n, (e, tau) in spectrum(model, _first_levels(model, cfg["n_limit"] or 10)).items()]
+    ns = _first_levels(model, cfg["n_limit"] or 10)
+    levels = dict(known or ())
+    levels.update(spectrum(model, [n for n in ns if n not in levels]))
+    rows = [[n, *levels[n]] for n in ns]
     if semi_check:
         from . import semiclassical
 
@@ -301,10 +343,14 @@ def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int) -> int
     return len(rows)
 
 
-def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int) -> dict:
-    """Write the criterion table, the y curve and their summary; return the summary."""
+def cmd_criterion(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int, rep=None) -> dict:
+    """Write the criterion table, the y curve and their summary; return the summary.
+
+    ``rep`` is the range's ``classify`` report where the caller already made it.
+    """
     n_range = cfg["n_range"]
-    rep = classify(model, n_range, cfg["method"])
+    if rep is None:
+        rep = classify(model, n_range, cfg["method"])
     w.write_csv("criterion.csv", ["n", "E_n", "tau_n", "dE", "dTau", "y_over_hbar", "resolvable"], rep.csv_rows())
     w.write_csv("y_curve.csv", ["n", "y_over_hbar", "half"], [(g.n, g.y_over_hbar, 0.5) for g in rep.gaps])
     summary = {"analysis": "criterion", "model": model.to_dict(), "n_range": list(n_range)}
@@ -414,10 +460,14 @@ def cmd_simulate(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
 
 
 def cmd_report(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
+    rep = classify(model, cfg["n_range"], cfg["method"])
+    # the spectrum takes the report's levels where classify resolved to the spectrum's method, auto
+    known = {n: (e, tau) for n, e, tau in rep.levels} if rep.method == _resolve_method(model, "auto") else None
     # without n_limit the spectrum lists max(10, hi) levels, so on a ladder that starts at 0 with hi >= 10
     # it ends one level short of the criterion's last level hi
-    level_count = cmd_spectrum(model, {**cfg, "n_limit": cfg["n_limit"] or max(10, cfg["n_range"][1])}, w, seed)
-    summary = cmd_criterion(model, cfg, w, seed)
+    level_count = cmd_spectrum(model, {**cfg, "n_limit": cfg["n_limit"] or max(10, cfg["n_range"][1])}, w, seed,
+                               known)
+    summary = cmd_criterion(model, cfg, w, seed, rep)
     w.write_json("report.json", {
         "analysis": "report",
         "model": model.to_dict(),
@@ -494,6 +544,3 @@ def main(argv=None) -> int:
     names = ", ".join(e["name"] for e in writer.entries)
     print(f"{args.analysis}: wrote {names} and run_record.json in {outdir}")
     return 0
-
-if __name__ == "__main__":
-    raise SystemExit(main())

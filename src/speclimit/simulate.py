@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, ResolvabilityReport, _level_gaps, classify, spectrum
-from .errors import DegeneratePeriodError, InvalidArgumentError, _integer, _real
+from .errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError, _integer, _real
 from .models import ModelSpec, n_min
 from .noise import _MAX_COUNT, _draw, _moments, fmean, fvariance
 
@@ -110,7 +110,7 @@ def simulate_period_measurement(model: ModelSpec, n: int, protocol: PeriodProtoc
     else:
         # saturating accuracy at this level's gap (the gap above, for the
         # bottom level, which has no lower neighbor)
-        gap_at = max(n, n_min(model) + 1)
+        gap_at = max(_integer(n, "quantum number", OutOfRangeError), n_min(model) + 1)
         levels = spectrum(model, dict.fromkeys((n, gap_at - 1, gap_at)))  # each level once, n first
         (gap,) = _level_gaps(model, levels, (gap_at,))
     return _samples(n, protocol, levels[n][1], _delta_t(model, protocol, gap))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -66,6 +68,8 @@ def _outcome(write, obj):
 _SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-5, -1.234567890123456e-5,
                    1e12, 999999999999.5, 123456789012.4, 1e15, 1234567890123456.0, 9.999999999995e15, 1e16,
                    1.7976931348623157e308)
+# integers past the float range
+_BIG = st.one_of(st.integers(10**300, 10**400), st.integers(-10**400, -10**300))
 _floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIAL_FLOATS),
                     st.floats(1e12, 1e16), st.floats(-1e16, -1e12), st.floats(1e-6, 1e-4))
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**80, 2**80), st.text(), st.text("\"\\\x00\x1f\x7féΩ😀 "),
@@ -78,6 +82,15 @@ def _json_values(leaves):
     return st.recursive(leaves, lambda kids: st.one_of(
         st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
         st.dictionaries(st.text(), kids, max_size=4)), max_leaves=24)
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    def __str__(self):
+        return "not the value"
 
 
 # floats whose 12-digit form is spelled otherwise than the repr of its value
@@ -99,6 +112,9 @@ _WRITER_EXAMPLES = (999999999999.5, -999999999999.5, 1e12, 9.999999999995e15, 1e
 @example(obj=-0.0)
 @example(obj=100000.0)
 @example(obj={"a": list(_WRITER_EXAMPLES), "b": [{"x": v, "y": -v} for v in _WRITER_EXAMPLES]})
+@example(obj=collections.OrderedDict([("b", 1.5), ("a", [collections.OrderedDict(z=True, y=None)])]))
+@example(obj=_List([1e12, _List([-0.0]), _Str("x\u00e9")]))
+@example(obj={"k": _Str("v"), _Str("j"): (_Str(""), 2.5)})
 def test_json_writer_matches_stdlib(obj):
     assert cli._json12(obj) == _stdlib_json12(obj)
 
@@ -108,6 +124,34 @@ def test_json_writer_matches_stdlib(obj):
 def test_json_writer_raises_as_stdlib(obj):
     # a TypeError anywhere in the object wins over a non-finite float, as it did with two passes
     assert _outcome(cli._json12, obj) == _outcome(_stdlib_json12, obj)
+
+
+# what json.loads gives: a config document and every value in it
+_loaded = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), _BIG, st.floats(), _floats, st.text()),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(st.text(), kids, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.text(), _loaded, max_size=6), seed=st.integers(0, 2**64 - 1),
+       names=st.lists(st.text(), max_size=3))
+@example(doc={"model": {"kind": "box", "params": {"mass": 1e16, "width": 5e-324}}, "n_range": [2, 10**30]},
+         seed=0, names=["spectrum.csv"])
+def test_run_record_matches_stdlib(tmp_path_factory, doc, seed, names):
+    out = tmp_path_factory.mktemp("record")
+    w = cli.OutputWriter(out)
+    for name in names:
+        w.entries.append({"name": name, "sha256": hashlib.sha256(name.encode()).hexdigest(), "bytes": len(name)})
+    record = {"tool": "speclimit", "version": cli.__version__, "schema": cli.SCHEMA_VERSION, "analysis": "report",
+              "config": doc, "seed": seed, "started_utc": "start", "finished_utc": "finish", "outputs": w.entries}
+
+    def written(_):
+        with mock.patch.object(cli, "_utcnow", return_value="finish"):
+            w.write_record("report", doc, seed, "start")
+        return (out / "run_record.json").read_text()
+
+    assert _outcome(written, record) == _outcome(
+        lambda r: json.dumps(r, indent=2, sort_keys=True, allow_nan=False) + "\n", record)
 
 
 def test_json_writer_refuses_a_non_str_key():
@@ -142,16 +186,45 @@ _csv_fields = st.one_of(st.booleans(), st.integers(-2**80, 2**80), _floats, _flo
                         st.sampled_from([math.inf, -math.inf, math.nan]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(header=st.lists(st.from_regex(r"[A-Za-z_]{1,8}", fullmatch=True), min_size=1, max_size=8),
-       rows=st.lists(st.lists(_csv_fields, max_size=8), max_size=12))
-def test_csv_writer_matches_csv_module(tmp_path_factory, header, rows):
-    out = tmp_path_factory.mktemp("csv")
+def _assert_csv_module_bytes(out, header, rows):
     w = cli.OutputWriter(out)
     w.write_csv("t.csv", header, rows)
     data = (out / "t.csv").read_bytes()
     assert data == _csv_module_text(header, rows).encode()
     assert w.entries == [{"name": "t.csv", "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), header=st.lists(st.from_regex(r"[A-Za-z_]{1,8}", fullmatch=True), min_size=1, max_size=8))
+def test_csv_writer_matches_csv_module(tmp_path_factory, data, header):
+    rows = data.draw(st.lists(st.lists(_csv_fields, min_size=len(header), max_size=len(header)), max_size=12))
+    _assert_csv_module_bytes(tmp_path_factory.mktemp("csv"), header, rows)
+
+
+_edge_floats = st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0])
+# one strategy per column kind: a single exact type, which the writer formats by column, or a mix
+_csv_column_kinds = st.sampled_from([
+    st.one_of(_floats, _edge_floats),
+    st.one_of(_floats, _edge_floats).map(np.float64),
+    st.integers(-2**80, 2**80),
+    st.booleans(),
+    _csv_fields,
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kinds=st.lists(_csv_column_kinds, min_size=1, max_size=6), count=st.integers(0, 12))
+def test_csv_writer_formats_typed_columns_as_the_csv_module(tmp_path_factory, data, kinds, count):
+    header = [f"c{i}" for i in range(len(kinds))]
+    rows = [[data.draw(kind) for kind in kinds] for _ in range(count)]
+    _assert_csv_module_bytes(tmp_path_factory.mktemp("csv"), header, rows)
+
+
+@pytest.mark.parametrize("rows", [[(1, 2.0), (3,)], [(1, 2.0), (3, 4.0, 5.0)], [()]], ids=["short", "long", "empty"])
+def test_csv_writer_refuses_a_ragged_row(tmp_path, rows):
+    with pytest.raises(ValueError):
+        cli.OutputWriter(tmp_path).write_csv("t.csv", ["a", "b"], rows)
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize("field", ["1.5", None, np.bool_(True), np.int64(3), np.float32(1.5), 1j, b"1"],
@@ -258,7 +331,6 @@ def _read(call):
 
 
 _ABSENT = object()
-_BIG = st.one_of(st.integers(10**300, 10**400), st.integers(-10**400, -10**300))
 _config_values = st.one_of(
     st.just(_ABSENT), st.none(), st.booleans(), st.integers(-2**70, 2**70),
     st.sampled_from([-1, 0, 1, 2, 9, 10, 2**64 - 1, 2**64]), _BIG, st.floats(), st.text(max_size=4),
@@ -740,6 +812,58 @@ def test_report_combined(tmp_path):
     assert rep["threshold"] == 4
     assert rep["regime"] == "crossover"
     assert rep["level_count"] == 12
+
+
+_XS13_WIDE = [-6.0 + i for i in range(13)]
+# the four closed kinds' presets and a 13-knot table, with the first pair of each ladder
+_REPORT_MODELS = {
+    "box": ({"preset": "box-natural"}, 2),
+    "harmonic": ({"preset": "harmonic-natural"}, 1),
+    "hydrogenoid": ({"preset": "hydrogen-atomic"}, 2),
+    "morse": ({"preset": "morse-h2"}, 1),
+    "table13": ({"kind": "numeric", "units": "oscillator",
+                 "params": {"mass": 1.0, "x": _XS13_WIDE, "u": [x * x / 2 for x in _XS13_WIDE]}}, 1),
+}
+_REPORT_METHODS = [(name, method) for name in _REPORT_MODELS for method in ("auto", "closed", "semiclassical")
+                   if not (name == "table13" and method == "closed")]
+
+
+# n_limit 3 lists levels the criterion holds, 12 lists more than it holds (all 9 of morse-h2's)
+@pytest.mark.parametrize("n_limit", [3, 12])
+@pytest.mark.parametrize("name, method", _REPORT_METHODS)
+def test_report_spectrum_is_the_spectrum_commands(tmp_path, name, method, n_limit):
+    # the report's spectrum takes the levels classify made where it used the spectrum's method (auto), and computes
+    # the others; under semiclassical a closed kind's spectrum still lists its closed forms
+    model, first = _REPORT_MODELS[name]
+    doc = {"model": model, "n_limit": n_limit}
+    report = write_config(tmp_path, {**doc, "n_range": [first, 6], "method": method}, "report.json")
+    assert main(["report", "--config", report, "--out", str(tmp_path / "report")]) == 0
+    assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "spectrum")]) == 0
+    want = (tmp_path / "spectrum" / "spectrum.csv").read_bytes()
+    assert (tmp_path / "report" / "spectrum.csv").read_bytes() == want
+
+
+def test_report_computes_each_level_once(tmp_path, monkeypatch):
+    from speclimit import criterion
+
+    calls, energy_level = [], criterion.energy_level
+
+    def counted(model, n):
+        calls.append(n)
+        return energy_level(model, n)
+
+    monkeypatch.setattr(criterion, "energy_level", counted)
+    cfg = write_config(tmp_path, box_config(n_range=[2, 8], n_limit=12))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [*range(1, 9), *range(9, 13)]  # the criterion's levels, then the spectrum's others
+
+
+def test_report_whose_criterion_fails_writes_nothing(tmp_path, capsys):
+    # classify comes first, so a range past a short ladder stops the run before spectrum.csv is written
+    cfg = write_config(tmp_path, {"model": _NO_PAIR_MODELS["morse-one-level"], "n_range": [1, 3]})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "OutOfRangeError"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # -- precedence and the run record ---------------------------------------------

@@ -457,6 +457,9 @@ _NUMERIC_ARGUMENTS = [
        InvalidArgumentError) for i, name in enumerate(("q", "p", "m", "k", "a", "hbar"))),
     ("required_noise_product_for_resolution(n)", lambda v: sl.required_noise_product_for_resolution(_OSC, v),
      OutOfRangeError),
+    # with no delta_t the level's gap sets it, and n is checked before the gap's levels are picked
+    ("simulate_period_measurement(n)", lambda v: sl.simulate_period_measurement(_BOX, v, sl.PeriodProtocol(trials=10)),
+     OutOfRangeError),
     ("PeriodProtocol(s)", lambda v: sl.PeriodProtocol(s=v), InvalidArgumentError),
     ("PeriodProtocol(trials)", lambda v: sl.PeriodProtocol(trials=v), InvalidArgumentError),
     ("PeriodProtocol(delta_t)", lambda v: sl.PeriodProtocol(delta_t=v), InvalidArgumentError),
@@ -467,7 +470,7 @@ _NUMERIC_ARGUMENTS = [
 # 10**400 is too large for a float and above the bound of a bounded integer; an integer argument without an upper
 # bound takes 2.0 in its place, a whole number that is not an int
 _UNBOUNDED_INTEGERS = {"hydrogenoid.z", "hydrogenoid(z)", "energy_level(n)", "level_gap_period(n)",
-                       "bound_levels(n_limit)", "threshold(scan_limit)"}
+                       "bound_levels(n_limit)", "threshold(scan_limit)", "simulate_period_measurement(n)"}
 _NONE_IS_DEFAULT = {"quantize(maslov)", "PeriodProtocol(delta_t)"}
 
 

@@ -17,7 +17,8 @@ checkout's ``src/``:
 
 * closed-form and monte-carlo ops go through ``speclimit.cli.main``, with
   the op's config and seed, as the benchmark runs them; every file the run
-  writes except ``run_record.json`` (it holds wall-clock times) is digested;
+  writes is digested, ``run_record.json`` with the values of its two
+  wall-clock times, ``started_utc`` and ``finished_utc``, masked;
 * numeric-table ops go through ``classify(table, (n, n + 2))``, and the
   report's levels, gaps, threshold, regime and notes are digested as text,
   every float written as ``float.hex``.
@@ -36,9 +37,14 @@ import importlib
 import io
 import itertools
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
+
+
+# the run record's wall-clock times, whose values the digest masks
+_CLOCKS = re.compile(rb'("(?:started|finished)_utc": )"[^"]*"')
 
 
 def _report_text(rep) -> str:
@@ -78,8 +84,10 @@ def digest(root: Path, workload: str, seed: int, count: int) -> str:
                 rc = cli.main([op["sub"], "--config", str(config), "--out", str(out), "--seed", str(op["seed"])])
             add(f"{i}/exit", f"{rc} {err.getvalue()}".encode())
             for path in sorted(out.iterdir()) if out.is_dir() else ():
-                if path.name != "run_record.json":
-                    add(f"{i}/{path.name}", path.read_bytes())
+                data = path.read_bytes()
+                if path.name == "run_record.json":
+                    data = _CLOCKS.sub(rb'\1"-"', data)
+                add(f"{i}/{path.name}", data)
                 path.unlink()
             if out.is_dir():
                 out.rmdir()
