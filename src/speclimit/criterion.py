@@ -154,11 +154,7 @@ def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[floa
         return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
     from . import semiclassical
 
-    out = {}
-    for n in ns:
-        e = semiclassical.quantize(model, n).energy
-        out[n] = (e, semiclassical._level_period(model, e))
-    return out
+    return {n: (semiclassical.quantize(model, n).energy, semiclassical._level_period(model, n)) for n in ns}
 
 
 def _level_gaps(model: ModelSpec, levels, ns, method: str = "auto") -> tuple[LevelGap, ...]:

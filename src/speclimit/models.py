@@ -110,10 +110,8 @@ class WellProfile:
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
     pieces: CubicPieces | None = None  # a table's profiles.CubicPieces; None for a closed-form well
-    # I(E) in J s by SI energy, for each E a level search has integrated; see semiclassical._action_of
-    actions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # tau(E) in s by SI energy, for each level whose period a spectrum has integrated; see semiclassical._period_of
-    periods: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # (I(E) in J s, tau(E) in s) by SI energy, for each E a level search has integrated; see semiclassical._pass_of
+    passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

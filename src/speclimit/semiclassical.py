@@ -21,12 +21,18 @@ Gauss-Legendre rules of doubling order are applied until two successive
 orders agree to 1e-10 relative. A result whose last two orders agree only
 to between 1e-10 and 1e-8 is returned with a QuadratureFloorWarning that
 names the change; one that stalls before reaching 1e-8 is rejected. Both
-name the stage and E, and ``quantize`` puts the model's kind and the level
-in front of its action's errors. The first two orders share one integrand
+name the stage and E, and every error from inside a level search starts with
+the model's kind and the level. The first two orders share one integrand
 call, on the nodes of both rules and of every theta-segment at once; each
 later order makes one call of its own. Each order's panels are summed by one
 ``np.vecdot`` over contiguous rows, which runs the same per-row ddot as
 ``weights.dot``, so the sums do not depend on the batching.
+
+A level search integrates I and tau together, in one *fused pass*
+(``_pass_si``): one set of turning points, theta-segments and potential
+evaluations, one integrand call per order forming both rows, and each
+accepted at its own first agreeing orders. Each therefore has the bits that
+``_action_si`` or ``_period_si`` alone gives at that energy.
 
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
@@ -46,21 +52,22 @@ lie on the pieces that hold the turning points, and the period integrand
 there takes E - U from the piece's divided difference instead of forming it
 by subtraction (see ``_factored_ends``).
 
-Levels are the roots of I(E) - 2 pi hbar (n + nu/4) by Brent's method
-(Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4),
-inside an energy bracket that the action is checked to straddle.
+Levels are the roots of I(E) - 2 pi hbar (n + nu/4) by Newton steps
+E <- E - (I(E) - target) / tau(E), tau = dI/dE being the period, kept inside
+an energy bracket by bisection (see ``_search``). A well with a floor and a
+ceiling has one top energy, 1e-9 of its span below the ceiling, where every
+bracket ends and where ``numeric_level_count`` reads the action. The search
+starts on the quadratic E(I) through the bracket ends with slope 1/tau at the
+top, and the level's period is that of its last pass.
 
-Each well keeps the actions its level searches have integrated
-(``WellProfile.actions``, keyed by SI energy), and every read of I(E) goes
-through ``_action_of``. The levels of a well then share their bracket ends,
-and asking for a level again costs no quadrature. A QuadratureFloorWarning at
-an energy that is already stored is issued once per model, when that action is
-first integrated. The public ``action`` and ``period_check`` read the stored
-actions but add none, so a sweep over energies does not grow the memo.
-Each well keeps its levels' periods the same way (``WellProfile.periods``,
-read through ``_period_of``): a spectrum stores the period of each level it
-lists, and ``period_of_energy``, ``period_check`` and ``action_curve`` read
-the stored periods but add none.
+Each well keeps the passes its level searches have made
+(``WellProfile.passes``, keyed by SI energy). The levels of a well share
+their bracket ends, and the search retraces the same energies for the same
+level, so asking for a level again costs no quadrature. A
+QuadratureFloorWarning at a stored energy is issued once per model, when that
+pass is first made. The public ``action``, ``period_of_energy``,
+``period_check`` and ``action_curve`` read the stored passes but add none, so
+a sweep over energies does not grow the memo.
 
 Everything internal runs in SI; public functions accept and return values in
 the model's declared unit system.
@@ -87,6 +94,7 @@ from .errors import (
     RootNotBracketedError,
     ScanLimitExceededError,
     SelfCheckError,
+    SpeclimitError,
     _integer,
 )
 from .models import EnergyLevel, ModelSpec, WellProfile, well_profile
@@ -109,6 +117,7 @@ _GL_ORDERS = (16, 32, 64, 128, 256, 512, 1024)
 _RTOL_TARGET = 1e-10
 _RTOL_FLOOR = 1e-8
 _ROOT_MAXITER = 100
+_NEWTON_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -147,18 +156,20 @@ def _joined_nodes(first: int, second: int):
     return np.concatenate((_gl_rule(first)[0], _gl_rule(second)[0]))
 
 
-def _adaptive(f, segments, stage: str, e: float) -> float:
-    """Composite Gauss-Legendre with order doubling until 1e-10 relative.
+def _adaptive(f, segments, stages: tuple[str, ...], e: float) -> list[float]:
+    """Composite Gauss-Legendre with order doubling until 1e-10 relative, one value per stage.
 
     Each call ``f(theta, rows)`` gets one row of nodes per segment in
-    ``theta``, and ``rows`` is the slice of ``segments`` those rows are. The
-    first two orders share one call, on each row's nodes of both rules joined;
-    every later order makes its own. Each rule's columns are copied out
-    contiguous, one ``np.vecdot`` per order forms every panel's sum with the
-    same per-row ddot that ``weights.dot`` calls, and the panel sums are added
-    as exact floats in segment order. A floor
-    warning or a stall names the ``stage`` ("action" or "period") and the
-    energy ``e`` in J.
+    ``theta``, and ``rows`` is the slice of ``segments`` those rows are; it
+    returns one array of that shape per stage in ``stages``. The first two
+    orders share one call, on each row's nodes of both rules joined; every
+    later order makes its own, for every stage. Each stage is accepted at its
+    own first pair of agreeing orders, so its value is the one a call for that
+    stage alone gives. Each rule's columns are copied out contiguous, one
+    ``np.vecdot`` per order forms every panel's sum with the same per-row ddot
+    that ``weights.dot`` calls, and the panel sums are added as exact floats
+    in segment order. A floor warning or a stall names the stage ("action" or
+    "period") and the energy ``e`` in J.
     """
     a, b = np.array(segments).T
     mids = 0.5 * (a + b)
@@ -167,31 +178,38 @@ def _adaptive(f, segments, stage: str, e: float) -> float:
     first, second, *rest = _GL_ORDERS
 
     def samples():
-        fx = f(mids[:, None] + halves[:, None] * _joined_nodes(first, second), rows)
-        yield first, fx[:, :first]
-        yield second, fx[:, first:]
+        fx = np.array(f(mids[:, None] + halves[:, None] * _joined_nodes(first, second), rows))
+        yield first, fx[:, :, :first]
+        yield second, fx[:, :, first:]
         for order in rest:
-            yield order, f(mids[:, None] + halves[:, None] * _gl_rule(order)[0], rows)
+            yield order, np.array(f(mids[:, None] + halves[:, None] * _gl_rule(order)[0], rows))
 
     scales = halves.tolist()
-    prev = None
-    rel = math.inf
+    prev = [None] * len(stages)
+    rel = [math.inf] * len(stages)
+    done = [None] * len(stages)
     for order, fx in samples():
         # one vecdot per order runs the per-row ddot on contiguous rows (a strided row could take
         # another kernel); exact floats, so every Python sums them alike (3.12+ compensates only
         # exact floats)
-        fx = np.ascontiguousarray(fx)
-        val = sum(map(operator.mul, scales, np.vecdot(fx, _gl_rule(order)[1]).tolist()))
-        if prev is not None:
-            rel = abs(val - prev) / max(abs(val), 1e-300)
-            if rel <= _RTOL_TARGET:
-                return val
-        prev = val
-    change = f"at relative change {rel:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
-    if rel <= _RTOL_FLOOR:
-        warnings.warn(QuadratureFloorWarning(f"{stage} at E={e!r} J: quadrature accepted {change}"), stacklevel=2)
-        return prev
-    raise QuadratureFailureError(f"{stage} at E={e!r} J: quadrature stalled {change}")
+        for i, sums in enumerate(np.vecdot(np.ascontiguousarray(fx), _gl_rule(order)[1]).tolist()):
+            if done[i] is None:
+                val = sum(map(operator.mul, scales, sums))
+                if prev[i] is not None:
+                    rel[i] = abs(val - prev[i]) / max(abs(val), 1e-300)
+                    if rel[i] <= _RTOL_TARGET:
+                        done[i] = val
+                prev[i] = val
+        if None not in done:
+            return done
+    for i, stage in enumerate(stages):
+        if done[i] is None:
+            change = f"at relative change {rel[i]:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
+            if rel[i] > _RTOL_FLOOR:
+                raise QuadratureFailureError(f"{stage} at E={e!r} J: quadrature stalled {change}")
+            warnings.warn(QuadratureFloorWarning(f"{stage} at E={e!r} J: quadrature accepted {change}"), stacklevel=2)
+            done[i] = prev[i]
+    return done
 
 
 # -- turning points ------------------------------------------------------
@@ -202,7 +220,7 @@ def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
         raise NoBoundMotionError(f"energy must be finite, got {e!r}")
     if e <= profile.u_min or e >= profile.e_ceiling:
         raise NoBoundMotionError(
-            f"no bound orbit at E={e:.6g} J; well supports ({profile.u_min:.6g}, {profile.e_ceiling:.6g}) J")
+            f"no bound orbit at E={e!r} J; well supports ({profile.u_min!r}, {profile.e_ceiling!r}) J")
     return profile.turning_points(e)
 
 
@@ -241,61 +259,103 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
     return [(cuts[i], cuts[i + 1]) for i in keep], pieces, table._on_rows(pieces)
 
 
-def _stored(memo: dict, integrate, profile: WellProfile, e: float, keep: bool) -> float:
-    """``memo``'s value at the SI energy ``e``, or ``integrate(profile, e)``'s, stored there if ``keep``."""
-    value = memo.get(e)
-    if value is None:
-        value = integrate(profile, e)
-        if keep:
-            memo[e] = value
-    return value
+def _action_of(profile: WellProfile, e: float) -> float:
+    """I(E) in J s at the SI energy ``e``: a stored pass's, or ``_action_si``'s, which is not stored."""
+    found = profile.passes.get(e)
+    return _action_si(profile, e) if found is None else found[0]
 
 
-def _action_of(profile: WellProfile, e: float, keep: bool = True) -> float:
-    """I(E) in J s at the SI energy ``e``: the well's stored action, or ``_action_si``'s.
+def _period_of(profile: WellProfile, e: float) -> float:
+    """tau(E) in s at the SI energy ``e``: a stored pass's, or ``_period_si``'s, which is not stored.
 
-    With ``keep`` a newly integrated action is stored. The public one-off queries pass False, so a
-    sweep over energies leaves the well's memo as it found it.
+    A stored pass without a period (see ``_pass_si``) integrates it again, which raises why it has none.
     """
-    return _stored(profile.actions, _action_si, profile, e, keep)
+    found = profile.passes.get(e)
+    return _period_si(profile, e) if found is None or found[1] is None else found[1]
 
 
-def _period_of(profile: WellProfile, e: float, keep: bool = True) -> float:
-    """tau(E) in s at the SI energy ``e``: the well's stored period, or ``_period_si``'s.
-
-    Only a level's period is stored (see ``_level_period``); the public queries pass ``keep=False``.
-    """
-    return _stored(profile.periods, _period_si, profile, e, keep)
+def _pass_of(profile: WellProfile, e: float) -> tuple[float, float]:
+    """(I, tau) at the SI energy ``e``: the well's stored pass, or ``_pass_si``'s, stored unless at the bottom."""
+    found = profile.passes.get(e)
+    if found is None:
+        found = _pass_si(profile, e)
+        if e != profile.u_min:  # the bottom's NaN period is no period for a query to read
+            profile.passes[e] = found
+    return found
 
 
 def _action_si(profile: WellProfile, e: float) -> float:
     if e == profile.u_min:
         return 0.0  # degenerate orbit at the well bottom
+    return _quadrature(profile, e, ("action",))[0]
+
+
+def _period_si(profile: WellProfile, e: float) -> float:
+    return _quadrature(profile, e, ("period",))[0]
+
+
+def _pass_si(profile: WellProfile, e: float) -> tuple[float, float | None]:
+    """The fused pass: (I, tau) at the SI energy ``e`` from one quadrature.
+
+    At the well bottom the orbit is degenerate: I = 0, and the period is NaN,
+    since no quadrature gives it. Where the pass fails but the action alone
+    converges, the period is None: E - U near the turning points is too
+    coarse for it, as on a closed-kind level far below its well's depth or a
+    table orbit within rounding of its bottom. A level search bisects there,
+    and a caller that asks for that period gets the quadrature's error.
+    """
+    if e == profile.u_min:
+        return 0.0, math.nan
+    try:
+        return tuple(_quadrature(profile, e, ("action", "period")))
+    except QuadratureFailureError:
+        return _action_si(profile, e), None
+
+
+def _quadrature(profile: WellProfile, e: float, stages: tuple[str, ...]) -> list[float]:
+    """I in J s and tau in s at the SI energy ``e``, for each of ``stages`` ("action", "period", or both).
+
+    The stages share the turning points, theta-segments and potential
+    evaluations, and each integrand call forms both rows, so a pass costs
+    about one quadrature. On a table the period's end rows take E - U
+    factored (see ``_factored_ends``).
+    """
     xm, xp = _turning_points_si(profile, e)
     dx = xp - xm
-    segments, _, u = _theta_segments(profile, xm, xp)
+    segments, pieces, u = _theta_segments(profile, xm, xp)
+    action, period = "action" in stages, "period" in stages
+    ends = _factored_ends(profile, e, pieces, xm, xp) if period and pieces is not None else None
 
     def integrand(theta, rows):
         s = np.sin(theta)
-        v = e - u(xm + dx * s * s, rows)
-        return np.sqrt(np.maximum(v, 0.0)) * np.sin(2.0 * theta)
+        r = np.sqrt(np.maximum(e - u(xm + dx * s * s, rows), 0.0))
+        sin2 = np.sin(2.0 * theta)
+        out = [r * sin2] if action else []
+        if period:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out.append(np.where(r > 0.0, sin2 / r, 0.0))
+            if ends is not None:
+                ends(out[-1], theta, s, rows)
+        return out
 
-    value = _adaptive(integrand, segments, "action", e)
-    return 2.0 * math.sqrt(2.0 * profile.mass) * dx * value
+    root = math.sqrt(2.0 * profile.mass) * dx
+    return [(2.0 * root if stage == "action" else root) * value
+            for stage, value in zip(stages, _adaptive(integrand, segments, stages, e))]
 
 
-def _factored_ends(interior, profile: WellProfile, e: float, pieces, xm: float, xp: float):
-    """The period integrand with E - U factored on the end pieces of a table.
+def _factored_ends(profile: WellProfile, e: float, pieces, xm: float, xp: float):
+    """The period integrand's end rows on a table, with E - U factored.
 
     The first theta-segment lies on the piece that holds x-, and the last on
     the piece that holds x+. With x = x- + dx sin^2(theta), E - U(x) is
     dx cos^2(theta) Q(x+, x) on the last segment and dx sin^2(theta) (-Q(x-, x))
     on the first, so sin(2 theta) / sqrt(E - U) becomes
     2 sin(theta) / sqrt(dx Q(x+, x)) and 2 cos(theta) / sqrt(-dx Q(x-, x)),
-    free of the cancellation in E - U near a turning point. Interior segments
-    keep ``interior``. A call whose ``rows`` start at the first segment or end
-    at the last takes those rows from the end formulas, however the segments
-    are grouped into calls.
+    free of the cancellation in E - U near a turning point. The returned
+    ``ends(values, theta, s, rows)`` overwrites those rows of ``values``, the
+    period integrand at ``theta`` with s = sin(theta), where the call's
+    ``rows`` start at the first segment or end at the last, however the
+    segments are grouped into calls.
 
     An orbit with no knot strictly inside it lies on one piece and has one
     segment. Both turning points are then roots of that piece's cubic, so
@@ -316,23 +376,26 @@ def _factored_ends(interior, profile: WellProfile, e: float, pieces, xm: float, 
         if xm == knots[pieces[0]] or xp == knots[pieces[0] + 1]:
             raise _near_bottom(profile, e, "a turning point rounds onto the bottom knot")
         base, slope = table._chord_series(pieces[0], xm, dx)  # sigma = sin^2
-        return lambda theta, rows: 1.0 / np.sqrt(slope * np.sin(theta) ** 2 + base)
+
+        def chord(values, theta, s, rows):
+            values[:] = 1.0 / np.sqrt(slope * (s * s) + base)
+
+        return chord
     lo = table._end_series(pieces[0], xm, dx)  # sigma = sin^2
     hi = table._end_series(pieces[-1], xp, -dx)  # sigma = cos^2
     if _least(lo, (knots[pieces[0] + 1] - xm) / dx) <= 0.0 or _least(hi, (xp - knots[pieces[-1]]) / dx) <= 0.0:
         raise _near_bottom(profile, e, "E - U on an end piece rounds to 0 or below")
 
-    def integrand(theta, rows):
-        first, final = int(rows.start == 0), int(rows.stop == count)
-        j = len(theta) - final
-        t_lo, t_hi = theta[:first], theta[j:]
-        s, c = np.sin(t_lo), np.cos(t_hi)
-        s, c = s * s, c * c
-        return np.concatenate((np.cos(t_lo) / np.sqrt((lo[2] * s + lo[1]) * s + lo[0]),
-                               interior(theta[first:j], slice(rows.start + first, rows.stop - final)),
-                               np.sin(t_hi) / np.sqrt((hi[2] * c + hi[1]) * c + hi[0])))
+    def ends(values, theta, s, rows):
+        if rows.start == 0:
+            s2 = s[:1] * s[:1]
+            values[:1] = np.cos(theta[:1]) / np.sqrt((lo[2] * s2 + lo[1]) * s2 + lo[0])
+        if rows.stop == count:
+            c = np.cos(theta[-1:])
+            c = c * c
+            values[-1:] = s[-1:] / np.sqrt((hi[2] * c + hi[1]) * c + hi[0])
 
-    return integrand
+    return ends
 
 
 def _least(series, top: float) -> float:
@@ -349,25 +412,6 @@ def _near_bottom(profile: WellProfile, e: float, why: str) -> QuadratureFailureE
         f"numeric: no period at E={e!r} J, within rounding of the well bottom u_min={profile.u_min!r} J ({why})")
 
 
-def _period_si(profile: WellProfile, e: float) -> float:
-    xm, xp = _turning_points_si(profile, e)
-    dx = xp - xm
-    segments, pieces, u = _theta_segments(profile, xm, xp)
-
-    def integrand(theta, rows):
-        s = np.sin(theta)
-        v = e - u(xm + dx * s * s, rows)
-        r = np.sqrt(np.maximum(v, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(r > 0.0, np.sin(2.0 * theta) / r, 0.0)
-        return out
-
-    if pieces is not None:
-        integrand = _factored_ends(integrand, profile, e, pieces, xm, xp)
-    value = _adaptive(integrand, segments, "period", e)
-    return math.sqrt(2.0 * profile.mass) * dx * value
-
-
 def _fd_step(profile: WellProfile, e: float) -> float:
     # an infinite room (no floor or no ceiling) never wins the min over the finite e_scale
     return 1e-3 * min(profile.e_scale, e - profile.u_min, profile.e_ceiling - e)
@@ -376,24 +420,24 @@ def _fd_step(profile: WellProfile, e: float) -> float:
 def action(model: ModelSpec, energy: float) -> float:
     """Action I(E) of the closed orbit at ``energy``, in model units.
 
-    A stored action of the well answers if there is one; a new one is not stored.
+    A stored pass of the well answers if there is one; a new action is not stored.
     """
     u = model.units
-    i_si = _action_of(well_profile(model), u.to_si(energy, "energy"), keep=False)
+    i_si = _action_of(well_profile(model), u.to_si(energy, "energy"))
     return i_si / u.factor("action")
 
 
 def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
     """Quadrature period and the centered-difference dI/dE at one energy.
 
-    Like ``action``, it reads the well's stored actions and periods and stores none.
+    Like ``action``, it reads the well's stored passes and stores none.
     """
     u = model.units
     e_si = u.to_si(energy, "energy")
     profile = well_profile(model)
-    tau_si = _period_of(profile, e_si, keep=False)
+    tau_si = _period_of(profile, e_si)
     h = _fd_step(profile, e_si)
-    fd = (_action_of(profile, e_si + h, keep=False) - _action_of(profile, e_si - h, keep=False)) / (2.0 * h)
+    fd = (_action_of(profile, e_si + h) - _action_of(profile, e_si - h)) / (2.0 * h)
     residual = abs(tau_si - fd) / abs(tau_si)
     return PeriodCheck(
         energy=energy,
@@ -409,7 +453,7 @@ def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -
     With ``self_check`` the quadrature value is verified against the centered
     difference of the action curve; disagreement beyond 1e-6 relative raises
     SelfCheckError rather than returning a silently inconsistent period.
-    A stored period of the well answers if there is one; a new one is not stored.
+    A stored pass of the well answers if there is one; a new period is not stored.
     """
     if self_check:
         chk = period_check(model, energy)
@@ -418,12 +462,6 @@ def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -
                 f"period at E={energy:.6g} disagrees with dI/dE by {chk.residual:.3g} relative"
             )
         return chk.period
-    u = model.units
-    return u.from_si(_period_of(well_profile(model), u.to_si(energy, "energy"), keep=False), "time")
-
-
-def _level_period(model: ModelSpec, energy: float) -> float:
-    """tau(E) in model units at a level's ``energy``, stored on the well for the next spectrum that asks."""
     u = model.units
     return u.from_si(_period_of(well_profile(model), u.to_si(energy, "energy")), "time")
 
@@ -440,7 +478,12 @@ def action_curve(model: ModelSpec, energies) -> ActionCurve:
 # -- quantization --------------------------------------------------------
 
 
-def _bracket_low(profile: WellProfile, target: float, act) -> float:
+def _top(profile: WellProfile) -> float:
+    """The one top energy of a well with a floor and a ceiling, 1e-9 of its span below the ceiling."""
+    return profile.u_min + (profile.e_ceiling - profile.u_min) * (1.0 - 1e-9)
+
+
+def _bracket_low(profile: WellProfile, target: float, read) -> float:
     if profile.u_min > -math.inf:
         # I(u_min) = 0 exactly and the target is positive, so the well bottom
         # itself brackets from below; quadrature just above the bottom would
@@ -448,102 +491,104 @@ def _bracket_low(profile: WellProfile, target: float, act) -> float:
         return profile.u_min
     lo = -profile.e_scale  # deepen toward -inf until the action drops below target
     for _ in range(40):
-        if act(lo) < target:
+        if read(lo)[0] < target:
             return lo
         lo *= 4.0
-    raise ActionOutOfRangeError(f"no orbit with action below the target {target:.6g} J s")
+    raise ActionOutOfRangeError(f"no orbit with action below the target {target!r} J s")
 
 
-def _bracket_high(profile: WellProfile, target: float, act) -> float:
+def _bracket_high(profile: WellProfile, target: float, read) -> tuple[float, tuple[float, float]]:
+    """The upper end of the level's bracket, where I reaches ``target``, and its pass."""
     if profile.e_ceiling < math.inf:
         if profile.u_min > -math.inf:
-            hi = profile.e_ceiling - 1e-12 * (profile.e_ceiling - profile.u_min)
+            hi = _top(profile)
         else:
             hi = profile.e_ceiling - 1e-12 * profile.e_scale
             for _ in range(40):
-                if act(hi) >= target:
-                    return hi
+                if (found := read(hi))[0] >= target:
+                    return hi, found
                 hi = profile.e_ceiling - (profile.e_ceiling - hi) / 4.0
-        if act(hi) >= target:
-            return hi
-        raise ActionOutOfRangeError(
-            f"target action {target:.6g} J s exceeds the well capacity {act(hi):.6g} J s"
-        )
+        if (found := read(hi))[0] >= target:
+            return hi, found
+        raise ActionOutOfRangeError(f"target action {target!r} J s exceeds the well capacity {found[0]!r} J s"
+                                    f" at E={hi!r} J")
     hi = profile.u_min + profile.e_scale
     for _ in range(40):
-        if act(hi) >= target:
-            return hi
+        if (found := read(hi))[0] >= target:
+            return hi, found
         hi = profile.u_min + (hi - profile.u_min) * 4.0
-    raise ActionOutOfRangeError(f"target action {target:.6g} J s not reached while expanding the bracket")
+    raise ActionOutOfRangeError(f"target action {target!r} J s not reached while expanding the bracket")
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, what: str) -> float:
-    """A root of f between xa and xb by Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4).
+def _search(profile: WellProfile, target: float) -> float:
+    """The SI energy of the orbit whose action is ``target``, by Newton steps on fused passes.
 
-    The steps and their floating-point order follow the reference C
-    implementation that tests/test_reference.py checks it against bit for
-    bit: inverse quadratic
-    or secant steps, kept only while they shrink faster than bisection, and
-    the bracket closes at xtol + rtol |x|. ``what`` names the search in its
-    errors: RootNotBracketedError when f has one sign at both ends,
-    QuadratureFailureError when f is NaN, ScanLimitExceededError after
-    _ROOT_MAXITER iterations.
+    The start is the quadratic E(I) through the bracket ends with slope
+    1/tau at the upper one. Each step E <- E - (I(E) - target) / tau(E) that
+    leaves the bracket, or has no finite positive tau to divide by, bisects
+    it instead. The search ends at the pass whose step, or else the
+    bracket, is at most _NEWTON_TOL of |E| + E - u_min, or of |E| on a well
+    without a floor, whose levels crowd below E = 0; that pass's E is the
+    level, and the period stored with it is the level's. The step is tested
+    before the bracket, so a converged pass is never bisected away.
+    Every pass is stored on the well, and the start depends only on the
+    target, so a level asked again retraces the same energies and costs no
+    quadrature.
     """
 
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise QuadratureFailureError(f"{what}: the action is NaN at E={x:.17g} J")
-        return fx
+    def read(e):
+        """The pass at ``e``, its tau NaN where it gives no Newton slope."""
+        i, tau = _pass_of(profile, e)
+        if math.isnan(i) or (tau is not None and math.isnan(tau)):
+            raise QuadratureFailureError(f"the {'action' if math.isnan(i) else 'period'} is NaN at E={e!r} J")
+        return i, tau if tau is not None and 0.0 < tau < math.inf else math.nan
 
-    xpre, xcur = xa, xb
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    lo = _bracket_low(profile, target, read)
+    hi, (i_hi, tau_hi) = _bracket_high(profile, target, read)
+    i_lo = _pass_of(profile, lo)[0]
+    if i_lo >= target:
         raise RootNotBracketedError(
-            f"{what}: action minus target has one sign on [{xa:.17g}, {xb:.17g}] J ({fpre:.6g}, {fcur:.6g} J s)")
-    xblk = fblk = spre = scur = 0.0
+            f"the action {i_lo!r} J s at the lower end E={lo!r} J is not below the target {target!r} J s")
+    if i_hi == target:
+        return hi
+    floor = profile.u_min if profile.u_min > -math.inf else None
+    d, span = target - i_hi, i_hi - i_lo
+    e = hi + d / tau_hi + (1.0 / tau_hi - (hi - lo) / span) * d * d / span  # NaN: bisect
     for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # the C code divides to inf or nan here, and rejects the step
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # a good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+        if not lo < e < hi:
+            e = lo + 0.5 * (hi - lo)
+        i, tau = read(e)
+        step = (i - target) / tau
+        tol = _NEWTON_TOL * (abs(e) if floor is None else abs(e) + (e - floor))
+        if abs(step) <= tol:
+            return e
+        if i < target:
+            lo = e
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = value(xcur)
-    raise ScanLimitExceededError(f"{what}: root search did not converge in {_ROOT_MAXITER} iterations"
-                                 f" (last E={xcur:.17g} J)")
+            hi = e
+        if hi - lo <= tol:  # bisection has closed the bracket where no pass gave a slope
+            return e
+        e -= step
+    raise ScanLimitExceededError(f"root search did not converge in {_ROOT_MAXITER} iterations (last E={e!r} J)")
 
 
 def _maslov_count(model: ModelSpec, maslov) -> int:
     """The Maslov count nu to use: ``maslov``, or the kind's default when it is None."""
     return _integer(model.params.maslov if maslov is None else maslov, "maslov count", OutOfRangeError, 0, 4)
+
+
+def _level(model: ModelSpec, n: int, maslov: int | None = None) -> float:
+    """E_n in SI: the energy of the pass whose action is 2 pi hbar (n + nu/4), stored on the well."""
+    _integer(n, "quantum number", OutOfRangeError, 0, 2**53)
+    nu = _maslov_count(model, maslov)
+    target = 2.0 * math.pi * HBAR_SI * (n + nu / 4.0)
+    if target <= 0.0:
+        raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
+    profile = well_profile(model)
+    try:
+        return _search(profile, target)
+    except SpeclimitError as exc:
+        raise type(exc)(f"{model.kind} level n={n}: {exc}") from None
 
 
 def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel:
@@ -553,40 +598,28 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     can extend past the model's declared level budget (levels between the
     budget cutoff and dissociation are still orbits of the potential).
     """
-    _integer(n, "quantum number", OutOfRangeError, 0, 2**53)
-    nu = _maslov_count(model, maslov)
-    target = 2.0 * math.pi * HBAR_SI * (n + nu / 4.0)
-    if target <= 0.0:
-        raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
-    u = model.units
-    profile = well_profile(model)
-    what = f"{model.kind} level n={n}"
+    return EnergyLevel(n=n, energy=model.units.from_si(_level(model, n, maslov), "energy"))
 
-    # the well's stored actions answer for the bracket ends, where the root search starts, and for
-    # every energy that an earlier level of the same well integrated
-    def act(e):
-        try:
-            return _action_of(profile, e)
-        except QuadratureFailureError as exc:
-            raise QuadratureFailureError(f"{what}: {exc}") from None
 
-    lo = _bracket_low(profile, target, act)
-    hi = _bracket_high(profile, target, act)
-    e_si = _brentq(lambda e: act(e) - target, lo, hi, 1e-24 * profile.e_scale, 1e-13, what)
-    return EnergyLevel(n=n, energy=u.from_si(float(e_si), "energy"))
+def _level_period(model: ModelSpec, n: int) -> float:
+    """tau_n in model units: the period of the pass that placed level n, which the well keeps."""
+    return model.units.from_si(_period_of(well_profile(model), _level(model, n)), "time")
 
 
 # -- numeric-model level enumeration --------------------------------------
 
 
 def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
-    """Number of quantized levels inside the tabulated energy window."""
+    """Number of quantized levels inside the tabulated energy window.
+
+    It reads the fused pass at the well's one top energy, where every level's
+    bracket ends.
+    """
     if model.params.closed_forms:
         raise OutOfRangeError(f"level counting by action applies to numeric models, not {model.kind!r}")
     nu = _maslov_count(model, maslov)
     profile = well_profile(model)
-    e_top = profile.u_min + (profile.e_ceiling - profile.u_min) * (1.0 - 1e-9)
-    quanta = _action_of(profile, e_top) / (2.0 * math.pi * HBAR_SI) - nu / 4.0
+    quanta = _pass_of(profile, _top(profile))[0] / (2.0 * math.pi * HBAR_SI) - nu / 4.0
     if not math.isfinite(quanta):
         raise FloatRangeError(
             f"{model.kind}: the action at the top of the well leaves the float range (got {quanta!r})")

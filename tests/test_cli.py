@@ -574,7 +574,8 @@ def test_default_n_range_on_a_ladder_without_a_pair_names_no_range(tmp_path, cap
     assert [row[0] for row in read_csv(tmp_path / "s" / "spectrum.csv")] == ["n", *levels]
 
 
-# Brent's extrapolation denominator rounds to 0 in the check's root search; the run died with a ZeroDivisionError
+# an extreme hydrogenoid whose check once died in the root search with a ZeroDivisionError (a Brent step's
+# denominator rounded to 0); whatever search places its levels must exit cleanly
 _ZERO_STEP_HYDROGENOID = {
     "model": {"kind": "hydrogenoid", "units": "natural-box",
               "params": {"reduced_mass": 8.075016415089637e+246, "z": 3, "charge": 7205747691.101466}},

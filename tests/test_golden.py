@@ -41,16 +41,18 @@ def test_golden_outputs(name, tmp_path):
 @pytest.mark.parametrize("table", ["quartic25", "harmonic13"])
 def test_report_integrates_each_level_period_once(table, tmp_path, monkeypatch):
     # report lists a spectrum and then classifies; the criterion's levels hold the spectrum's, and the well
-    # keeps each level's period, so the report makes as many period quadratures as the criterion alone
+    # keeps the passes that placed each level, so the report makes as many period quadratures as the criterion
+    # alone; a period is counted however it is integrated, alone or in a fused pass with the action
     from speclimit import semiclassical
 
-    energies, period_si = [], semiclassical._period_si
+    energies, quadrature = [], semiclassical._quadrature
 
-    def counted(profile, e):
-        energies.append(e)
-        return period_si(profile, e)
+    def counted(profile, e, stages):
+        if "period" in stages:
+            energies.append(e)
+        return quadrature(profile, e, stages)
 
-    monkeypatch.setattr(semiclassical, "_period_si", counted)
+    monkeypatch.setattr(semiclassical, "_quadrature", counted)
     counts = {}
     for sub in ("criterion", "report"):
         energies.clear()

@@ -1,34 +1,24 @@
-"""The package's PCHIP and Brent root finder against scipy, bit for bit.
+"""The package's PCHIP against scipy, bit for bit.
 
 scipy is not a runtime dependency; it is in the ``test`` extra as the
 reference: ``PchipInterpolator`` for the table coefficients and the
-potential, and ``optimize.brentq`` for the level search. A table's well
-bottom is its lowest knot, because PCHIP keeps every piece monotone; the
-properties here check that scipy's interpolant drops below that knot by no
-more than rounding, and that an orbit above that rounding spans at least two
-pieces.
+potential. A table's well bottom is its lowest knot, because PCHIP keeps
+every piece monotone; the properties here check that scipy's interpolant
+drops below that knot by no more than rounding, and that an orbit above that
+rounding spans at least two pieces.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import sys
-from pathlib import Path
-
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 import speclimit as sl
 from speclimit import semiclassical as sc
 from speclimit.models import well_profile
 from speclimit.profiles import _pchip
 from speclimit.units import SI
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import bench_workloads as bw  # noqa: E402
 
 
 @st.composite
@@ -139,39 +129,3 @@ def test_every_table_orbit_spans_two_segments(table, bounds, f):
             assert len(segments) == len(pieces) >= 2
 
 
-def test_brent_port_matches_reference(monkeypatch):
-    port = sc._brentq
-    found = []
-
-    def both(f, a, b, xtol, rtol, what):
-        # f reads the well's stored actions, so scipy integrates only where no level of the well went
-        mine = port(f, a, b, xtol, rtol, what)
-        found.append((mine.hex(), float(brentq(f, a, b, xtol=xtol, rtol=rtol)).hex()))
-        return mine
-
-    monkeypatch.setattr(sc, "_brentq", both)
-    for name, levels in (("box-natural", range(1, 9)), ("harmonic-natural", range(9)),
-                         ("hydrogen-atomic", range(1, 9)), ("morse-h2", range(17))):
-        model = sl.get_preset(name)
-        for n in levels:
-            sc.quantize(model, n)
-    for seed in (1, 2):
-        for op in itertools.islice(bw.op_stream("numeric-table", seed), 48):
-            sl.classify(sl.numeric(op["mass"], op["x"], op["u"]), (op["n"], op["n"] + 2))
-    assert len(found) > 300
-    assert [a for a, _ in found] == [b for _, b in found]
-
-
-def _scaled_cubic(x, scale=1e-110, root=0.2):
-    return scale * (x**3 - root)
-
-
-def test_brent_port_bisects_where_a_step_divides_by_zero():
-    # the extrapolation denominator dblk * dpre * (fblk - fpre) underflows to 0 at these scales; the C
-    # code divides to inf and rejects the step, and the port raised ZeroDivisionError
-    got = sc._brentq(_scaled_cubic, 0.0, 1.0, 1e-12, 1e-13, "t").hex()
-    assert got == float(brentq(_scaled_cubic, 0.0, 1.0, xtol=1e-12, rtol=1e-13)).hex() == "0x1.2b6b5edf6afb2p-1"
-    for scale, root in itertools.product((1e-120, 1e-200, 1e-300), (0.2, 0.5, 0.7)):
-        f = functools.partial(_scaled_cubic, scale=scale, root=root)
-        assert sc._brentq(f, 0.0, 1.0, 1e-12, 1e-13, "t").hex() == float(brentq(f, 0.0, 1.0, xtol=1e-12,
-                                                                                 rtol=1e-13)).hex()

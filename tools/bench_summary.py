@@ -26,12 +26,16 @@ preset, and the two tables), again taking turns. The file holds:
 * per side, the median over five fresh processes, again taking turns, of the
   cumulative ``-X importtime`` of ``import speclimit.cli`` (s) and of the
   share of it that the ``numpy`` entry takes (0 when numpy is not imported);
-* per side, the action and period quadratures per op over the first 108 ops
-  of numeric-table seed 1 (``quadratures``), and the integrand calls those
-  quadratures make per op (``action_calls_per_op``, ``period_calls_per_op``),
-  counted in a fresh process that imports that side's ``src/`` and wraps
-  ``semiclassical._adaptive``, and the integrand it is given, by stage; the
-  ops run as perfbench runs them, untimed;
+* per side, the action quadratures, period quadratures and fused passes
+  (one quadrature of both) per op over the first 108 ops of numeric-table
+  seed 1 (``quadratures``: ``action_per_op``, ``period_per_op``,
+  ``pass_per_op``), the integrand calls each kind makes per op
+  (``action_calls_per_op``, ``period_calls_per_op``, ``pass_calls_per_op``),
+  the levels ``quantize`` places per op and the fused passes per placed
+  level (``levels_per_op``, ``pass_per_level``), counted in a fresh process
+  that imports that side's ``src/`` and wraps ``semiclassical._adaptive``, the
+  integrand it is given and ``semiclassical.quantize``; the ops run as
+  perfbench runs them, untimed;
 * per side, the size of ``src/``: its line count, as ``wc -l`` counts the
   ``.py`` files; its code lines, those that are not blank, a comment or part
   of a module, class or function docstring, in total and per module
@@ -69,27 +73,35 @@ import bench_workloads as bw
 import speclimit as sl
 from speclimit import semiclassical
 
-counts, adaptive = Counter(), semiclassical._adaptive
+counts, levels, adaptive, quantize = Counter(), {}, semiclassical._adaptive, semiclassical.quantize
 
-def counted(f, segments, stage, e):
-    counts[stage] += 1
+def counted(f, segments, stages, e):
+    # a side's quadrature is one stage ("action" or "period") or a fused pass of both (stages, a tuple)
+    kind = {"action": "action", "period": "period"}.get(stages if isinstance(stages, str) else "+".join(stages),
+                                                        "pass")
+    counts[kind] += 1
 
     def call(theta, rows):
-        counts[stage + "_calls"] += 1
+        counts[kind + "_calls"] += 1
         return f(theta, rows)
 
-    return adaptive(call, segments, stage, e)
+    return adaptive(call, segments, stages, e)
 
-semiclassical._adaptive = counted
+def placed(model, n, *args, **kwargs):
+    levels[id(model), n] = model  # held, so that no later model takes its id
+    return quantize(model, n, *args, **kwargs)
+
+semiclassical._adaptive, semiclassical.quantize = counted, placed
 ops = list(itertools.islice(bw.op_stream("numeric-table", int(sys.argv[1])), int(sys.argv[2])))
 for op in ops:
     try:
         sl.classify(sl.numeric(op["mass"], op["x"], op["u"]), (op["n"], op["n"] + 2))
     except sl.SpeclimitError:
         pass
-print(json.dumps({"seed": int(sys.argv[1]), "ops": len(ops),
+print(json.dumps({"seed": int(sys.argv[1]), "ops": len(ops), "levels_per_op": len(levels) / len(ops),
+                  "pass_per_level": counts["pass"] / len(levels),
                   **{key + "_per_op": counts[key] / len(ops)
-                     for key in ("action", "period", "action_calls", "period_calls")}}))
+                     for key in ("action", "period", "pass", "action_calls", "period_calls", "pass_calls")}}))
 """
 
 
@@ -145,7 +157,7 @@ def import_time(root: Path) -> tuple[float, float]:
 
 
 def quadratures(root: Path) -> dict:
-    """Action and period quadratures, and their integrand calls, per numeric-table op of ``root``'s checkout.
+    """Quadratures by kind, their integrand calls and the levels placed, per numeric-table op of ``root``'s checkout.
 
     They are counted in a fresh process.
     """
