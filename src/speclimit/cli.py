@@ -368,10 +368,8 @@ def cmd_noise(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int):
     hbar = model.units.hbar
     pos = sample_ensemble(ns["position_center"], ns["delta_x"], ns["count"], seed, stream=0)
     mom = sample_ensemble(ns["momentum_center"], ns["delta_p"], ns["count"], seed, stream=1)
-    pos.to_csv(w.outdir / "position_ensemble.csv")
-    w.adopt("position_ensemble.csv")
-    mom.to_csv(w.outdir / "momentum_ensemble.csv")
-    w.adopt("momentum_ensemble.csv")
+    w._put("position_ensemble.csv", pos.csv_text())
+    w._put("momentum_ensemble.csv", mom.csv_text())
     state = reconstruct_state(pos, mom, hbar)
 
     norm_residual = None

@@ -15,10 +15,16 @@ and independent streams never overlap.
 Statistics contract: per-sample terms are formed elementwise in numpy and
 every sum over them is exactly rounded. ``_exact_sum`` splits the values by
 error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008)
-into a few vectorized passes whose sums are exact, then rounds the exact total
-of those few partial sums once with math.fsum. A correctly rounded sum has one
-value, so every sum has the bits of math.fsum over the values, Shewchuk's
-exactly rounded summation (Discrete Comput. Geom. 18, 1997). A squared
+into a vectorized part whose sum is exact and a residual whose plain float sum
+is off by at most n^2 2^(e + m - 105) (Higham's bound on a float sum, with
+2^e above every value and 2^m above n + 1). Where math.fsum rounds the exact
+part plus the residual's sum to the same float at both ends of that bound,
+that float is the correctly rounded total, since rounding is monotone: one
+pass. Otherwise, as near a midpoint between floats, the residual is split
+again until it is all zeros and the exact total of the partial sums is
+rounded once with math.fsum. A correctly rounded sum has one value, so every
+sum has the bits of math.fsum over the values, Shewchuk's exactly rounded
+summation (Discrete Comput. Geom. 18, 1997). A squared
 deviation is the correctly rounded product d * d, and a mean that is also
 reported is computed once and reused in the variance. A variance sums its
 residual-mean term only where that term can change the result (see
@@ -74,36 +80,65 @@ def _as_array(values) -> np.ndarray:
     return np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values), dtype=float)
 
 
+def _split(arr: np.ndarray, e: int, m: int) -> tuple[float, np.ndarray]:
+    """One splitting pass: the exact sum of the q of ``arr`` and the residual ``arr - q``.
+
+    Each value splits exactly as p = q + p' with q = (sigma + p) - sigma,
+    where sigma = 2^(e + m), 2^e > max|p| and 2^m >= len + 2 (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31, 2008). Every q lies on the grid of
+    sigma / 2^53 and is at most 2^e in size, so every partial sum of the q is
+    exact in any order and ndarray.sum returns the exact sum. Each |p'| is at
+    most sigma / 2^53.
+    """
+    sigma = math.ldexp(1.0, e + m)
+    q = (sigma + arr) - sigma
+    return float(q.sum()), arr - q
+
+
 def _exact_sum(arr: np.ndarray) -> float:
     """The correctly rounded sum of ``arr``: the value, and so the bits, of math.fsum.
 
-    Each pass splits every value exactly as p = q + p' with
-    q = (sigma + p) - sigma, where sigma = 2^(e + m), 2^e > max|p| and
-    2^m >= len + 2 (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 2008). Every
-    q lies on the grid of sigma / 2^53 and is at most 2^e in size, so every
-    partial sum of the q is exact in any order and ndarray.sum returns the
-    exact sum. The passes end when the residual p' is all zeros, and
-    math.fsum rounds the exact total of the few partial sums once. Non-finite
+    One ``_split`` pass gives the exact sum S_q of the q, and a plain
+    ndarray.sum of the residual gives S_r. In any order the error of a float
+    sum of n values is at most gamma_(n-1) times the sum of their magnitudes
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, section
+    4.2), and each residual is at most 2^(e + m - 53), so S_r is off by at
+    most err = n^2 2^(e + m - 105), a bound with a factor 2 to spare for
+    gamma_(n-1)'s denominator. The exact total therefore lies between
+    S_q + S_r - err and S_q + S_r + err. Rounding is monotone, so where
+    math.fsum rounds both ends to the same float, that float is the correctly
+    rounded total and is returned. Otherwise, as on a total at or near a
+    midpoint between floats, ``_resum`` splits the residual until it is all
+    zeros and rounds the exact total of the partial sums once. Non-finite
     input, and values large enough that sigma could overflow, go to math.fsum
     itself, which keeps its values and exceptions for inf, nan and
-    intermediate overflow. The reductions are ndarray methods, which skip
-    the dispatch of np.sum and np.max.
+    intermediate overflow. The reductions are ndarray methods, which skip the
+    dispatch of np.sum and np.max.
     """
     if not arr.size:
         return 0.0
     top = float(np.abs(arr).max())
-    m = (arr.size + 1).bit_length()
+    if not top:
+        return 0.0
+    n = arr.size
+    m = (n + 1).bit_length()
     e = math.frexp(top)[1]
     if not math.isfinite(top) or e + m + 1 > 1000:
         return math.fsum(arr.tolist())
-    parts = []
-    while top:
-        sigma = math.ldexp(1.0, e + m)
-        q = (sigma + arr) - sigma
-        parts.append(float(q.sum()))
-        arr = arr - q
-        top = float(np.abs(arr).max())
-        e = math.frexp(top)[1]
+    head, arr = _split(arr, e, m)
+    rest, err = float(arr.sum()), math.ldexp(n * n, e + m - 105)
+    total = math.fsum((head, rest, err))
+    if total == math.fsum((head, rest, -err)):
+        return total
+    return _resum(head, arr, m)
+
+
+def _resum(head: float, arr: np.ndarray, m: int) -> float:
+    """The correctly rounded ``head`` plus the sum of ``arr``, by ``_split`` passes until the residual is all zeros."""
+    parts = [head]
+    while top := float(np.abs(arr).max()):
+        part, arr = _split(arr, math.frexp(top)[1], m)
+        parts.append(part)
     return math.fsum(parts)
 
 
@@ -210,12 +245,16 @@ class MeasurementEnsemble:
     def stdev(self) -> float:
         return math.sqrt(fvariance(self._array))
 
-    def to_csv(self, path):
+    def csv_text(self) -> str:
+        """The ensemble as CSV text: its header, the row of its parameters, then one outcome repr per line."""
         # ints and float reprs never need CSV quoting
         head = ["seed,stream,center,sigma,count",
                 f"{self.seed},{self.stream},{self.true_center!r},{self.sigma!r},{self.count}", "outcome"]
+        return "\n".join([*head, *map(repr, self.samples), ""])
+
+    def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join([*head, *map(repr, self.samples), ""]))
+            fh.write(self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "MeasurementEnsemble":
@@ -235,15 +274,19 @@ class MeasurementEnsemble:
         return cls(samples=samples, seed=seed, stream=stream, true_center=center, sigma=sigma)
 
 
-def _draw(center: float, sigma: float, count: int, seed: int, stream: int, what: str) -> np.ndarray:
-    """``count`` outcomes center + sigma N(0, 1) from Philox keyed [seed, stream], for ensembles and estimates alike.
+def _normals(count: int, seed: int, stream: int) -> np.ndarray:
+    """``count`` standard normals from Philox keyed [seed, stream], one generator per stream."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))).standard_normal(count)
+
+
+def _draw(center: float, sigma: float, z: np.ndarray, what: str) -> np.ndarray:
+    """Outcomes center + sigma z of the standard normals ``z`` from ``_normals``, for ensembles and estimates alike.
 
     Outcomes past the float range raise FloatRangeError naming ``what``.
     """
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
     try:
         with np.errstate(over="raise"):
-            return center + sigma * gen.standard_normal(count)
+            return center + sigma * z
     except FloatingPointError:
         raise FloatRangeError(f"{what} leave the float range") from None
 
@@ -255,7 +298,7 @@ def sample_ensemble(center: float, sigma: float, count: int, seed: int, stream: 
     _real(center, "center", InvalidArgumentError)
     for name, v in (("seed", seed), ("stream", stream)):
         _integer(v, name, InvalidArgumentError, 0, 2**64 - 1)
-    samples = _draw(float(center), float(sigma), count, seed, stream,
+    samples = _draw(float(center), float(sigma), _normals(count, seed, stream),
                     f"outcomes of sigma={sigma!r} about center={center!r}")
     samples.flags.writeable = False
     ens = MeasurementEnsemble(samples=tuple(samples.tolist()), seed=seed, stream=stream,

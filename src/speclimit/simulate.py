@@ -15,6 +15,12 @@ definition of "distinguishable"; the sweep reports how the crossover level
 moves under stricter and looser cuts. With the saturating accuracy
 delta_t = hbar / (2 dE_n) the population d' equals 4 y(n) / hbar, which is
 what ties the simulation back to the y criterion it validates.
+
+Level n's trials are the standard normals z of Philox keyed [seed, n], so a
+level's estimates tau_n + sd z do not depend on the pair or sweep they are
+drawn for. A sweep draws each level's normals once and scales them per pair:
+level n serves as the upper level of pair n and the lower level of pair
+n + 1, each with that pair's estimator sd.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from .criterion import DEGENERATE_PERIOD_NOTE, LevelGap, ResolvabilityReport, _level_gaps, classify, spectrum
 from .errors import DegeneratePeriodError, InvalidArgumentError, OutOfRangeError, _integer, _real
 from .models import ModelSpec, n_min
-from .noise import _MAX_COUNT, _draw, _moments, fmean, fvariance
+from .noise import _MAX_COUNT, _draw, _moments, _normals, fmean, fvariance
 
 __all__ = [
     "PeriodProtocol",
@@ -92,13 +98,12 @@ def _delta_t(model: ModelSpec, protocol: PeriodProtocol, gap: LevelGap | None) -
     return protocol.delta_t if protocol.delta_t is not None else model.units.hbar / (2.0 * gap.dE)
 
 
-def _estimates(n: int, protocol: PeriodProtocol, tau: float, delta_t: float):
-    return _draw(tau, protocol.estimator_sd(delta_t), protocol.trials, protocol.seed, n,
-                 f"level {n}: period estimates at delta_t={delta_t!r}")
+def _estimates(n: int, protocol: PeriodProtocol, tau: float, delta_t: float, z):
+    return _draw(tau, protocol.estimator_sd(delta_t), z, f"level {n}: period estimates at delta_t={delta_t!r}")
 
 
 def _samples(n: int, protocol: PeriodProtocol, tau: float, delta_t: float) -> PeriodSampleSet:
-    estimates = tuple(_estimates(n, protocol, tau, delta_t).tolist())
+    estimates = tuple(_estimates(n, protocol, tau, delta_t, _normals(protocol.trials, protocol.seed, n)).tolist())
     return PeriodSampleSet(n=n, estimates=estimates, protocol=protocol, tau_true=tau, delta_t=delta_t)
 
 
@@ -178,14 +183,28 @@ def _tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _compare(model: ModelSpec, protocol: PeriodProtocol, rep: ResolvabilityReport, i: int) -> DiscriminationResult:
-    """Simulate levels n-1 and n of the report's i-th gap from their computed periods and compare the clouds."""
+def _compare(model: ModelSpec, protocol: PeriodProtocol, rep: ResolvabilityReport) -> list[DiscriminationResult]:
+    """Simulate the report's levels from their computed periods and compare the clouds of each gap's pair.
+
+    Each level's standard normals are drawn once: a level's normals serve as
+    the upper level of its own gap's pair and the lower level of the next,
+    each pair scaling them by its own delta_t.
+    """
     _require_period_spread(model)
-    gap = rep.gaps[i]
+    # the levels start at the first gap's n - 1
+    results, z_high = [], _normals(protocol.trials, protocol.seed, rep.levels[0][0])
+    for i, gap in enumerate(rep.gaps):
+        z_low, z_high = z_high, _normals(protocol.trials, protocol.seed, gap.n)
+        results.append(_pair(model, protocol, gap, rep.levels[i][2], rep.levels[i + 1][2], z_low, z_high))
+    return results
+
+
+def _pair(model: ModelSpec, protocol: PeriodProtocol, gap: LevelGap, tau_low: float, tau_high: float,
+          z_low, z_high) -> DiscriminationResult:
+    """Estimates of levels n - 1 and n of ``gap`` from their normals, and the comparison of the two clouds."""
     n = gap.n
     delta_t = _delta_t(model, protocol, gap)
-    tau_low, tau_high = rep.levels[i][2], rep.levels[i + 1][2]  # the levels start at the first gap's n - 1
-    low, high = _estimates(n - 1, protocol, tau_low, delta_t), _estimates(n, protocol, tau_high, delta_t)
+    low, high = _estimates(n - 1, protocol, tau_low, delta_t, z_low), _estimates(n, protocol, tau_high, delta_t, z_high)
     (mean_low, var_low), (mean_high, var_high) = _moments(low, f"level {n - 1}"), _moments(high, f"level {n}")
     sd_low, sd_high = math.sqrt(var_low), math.sqrt(var_high)
     pooled = math.sqrt((var_low + var_high) / 2.0)
@@ -217,7 +236,7 @@ def discriminate(model: ModelSpec, n: int, protocol: PeriodProtocol) -> Discrimi
 
     The pair is ``classify``'s over (n, n), with its range errors.
     """
-    return _compare(model, protocol, classify(model, (n, n)), 0)
+    return _compare(model, protocol, classify(model, (n, n)))[0]
 
 
 @dataclass(frozen=True)
@@ -250,7 +269,7 @@ def consistency_sweep(model: ModelSpec, n_range: tuple[int, int], protocol: Peri
     gaps and the threshold are ``classify``'s.
     """
     rep = classify(model, n_range)
-    results = [_compare(model, protocol, rep, i) for i in range(len(rep.gaps))]
+    results = _compare(model, protocol, rep)
 
     def crossover(cut: float):
         return next((r.n_high for r in results if r.d_prime < cut), None)

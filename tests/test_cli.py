@@ -929,6 +929,31 @@ def test_run_record_manifest(tmp_path):
             line for line in text.splitlines(keepends=True) if not line.startswith(stamps))
 
 
+def test_ensemble_csvs_are_written_once_with_the_bytes_of_to_csv(tmp_path):
+    from speclimit.noise import sample_ensemble
+
+    doc = box_config(seed=6, noise={"count": 300, "delta_x": 0.7})
+    out = tmp_path / "out"
+    assert main(["noise", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    entries = {e["name"]: e for e in json.loads((out / "run_record.json").read_text())["outputs"]}
+    for stream, (name, center, sigma) in enumerate((("position_ensemble.csv", 2.0, 0.7),
+                                                    ("momentum_ensemble.csv", -1.0, 1.2))):
+        ens = sample_ensemble(center, sigma, 300, 6, stream)
+        ens.to_csv(tmp_path / name)
+        data = (tmp_path / name).read_bytes()
+        assert (out / name).read_bytes() == data == ens.csv_text().encode()
+        assert entries[name] == {"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+def test_adopt_registers_a_written_file_as_put_does(tmp_path):
+    w = cli.OutputWriter(tmp_path)
+    w._put("put.txt", "one\ntwo\n")
+    (tmp_path / "adopted.txt").write_bytes(b"one\ntwo\n")
+    w.adopt("adopted.txt")
+    put, adopted = w.entries
+    assert {**adopted, "name": "put.txt"} == put
+
+
 def test_run_record_config_reruns_the_run(tmp_path):
     # echoed at 12 digits, the center read back as 7205747691.1 and every outcome moved
     doc = box_config(seed=3, noise={"count": 200, "position_center": 7205747691.101466, "delta_x": 0.1234567890123456})

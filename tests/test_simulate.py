@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import MPContext
 
 import speclimit as sl
+from speclimit import simulate
 from speclimit.errors import (DegeneratePeriodError, FloatRangeError, InvalidArgumentError, OutOfRangeError,
                               SpeclimitError)
 from speclimit.simulate import D_PRIME_CAP, D_PRIME_CUT, _bayes_overlap
@@ -412,3 +414,63 @@ def test_saturating_delta_t_times_with_the_gap_below_or_above_the_bottom(monkeyp
         else:
             assert not quantized
             assert sample.tau_true == sl.classical_period(model, n_model).tau
+
+
+# -- one draw per level ------------------------------------------------------------
+
+
+def _reference_draw(center: float, sigma: float, count: int, seed: int, stream: int, what: str) -> np.ndarray:
+    # the draw of earlier versions, made per pair: each pair built a generator for each of its two levels, so an
+    # inner level's normals were generated twice, once per pair it belongs to
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    try:
+        with np.errstate(over="raise"):
+            return center + sigma * gen.standard_normal(count)
+    except FloatingPointError:
+        raise FloatRangeError(f"{what} leave the float range") from None
+
+
+def _per_pair_estimates(n, protocol, tau, delta_t, z):
+    return _reference_draw(tau, protocol.estimator_sd(delta_t), protocol.trials, protocol.seed, n,
+                           f"level {n}: period estimates at delta_t={delta_t!r}")
+
+
+@pytest.mark.parametrize("name, n_range", [("box", (2, 7)), ("hyd", (2, 6)), ("morse_h2", (3, 12))])
+@pytest.mark.parametrize("protocol", [
+    sl.PeriodProtocol(trials=300, seed=5),
+    sl.PeriodProtocol(delta_t=0.05, trials=300, seed=6),
+    sl.PeriodProtocol(s=3, per_inversion=True, trials=200, seed=7),
+    sl.PeriodProtocol(delta_t=0.2, s=3, trials=200, seed=2**64 - 1),
+])
+def test_levels_drawn_once_have_the_bits_of_the_per_pair_draws(request, monkeypatch, name, n_range, protocol):
+    # morse_h2's ladder ends at n = 8, so its range is clipped there
+    model = request.getfixturevalue(name)
+
+    def run():
+        sweep = sl.consistency_sweep(model, n_range, protocol)
+        ns = [r.n_high for r in sweep.results]
+        return (sweep, [sl.discriminate(model, n, protocol) for n in ns],
+                [sl.simulate_period_measurement(model, n, protocol) for n in [ns[0] - 1, *ns]])
+
+    drawn_once = run()
+    monkeypatch.setattr(simulate, "_estimates", _per_pair_estimates)
+    per_pair = run()
+    assert repr(drawn_once) == repr(per_pair)  # repr tells every float's bits, -0.0 included
+    assert drawn_once[0].results == tuple(drawn_once[1])
+    assert [r.n_high for r in drawn_once[0].results][-1] == (8 if name == "morse_h2" else n_range[1])
+
+
+def test_a_sweep_over_k_pairs_builds_k_plus_one_generators(box, morse_h2, monkeypatch):
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *args, **kwargs: built.append(1) or philox(*args, **kwargs))
+    protocol = sl.PeriodProtocol(trials=50)
+    for model, n_range, k in ((box, (2, 2), 1), (box, (2, 11), 10), (morse_h2, (3, 12), 6)):
+        built.clear()
+        assert len(sl.consistency_sweep(model, n_range, protocol).results) == k
+        assert len(built) == k + 1
+    for call, count in ((lambda: sl.discriminate(box, 5, protocol), 2),
+                        (lambda: sl.simulate_period_measurement(box, 5, protocol), 1)):
+        built.clear()
+        call()
+        assert len(built) == count

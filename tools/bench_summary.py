@@ -36,6 +36,17 @@ preset, and the two tables), again taking turns. The file holds:
   that imports that side's ``src/`` and wraps ``semiclassical._adaptive``, the
   integrand it is given and ``semiclassical.quantize``; the ops run as
   perfbench runs them, untimed;
+* per side, over the first 300 ops of monte-carlo seed 1 (``statistics``):
+  the exact sums per op (``sums_per_op``), the splitting passes per exact
+  sum (``passes_per_sum``), the sums per op whose certificate failed and
+  that ran the fallback passes (``fallbacks_per_op``, null on a side without
+  the certificate), and the Philox generators per op, in all and per
+  subcommand (``philox_per_op``, ``philox_per_simulate_op``,
+  ``philox_per_noise_op``). They are counted in a fresh process that
+  imports that side's ``src/`` and wraps ``noise._exact_sum``,
+  ``noise._resum`` and ``numpy.random.Philox``; a pass is an execution of
+  the splitting statement ``q = (sigma + arr) - sigma``, counted by
+  ``sys.settrace``. The ops run as perfbench runs them, untimed;
 * per side, the size of ``src/``: its line count, as ``wc -l`` counts the
   ``.py`` files; its code lines, those that are not blank, a comment or part
   of a module, class or function docstring, in total and per module
@@ -105,6 +116,69 @@ print(json.dumps({"seed": int(sys.argv[1]), "ops": len(ops), "levels_per_op": le
 """
 
 
+STATISTICS_SEED, STATISTICS_OPS = 1, 300
+# argv: seed and op count; run with the side's src/ on the path and its root as the working directory
+_COUNT_STATISTICS = """
+import itertools, json, sys, tempfile
+from collections import Counter
+from pathlib import Path
+import numpy as np
+sys.path.insert(0, "perfbench")
+import bench_workloads as bw
+import speclimit as sl
+from speclimit import noise
+
+counts, exact_sum, philox = Counter(), noise._exact_sum, np.random.Philox
+# a splitting pass runs this statement once, on either side
+split = {i for i, line in enumerate(Path(noise.__file__).read_text().splitlines(), 1)
+         if line.strip() == "q = (sigma + arr) - sigma"}
+
+def summed(arr):
+    counts["sums"] += 1
+    return exact_sum(arr)
+
+def generator(*args, **kwargs):
+    counts["philox"] += 1
+    return philox(*args, **kwargs)
+
+def lines(frame, event, arg):
+    if event == "line" and frame.f_lineno in split:
+        counts["passes"] += 1
+    return lines
+
+noise._exact_sum, np.random.Philox = summed, generator
+certified = hasattr(noise, "_resum")  # a side without the certificate has no fallback
+if certified:
+    resum = noise._resum
+
+    def fallback(*args):
+        counts["fallbacks"] += 1
+        return resum(*args)
+
+    noise._resum = fallback
+ops = list(itertools.islice(bw.op_stream("monte-carlo", int(sys.argv[1])), int(sys.argv[2])))
+philox_by_sub = Counter()
+with tempfile.TemporaryDirectory() as tmp:
+    runner = bw.Runner(sl, Path(tmp))
+    for i, op in enumerate(ops):
+        prepared = runner.prepare(op, i)
+        before = counts["philox"]
+        sys.settrace(lambda frame, event, arg: lines if frame.f_code.co_filename == noise.__file__ else None)
+        try:
+            result = runner.execute(op, prepared)
+        finally:
+            sys.settrace(None)
+        philox_by_sub[op["sub"]] += counts["philox"] - before
+        runner.finish(op, prepared, result)
+subs = Counter(op["sub"] for op in ops)
+print(json.dumps({"seed": int(sys.argv[1]), "ops": len(ops), "sums_per_op": counts["sums"] / len(ops),
+                  "passes_per_sum": counts["passes"] / counts["sums"],
+                  "fallbacks_per_op": counts["fallbacks"] / len(ops) if certified else None,
+                  "philox_per_op": counts["philox"] / len(ops),
+                  **{f"philox_per_{sub}_op": philox_by_sub[sub] / subs[sub] for sub in sorted(subs)}}))
+"""
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -163,6 +237,17 @@ def quadratures(root: Path) -> dict:
     """
     env = side_env(root)
     proc = subprocess.run([sys.executable, "-c", _COUNT_QUADRATURES, str(QUADRATURE_SEED), str(QUADRATURE_OPS)],
+                          env=env, cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def statistics_counts(root: Path) -> dict:
+    """Exact sums, splitting passes, certificate fallbacks and Philox generators per monte-carlo op of ``root``.
+
+    They are counted in a fresh process.
+    """
+    env = side_env(root)
+    proc = subprocess.run([sys.executable, "-c", _COUNT_STATISTICS, str(STATISTICS_SEED), str(STATISTICS_OPS)],
                           env=env, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -242,6 +327,7 @@ def main(argv=None) -> int:
         seconds, shares = zip(*imports[name])
         summary["sides"][name] = {"workloads": workloads, "cli_cold": cli, "src": source_size(sides[name]),
                                   "quadratures": quadratures(sides[name]),
+                                  "statistics": statistics_counts(sides[name]),
                                   "import_cli": {"cumulative_s": statistics.median(seconds),
                                                  "numpy_share": statistics.median(shares)}}
     args.out.write_text(json.dumps(summary, indent=2) + "\n")
