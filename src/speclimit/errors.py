@@ -6,8 +6,8 @@ can catch one base class. Most types also inherit a matching builtin
 
 Two rules check the numeric arguments of the public functions and
 dataclasses, and each caller names the SpeclimitError subclass to raise
-(the config reader, ``classify``'s level range and the engine's energies
-keep checks of their own):
+(the config reader and ``classify``'s level range keep checks of their
+own):
 
 * ``_integer``: an int that is not a bool, optionally within [lo, hi]. It
   refuses with ``<what> must be an integer, got 2.5``,
@@ -75,8 +75,9 @@ class PotentialDomainError(SpeclimitError, ValueError):
 class RootNotBracketedError(SpeclimitError, RuntimeError):
     """A root search found no sign change.
 
-    ``semiclassical.quantize`` raises it when the action minus its target has
-    one sign at both ends of the energy bracket.
+    No level search raises it: ``semiclassical.quantize`` brackets each
+    level between ends whose actions lie on either side of its target by
+    construction. It stays importable for callers that catch it.
     """
 
 

@@ -76,8 +76,16 @@ SQL_SLACK = 1e-12  # widths at hbar/2 - slack still count as preparable
 _MAX_COUNT = np.iinfo(np.intp).max // 8  # the most float64 outcomes numpy can size one array for
 
 
-def _as_array(values) -> np.ndarray:
-    return np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values), dtype=float)
+def _as_array(values, what: str) -> np.ndarray:
+    """``values`` as float64, an iterable other than an array, list or tuple through a list.
+
+    What numpy cannot convert, such as a string, None or an int past the
+    float range, raises InvalidArgumentError naming ``what``.
+    """
+    try:
+        return np.asarray(values if isinstance(values, (np.ndarray, list, tuple)) else list(values), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{what}: values must be real numbers ({exc})") from None
 
 
 def _split(arr: np.ndarray, e: int, m: int) -> tuple[float, np.ndarray]:
@@ -168,7 +176,7 @@ def _moments(values, what: str, ddof: int | None = 1) -> tuple[float, float | No
     ``what``, and fsum's refusal of inf + -inf InvalidArgumentError. Values
     holding inf or nan otherwise keep fsum's results.
     """
-    arr = _as_array(values)
+    arr = _as_array(values, what)
     n = arr.size
     if ddof is not None and n <= ddof:
         raise InvalidArgumentError(f"variance needs more than {ddof} values, got {n}")
@@ -196,7 +204,7 @@ def fmean(values) -> float:
 
 
 def fvariance(values, ddof: int = 1) -> float:
-    return _moments(values, "variance", ddof)[1]
+    return _moments(values, "variance", _integer(ddof, "ddof", InvalidArgumentError, lo=0))[1]
 
 
 @dataclass(frozen=True)
@@ -234,7 +242,7 @@ class MeasurementEnsemble:
     @functools.cached_property
     def _array(self) -> np.ndarray:
         """The samples as one read-only float64 array, converted on first use."""
-        arr = _as_array(self.samples)
+        arr = _as_array(self.samples, "ensemble samples")
         arr = arr.copy() if arr is self.samples else arr
         arr.flags.writeable = False
         return arr
@@ -397,7 +405,7 @@ class GaussianState:
 def _gaussian_density(x, center: float, width: float, label: str):
     if width <= 0.0:
         raise InvalidArgumentError(f"{label} density undefined for a zero width")
-    arr = np.asarray(x, dtype=float)
+    arr = _as_array((x,), f"{label} density")[0]  # x any shape, a scalar too
     norm = 1.0 / (width * math.sqrt(2.0 * math.pi))
     try:
         with np.errstate(over="raise"):

@@ -32,7 +32,10 @@ A level search integrates I and tau together, in one *fused pass*
 (``_pass_si``): one set of turning points, theta-segments and potential
 evaluations, one integrand call per order forming both rows, and each
 accepted at its own first agreeing orders. Each therefore has the bits that
-``_action_si`` or ``_period_si`` alone gives at that energy.
+the one-stage quadrature of ``_action_of`` or ``_period_of`` gives at that
+energy. Those two read one quantity each, from a stored pass or a quadrature
+of their own, and ``_action_of`` states the degenerate orbit at the well
+bottom, I(u_min) = 0, where no pass is made.
 
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
@@ -91,11 +94,11 @@ from .errors import (
     OutOfRangeError,
     QuadratureFailureError,
     QuadratureFloorWarning,
-    RootNotBracketedError,
     ScanLimitExceededError,
     SelfCheckError,
     SpeclimitError,
     _integer,
+    _real,
 )
 from .models import EnergyLevel, ModelSpec, WellProfile, well_profile
 from .units import HBAR_SI
@@ -215,8 +218,13 @@ def _adaptive(f, segments, stages: tuple[str, ...], e: float) -> list[float]:
 # -- turning points ------------------------------------------------------
 
 
+def _energy_si(model: ModelSpec, energy: float) -> float:
+    """A public function's ``energy``, refused by the real rule unless a finite real number, in J."""
+    return model.units.to_si(_real(energy, "energy", NoBoundMotionError), "energy")
+
+
 def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
-    if not math.isfinite(e):
+    if not math.isfinite(e):  # a finite energy can overflow in SI
         raise NoBoundMotionError(f"energy must be finite, got {e!r}")
     if e <= profile.u_min or e >= profile.e_ceiling:
         raise NoBoundMotionError(
@@ -227,7 +235,7 @@ def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
 def turning_points(model: ModelSpec, energy: float) -> TurningPoints:
     """Classical turning points at the given energy, in model units."""
     u = model.units
-    xm, xp = _turning_points_si(well_profile(model), u.to_si(energy, "energy"))
+    xm, xp = _turning_points_si(well_profile(model), _energy_si(model, energy))
     return TurningPoints(energy=energy, x_minus=u.from_si(xm, "length"), x_plus=u.from_si(xp, "length"))
 
 
@@ -260,56 +268,43 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
 
 
 def _action_of(profile: WellProfile, e: float) -> float:
-    """I(E) in J s at the SI energy ``e``: a stored pass's, or ``_action_si``'s, which is not stored."""
+    """I(E) in J s at the SI energy ``e``: 0 at the well bottom, a stored pass's, or a new quadrature's, not stored."""
+    if e == profile.u_min:
+        return 0.0  # degenerate orbit at the well bottom
     found = profile.passes.get(e)
-    return _action_si(profile, e) if found is None else found[0]
+    return _quadrature(profile, e, ("action",))[0] if found is None else found[0]
 
 
 def _period_of(profile: WellProfile, e: float) -> float:
-    """tau(E) in s at the SI energy ``e``: a stored pass's, or ``_period_si``'s, which is not stored.
+    """tau(E) in s at the SI energy ``e``: a stored pass's, or a new quadrature's, not stored.
 
     A stored pass without a period (see ``_pass_si``) integrates it again, which raises why it has none.
     """
     found = profile.passes.get(e)
-    return _period_si(profile, e) if found is None or found[1] is None else found[1]
+    return _quadrature(profile, e, ("period",))[0] if found is None or found[1] is None else found[1]
 
 
-def _pass_of(profile: WellProfile, e: float) -> tuple[float, float]:
-    """(I, tau) at the SI energy ``e``: the well's stored pass, or ``_pass_si``'s, stored unless at the bottom."""
+def _pass_of(profile: WellProfile, e: float) -> tuple[float, float | None]:
+    """(I, tau) at the SI energy ``e``: the well's stored pass, or ``_pass_si``'s, which is stored."""
     found = profile.passes.get(e)
     if found is None:
-        found = _pass_si(profile, e)
-        if e != profile.u_min:  # the bottom's NaN period is no period for a query to read
-            profile.passes[e] = found
+        found = profile.passes[e] = _pass_si(profile, e)
     return found
 
 
-def _action_si(profile: WellProfile, e: float) -> float:
-    if e == profile.u_min:
-        return 0.0  # degenerate orbit at the well bottom
-    return _quadrature(profile, e, ("action",))[0]
-
-
-def _period_si(profile: WellProfile, e: float) -> float:
-    return _quadrature(profile, e, ("period",))[0]
-
-
 def _pass_si(profile: WellProfile, e: float) -> tuple[float, float | None]:
-    """The fused pass: (I, tau) at the SI energy ``e`` from one quadrature.
+    """The fused pass: (I, tau) at the SI energy ``e`` above the well bottom from one quadrature.
 
-    At the well bottom the orbit is degenerate: I = 0, and the period is NaN,
-    since no quadrature gives it. Where the pass fails but the action alone
-    converges, the period is None: E - U near the turning points is too
-    coarse for it, as on a closed-kind level far below its well's depth or a
-    table orbit within rounding of its bottom. A level search bisects there,
-    and a caller that asks for that period gets the quadrature's error.
+    Where the pass fails but the action alone converges, the period is None:
+    E - U near the turning points is too coarse for it, as on a closed-kind
+    level far below its well's depth or a table orbit within rounding of its
+    bottom. A level search bisects there, and a caller that asks for that
+    period gets the quadrature's error.
     """
-    if e == profile.u_min:
-        return 0.0, math.nan
     try:
         return tuple(_quadrature(profile, e, ("action", "period")))
     except QuadratureFailureError:
-        return _action_si(profile, e), None
+        return _action_of(profile, e), None
 
 
 def _quadrature(profile: WellProfile, e: float, stages: tuple[str, ...]) -> list[float]:
@@ -422,9 +417,7 @@ def action(model: ModelSpec, energy: float) -> float:
 
     A stored pass of the well answers if there is one; a new action is not stored.
     """
-    u = model.units
-    i_si = _action_of(well_profile(model), u.to_si(energy, "energy"))
-    return i_si / u.factor("action")
+    return _action_of(well_profile(model), _energy_si(model, energy)) / model.units.factor("action")
 
 
 def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
@@ -433,7 +426,7 @@ def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
     Like ``action``, it reads the well's stored passes and stores none.
     """
     u = model.units
-    e_si = u.to_si(energy, "energy")
+    e_si = _energy_si(model, energy)
     profile = well_profile(model)
     tau_si = _period_of(profile, e_si)
     h = _fd_step(profile, e_si)
@@ -459,15 +452,14 @@ def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -
         chk = period_check(model, energy)
         if chk.residual > 1e-6:
             raise SelfCheckError(
-                f"period at E={energy:.6g} disagrees with dI/dE by {chk.residual:.3g} relative"
+                f"period at E={energy!r} disagrees with dI/dE by {chk.residual:.3g} relative"
             )
         return chk.period
-    u = model.units
-    return u.from_si(_period_of(well_profile(model), u.to_si(energy, "energy")), "time")
+    return model.units.from_si(_period_of(well_profile(model), _energy_si(model, energy)), "time")
 
 
 def action_curve(model: ModelSpec, energies) -> ActionCurve:
-    es = [float(e) for e in energies]
+    es = [float(_real(e, "energy", NoBoundMotionError)) for e in energies]
     return ActionCurve(
         energies=tuple(es),
         actions=tuple(action(model, e) for e in es),
@@ -483,16 +475,17 @@ def _top(profile: WellProfile) -> float:
     return profile.u_min + (profile.e_ceiling - profile.u_min) * (1.0 - 1e-9)
 
 
-def _bracket_low(profile: WellProfile, target: float, read) -> float:
+def _bracket_low(profile: WellProfile, target: float, read) -> tuple[float, float]:
+    """The lower end of the level's bracket, where I is below ``target``, and its action."""
     if profile.u_min > -math.inf:
         # I(u_min) = 0 exactly and the target is positive, so the well bottom
         # itself brackets from below; quadrature just above the bottom would
         # drown in E - U cancellation noise.
-        return profile.u_min
+        return profile.u_min, _action_of(profile, profile.u_min)
     lo = -profile.e_scale  # deepen toward -inf until the action drops below target
     for _ in range(40):
-        if read(lo)[0] < target:
-            return lo
+        if (i_lo := read(lo)[0]) < target:
+            return lo, i_lo
         lo *= 4.0
     raise ActionOutOfRangeError(f"no orbit with action below the target {target!r} J s")
 
@@ -543,12 +536,8 @@ def _search(profile: WellProfile, target: float) -> float:
             raise QuadratureFailureError(f"the {'action' if math.isnan(i) else 'period'} is NaN at E={e!r} J")
         return i, tau if tau is not None and 0.0 < tau < math.inf else math.nan
 
-    lo = _bracket_low(profile, target, read)
+    lo, i_lo = _bracket_low(profile, target, read)
     hi, (i_hi, tau_hi) = _bracket_high(profile, target, read)
-    i_lo = _pass_of(profile, lo)[0]
-    if i_lo >= target:
-        raise RootNotBracketedError(
-            f"the action {i_lo!r} J s at the lower end E={lo!r} J is not below the target {target!r} J s")
     if i_hi == target:
         return hi
     floor = profile.u_min if profile.u_min > -math.inf else None

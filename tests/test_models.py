@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import speclimit as sl
+from speclimit import noise
 from speclimit.errors import (
     ConfigError,
     FloatRangeError,
@@ -16,6 +17,7 @@ from speclimit.errors import (
     InvalidCountError,
     InvalidSigmaError,
     ModelDefinitionError,
+    NoBoundMotionError,
     OutOfRangeError,
     PotentialDomainError,
     UnsupportedModelError,
@@ -182,6 +184,12 @@ def test_morse_too_shallow_rejected():
     # zeta <= 1 leaves no bound level
     with pytest.raises(ModelDefinitionError):
         sl.morse(mass=1e-4, depth=1e-4, alpha=5.0)
+
+
+def test_morse_zeta_past_the_float_range_rejected():
+    # 2 depth / (hbar omega) of a 1e300 J deep well with a 1e300 kg mass and a 1e-300 /m range overflows
+    with pytest.raises(ModelDefinitionError, match=r"^morse: zeta = 2 depth / \(hbar omega\) leaves the float range$"):
+        sl.morse(1e300, 1e300, 1e-300, units=sl.SI)
 
 
 # -- numeric ----------------------------------------------------------
@@ -437,6 +445,13 @@ _NUMERIC_ARGUMENTS = [
     ("threshold(scan_limit)", lambda v: sl.threshold(_BOX, v), OutOfRangeError),
     ("quantize(n)", lambda v: sl.quantize(_OSC, v), OutOfRangeError),
     ("quantize(maslov)", lambda v: sl.quantize(_OSC, 1, maslov=v), OutOfRangeError),
+    ("turning_points(energy)", lambda v: sl.turning_points(_OSC, v), NoBoundMotionError),
+    ("action(energy)", lambda v: sl.action(_OSC, v), NoBoundMotionError),
+    ("period_check(energy)", lambda v: sl.period_check(_OSC, v), NoBoundMotionError),
+    ("period_of_energy(energy)", lambda v: sl.period_of_energy(_OSC, v), NoBoundMotionError),
+    ("action_curve(energies entry)", lambda v: sl.action_curve(_OSC, [v]), NoBoundMotionError),
+    ("fmean(values)", lambda v: noise.fmean(v), InvalidArgumentError),
+    ("fvariance(ddof)", lambda v: noise.fvariance([1.0, 2.0, 3.0], ddof=v), InvalidArgumentError),
     ("NoiseBudget(delta_x)", lambda v: sl.NoiseBudget(v, 1.0), InvalidSigmaError),
     ("NoiseBudget(delta_p)", lambda v: sl.NoiseBudget(1.0, v), InvalidSigmaError),
     ("NoiseBudget(hbar)", lambda v: sl.NoiseBudget(1.0, 1.0, v), InvalidArgumentError),
@@ -470,7 +485,8 @@ _NUMERIC_ARGUMENTS = [
 # 10**400 is too large for a float and above the bound of a bounded integer; an integer argument without an upper
 # bound takes 2.0 in its place, a whole number that is not an int
 _UNBOUNDED_INTEGERS = {"hydrogenoid.z", "hydrogenoid(z)", "energy_level(n)", "level_gap_period(n)",
-                       "bound_levels(n_limit)", "threshold(scan_limit)", "simulate_period_measurement(n)"}
+                       "bound_levels(n_limit)", "threshold(scan_limit)", "simulate_period_measurement(n)",
+                       "fvariance(ddof)"}
 _NONE_IS_DEFAULT = {"quantize(maslov)", "PeriodProtocol(delta_t)"}
 
 

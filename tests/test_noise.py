@@ -62,6 +62,20 @@ def test_fmean_empty():
         fvariance([1.0])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fmean(["a", 1.0]), "mean: values must be real numbers (could not convert string to float: 'a')"),
+    (lambda: fmean([10**400, 1]), "mean: values must be real numbers (int too large to convert to float)"),
+    (lambda: fmean(None), "mean: values must be real numbers ("),
+    (lambda: fvariance([1.0, 2.0, 3.0], ddof="a"), "ddof must be an integer >= 0, got 'a'"),
+    (lambda: sl.GaussianState(0.0, 0.0, 1.0, 1.0).position_density("a"),
+     "position density: values must be real numbers (could not convert string to float: 'a')"),
+], ids=["string", "huge int", "None", "ddof", "density"])
+def test_statistics_refuse_what_numpy_cannot_convert(call, message):
+    with pytest.raises(InvalidArgumentError) as ei:
+        call()
+    assert str(ei.value).startswith(message)
+
+
 # -- array statistics against the per-element code they replaced ------------
 
 
@@ -158,7 +172,7 @@ def test_each_ensemble_is_converted_to_an_array_once(monkeypatch):
     converted = []
     as_array = noise._as_array
     monkeypatch.setattr(noise, "_as_array",
-                        lambda values: converted.append(type(values)) or as_array(values))
+                        lambda values, what: converted.append(type(values)) or as_array(values, what))
     pos = sl.sample_ensemble(2.0, 0.5, 1000, seed=3, stream=0)
     mom = sl.sample_ensemble(-1.0, 1.2, 1000, seed=3, stream=1)
     state = sl.reconstruct_state(pos, mom)

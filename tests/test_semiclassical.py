@@ -21,12 +21,11 @@ from speclimit.errors import (
     PotentialDomainError,
     QuadratureFailureError,
     QuadratureFloorWarning,
-    RootNotBracketedError,
     ScanLimitExceededError,
     SelfCheckError,
 )
 from speclimit.models import well_profile
-from speclimit.units import HBAR_SI, UNIT_SYSTEMS
+from speclimit.units import HBAR_SI, UNIT_SYSTEMS, UnitSystem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import bench_workloads as bw  # noqa: E402
@@ -83,8 +82,15 @@ def test_turning_points_unbound(morse_h2):
 
 def test_turning_points_refuse_a_non_finite_energy(osc):
     for e in (math.nan, math.inf, -math.inf):
-        with pytest.raises(NoBoundMotionError, match=r"^energy must be finite, got "):
+        with pytest.raises(NoBoundMotionError, match=r"^energy must be a finite number, got "):
             sc.turning_points(osc, e)
+
+
+def test_turning_points_refuse_an_energy_that_overflows_in_si():
+    # 1e300 units of 1e10 J each is finite in the model's units and inf in SI
+    giga = UnitSystem("giga", 1.0, 1e10, HBAR_SI / 1e10, 1.0, 1.0)
+    with pytest.raises(NoBoundMotionError, match=r"^energy must be finite, got inf$"):
+        sc.turning_points(sl.harmonic(1.0, 1.0, units=giga), 1e300)
 
 
 def test_turning_points_numeric_domain(numeric_harmonic):
@@ -409,30 +415,12 @@ def test_quantize_validation(osc):
 _TARGET_N1 = 2.0 * math.pi * HBAR_SI * 1.5  # I(E_1) of a harmonic well, whose Maslov count is 2
 
 
-def test_quantize_unbracketed_raises_root_not_bracketed(monkeypatch):
-    # an action above every target at both bracket ends, the well bottom included
-    osc = sl.harmonic(1.0, 1.0)  # a fresh well, so that no stored pass answers for the stand-in
-    monkeypatch.setattr(sc, "_pass_si", lambda profile, e: (1.0, 1.0))
-    with pytest.raises(RootNotBracketedError,
-                       match=r"^harmonic level n=2: the action 1\.0 J s at the lower end E=0\.0 J is not below the"
-                             r" target 1\.6\d*e-33 J s$"):
-        sc.quantize(osc, 2)
-
-
-def test_quantize_meeting_the_target_at_the_bottom_raises_root_not_bracketed(monkeypatch):
-    # the lower end of the bracket must lie strictly below the target
-    monkeypatch.setattr(sc, "_pass_si", lambda p, e: (_TARGET_N1, 1.0) if e == p.u_min else (2.0 * _TARGET_N1, 1.0))
-    with pytest.raises(RootNotBracketedError, match=r"^harmonic level n=1: the action .* at the lower end E=0\.0 J"):
-        sc.quantize(sl.harmonic(1.0, 1.0), 1)
-
-
 @pytest.mark.parametrize("stage", ["action", "period"])
 def test_quantize_nan_pass_raises_quadrature_failure(monkeypatch, stage):
-    # a bracketing pass, 0 at the bottom and 1 J s from e_scale up, but with a NaN action or period in between
+    # a bracketing pass, 1 J s from e_scale up over the bottom's 0, but with a NaN action or period in between
     osc = sl.harmonic(1.0, 1.0)
     nan = (math.nan, 1.0) if stage == "action" else (0.5, math.nan)
-    monkeypatch.setattr(sc, "_pass_si", lambda profile, e: (0.0, math.nan) if e == 0.0 else ((1.0, 1.0) if e >= profile.e_scale
-                                                                                        else nan))
+    monkeypatch.setattr(sc, "_pass_si", lambda profile, e: (1.0, 1.0) if e >= profile.e_scale else nan)
     with pytest.raises(QuadratureFailureError, match=rf"^harmonic level n=1: the {stage} is NaN at E=\d"):
         sc.quantize(osc, 1)
 
@@ -462,6 +450,24 @@ def test_quantize_bisects_where_a_pass_has_no_slope(monkeypatch):
 
     monkeypatch.setattr(sc, "_pass_si", flat)
     assert sc.quantize(osc, 1).energy == pytest.approx(1.5, rel=1e-14)
+
+
+def test_no_level_search_makes_a_pass_at_the_well_bottom(monkeypatch):
+    # the bottom's I = 0 is _action_of's, so a level search places every level without a pass at u_min
+    true = sc._pass_si
+
+    def above_the_bottom(profile, e):
+        if e == profile.u_min:
+            raise AssertionError(f"a pass at the well bottom E={e!r} J")
+        return true(profile, e)
+
+    monkeypatch.setattr(sc, "_pass_si", above_the_bottom)
+    xs = np.linspace(-4.0, 4.0, 17)
+    for model in (sl.box(), sl.harmonic(), sl.get_preset("morse-h2")):
+        for n in range(sl.n_min(model), sl.n_min(model) + 3):
+            assert sc.quantize(model, n).energy == pytest.approx(sl.energy_level(model, n).energy, rel=1e-12)
+    table = sl.numeric(1.0, xs, 0.5 * xs**2)
+    assert [sc.quantize(table, n).energy for n in range(3)] == pytest.approx([0.5, 1.5, 2.5], rel=1e-2)
 
 
 def test_a_level_whose_period_stalls_is_placed_and_its_period_refused():
@@ -589,9 +595,9 @@ def test_fused_pass_is_the_action_and_the_period(build, top, f):
     assume(profile.u_min < e < profile.e_ceiling)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureFloorWarning)
-        action = sc._action_si(profile, e)
+        action = sc._action_of(profile, e)
         try:
-            period = sc._period_si(profile, e)
+            period = sc._period_of(profile, e)
         except QuadratureFailureError:  # E - U too coarse for the period: the pass holds the action alone
             period = None
         spell = lambda values: [None if v is None else v.hex() for v in values]  # noqa: E731
@@ -655,9 +661,9 @@ def test_period_morse_vs_closed(morse_h2):
 
 def test_period_self_check_refuses_a_period_that_disagrees_with_the_action(monkeypatch):
     model = sl.harmonic(1.0, 1.0)  # a fresh well, with no stored period to answer in place of the stand-in
-    period_si = sc._period_si
-    monkeypatch.setattr(sc, "_period_si", lambda profile, e: period_si(profile, e) * (1.0 + 1e-5))
-    with pytest.raises(SelfCheckError, match=r"^period at E=3 disagrees with dI/dE by 1e-05 relative"):
+    period_of = sc._period_of
+    monkeypatch.setattr(sc, "_period_of", lambda profile, e: period_of(profile, e) * (1.0 + 1e-5))
+    with pytest.raises(SelfCheckError, match=r"^period at E=3\.0 disagrees with dI/dE by 1e-05 relative"):
         sc.period_of_energy(model, 3.0)
     assert sc.period_of_energy(model, 3.0, self_check=False) == pytest.approx(2 * math.pi * (1.0 + 1e-5), rel=1e-10)
 
@@ -774,9 +780,9 @@ def test_quadrature_errors_name_the_stage_and_energy(monkeypatch):
     profile = well_profile(sl.get_preset("morse-h2"))
     e = 0.5 * profile.u_min
     with pytest.raises(QuadratureFailureError, match=rf"^action at E={re.escape(repr(e))} J: quadrature stalled at"):
-        sc._action_si(profile, e)
+        sc._action_of(profile, e)
     with pytest.warns(QuadratureFloorWarning, match=rf"^period at E={re.escape(repr(e))} J: quadrature accepted at"):
-        sc._period_si(profile, e)
+        sc._period_of(profile, e)
     # quantize names the model and the level first
     with pytest.raises(QuadratureFailureError,
                        match=r"^morse level n=3: action at E=-\d\S* J: quadrature stalled at relative change "):
@@ -830,7 +836,7 @@ def test_period_converges_with_turning_point_just_past_a_knot(shape, knots, mass
     assert 0.0 < (turning - knot) * side < 2.0 * 10.0**log_f * h
     with warnings.catch_warnings():
         warnings.simplefilter("error", QuadratureFloorWarning)
-        tau = sc._period_si(profile, e)
+        tau = sc._period_of(profile, e)
     # order 1024 of E - U formed by subtraction is good to about 1e-8 there
     assert tau == pytest.approx(_subtracted_period(profile, e), rel=1e-7)
 
@@ -927,7 +933,7 @@ def test_period_of_an_orbit_on_one_piece():
     assert len(sc._theta_segments(profile, -0.5, 0.5)[0]) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tau = sc._period_si(profile, e)
+        tau = sc._period_of(profile, e)
     assert tau == pytest.approx(math.pi * math.sqrt(2.0 * mass), rel=1e-12)
 
 
@@ -1007,9 +1013,9 @@ def _bit_identity_cases():
 
 def test_batched_quadrature_matches_per_panel_reference(monkeypatch):
     cases = _bit_identity_cases()
-    batched = [[(sc._action_si(p, e), sc._period_si(p, e), sc._pass_si(p, e)) for e in es] for p, es in cases]
+    batched = [[(sc._action_of(p, e), sc._period_of(p, e), sc._pass_si(p, e)) for e in es] for p, es in cases]
     monkeypatch.setattr(sc, "_adaptive", _reference_adaptive)
-    reference = [[(sc._action_si(p, e), sc._period_si(p, e), sc._pass_si(p, e)) for e in es] for p, es in cases]
+    reference = [[(sc._action_of(p, e), sc._period_of(p, e), sc._pass_si(p, e)) for e in es] for p, es in cases]
     assert batched == reference
 
 
@@ -1022,9 +1028,9 @@ def test_per_segment_potential_matches_searched_potential(monkeypatch):
     for mass, _, xs, us in _STALLED_TABLES.values():
         profile = well_profile(sl.numeric(mass, xs, us))
         cases.append((profile, [profile.u_min + f * (profile.e_ceiling - profile.u_min) for f in (0.01, 0.3, 0.97)]))
-    per_segment = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
+    per_segment = [[(sc._action_of(p, e), sc._period_of(p, e)) for e in es] for p, es in cases]
     monkeypatch.setattr(CubicPieces, "_on_rows", lambda table, pieces: lambda x, rows: table(x))
-    searched = [[(sc._action_si(p, e), sc._period_si(p, e)) for e in es] for p, es in cases]
+    searched = [[(sc._action_of(p, e), sc._period_of(p, e)) for e in es] for p, es in cases]
     assert per_segment == searched
 
 
