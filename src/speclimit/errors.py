@@ -135,7 +135,7 @@ class ConfigError(SpeclimitError, ValueError):
 
 
 class FloatRangeError(SpeclimitError, ArithmeticError):
-    """A model's SI parameters, or a closed form at level n, overflowed, divided by zero or left the finite floats."""
+    """A model's well, a closed form or an engine level overflowed, divided by zero or left the finite floats."""
 
 
 def _finite_real(value) -> bool:

@@ -28,10 +28,11 @@ are generic over that object. Parameters are stated in the model's declared
 unit system, and the closed forms stay in it: each kind computes a few
 scales of the model once (an energy and a time, or omega), each formed from
 ``math.frexp`` mantissas so that no intermediate product leaves the float
-range, and each form is a scale times a factor in n. Only the well profile,
-which the semiclassical engine integrates, is in SI: the model's params are
-restated in SI through their schema, whose ``Param.dim`` is the one statement
-of each parameter's unit, and the kind's ``profile`` reads those SI fields.
+range, and each form is a scale times a factor in n. The well profile, which
+the semiclassical engine integrates, is in the same units, with the mass (and
+the harmonic stiffness) divided by the system's coherence factor, as the
+closed forms divide it. Each parameter's unit is stated once, in its schema's
+``Param.dim``, which only ``ModelSpec.converted`` reads.
 The module uses ``math`` alone: the array side of each well profile
 (potentials and a table's PCHIP pieces) is in ``profiles``.
 """
@@ -50,7 +51,7 @@ from typing import Callable, ClassVar
 
 from .errors import (ConfigError, FloatRangeError, ModelDefinitionError, OutOfRangeError, UnsupportedModelError,
                      _finite_real, _integer, _real)
-from .units import HBAR_SI, SI, UnitSystem, get_unit_system, MOLECULAR, NATURAL_BOX, OSCILLATOR, ATOMIC
+from .units import UnitSystem, get_unit_system, MOLECULAR, NATURAL_BOX, OSCILLATOR, ATOMIC
 
 __all__ = [
     "BoxParams",
@@ -101,16 +102,21 @@ class PeriodPoint:
 
 @dataclass(frozen=True)
 class WellProfile:
-    """SI description of one confining well for action/period quadrature."""
+    """One confining well for action/period quadrature, in the model's units.
+
+    ``mass`` is the model's mass over its system's coherence factor, so that
+    I = 2 integral sqrt(2 mass (E - U)) dx comes out in the system's action
+    unit, in which hbar is ``units.hbar``.
+    """
 
     mass: float
-    potential: Callable  # vectorized, SI in / SI out
+    potential: Callable  # vectorized, model units in and out
     turning_points: Callable  # E -> (x_minus, x_plus) as floats, for u_min < E < e_ceiling
     u_min: float  # potential at the well bottom; -inf for the Coulomb singularity
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
     pieces: CubicPieces | None = None  # a table's profiles.CubicPieces; None for a closed-form well
-    # (I(E) in J s, tau(E) in s) by SI energy, for each E a level search has integrated; see semiclassical._pass_of
+    # (I(E), tau(E)) by energy, for each E a level search has integrated; see semiclassical._pass_of
     passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -154,9 +160,10 @@ class WellKind:
     ``energy``, ``period``, ``gap_energy`` and ``gap_period``.
     ``scales(units)`` gives the model's constants in its own units, all
     positive, and each form is a function of those scales and n, in the same
-    units. ``profile()`` is called on params already restated in SI through
-    the schema, so it reads its own fields as SI values and returns the
-    ``WellProfile``. ``notes`` gives the kind's remarks on a criterion report.
+    units. ``profile(units)`` returns the ``WellProfile`` in the same units,
+    its mass (and a harmonic stiffness) divided by the coherence factor
+    ``units.factor("coherence")``. ``notes`` gives the kind's remarks on a
+    criterion report.
     """
 
     kind: ClassVar[str]
@@ -225,11 +232,6 @@ def _converted(kind: type[WellKind], **args) -> WellKind:
     return kind(**{p.attr: convert(p, args[p.attr]) for p in kind.schema})
 
 
-def _restated(p: WellKind, src: UnitSystem, dst: UnitSystem) -> WellKind:
-    """``p``, stated in ``src`` units, restated in ``dst`` units through its schema, unchecked."""
-    return type(p)(**{q.attr: q.rescaled(getattr(p, q.attr), src, dst) for q in p.schema})
-
-
 @dataclass(frozen=True)
 class BoxParams(WellKind):
     mass: float
@@ -252,12 +254,12 @@ class BoxParams(WellKind):
     gap_energy = staticmethod(lambda s, n: s.e1 * (n - 0.5))
     gap_period = staticmethod(lambda s, n: -s.t1 / (2 * n * (n - 1)))
 
-    def profile(self) -> WellProfile:
+    def profile(self, units: UnitSystem) -> WellProfile:
         from .profiles import box_potential
 
-        m, a = self.mass, self.width
+        m, a = self.mass / units.factor("coherence"), self.width
         return WellProfile(mass=m, potential=box_potential(a), turning_points=lambda e: (0.0, a),
-                           u_min=0.0, e_ceiling=math.inf, e_scale=(HBAR_SI * math.pi) ** 2 / (2.0 * (m * a**2)))
+                           u_min=0.0, e_ceiling=math.inf, e_scale=(units.hbar * math.pi) ** 2 / (2.0 * (m * a**2)))
 
 
 @dataclass(frozen=True)
@@ -280,17 +282,18 @@ class HarmonicParams(WellKind):
     gap_energy = staticmethod(lambda s, n: s.hw / 2.0)
     gap_period = staticmethod(lambda s, n: 0.0)
 
-    def profile(self) -> WellProfile:
+    def profile(self, units: UnitSystem) -> WellProfile:
         from .profiles import harmonic_potential
 
-        m, k = self.mass, self.stiffness
+        c = units.factor("coherence")
+        m, k = self.mass / c, self.stiffness / c
 
         def turning_points(e):
             amp = math.sqrt(2.0 * e / k)
             return -amp, amp
 
         return WellProfile(mass=m, potential=harmonic_potential(k), turning_points=turning_points,
-                           u_min=0.0, e_ceiling=math.inf, e_scale=HBAR_SI * math.sqrt(k / m))
+                           u_min=0.0, e_ceiling=math.inf, e_scale=units.hbar * math.sqrt(k / m))
 
 
 @dataclass(frozen=True)
@@ -323,13 +326,13 @@ class HydrogenoidParams(WellKind):
     gap_energy = staticmethod(lambda s, n: s.e1 * ((2 * n - 1) / (2 * n**2 * (n - 1) ** 2)))
     gap_period = staticmethod(lambda s, n: s.t1 * ((3 * n**2 - 3 * n + 1) / 2))
 
-    def profile(self) -> WellProfile:
+    def profile(self, units: UnitSystem) -> WellProfile:
         from .profiles import coulomb_potential
 
-        mu, c = self.reduced_mass, self.z * self.charge**2  # the coupling Z e^2 in J m
+        mu, c = self.reduced_mass / units.factor("coherence"), self.z * self.charge**2  # the coupling Z e^2
         # the turning points are the singular wall and r = Z e^2 / |E|
         return WellProfile(mass=mu, potential=coulomb_potential(c), turning_points=lambda e: (0.0, float(-c / e)),
-                           u_min=-math.inf, e_ceiling=0.0, e_scale=mu * c**2 / (2.0 * HBAR_SI**2))
+                           u_min=-math.inf, e_ceiling=0.0, e_scale=mu * c**2 / (2.0 * units.hbar**2))
 
     def notes(self, regime: str, ys: list[float]) -> tuple[str, ...]:
         return (HYDROGENOID_THRESHOLD_NOTE,)
@@ -401,10 +404,10 @@ class MorseParams(WellKind):
     gap_period = staticmethod(
         lambda s, n: math.pi / ((1.0 - (n + 0.5) / s.zeta) * (1.0 - (n - 0.5) / s.zeta)) / (s.omega * s.zeta))
 
-    def profile(self) -> WellProfile:
+    def profile(self, units: UnitSystem) -> WellProfile:
         from .profiles import morse_potential
 
-        m, d, a = self.mass, self.depth, self.alpha
+        m, d, a = self.mass / units.factor("coherence"), self.depth, self.alpha
 
         def turning_points(e):
             # U = E at exp(-a x) = 1 +- s; the outer root 1 - s is written as
@@ -444,14 +447,12 @@ class NumericPotentialParams(WellKind):
             )
         if not all(map(_finite_real, self.x + self.u)):
             raise ModelDefinitionError("numeric: table entries must be finite")
-        # checked in SI, where the engine works: the spans must stay finite floats there
-        si = _restated(self, units, SI)
-        if not (math.isfinite(si.x[-1] - si.x[0]) and math.isfinite(max(si.u) - min(si.u))):
-            raise ModelDefinitionError("numeric: the table's x span or u range leaves the float range in SI units")
-        if not all(a < b for a, b in zip(si.x, si.x[1:])):
+        if not (math.isfinite(self.x[-1] - self.x[0]) and math.isfinite(max(self.u) - min(self.u))):
+            raise ModelDefinitionError("numeric: the table's x span or u range leaves the float range")
+        if not all(a < b for a, b in zip(self.x, self.x[1:])):
             raise ModelDefinitionError("numeric: abscissae must be strictly increasing")
-        imin = si.u.index(min(si.u))  # the first lowest knot, as argmin finds it
-        if imin == 0 or imin == len(si.u) - 1:
+        imin = self.u.index(min(self.u))  # the first lowest knot, as argmin finds it
+        if imin == 0 or imin == len(self.u) - 1:
             raise ModelDefinitionError("numeric: potential must attain an interior minimum")
 
     def n_max(self, model: ModelSpec) -> int:
@@ -459,7 +460,7 @@ class NumericPotentialParams(WellKind):
 
         return semiclassical.numeric_level_count(model) - 1
 
-    def profile(self) -> WellProfile:
+    def profile(self, units: UnitSystem) -> WellProfile:
         """The table's well, interpolated by PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980).
 
         Slopes at interior knots are the weighted harmonic means of the
@@ -479,7 +480,7 @@ class NumericPotentialParams(WellKind):
         um = self.u[bottom]
         ceiling = min(self.u[0], self.u[-1])
         return WellProfile(
-            mass=self.mass,
+            mass=self.mass / units.factor("coherence"),
             potential=pieces,
             turning_points=_numeric_turning_points(self, pieces.coefs.T.tolist(), bottom),
             u_min=um,
@@ -571,19 +572,20 @@ class ModelSpec:
 
     @cached_property
     def _profile(self) -> WellProfile:
-        """The well in SI; parameters whose SI values leave the float range raise FloatRangeError."""
+        """The well in the model's units; a profile that leaves the float range raises FloatRangeError."""
         try:
-            return _restated(self.params, self.units, SI).profile()
+            return self.params.profile(self.units)
         except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:  # a FloatRangeError keeps its reason
-            raise FloatRangeError(f"{self.kind}: SI parameters leave the float range ({type(exc).__name__})") from None
+            raise FloatRangeError(f"{self.kind}: parameters leave the float range ({type(exc).__name__})") from None
 
     def __getstate__(self):
         # a profile holds closures, which do not pickle; a copy builds its own
         return {"params": self.params, "units": self.units}
 
     def converted(self, units: UnitSystem) -> "ModelSpec":
-        """Re-express the same physical model in another unit system."""
-        return ModelSpec(_restated(self.params, self.units, units), units)
+        """Re-express the same physical model in another unit system, each parameter through its schema unit."""
+        p, src = self.params, self.units
+        return ModelSpec(type(p)(**{q.attr: q.rescaled(getattr(p, q.attr), src, units) for q in p.schema}), units)
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the model, matching the config schema."""
@@ -708,7 +710,7 @@ def level_gap_period(model: ModelSpec, n: int) -> float:
 
 
 def well_profile(model: ModelSpec) -> WellProfile:
-    """The SI well description used by the semiclassical engine.
+    """The well description the semiclassical engine integrates, in the model's units.
 
     Built on the model's first call and kept on it, so it lives as long as the
     model does.

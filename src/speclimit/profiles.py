@@ -64,7 +64,7 @@ class CubicPieces:
         x0, xn = self.knots[0], self.knots[-1]
         slack = 1e-12 * (xn - x0)
         if lo < x0 - slack or hi > xn + slack:
-            raise PotentialDomainError(f"numeric: query outside tabulated range [{x0:.6g}, {xn:.6g}] m")
+            raise PotentialDomainError(f"numeric: query outside tabulated range [{x0:.6g}, {xn:.6g}]")
 
     @staticmethod
     def _sum(coef, s):
@@ -147,7 +147,7 @@ def _pchip(x, y) -> CubicPieces:
         coefs = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
         ends = CubicPieces._sum(coefs, h)
     if not np.isfinite(ends).all():
-        raise FloatRangeError("numeric: a cubic piece of the table leaves the float range in SI units")
+        raise FloatRangeError("numeric: a cubic piece of the table leaves the float range")
     return CubicPieces(knots=x, coefs=coefs)
 
 
@@ -181,7 +181,7 @@ def _piece_root(coef, x0: float, e: float, t_in: float, t_out: float) -> float:
 def _numeric_turning_points(table, coefs: list, bottom: int) -> Callable:
     """Turning points of the table ``table.x``, ``table.u``, each the one root of a PCHIP piece.
 
-    ``table`` is a table's params restated in SI, as its ``profile`` reads them.
+    ``table`` is a table's params, in the model's units, as its ``profile`` reads them.
 
     PCHIP keeps every piece monotone (Fritsch & Carlson, SIAM J. Numer. Anal.
     17, 1980), so the orbit at E turns in the piece just inside the first

@@ -29,7 +29,7 @@ later order makes one call of its own. Each order's panels are summed by one
 ``weights.dot``, so the sums do not depend on the batching.
 
 A level search integrates I and tau together, in one *fused pass*
-(``_pass_si``): one set of turning points, theta-segments and potential
+(``_fused_pass``): one set of turning points, theta-segments and potential
 evaluations, one integrand call per order forming both rows, and each
 accepted at its own first agreeing orders. Each therefore has the bits that
 the one-stage quadrature of ``_action_of`` or ``_period_of`` gives at that
@@ -64,7 +64,7 @@ starts on the quadratic E(I) through the bracket ends with slope 1/tau at the
 top, and the level's period is that of its last pass.
 
 Each well keeps the passes its level searches have made
-(``WellProfile.passes``, keyed by SI energy). The levels of a well share
+(``WellProfile.passes``, keyed by energy). The levels of a well share
 their bracket ends, and the search retraces the same energies for the same
 level, so asking for a level again costs no quadrature. A
 QuadratureFloorWarning at a stored energy is issued once per model, when that
@@ -72,8 +72,11 @@ pass is first made. The public ``action``, ``period_of_energy``,
 ``period_check`` and ``action_curve`` read the stored passes but add none, so
 a sweep over energies does not grow the memo.
 
-Everything internal runs in SI; public functions accept and return values in
-the model's declared unit system.
+The engine runs in the model's declared unit system, as the closed forms do:
+the well profile states the well in those units, its mass divided by the
+system's coherence factor (see ``models.WellProfile``), so that actions come
+out in the unit in which hbar is ``model.hbar``. Public functions take their
+energies and return their results unconverted.
 """
 
 from __future__ import annotations
@@ -101,7 +104,6 @@ from .errors import (
     _real,
 )
 from .models import EnergyLevel, ModelSpec, WellProfile, well_profile
-from .units import HBAR_SI
 
 __all__ = [
     "TurningPoints",
@@ -172,7 +174,7 @@ def _adaptive(f, segments, stages: tuple[str, ...], e: float) -> list[float]:
     ``np.vecdot`` per order forms every panel's sum with the same per-row ddot
     that ``weights.dot`` calls, and the panel sums are added as exact floats
     in segment order. A floor warning or a stall names the stage ("action" or
-    "period") and the energy ``e`` in J.
+    "period") and the energy ``e``.
     """
     a, b = np.array(segments).T
     mids = 0.5 * (a + b)
@@ -209,8 +211,8 @@ def _adaptive(f, segments, stages: tuple[str, ...], e: float) -> list[float]:
         if done[i] is None:
             change = f"at relative change {rel[i]:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
             if rel[i] > _RTOL_FLOOR:
-                raise QuadratureFailureError(f"{stage} at E={e!r} J: quadrature stalled {change}")
-            warnings.warn(QuadratureFloorWarning(f"{stage} at E={e!r} J: quadrature accepted {change}"), stacklevel=2)
+                raise QuadratureFailureError(f"{stage} at E={e!r}: quadrature stalled {change}")
+            warnings.warn(QuadratureFloorWarning(f"{stage} at E={e!r}: quadrature accepted {change}"), stacklevel=2)
             done[i] = prev[i]
     return done
 
@@ -218,25 +220,21 @@ def _adaptive(f, segments, stages: tuple[str, ...], e: float) -> list[float]:
 # -- turning points ------------------------------------------------------
 
 
-def _energy_si(model: ModelSpec, energy: float) -> float:
-    """A public function's ``energy``, refused by the real rule unless a finite real number, in J."""
-    return model.units.to_si(_real(energy, "energy", NoBoundMotionError), "energy")
+def _energy(energy: float) -> float:
+    """A public function's ``energy``, refused by the real rule unless a finite real number."""
+    return _real(energy, "energy", NoBoundMotionError)
 
 
-def _turning_points_si(profile: WellProfile, e: float) -> tuple[float, float]:
-    if not math.isfinite(e):  # a finite energy can overflow in SI
-        raise NoBoundMotionError(f"energy must be finite, got {e!r}")
+def _turning_points(profile: WellProfile, e: float) -> tuple[float, float]:
     if e <= profile.u_min or e >= profile.e_ceiling:
-        raise NoBoundMotionError(
-            f"no bound orbit at E={e!r} J; well supports ({profile.u_min!r}, {profile.e_ceiling!r}) J")
+        raise NoBoundMotionError(f"no bound orbit at E={e!r}; well supports ({profile.u_min!r}, {profile.e_ceiling!r})")
     return profile.turning_points(e)
 
 
 def turning_points(model: ModelSpec, energy: float) -> TurningPoints:
     """Classical turning points at the given energy, in model units."""
-    u = model.units
-    xm, xp = _turning_points_si(well_profile(model), _energy_si(model, energy))
-    return TurningPoints(energy=energy, x_minus=u.from_si(xm, "length"), x_plus=u.from_si(xp, "length"))
+    xm, xp = _turning_points(well_profile(model), _energy(energy))
+    return TurningPoints(energy=energy, x_minus=xm, x_plus=xp)
 
 
 # -- action and period ---------------------------------------------------
@@ -268,7 +266,7 @@ def _theta_segments(profile: WellProfile, xm: float, xp: float):
 
 
 def _action_of(profile: WellProfile, e: float) -> float:
-    """I(E) in J s at the SI energy ``e``: 0 at the well bottom, a stored pass's, or a new quadrature's, not stored."""
+    """I(E) at the energy ``e``: 0 at the well bottom, a stored pass's, or a new quadrature's, not stored."""
     if e == profile.u_min:
         return 0.0  # degenerate orbit at the well bottom
     found = profile.passes.get(e)
@@ -276,24 +274,24 @@ def _action_of(profile: WellProfile, e: float) -> float:
 
 
 def _period_of(profile: WellProfile, e: float) -> float:
-    """tau(E) in s at the SI energy ``e``: a stored pass's, or a new quadrature's, not stored.
+    """tau(E) at the energy ``e``: a stored pass's, or a new quadrature's, not stored.
 
-    A stored pass without a period (see ``_pass_si``) integrates it again, which raises why it has none.
+    A stored pass without a period (see ``_fused_pass``) integrates it again, which raises why it has none.
     """
     found = profile.passes.get(e)
     return _quadrature(profile, e, ("period",))[0] if found is None or found[1] is None else found[1]
 
 
 def _pass_of(profile: WellProfile, e: float) -> tuple[float, float | None]:
-    """(I, tau) at the SI energy ``e``: the well's stored pass, or ``_pass_si``'s, which is stored."""
+    """(I, tau) at the energy ``e``: the well's stored pass, or ``_fused_pass``'s, which is stored."""
     found = profile.passes.get(e)
     if found is None:
-        found = profile.passes[e] = _pass_si(profile, e)
+        found = profile.passes[e] = _fused_pass(profile, e)
     return found
 
 
-def _pass_si(profile: WellProfile, e: float) -> tuple[float, float | None]:
-    """The fused pass: (I, tau) at the SI energy ``e`` above the well bottom from one quadrature.
+def _fused_pass(profile: WellProfile, e: float) -> tuple[float, float | None]:
+    """The fused pass: (I, tau) at the energy ``e`` above the well bottom from one quadrature.
 
     Where the pass fails but the action alone converges, the period is None:
     E - U near the turning points is too coarse for it, as on a closed-kind
@@ -308,14 +306,14 @@ def _pass_si(profile: WellProfile, e: float) -> tuple[float, float | None]:
 
 
 def _quadrature(profile: WellProfile, e: float, stages: tuple[str, ...]) -> list[float]:
-    """I in J s and tau in s at the SI energy ``e``, for each of ``stages`` ("action", "period", or both).
+    """I and tau at the energy ``e``, for each of ``stages`` ("action", "period", or both).
 
     The stages share the turning points, theta-segments and potential
     evaluations, and each integrand call forms both rows, so a pass costs
     about one quadrature. On a table the period's end rows take E - U
     factored (see ``_factored_ends``).
     """
-    xm, xp = _turning_points_si(profile, e)
+    xm, xp = _turning_points(profile, e)
     dx = xp - xm
     segments, pieces, u = _theta_segments(profile, xm, xp)
     action, period = "action" in stages, "period" in stages
@@ -404,7 +402,7 @@ def _least(series, top: float) -> float:
 
 def _near_bottom(profile: WellProfile, e: float, why: str) -> QuadratureFailureError:
     return QuadratureFailureError(
-        f"numeric: no period at E={e!r} J, within rounding of the well bottom u_min={profile.u_min!r} J ({why})")
+        f"numeric: no period at E={e!r}, within rounding of the well bottom u_min={profile.u_min!r} ({why})")
 
 
 def _fd_step(profile: WellProfile, e: float) -> float:
@@ -417,7 +415,7 @@ def action(model: ModelSpec, energy: float) -> float:
 
     A stored pass of the well answers if there is one; a new action is not stored.
     """
-    return _action_of(well_profile(model), _energy_si(model, energy)) / model.units.factor("action")
+    return _action_of(well_profile(model), _energy(energy))
 
 
 def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
@@ -425,19 +423,12 @@ def period_check(model: ModelSpec, energy: float) -> PeriodCheck:
 
     Like ``action``, it reads the well's stored passes and stores none.
     """
-    u = model.units
-    e_si = _energy_si(model, energy)
+    e = _energy(energy)
     profile = well_profile(model)
-    tau_si = _period_of(profile, e_si)
-    h = _fd_step(profile, e_si)
-    fd = (_action_of(profile, e_si + h) - _action_of(profile, e_si - h)) / (2.0 * h)
-    residual = abs(tau_si - fd) / abs(tau_si)
-    return PeriodCheck(
-        energy=energy,
-        period=u.from_si(tau_si, "time"),
-        action_derivative=u.from_si(fd, "time"),
-        residual=residual,
-    )
+    tau = _period_of(profile, e)
+    h = _fd_step(profile, e)
+    fd = (_action_of(profile, e + h) - _action_of(profile, e - h)) / (2.0 * h)
+    return PeriodCheck(energy=energy, period=tau, action_derivative=fd, residual=abs(tau - fd) / abs(tau))
 
 
 def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -> float:
@@ -455,11 +446,11 @@ def period_of_energy(model: ModelSpec, energy: float, self_check: bool = True) -
                 f"period at E={energy!r} disagrees with dI/dE by {chk.residual:.3g} relative"
             )
         return chk.period
-    return model.units.from_si(_period_of(well_profile(model), _energy_si(model, energy)), "time")
+    return _period_of(well_profile(model), _energy(energy))
 
 
 def action_curve(model: ModelSpec, energies) -> ActionCurve:
-    es = [float(_real(e, "energy", NoBoundMotionError)) for e in energies]
+    es = [float(_energy(e)) for e in energies]
     return ActionCurve(
         energies=tuple(es),
         actions=tuple(action(model, e) for e in es),
@@ -487,7 +478,7 @@ def _bracket_low(profile: WellProfile, target: float, read) -> tuple[float, floa
         if (i_lo := read(lo)[0]) < target:
             return lo, i_lo
         lo *= 4.0
-    raise ActionOutOfRangeError(f"no orbit with action below the target {target!r} J s")
+    raise ActionOutOfRangeError(f"no orbit with action below the target {target!r}")
 
 
 def _bracket_high(profile: WellProfile, target: float, read) -> tuple[float, tuple[float, float]]:
@@ -503,18 +494,17 @@ def _bracket_high(profile: WellProfile, target: float, read) -> tuple[float, tup
                 hi = profile.e_ceiling - (profile.e_ceiling - hi) / 4.0
         if (found := read(hi))[0] >= target:
             return hi, found
-        raise ActionOutOfRangeError(f"target action {target!r} J s exceeds the well capacity {found[0]!r} J s"
-                                    f" at E={hi!r} J")
+        raise ActionOutOfRangeError(f"target action {target!r} exceeds the well capacity {found[0]!r} at E={hi!r}")
     hi = profile.u_min + profile.e_scale
     for _ in range(40):
         if (found := read(hi))[0] >= target:
             return hi, found
         hi = profile.u_min + (hi - profile.u_min) * 4.0
-    raise ActionOutOfRangeError(f"target action {target!r} J s not reached while expanding the bracket")
+    raise ActionOutOfRangeError(f"target action {target!r} not reached while expanding the bracket")
 
 
 def _search(profile: WellProfile, target: float) -> float:
-    """The SI energy of the orbit whose action is ``target``, by Newton steps on fused passes.
+    """The energy of the orbit whose action is ``target``, by Newton steps on fused passes.
 
     The start is the quadratic E(I) through the bracket ends with slope
     1/tau at the upper one. Each step E <- E - (I(E) - target) / tau(E) that
@@ -531,9 +521,11 @@ def _search(profile: WellProfile, target: float) -> float:
 
     def read(e):
         """The pass at ``e``, its tau NaN where it gives no Newton slope."""
+        if not math.isfinite(e):  # a bracket expanded past the largest float
+            raise FloatRangeError(f"the level's bracket leaves the float range at E={e!r}")
         i, tau = _pass_of(profile, e)
         if math.isnan(i) or (tau is not None and math.isnan(tau)):
-            raise QuadratureFailureError(f"the {'action' if math.isnan(i) else 'period'} is NaN at E={e!r} J")
+            raise QuadratureFailureError(f"the {'action' if math.isnan(i) else 'period'} is NaN at E={e!r}")
         return i, tau if tau is not None and 0.0 < tau < math.inf else math.nan
 
     lo, i_lo = _bracket_low(profile, target, read)
@@ -558,7 +550,7 @@ def _search(profile: WellProfile, target: float) -> float:
         if hi - lo <= tol:  # bisection has closed the bracket where no pass gave a slope
             return e
         e -= step
-    raise ScanLimitExceededError(f"root search did not converge in {_ROOT_MAXITER} iterations (last E={e!r} J)")
+    raise ScanLimitExceededError(f"root search did not converge in {_ROOT_MAXITER} iterations (last E={e!r})")
 
 
 def _maslov_count(model: ModelSpec, maslov) -> int:
@@ -567,10 +559,10 @@ def _maslov_count(model: ModelSpec, maslov) -> int:
 
 
 def _level(model: ModelSpec, n: int, maslov: int | None = None) -> float:
-    """E_n in SI: the energy of the pass whose action is 2 pi hbar (n + nu/4), stored on the well."""
+    """E_n: the energy of the pass whose action is 2 pi hbar (n + nu/4), stored on the well."""
     _integer(n, "quantum number", OutOfRangeError, 0, 2**53)
     nu = _maslov_count(model, maslov)
-    target = 2.0 * math.pi * HBAR_SI * (n + nu / 4.0)
+    target = 2.0 * math.pi * model.hbar * (n + nu / 4.0)
     if target <= 0.0:
         raise ActionOutOfRangeError("target action is zero: degenerate orbit at the well bottom")
     profile = well_profile(model)
@@ -587,12 +579,12 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     can extend past the model's declared level budget (levels between the
     budget cutoff and dissociation are still orbits of the potential).
     """
-    return EnergyLevel(n=n, energy=model.units.from_si(_level(model, n, maslov), "energy"))
+    return EnergyLevel(n=n, energy=_level(model, n, maslov))
 
 
 def _level_period(model: ModelSpec, n: int) -> float:
-    """tau_n in model units: the period of the pass that placed level n, which the well keeps."""
-    return model.units.from_si(_period_of(well_profile(model), _level(model, n)), "time")
+    """tau_n: the period of the pass that placed level n, which the well keeps."""
+    return _period_of(well_profile(model), _level(model, n))
 
 
 # -- numeric-model level enumeration --------------------------------------
@@ -608,7 +600,7 @@ def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
         raise OutOfRangeError(f"level counting by action applies to numeric models, not {model.kind!r}")
     nu = _maslov_count(model, maslov)
     profile = well_profile(model)
-    quanta = _pass_of(profile, _top(profile))[0] / (2.0 * math.pi * HBAR_SI) - nu / 4.0
+    quanta = _pass_of(profile, _top(profile))[0] / (2.0 * math.pi * model.hbar) - nu / 4.0
     if not math.isfinite(quanta):
         raise FloatRangeError(
             f"{model.kind}: the action at the top of the well leaves the float range (got {quanta!r})")

@@ -3,11 +3,12 @@
 Each system records the SI size of one unit of energy, time, length and
 mass, plus the numerical value hbar takes inside the system. The product
 ``hbar * energy_J * time_s`` must equal hbar in J s, which is validated at
-construction. The closed forms run in a model's own units and need one more
-number from its system, the coherence factor energy x time^2 / (mass x
-length^2), which is 1 wherever the energy unit is the mass unit times the
-square of the velocity unit. The semiclassical engine runs in SI, and a
-UnitSystem translates its inputs and results.
+construction. The closed forms and the semiclassical engine run in a
+model's own units and need one more number from its system, the coherence
+factor energy x time^2 / (mass x length^2), which is 1 wherever the energy
+unit is the mass unit times the square of the velocity unit; they divide the
+mass by it. The SI factors serve ``ModelSpec.converted``, which restates a
+model in another system.
 
 The two abstract systems are anchored to SI base units so their conversion
 factors are well defined:

@@ -8,12 +8,15 @@ tests/oracle/levels.json:
 
     PYTHONPATH=src python tests/oracle/regenerate.py
 
-The problem it solves is the one the engine states in SI: the table's PCHIP
-pieces, their coefficients and knots taken as exact numbers, the mass, and
-hbar = ``units.HBAR_SI``, each the float the engine holds. It therefore
-checks the engine's turning points, quadrature and level search, not the
-interpolation. The SI results are divided by the float unit factors,
-taken as exact, for the model's units.
+The problem it solves is the table restated in SI (``model.converted(SI)``):
+that well's PCHIP pieces, their coefficients and knots taken as exact
+numbers, its mass, and hbar = ``units.HBAR_SI``, each the float an engine
+run on the SI model holds. It therefore checks the engine's turning points,
+quadrature and level search, not the interpolation. The SI results are
+divided by the float unit factors, taken as exact, for the model's units.
+The engine integrates the table as the model states it, in its own units;
+the two statements differ only by the rounding of each restated float, a
+few parts in 1e16, far below the budgets of tests/test_oracle.py.
 
 * Each turning point is the root of one piece's cubic, in the piece
   coordinate t = (x - x_k) / h and with U - E scaled by |E|: 40 bisections,
@@ -170,13 +173,13 @@ def main() -> int:
     from speclimit import model_from_dict
     from speclimit import semiclassical as sc
     from speclimit.models import well_profile
-    from speclimit.units import HBAR_SI
+    from speclimit.units import HBAR_SI, SI
 
     out = {"dps": DPS, "tables": {}}
     for name, doc in golden_tables().items():
         model = model_from_dict(doc)
         units, nu = model.units, model.params.maslov
-        table = Table(well_profile(model))
+        table = Table(well_profile(model.converted(SI)))
         e_unit, t_unit = mp.mpf(units.factor("energy")), mp.mpf(units.factor("time"))
         levels = {}
         for n in LEVELS[name]:

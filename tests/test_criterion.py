@@ -419,14 +419,14 @@ def test_box_y_is_exact_or_a_typed_error_for_every_mass(mass_exp, width_exp, uni
     assert y == pytest.approx(box_y(n), rel=1e-12)
 
 
-def test_si_parameters_outside_the_float_range_raise_a_typed_error():
-    # e^4 = 1e1200: the closed forms' scale is inf, and the engine's SI charge^2 overflows
+def test_parameters_outside_the_float_range_raise_a_typed_error():
+    # e^4 = 1e1200: the closed forms' scale is inf, and the engine's charge^2 overflows
     model = sl.hydrogenoid(1.0, 1, 1e300)
     with pytest.raises(sl.FloatRangeError,
                        match=r"^hydrogenoid: energy at n=1 leaves the float range \(the scale e1 is inf\)$"):
         sl.classify(model, (2, 6))
     with pytest.raises(sl.FloatRangeError,
-                       match=r"^hydrogenoid: SI parameters leave the float range \(OverflowError\)$"):
+                       match=r"^hydrogenoid: parameters leave the float range \(OverflowError\)$"):
         sl.quantize(model, 2)
 
 

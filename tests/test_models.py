@@ -23,7 +23,7 @@ from speclimit.errors import (
     UnsupportedModelError,
 )
 from speclimit.models import KINDS, NumericPotentialParams, well_profile
-from speclimit.units import SI, UNIT_SYSTEMS, UnitSystem
+from speclimit.units import SI, UnitSystem
 
 # Frozen closed-form values for the shipped H2 Morse preset, derived from
 # D = 4.7446 eV, alpha = 1.9426 1/A, M = 0.50391 amu with exact eV/amu/fs
@@ -285,27 +285,6 @@ def test_converted_preserves_physics(hyd):
     assert hyd.units.from_si(e2_si, "energy") == pytest.approx(e2, rel=1e-12)
 
 
-def _profile_bits(model) -> list[str]:
-    """The profile's mass, bottom, ceiling and scale, and its turning points and U at 3 energies, as float.hex."""
-    from speclimit.models import well_profile
-
-    p = well_profile(model)
-    values = [p.mass, p.u_min, p.e_ceiling, p.e_scale]
-    for f in (0.1, 0.5, 0.9):
-        e = p.e_ceiling - f * p.e_scale if math.isfinite(p.e_ceiling) else p.u_min + f * p.e_scale
-        xm, xp = p.turning_points(e)
-        values += [e, xm, xp, *p.potential(np.array([xm, 0.5 * (xm + xp), xp])).tolist()]
-    return [float(v).hex() for v in values]
-
-
-@pytest.mark.parametrize("units", sorted(UNIT_SYSTEMS))
-@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
-def test_profile_is_the_profile_of_the_model_converted_to_si(kind, units):
-    # each parameter's SI value comes from its schema unit alone, so both routes build the same well, bit for bit
-    model = sl.ModelSpec(ALL_KINDS[kind]().params, UNIT_SYSTEMS[units])
-    assert _profile_bits(model) == _profile_bits(model.converted(sl.SI))
-
-
 # -- JSON construction -------------------------------------------------
 
 
@@ -544,12 +523,19 @@ def test_closed_forms_refuse_a_level_past_the_float_range(box):
         sl.energy_level(box, 10**154)
 
 
+@pytest.mark.parametrize("x, u", [([-1e308, 0.0, 1e308], [1.0, 0.0, 1.0]), ([-1.0, 0.0, 1.0], [1e308, 0.0, -1e308])])
+def test_table_whose_span_leaves_the_float_range_rejected(x, u):
+    # the table is checked as given, in the model's units, where the engine integrates it
+    with pytest.raises(ModelDefinitionError, match=r"^numeric: the table's x span or u range leaves the float range$"):
+        sl.numeric(1.0, x, u)
+
+
 def test_table_profile_keeps_the_pchip_range_reason():
-    # the SI values are finite, but a cubic piece over the 1e300-wide intervals is not
+    # the table's values are finite, but a cubic piece over the 1e300-wide intervals is not
     model = sl.numeric(1.0, [-1e300, 0.0, 1e300], [1.0, 0.0, 1.0], units=sl.SI)
     with pytest.raises(FloatRangeError) as ei:
         well_profile(model)
-    assert str(ei.value) == "numeric: a cubic piece of the table leaves the float range in SI units"
+    assert str(ei.value) == "numeric: a cubic piece of the table leaves the float range"
 
 
 def test_table_potential_refuses_a_query_outside_the_table():
@@ -559,7 +545,7 @@ def test_table_potential_refuses_a_query_outside_the_table():
     # within 1e-12 of the span past either end the query is clipped onto the table
     assert potential(np.array([xs[0] - 0.5e-12 * span, xs[-1] + 0.5e-12 * span])).tolist() == [4.0, 9.0]
     for x in (xs[0] - 1e-9, xs[-1] + 1e-9):
-        with pytest.raises(PotentialDomainError, match=r"^numeric: query outside tabulated range \[-2, 3\] m$"):
+        with pytest.raises(PotentialDomainError, match=r"^numeric: query outside tabulated range \[-2, 3\]$"):
             potential(np.array([0.0, x]))
 
 

@@ -86,11 +86,13 @@ def test_turning_points_refuse_a_non_finite_energy(osc):
             sc.turning_points(osc, e)
 
 
-def test_turning_points_refuse_an_energy_that_overflows_in_si():
-    # 1e300 units of 1e10 J each is finite in the model's units and inf in SI
+def test_turning_points_take_an_energy_that_would_overflow_in_si():
+    # 1e300 units of 1e10 J each is inf in SI, but the engine works in the model's units, where the orbit of
+    # U = k x^2 / 2 with k / C (C the coherence factor) turns at x = sqrt(2 E C / k)
     giga = UnitSystem("giga", 1.0, 1e10, HBAR_SI / 1e10, 1.0, 1.0)
-    with pytest.raises(NoBoundMotionError, match=r"^energy must be finite, got inf$"):
-        sc.turning_points(sl.harmonic(1.0, 1.0, units=giga), 1e300)
+    amp = math.sqrt(2e300 * giga.factor("coherence"))
+    tp = sc.turning_points(sl.harmonic(1.0, 1.0, units=giga), 1e300)
+    assert tp.x_minus == pytest.approx(-amp, rel=1e-15) and tp.x_plus == pytest.approx(amp, rel=1e-15)
 
 
 def test_turning_points_numeric_domain(numeric_harmonic):
@@ -130,12 +132,8 @@ def _doubling(anchor, step, direction):
         step *= 2.0
 
 
-def _si(model, value, dim):
-    return model.units.to_si(value, dim)
-
-
 def _morse_terms(model):
-    d, a = _si(model, model.params.depth, "energy"), _si(model, model.params.alpha, "inverse_length")
+    d, a = model.params.depth, model.params.alpha
     return lambda x, e: d * (math.exp(-2.0 * a * x) + 2.0 * math.exp(-a * x))
 
 
@@ -143,21 +141,20 @@ def _morse_terms(model):
 _TABLE = sl.numeric(1.0, np.linspace(-2.0, 3.0, 14), [0.6, 0.1, 0.45, 0.2, -0.3, -0.5, -0.2, 0.4,
                                                          0.25, 0.9, 0.7, 1.4, 1.1, 1.6])
 _MORSE = sl.get_preset("morse-h2")
+# every case is in its model's units, as the engine integrates it; "numeric-si" is the table restated in SI
 _TP_CASES = {
-    "box": (sl.box(), (True, True), lambda m, d: _doubling(0.5, 0.25, d), lambda x, e: abs(e)),  # a = 1 m
-    "harmonic": (sl.harmonic(), (False, False), lambda m, d: _doubling(0.0, _si(m, 1e-3, "length"), d),
-                 lambda x, e: abs(e)),
-    "hydrogenoid": (sl.get_preset("hydrogen-atomic"), (True, False),
-                    lambda m, d: _doubling(0.0, _si(m, 1e-3, "length"), d), lambda x, e: abs(e)),
-    "morse": (_MORSE, (False, False),
-              lambda m, d: _doubling(0.0, 1e-3 / _si(m, m.params.alpha, "inverse_length"), d),
-              _morse_terms(_MORSE)),
+    "box": (sl.box(), (True, True), lambda m, d: _doubling(0.5, 0.25, d), lambda x, e: abs(e)),  # a = 1
+    "harmonic": (sl.harmonic(), (False, False), lambda m, d: _doubling(0.0, 1e-3, d), lambda x, e: abs(e)),
+    "hydrogenoid": (sl.get_preset("hydrogen-atomic"), (True, False), lambda m, d: _doubling(0.0, 1e-3, d),
+                    lambda x, e: abs(e)),
+    "morse": (_MORSE, (False, False), lambda m, d: _doubling(0.0, 1e-3 / m.params.alpha, d), _morse_terms(_MORSE)),
     "numeric": (_TABLE, (False, False), None, lambda x, e: abs(e)),
+    "numeric-si": (_TABLE.converted(sl.SI), (False, False), None, lambda x, e: abs(e)),
 }
 
 
 def _knots(model, direction):
-    xs = [_si(model, v, "length") for v in model.params.x]
+    xs = list(model.params.x)
     k = int(np.argmin(model.params.u))
     return iter(xs[k::direction])
 
@@ -307,7 +304,7 @@ def test_quantize_numeric_harmonic(numeric_harmonic):
 
 
 def _counted_quadratures(monkeypatch, energies):
-    """Append the SI energy of every quadrature, of any stage, to ``energies``."""
+    """Append the energy of every quadrature, of any stage, to ``energies``."""
     quadrature = sc._quadrature
 
     def counted(profile, e, stages):
@@ -346,7 +343,7 @@ def test_a_level_asked_again_costs_no_quadrature(monkeypatch):
     first = sc.quantize(table, 3), sc.numeric_level_count(table), sc._level(table, 3)
 
     def integrated(profile, e, stages):
-        raise AssertionError(f"the {stages} at E={e!r} J was integrated again")
+        raise AssertionError(f"the {stages} at E={e!r} was integrated again")
 
     monkeypatch.setattr(sc, "_quadrature", integrated)
     assert (sc.quantize(table, 3), sc.numeric_level_count(table), sc._level(table, 3)) == first
@@ -355,7 +352,7 @@ def test_a_level_asked_again_costs_no_quadrature(monkeypatch):
 def test_action_and_period_check_read_stored_passes_but_store_none():
     xs = np.linspace(-4.0, 4.0, 17)
     table = sl.numeric(1.0, xs, 0.5 * xs**2)
-    e_si = sc._level(table, 2)
+    e2 = sc._level(table, 2)
     stored = dict(well_profile(table).passes)
     sweep = np.linspace(0.2, 7.0, 25)
     for e in sweep:
@@ -363,7 +360,7 @@ def test_action_and_period_check_read_stored_passes_but_store_none():
         sc.period_check(table, float(e))
     assert well_profile(table).passes == stored
     # the level's energy is the last pass of its search, so its action and period are read from the store
-    assert stored[e_si] == (sc._action_of(well_profile(table), e_si), sc._period_of(well_profile(table), e_si))
+    assert stored[e2] == (sc._action_of(well_profile(table), e2), sc._period_of(well_profile(table), e2))
 
 
 # model builder and levels of the wells below; each is quantized after two higher levels
@@ -412,15 +409,16 @@ def test_quantize_validation(osc):
 # -- the level search's typed errors, driven by a stand-in fused pass ------
 
 
-_TARGET_N1 = 2.0 * math.pi * HBAR_SI * 1.5  # I(E_1) of a harmonic well, whose Maslov count is 2
+_TARGET_N1 = 2.0 * math.pi * 1.5  # I(E_1) of a harmonic well in oscillator units (hbar = 1), Maslov count 2
 
 
 @pytest.mark.parametrize("stage", ["action", "period"])
 def test_quantize_nan_pass_raises_quadrature_failure(monkeypatch, stage):
-    # a bracketing pass, 1 J s from e_scale up over the bottom's 0, but with a NaN action or period in between
+    # a bracketing pass, twice the target from e_scale up over the bottom's 0, but with a NaN action or period in
+    # between
     osc = sl.harmonic(1.0, 1.0)
     nan = (math.nan, 1.0) if stage == "action" else (0.5, math.nan)
-    monkeypatch.setattr(sc, "_pass_si", lambda profile, e: (1.0, 1.0) if e >= profile.e_scale else nan)
+    monkeypatch.setattr(sc, "_fused_pass", lambda p, e: (2.0 * _TARGET_N1, 1.0) if e >= p.e_scale else nan)
     with pytest.raises(QuadratureFailureError, match=rf"^harmonic level n=1: the {stage} is NaN at E=\d"):
         sc.quantize(osc, 1)
 
@@ -429,9 +427,9 @@ def test_quantize_iteration_cap_raises_scan_limit(monkeypatch):
     # a smooth bracketing pass, I = (E / e_scale)^3 and tau = dI/dE, whose root takes more than 3 steps; uncapped,
     # the search converges on it
     osc = sl.harmonic(1.0, 1.0)
-    monkeypatch.setattr(sc, "_pass_si", lambda p, e: ((e / p.e_scale) ** 3, 3.0 * e * e / p.e_scale**3))
+    monkeypatch.setattr(sc, "_fused_pass", lambda p, e: ((e / p.e_scale) ** 3, 3.0 * e * e / p.e_scale**3))
     e1 = sc.quantize(osc, 1).energy
-    assert (e1 / osc.units.from_si(well_profile(osc).e_scale, "energy")) ** 3 == pytest.approx(_TARGET_N1, rel=1e-14)
+    assert (e1 / well_profile(osc).e_scale) ** 3 == pytest.approx(_TARGET_N1, rel=1e-14)
     monkeypatch.setattr(sc, "_ROOT_MAXITER", 3)
     with pytest.raises(ScanLimitExceededError,
                        match=r"^harmonic level n=2: root search did not converge in 3 iterations \(last E=\d"):
@@ -442,26 +440,26 @@ def test_quantize_bisects_where_a_pass_has_no_slope(monkeypatch):
     # a pass with tau = 0, inf, negative or None (no period) gives no Newton step: the search bisects and still
     # converges
     osc = sl.harmonic(1.0, 1.0)
-    true = sc._pass_si
+    true = sc._fused_pass
 
     def flat(profile, e):
         i, tau = true(profile, e)
-        return i, (0.0, math.inf, -tau, None)[int(e * 1e40) % 4] if e < profile.e_scale else tau
+        return i, (0.0, math.inf, -tau, None)[int(e * 1e6) % 4] if e < profile.e_scale else tau
 
-    monkeypatch.setattr(sc, "_pass_si", flat)
+    monkeypatch.setattr(sc, "_fused_pass", flat)
     assert sc.quantize(osc, 1).energy == pytest.approx(1.5, rel=1e-14)
 
 
 def test_no_level_search_makes_a_pass_at_the_well_bottom(monkeypatch):
     # the bottom's I = 0 is _action_of's, so a level search places every level without a pass at u_min
-    true = sc._pass_si
+    true = sc._fused_pass
 
     def above_the_bottom(profile, e):
         if e == profile.u_min:
-            raise AssertionError(f"a pass at the well bottom E={e!r} J")
+            raise AssertionError(f"a pass at the well bottom E={e!r}")
         return true(profile, e)
 
-    monkeypatch.setattr(sc, "_pass_si", above_the_bottom)
+    monkeypatch.setattr(sc, "_fused_pass", above_the_bottom)
     xs = np.linspace(-4.0, 4.0, 17)
     for model in (sl.box(), sl.harmonic(), sl.get_preset("morse-h2")):
         for n in range(sl.n_min(model), sl.n_min(model) + 3):
@@ -471,22 +469,22 @@ def test_no_level_search_makes_a_pass_at_the_well_bottom(monkeypatch):
 
 
 def test_a_level_whose_period_stalls_is_placed_and_its_period_refused():
-    # level 0 of a Morse well 41,358 levels deep lies 2.4e-5 of the depth above the bottom, where E - U near the
+    # level 0 of a Morse well 29,348 levels deep lies 3.4e-5 of the depth above the bottom, where E - U near the
     # turning points is too coarse for the period to converge; the action alone places the level, as Brent's
     # search did, and the level's period is refused as it was
-    model = sl.morse(43.79989094399114, 98.60693667102774, 0.03475751770895392, sl.MOLECULAR)
+    model = sl.morse(15.03991299842159, 65.76327781021827, 0.023439868264170702, sl.MOLECULAR)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureFloorWarning)
         e0 = sc.quantize(model, 0).energy
     assert e0 == pytest.approx(sl.energy_level(model, 0).energy, rel=1e-15)
     assert well_profile(model).passes[sc._level(model, 0)][1] is None
-    with pytest.raises(QuadratureFailureError, match=r"^period at E=\S+ J: quadrature stalled"):
+    with pytest.raises(QuadratureFailureError, match=r"^period at E=\S+: quadrature stalled"):
         spectrum(model, [0], "semiclassical")
 
 
 @pytest.mark.parametrize("build, value, why", [
     # a Coulomb well has no floor: the lower bracket end deepens toward -inf
-    (lambda: sl.get_preset("hydrogen-atomic"), 1.0, "no orbit with action below the target"),
+    (lambda: sl.get_preset("hydrogen-atomic"), 10.0, "no orbit with action below the target"),  # target 2 pi
     # a harmonic well has no ceiling: the upper bracket end expands toward +inf
     (lambda: sl.harmonic(1.0, 1.0), 0.0, "not reached while expanding the bracket"),
 ])
@@ -497,7 +495,7 @@ def test_bracket_search_gives_up_after_40_steps(monkeypatch, build, value, why):
         energies.append(e)
         return value, 1.0
 
-    monkeypatch.setattr(sc, "_pass_si", constant)
+    monkeypatch.setattr(sc, "_fused_pass", constant)
     model = build()
     with pytest.raises(ActionOutOfRangeError, match=f"^{model.kind} level n=1: .*{why}"):
         sc.quantize(model, 1)
@@ -505,23 +503,22 @@ def test_bracket_search_gives_up_after_40_steps(monkeypatch, build, value, why):
 
 
 def test_bracket_high_steps_toward_a_finite_ceiling_over_an_infinite_floor(monkeypatch):
-    # a Coulomb-like stand-in, I = 2 pi hbar sqrt(e_scale / -E) / 1e7 with tau = dI/dE = I / (2 |E|), is 0.1 of the
-    # n=1 target at the first upper end -1e-12 e_scale; each step quarters the distance to the ceiling 0 and
-    # doubles it, so level 1 takes 4 steps and level 2 one more. Level 2 reads the first 4 from the well's passes.
+    # a Coulomb-like stand-in, I = 2 pi hbar sqrt(e_scale / -E) / 1e7 (hbar = 1 in atomic units) with
+    # tau = dI/dE = I / (2 |E|), is 0.1 of the n=1 target at the first upper end -1e-12 e_scale; each step quarters
+    # the distance to the ceiling 0 and doubles it, so level 1 takes 4 steps and level 2 one more. Level 2 reads
+    # the first 4 from the well's passes.
     hyd = sl.get_preset("hydrogen-atomic")
     profile = well_profile(hyd)
     energies = []
 
     def coulomb(p, e):
         energies.append(e)
-        i = 2.0 * math.pi * HBAR_SI * math.sqrt(p.e_scale / -e) / 1e7
+        i = 2.0 * math.pi * math.sqrt(p.e_scale / -e) / 1e7
         return i, i / (-2.0 * e)
 
-    monkeypatch.setattr(sc, "_pass_si", coulomb)
-    assert sc.quantize(hyd, 1).energy == pytest.approx(hyd.units.from_si(-1e-14 * profile.e_scale, "energy"),
-                                                      rel=1e-14)
-    assert sc.quantize(hyd, 2).energy == pytest.approx(hyd.units.from_si(-0.25e-14 * profile.e_scale, "energy"),
-                                                      rel=1e-14)
+    monkeypatch.setattr(sc, "_fused_pass", coulomb)
+    assert sc.quantize(hyd, 1).energy == pytest.approx(-1e-14 * profile.e_scale, rel=1e-14)
+    assert sc.quantize(hyd, 2).energy == pytest.approx(-0.25e-14 * profile.e_scale, rel=1e-14)
     hi, steps = profile.e_ceiling - 1e-12 * profile.e_scale, []
     for _ in range(5):
         hi = profile.e_ceiling - (profile.e_ceiling - hi) / 4.0
@@ -533,9 +530,8 @@ def test_bracket_high_steps_toward_a_finite_ceiling_over_an_infinite_floor(monke
 def test_root_search_returns_the_upper_end_where_the_action_meets_the_target(monkeypatch):
     # the upper bracket end of a harmonic well is u_min + e_scale, with u_min = 0
     osc = sl.harmonic(1.0, 1.0)
-    monkeypatch.setattr(sc, "_pass_si", lambda p, e: (_TARGET_N1, 1.0) if e >= p.e_scale else (0.0, 1.0))
-    profile = well_profile(osc)
-    assert sc.quantize(osc, 1).energy == osc.units.from_si(profile.e_scale, "energy")
+    monkeypatch.setattr(sc, "_fused_pass", lambda p, e: (_TARGET_N1, 1.0) if e >= p.e_scale else (0.0, 1.0))
+    assert sc.quantize(osc, 1).energy == well_profile(osc).e_scale
 
 
 def test_level_search_errors_name_the_level_and_print_energies_in_full():
@@ -545,8 +541,8 @@ def test_level_search_errors_name_the_level_and_print_energies_in_full():
     profile = well_profile(table)
     with pytest.raises(NoBoundMotionError) as info:
         sc.quantize(table, 0)
-    assert str(info.value) == (f"numeric level n=0: no bound orbit at E={sc._top(profile)!r} J; well supports"
-                               f" ({profile.u_min!r}, {profile.e_ceiling!r}) J")
+    assert str(info.value) == (f"numeric level n=0: no bound orbit at E={sc._top(profile)!r}; well supports"
+                               f" ({profile.u_min!r}, {profile.e_ceiling!r})")
     assert profile.u_min != profile.e_ceiling  # printed in full, the two ends differ
 
 
@@ -566,7 +562,7 @@ def closed_wells(draw):
     """A builder of a closed-form well of any kind, in any unit system, with parameters over a decade."""
     kind = draw(st.sampled_from(("box", "harmonic", "hydrogenoid", "morse")))
     # SI parameters of order 1 make a macroscopic well, whose Morse levels lie some 1e-34 of the depth apart;
-    # the SI engine refuses to place those (a typed stall, ROADMAP item 8), so SI is left to that item
+    # the engine refuses to place those (a typed stall, ROADMAP item 8), so SI is left to that item
     units = draw(st.sampled_from(sorted((u for u in UNIT_SYSTEMS.values() if u.name != "si"), key=lambda u: u.name)))
     a, b, c = (draw(st.floats(0.2, 5.0)) for _ in range(3))
     z = draw(st.integers(1, 3))
@@ -601,11 +597,11 @@ def test_fused_pass_is_the_action_and_the_period(build, top, f):
         except QuadratureFailureError:  # E - U too coarse for the period: the pass holds the action alone
             period = None
         spell = lambda values: [None if v is None else v.hex() for v in values]  # noqa: E731
-        assert spell(sc._pass_si(profile, e)) == spell((action, period))
+        assert spell(sc._fused_pass(profile, e)) == spell((action, period))
 
 
 def _placed(model, n: int) -> tuple[str, str]:
-    """E_n and tau_n of ``model`` in SI, as float.hex."""
+    """E_n and tau_n of ``model``, as float.hex."""
     e = sc._level(model, n)
     return e.hex(), sc._period_of(well_profile(model), e).hex()
 
@@ -634,6 +630,50 @@ def test_closed_kind_levels_match_the_closed_forms(build, start):
     for n in levels:
         exact = sl.energy_level(model, n).energy
         assert abs(sc.quantize(model, n).energy / exact - 1.0) <= 1.5e-14, (model.kind, n)
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda: sl.box(1.2345e-291, 1e140, sl.ATOMIC), 1),  # a subnormal SI mass, 1.1e-321 kg: off by 1.7e-3 in SI
+    (lambda: sl.box(1e244, 1.0), 2),  # E_2 = 1.97e-243, whose SI value is 2.2e-311 J: off by 2.7e-14 in SI
+])
+def test_a_box_whose_si_values_lose_digits_keeps_its_levels(build, n):
+    # the engine integrates the box in its own units, where its parameters and level are normal floats
+    model = build()
+    assert abs(sc.quantize(model, n).energy / sl.energy_level(model, n).energy - 1.0) <= 1.5e-14
+    assert abs(sc._level_period(model, n) / sl.classical_period(model, n).tau - 1.0) <= 1.5e-14
+
+
+def test_a_level_past_the_float_range_is_refused():
+    # E_1 of this box is 4.9e310 in natural-box units: its bracket expands past the largest float
+    with pytest.raises(sl.FloatRangeError, match=r"^box level n=1: the level's bracket leaves the float range"):
+        sc.quantize(sl.box(1e-300, 1e-5), 1)
+
+
+# The same well stated in each unit system: E_n and tau_n, restated in SI, spread by at most these, relative.
+# Each budget is 4 times the worst spread measured over 3,000 draws of the wells below and the corners of their
+# parameter ranges: E 3.6e-15 (harmonic), and tau by kind box 1.9e-15, numeric 1.9e-14, harmonic 1.9e-13,
+# hydrogenoid 3.8e-13 and morse 1.8e-11 (zeta = 547). The closed kinds but the box form E - U by subtraction near
+# the turning points, which a deep Morse well feels most (ROADMAP item 6).
+_UNITS_E_SPREAD = 1.5e-14
+_UNITS_TAU_SPREAD = {"box": 8e-15, "numeric": 8e-14, "harmonic": 8e-13, "hydrogenoid": 1.6e-12, "morse": 8e-11}
+
+
+def _in_si(model, n: int) -> tuple[float, float]:
+    """E_n and tau_n of ``model``, restated in SI."""
+    u = model.units
+    return u.to_si(sc.quantize(model, n).energy, "energy"), u.to_si(sc._level_period(model, n), "time")
+
+
+@settings(max_examples=60, deadline=None)
+@given(build=st.one_of(table_wells(), closed_wells()))
+def test_a_well_has_the_same_levels_and_periods_in_every_unit_system(build):
+    # the engine integrates each model in its own units, with the mass (and a harmonic stiffness) over the
+    # system's coherence factor, so the five statements of one well differ only by the rounding of their parameters
+    model = build()
+    for n in _ladder(model, 3):
+        es, taus = zip(*(_in_si(model.converted(u), n) for u in UNIT_SYSTEMS.values()))
+        assert max(es) - min(es) <= _UNITS_E_SPREAD * max(map(abs, es)), (model, n, es)
+        assert max(taus) - min(taus) <= _UNITS_TAU_SPREAD[model.kind] * max(taus), (model, n, taus)
 
 
 # -- periods ---------------------------------------------------------------
@@ -688,12 +728,12 @@ def test_level_passes_are_stored_but_public_period_queries_store_none(monkeypatc
     assert profile.passes == stored
 
     def integrated(profile, e, stages):
-        raise AssertionError(f"the {stages} at E={e!r} J was integrated again")
+        raise AssertionError(f"the {stages} at E={e!r} was integrated again")
 
     monkeypatch.setattr(sc, "_quadrature", integrated)
     assert spectrum(table, (2, 1)) == levels
     e1 = sc._level(table, 1)
-    assert table.units.from_si(profile.passes[e1][1], "time") == levels[1][1]
+    assert profile.passes[e1][1] == levels[1][1]
     assert sc._period_of(profile, e1) == profile.passes[e1][1]  # read from the store
 
 
@@ -753,7 +793,7 @@ def test_adaptive_warns_on_floor_acceptance(monkeypatch):
     # only to about 5e-9, between the target and the floor. Stopping at order
     # 64 spares the test the seconds that the order-512 and 1024 rules take.
     monkeypatch.setattr(sc, "_GL_ORDERS", (16, 32, 64))
-    accepted = r"^period at E=0\.25 J: quadrature accepted at relative change 5(\.\d+)?e-09"
+    accepted = r"^period at E=0\.25: quadrature accepted at relative change 5(\.\d+)?e-09"
     with pytest.warns(QuadratureFloorWarning, match=accepted):
         (value,) = sc._adaptive(lambda t, rows: [t**1.5], [(0.0, 1.0)], ("period",), 0.25)
     assert value == pytest.approx(0.4, rel=1e-8)
@@ -764,12 +804,12 @@ def test_adaptive_accepts_each_stage_at_its_own_orders(monkeypatch):
     # which goes on alone, is accepted at the floor and warns; each value is the one-stage call's
     monkeypatch.setattr(sc, "_GL_ORDERS", (16, 32, 64))
     both = lambda t, rows: [np.exp(t), t**1.5]
-    with pytest.warns(QuadratureFloorWarning, match=r"^period at E=0\.25 J"):
+    with pytest.warns(QuadratureFloorWarning, match=r"^period at E=0\.25: "):
         action, period = sc._adaptive(both, [(0.0, 1.0)], ("action", "period"), 0.25)
         (alone,) = sc._adaptive(lambda t, rows: [t**1.5], [(0.0, 1.0)], ("period",), 0.25)
     assert action == sc._adaptive(lambda t, rows: [np.exp(t)], [(0.0, 1.0)], ("action",), 0.25)[0]
     assert period == alone
-    with pytest.raises(QuadratureFailureError, match=r"^action at E=0\.25 J: quadrature stalled"):
+    with pytest.raises(QuadratureFailureError, match=r"^action at E=0\.25: quadrature stalled"):
         sc._adaptive(lambda t, rows: [t**0.5, np.exp(t)], [(0.0, 1.0)], ("action", "period"), 0.25)
 
 
@@ -779,13 +819,13 @@ def test_quadrature_errors_name_the_stage_and_energy(monkeypatch):
     monkeypatch.setattr(sc, "_GL_ORDERS", (8, 16))  # too few orders for a Morse orbit's action to converge
     profile = well_profile(sl.get_preset("morse-h2"))
     e = 0.5 * profile.u_min
-    with pytest.raises(QuadratureFailureError, match=rf"^action at E={re.escape(repr(e))} J: quadrature stalled at"):
+    with pytest.raises(QuadratureFailureError, match=rf"^action at E={re.escape(repr(e))}: quadrature stalled at"):
         sc._action_of(profile, e)
-    with pytest.warns(QuadratureFloorWarning, match=rf"^period at E={re.escape(repr(e))} J: quadrature accepted at"):
+    with pytest.warns(QuadratureFloorWarning, match=rf"^period at E={re.escape(repr(e))}: quadrature accepted at"):
         sc._period_of(profile, e)
     # quantize names the model and the level first
     with pytest.raises(QuadratureFailureError,
-                       match=r"^morse level n=3: action at E=-\d\S* J: quadrature stalled at relative change "):
+                       match=r"^morse level n=3: action at E=-\d\S*: quadrature stalled at relative change "):
         sc.quantize(sl.get_preset("morse-h2"), 3)
 
 
@@ -794,13 +834,13 @@ def test_a_floor_warning_is_issued_once_per_model(monkeypatch):
     monkeypatch.setattr(sc, "_GL_ORDERS", (8, 16))
     model = sl.get_preset("morse-h2")
     e = -0.9 * model.params.depth
-    profile, e_si, per = well_profile(model), model.units.to_si(e, "energy"), model.units.factor("action")
+    profile = well_profile(model)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = sc._pass_of(profile, e_si)[0]  # as a level search reads it, which stores it
-        assert sc._action_of(profile, e_si) == first  # read from the well's stored actions
-        assert sc.action(model, e) == first / per
-        assert sc.action(sl.get_preset("morse-h2"), e) == first / per  # a new model integrates it again
+        first = sc._pass_of(profile, e)[0]  # as a level search reads it, which stores it
+        assert sc._action_of(profile, e) == first  # read from the well's stored actions
+        assert sc.action(model, e) == first
+        assert sc.action(sl.get_preset("morse-h2"), e) == first  # a new model integrates it again
     assert [type(w.message) for w in caught] == [QuadratureFloorWarning] * 2
 
 
@@ -825,7 +865,7 @@ def test_period_converges_with_turning_point_just_past_a_knot(shape, knots, mass
     j = int(np.argmin(us)) + side * outward
     assume(0 < j < knots - 1)
     profile = well_profile(sl.numeric(mass, xs, us))
-    inner = profile.pieces.knots[1:-1]  # the interior knots in SI
+    inner = profile.pieces.knots[1:-1]  # the interior knots
     knot, h = inner[j - 1], inner[1] - inner[0]
     e = float(profile.potential(knot + side * 10.0**log_f * h))
     # an orbit barely above a flat bottom piece (two equal knot values at the
@@ -959,8 +999,8 @@ def test_period_within_rounding_of_a_table_bottom_is_a_typed_error():
         for k, why in ((1, "a turning point rounds onto the bottom knot"), (2, "E - U on an end piece rounds")):
             with pytest.raises(QuadratureFailureError) as ei:
                 sc.period_of_energy(model, ulps[k], self_check=False)
-            assert str(ei.value).startswith(f"numeric: no period at E={ulps[k]!r} J, within rounding of the well"
-                                            f" bottom u_min={u_min!r} J ({why}")
+            assert str(ei.value).startswith(f"numeric: no period at E={ulps[k]!r}, within rounding of the well"
+                                            f" bottom u_min={u_min!r} ({why}")
         got = [sc.period_of_energy(model, ulps[k], self_check=False) for k in (3, 4, 100)]
     assert got == [2063.14958505158, 1518.2700484837644, 664.1252256172749]
 
@@ -996,7 +1036,7 @@ def _reference_adaptive(f, segments, stages, e) -> list[float]:
 
 
 def _bit_identity_cases():
-    """(profile, SI energies) for a PCHIP table, a Morse well and the Coulomb well."""
+    """(profile, energies) for a PCHIP table, a Morse well and the Coulomb well."""
     from speclimit.models import well_profile
 
     xs = np.linspace(-3.0, 3.5, 19)
@@ -1008,14 +1048,14 @@ def _bit_identity_cases():
         morse: [-morse.params.depth * f for f in (0.95, 0.5, 0.02)],
         hyd: [-1.0 / (2.0 * n * n) for n in (1, 4, 11)],
     }
-    return [(well_profile(m), [m.units.to_si(e, "energy") for e in es]) for m, es in energies.items()]
+    return [(well_profile(m), es) for m, es in energies.items()]
 
 
 def test_batched_quadrature_matches_per_panel_reference(monkeypatch):
     cases = _bit_identity_cases()
-    batched = [[(sc._action_of(p, e), sc._period_of(p, e), sc._pass_si(p, e)) for e in es] for p, es in cases]
+    batched = [[(sc._action_of(p, e), sc._period_of(p, e), sc._fused_pass(p, e)) for e in es] for p, es in cases]
     monkeypatch.setattr(sc, "_adaptive", _reference_adaptive)
-    reference = [[(sc._action_of(p, e), sc._period_of(p, e), sc._pass_si(p, e)) for e in es] for p, es in cases]
+    reference = [[(sc._action_of(p, e), sc._period_of(p, e), sc._fused_pass(p, e)) for e in es] for p, es in cases]
     assert batched == reference
 
 
