@@ -23,7 +23,7 @@ from speclimit.errors import (
     UnsupportedModelError,
 )
 from speclimit.models import KINDS, NumericPotentialParams, well_profile
-from speclimit.units import SI, UnitSystem
+from speclimit.units import SI, UNIT_SYSTEMS, UnitSystem
 
 # Frozen closed-form values for the shipped H2 Morse preset, derived from
 # D = 4.7446 eV, alpha = 1.9426 1/A, M = 0.50391 amu with exact eV/amu/fs
@@ -283,6 +283,42 @@ def test_converted_preserves_physics(hyd):
     e2_si = sl.energy_level(si, 2).energy
     e2 = sl.energy_level(hyd, 2).energy
     assert hyd.units.from_si(e2_si, "energy") == pytest.approx(e2, rel=1e-12)
+
+
+# The worst difference over the rows below is 1.3e-15 of the size compared (morse-h2's U between its turning
+# points, in molecular units); the budget is 3 times that.
+_RESTATED_PROFILE_BUDGET = 4e-15
+
+
+def _profile_pairs(model) -> list[tuple[float, float, float]]:
+    """The profile's mass, bottom, ceiling and scale, and its turning points and U at 3 energies, restated in SI.
+
+    Each entry is (restated value, the SI profile's value, the size their difference is measured against).
+    """
+    p, si = well_profile(model), well_profile(model.converted(SI))
+    energy, length, time = (model.units.factor(d) for d in ("energy", "length", "time"))
+    # the profile's mass is m / C, C = energy time^2 / (mass length^2) in SI: restated, it is the SI mass
+    pairs = [(p.mass * energy * time**2 / length**2, si.mass)]
+    pairs += [(a * energy, b) for a, b in ((p.u_min, si.u_min), (p.e_ceiling, si.e_ceiling), (p.e_scale, si.e_scale))]
+    pairs = [(a, b, max(abs(a), abs(b))) for a, b in pairs]
+    for f in (0.1, 0.5, 0.9):
+        e = p.e_ceiling - f * p.e_scale if math.isfinite(p.e_ceiling) else p.u_min + f * p.e_scale
+        xs, xs_si = p.turning_points(e), si.turning_points(e * energy)
+        pairs += [(x * length, x_si, max(abs(x * length), abs(x_si))) for x, x_si in zip(xs, xs_si)]
+        us = p.potential(np.array([xs[0], 0.5 * (xs[0] + xs[1]), xs[1]])) * energy
+        us_si = si.potential(np.array([xs_si[0], 0.5 * (xs_si[0] + xs_si[1]), xs_si[1]]))
+        pairs += [(u, u_si, si.e_scale) for u, u_si in zip(us.tolist(), us_si.tolist())]
+    return pairs
+
+
+@pytest.mark.parametrize("units", sorted(UNIT_SYSTEMS))
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS))
+def test_profile_restated_in_si_is_the_profile_of_the_model_converted_to_si(kind, units):
+    # the profile is built in the model's own units, with the mass over the system's coherence factor; restated,
+    # each value is the SI profile's up to the rounding of the conversion (equal where infinite, as a Coulomb wall)
+    model = sl.ModelSpec(ALL_KINDS[kind]().params, UNIT_SYSTEMS[units])
+    for a, b, size in _profile_pairs(model):
+        assert a == b or abs(a - b) <= _RESTATED_PROFILE_BUDGET * size, (a, b)
 
 
 # -- JSON construction -------------------------------------------------
