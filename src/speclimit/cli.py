@@ -336,8 +336,9 @@ def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int, known=
     if semi_check:
         from . import semiclassical
 
+        if model.params.closed_forms:  # levels without closed forms come from semiclassical.quantize already
+            semiclassical._place(model, ns)
         for row in rows:
-            # levels without closed forms come from semiclassical.quantize already
             row.append(semiclassical.quantize(model, row[0]).energy if model.params.closed_forms else row[1])
     w.write_csv("spectrum.csv", ["n", "E_n", "tau_n"] + (["E_semiclassical"] if semi_check else []), rows)
     return len(rows)

@@ -147,13 +147,16 @@ def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[floa
     """{n: (E_n, tau_n)} in model units, each level computed once.
 
     Closed forms where the model has them (``method="auto"``), otherwise
-    Bohr-Sommerfeld levels with their quadrature periods, which the well
-    keeps for the next spectrum that asks for the same level.
+    Bohr-Sommerfeld levels with their quadrature periods. Their searches run
+    in lockstep, and the well keeps their passes, from which each level is
+    read, and which the next spectrum that asks for the same level reads.
     """
     if _resolve_method(model, method) == "closed":
         return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
     from . import semiclassical
 
+    ns = list(ns)
+    semiclassical._place(model, ns)  # the levels' searches in lockstep, their passes kept on the well
     return {n: (semiclassical.quantize(model, n).energy, semiclassical._level_period(model, n)) for n in ns}
 
 

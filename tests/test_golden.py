@@ -42,15 +42,16 @@ def test_golden_outputs(name, tmp_path):
 def test_report_integrates_each_level_period_once(table, tmp_path, monkeypatch):
     # report lists a spectrum and then classifies; the criterion's levels hold the spectrum's, and the well
     # keeps the passes that placed each level, so the report makes as many period quadratures as the criterion
-    # alone; a period is counted however it is integrated, alone or in a fused pass with the action
+    # alone; a period is counted at each energy, however it is integrated: alone or in a fused pass with the
+    # action, and in a call for its energy alone or for several
     from speclimit import semiclassical
 
     energies, quadrature = [], semiclassical._quadrature
 
-    def counted(profile, e, stages):
+    def counted(profile, es, stages):
         if "period" in stages:
-            energies.append(e)
-        return quadrature(profile, e, stages)
+            energies.extend(es)
+        return quadrature(profile, es, stages)
 
     monkeypatch.setattr(semiclassical, "_quadrature", counted)
     counts = {}

@@ -125,7 +125,7 @@ def test_every_table_orbit_spans_two_segments(table, bounds, f):
     low = profile.u_min + bounds * float(_rounding_bound(xs, profile.pieces.coefs).max())
     for e in (low, low + f * (profile.e_ceiling - low)):
         if e < profile.e_ceiling:
-            segments, pieces, _ = sc._theta_segments(profile, *profile.turning_points(e))
+            segments, pieces = sc._theta_segments(profile, *profile.turning_points(e))
             assert len(segments) == len(pieces) >= 2
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import speclimit as sl
 from speclimit import semiclassical as sc
@@ -23,6 +23,7 @@ from speclimit.errors import (
     QuadratureFloorWarning,
     ScanLimitExceededError,
     SelfCheckError,
+    SpeclimitError,
 )
 from speclimit.models import well_profile
 from speclimit.units import HBAR_SI, UNIT_SYSTEMS, UnitSystem
@@ -304,12 +305,12 @@ def test_quantize_numeric_harmonic(numeric_harmonic):
 
 
 def _counted_quadratures(monkeypatch, energies):
-    """Append the energy of every quadrature, of any stage, to ``energies``."""
+    """Append (E, stages) to ``energies`` for each energy integrated, of any stage, alone or in a call with others."""
     quadrature = sc._quadrature
 
-    def counted(profile, e, stages):
-        energies.append((e, stages))
-        return quadrature(profile, e, stages)
+    def counted(profile, es, stages):
+        energies.extend((e, stages) for e in es)
+        return quadrature(profile, es, stages)
 
     monkeypatch.setattr(sc, "_quadrature", counted)
 
@@ -342,8 +343,8 @@ def test_a_level_asked_again_costs_no_quadrature(monkeypatch):
     table = sl.numeric(1.0, xs, 0.5 * xs**2)
     first = sc.quantize(table, 3), sc.numeric_level_count(table), sc._level(table, 3)
 
-    def integrated(profile, e, stages):
-        raise AssertionError(f"the {stages} at E={e!r} was integrated again")
+    def integrated(profile, es, stages):
+        raise AssertionError(f"the {stages} at E={es!r} was integrated again")
 
     monkeypatch.setattr(sc, "_quadrature", integrated)
     assert (sc.quantize(table, 3), sc.numeric_level_count(table), sc._level(table, 3)) == first
@@ -409,6 +410,11 @@ def test_quantize_validation(osc):
 # -- the level search's typed errors, driven by a stand-in fused pass ------
 
 
+def _stand_in(monkeypatch, pass_at):
+    """Make ``pass_at(profile, e)`` the fused pass at each energy, however many energies one call integrates."""
+    monkeypatch.setattr(sc, "_fused_passes", lambda profile, es: [pass_at(profile, e) for e in es])
+
+
 _TARGET_N1 = 2.0 * math.pi * 1.5  # I(E_1) of a harmonic well in oscillator units (hbar = 1), Maslov count 2
 
 
@@ -418,7 +424,7 @@ def test_quantize_nan_pass_raises_quadrature_failure(monkeypatch, stage):
     # between
     osc = sl.harmonic(1.0, 1.0)
     nan = (math.nan, 1.0) if stage == "action" else (0.5, math.nan)
-    monkeypatch.setattr(sc, "_fused_pass", lambda p, e: (2.0 * _TARGET_N1, 1.0) if e >= p.e_scale else nan)
+    _stand_in(monkeypatch, lambda p, e: (2.0 * _TARGET_N1, 1.0) if e >= p.e_scale else nan)
     with pytest.raises(QuadratureFailureError, match=rf"^harmonic level n=1: the {stage} is NaN at E=\d"):
         sc.quantize(osc, 1)
 
@@ -427,7 +433,7 @@ def test_quantize_iteration_cap_raises_scan_limit(monkeypatch):
     # a smooth bracketing pass, I = (E / e_scale)^3 and tau = dI/dE, whose root takes more than 3 steps; uncapped,
     # the search converges on it
     osc = sl.harmonic(1.0, 1.0)
-    monkeypatch.setattr(sc, "_fused_pass", lambda p, e: ((e / p.e_scale) ** 3, 3.0 * e * e / p.e_scale**3))
+    _stand_in(monkeypatch, lambda p, e: ((e / p.e_scale) ** 3, 3.0 * e * e / p.e_scale**3))
     e1 = sc.quantize(osc, 1).energy
     assert (e1 / well_profile(osc).e_scale) ** 3 == pytest.approx(_TARGET_N1, rel=1e-14)
     monkeypatch.setattr(sc, "_ROOT_MAXITER", 3)
@@ -440,26 +446,26 @@ def test_quantize_bisects_where_a_pass_has_no_slope(monkeypatch):
     # a pass with tau = 0, inf, negative or None (no period) gives no Newton step: the search bisects and still
     # converges
     osc = sl.harmonic(1.0, 1.0)
-    true = sc._fused_pass
+    true = sc._fused_passes
 
     def flat(profile, e):
-        i, tau = true(profile, e)
+        (i, tau), = true(profile, [e])
         return i, (0.0, math.inf, -tau, None)[int(e * 1e6) % 4] if e < profile.e_scale else tau
 
-    monkeypatch.setattr(sc, "_fused_pass", flat)
+    _stand_in(monkeypatch, flat)
     assert sc.quantize(osc, 1).energy == pytest.approx(1.5, rel=1e-14)
 
 
 def test_no_level_search_makes_a_pass_at_the_well_bottom(monkeypatch):
     # the bottom's I = 0 is _action_of's, so a level search places every level without a pass at u_min
-    true = sc._fused_pass
+    true = sc._fused_passes
 
-    def above_the_bottom(profile, e):
-        if e == profile.u_min:
-            raise AssertionError(f"a pass at the well bottom E={e!r}")
-        return true(profile, e)
+    def above_the_bottom(profile, es):
+        if profile.u_min in es:
+            raise AssertionError(f"a pass at the well bottom E={profile.u_min!r}")
+        return true(profile, es)
 
-    monkeypatch.setattr(sc, "_fused_pass", above_the_bottom)
+    monkeypatch.setattr(sc, "_fused_passes", above_the_bottom)
     xs = np.linspace(-4.0, 4.0, 17)
     for model in (sl.box(), sl.harmonic(), sl.get_preset("morse-h2")):
         for n in range(sl.n_min(model), sl.n_min(model) + 3):
@@ -472,7 +478,7 @@ def test_a_level_whose_period_stalls_is_placed_and_its_period_refused():
     # level 0 of a Morse well 29,348 levels deep lies 3.4e-5 of the depth above the bottom, where E - U near the
     # turning points is too coarse for the period to converge; the action alone places the level, as Brent's
     # search did, and the level's period is refused as it was
-    model = sl.morse(15.03991299842159, 65.76327781021827, 0.023439868264170702, sl.MOLECULAR)
+    model = _stalled_period_morse()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureFloorWarning)
         e0 = sc.quantize(model, 0).energy
@@ -495,7 +501,7 @@ def test_bracket_search_gives_up_after_40_steps(monkeypatch, build, value, why):
         energies.append(e)
         return value, 1.0
 
-    monkeypatch.setattr(sc, "_fused_pass", constant)
+    _stand_in(monkeypatch, constant)
     model = build()
     with pytest.raises(ActionOutOfRangeError, match=f"^{model.kind} level n=1: .*{why}"):
         sc.quantize(model, 1)
@@ -516,7 +522,7 @@ def test_bracket_high_steps_toward_a_finite_ceiling_over_an_infinite_floor(monke
         i = 2.0 * math.pi * math.sqrt(p.e_scale / -e) / 1e7
         return i, i / (-2.0 * e)
 
-    monkeypatch.setattr(sc, "_fused_pass", coulomb)
+    _stand_in(monkeypatch, coulomb)
     assert sc.quantize(hyd, 1).energy == pytest.approx(-1e-14 * profile.e_scale, rel=1e-14)
     assert sc.quantize(hyd, 2).energy == pytest.approx(-0.25e-14 * profile.e_scale, rel=1e-14)
     hi, steps = profile.e_ceiling - 1e-12 * profile.e_scale, []
@@ -530,7 +536,7 @@ def test_bracket_high_steps_toward_a_finite_ceiling_over_an_infinite_floor(monke
 def test_root_search_returns_the_upper_end_where_the_action_meets_the_target(monkeypatch):
     # the upper bracket end of a harmonic well is u_min + e_scale, with u_min = 0
     osc = sl.harmonic(1.0, 1.0)
-    monkeypatch.setattr(sc, "_fused_pass", lambda p, e: (_TARGET_N1, 1.0) if e >= p.e_scale else (0.0, 1.0))
+    _stand_in(monkeypatch, lambda p, e: (_TARGET_N1, 1.0) if e >= p.e_scale else (0.0, 1.0))
     assert sc.quantize(osc, 1).energy == well_profile(osc).e_scale
 
 
@@ -583,21 +589,26 @@ def _ladder(model, count: int) -> list[int]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(build=st.one_of(table_wells(), closed_wells()), top=st.booleans(), f=st.floats(1e-6, 1.0, exclude_max=True))
-def test_fused_pass_is_the_action_and_the_period(build, top, f):
-    # one quadrature gives both, each accepted at its own orders, so each has the bits of its own quadrature
+@given(build=st.one_of(table_wells(), closed_wells()),
+       points=st.lists(st.tuples(st.booleans(), st.floats(1e-6, 1.0, exclude_max=True)), min_size=1, max_size=4))
+def test_fused_pass_is_the_action_and_the_period(build, points):
+    # one quadrature gives both, each accepted at its own orders, so each has the bits of its own quadrature; the
+    # passes of several energies share their integrand calls, and each has the bits of its energy's own
     profile = well_profile(build())
-    e = _energy(profile, top, f * 1e-6 if top else f)
-    assume(profile.u_min < e < profile.e_ceiling)
+    es = [_energy(profile, top, f * 1e-6 if top else f) for top, f in points]
+    assume(all(profile.u_min < e < profile.e_ceiling for e in es))
+    spell = lambda values: [None if v is None else v.hex() for v in values]  # noqa: E731
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureFloorWarning)
-        action = sc._action_of(profile, e)
-        try:
-            period = sc._period_of(profile, e)
-        except QuadratureFailureError:  # E - U too coarse for the period: the pass holds the action alone
-            period = None
-        spell = lambda values: [None if v is None else v.hex() for v in values]  # noqa: E731
-        assert spell(sc._fused_pass(profile, e)) == spell((action, period))
+        expected = []
+        for e in es:
+            action = sc._action_of(profile, e)
+            try:
+                period = sc._period_of(profile, e)
+            except QuadratureFailureError:  # E - U too coarse for the period: the pass holds the action alone
+                period = None
+            expected.append(spell((action, period)))
+        assert [spell(found) for found in sc._fused_passes(profile, es)] == expected
 
 
 def _placed(model, n: int) -> tuple[str, str]:
@@ -618,6 +629,80 @@ def test_a_level_has_the_same_bits_whatever_the_well_was_asked_before(build, ord
     order.shuffle(asked)
     shared = {n: _placed(model, n) for n in asked}
     assert {n: shared[n] for n in levels} == fresh
+
+
+def _stalled_period_morse():
+    """The Morse well, 29,348 levels deep, whose level 0 is placed but has no period (see the test above)."""
+    return sl.morse(15.03991299842159, 65.76327781021827, 0.023439868264170702, sl.MOLECULAR)
+
+
+def _outcome_of(place, *args):
+    """``place(*args)``, or the (type, text) of the SpeclimitError it raises; floor warnings are ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureFloorWarning)
+        try:
+            return place(*args)
+        except SpeclimitError as exc:
+            return type(exc), str(exc)
+
+
+def _placed_alone(build, n: int) -> tuple[str, str]:
+    """E_n and tau_n, as float.hex, of level n placed alone on a fresh copy of the model."""
+    model = build()
+    return sc.quantize(model, n).energy.hex(), sc._level_period(model, n).hex()
+
+
+def _spectrum_bits(model, ns) -> dict:
+    """``spectrum(model, ns, "semiclassical")``, its E_n and tau_n as float.hex."""
+    return {n: (e.hex(), tau.hex()) for n, (e, tau) in spectrum(model, ns, "semiclassical").items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(build=st.one_of(table_wells(), closed_wells()), order=st.randoms(use_true_random=False))
+@example(build=lambda: sl.get_preset("hydrogen-atomic"), order=random.Random(0))  # the deepening lower bracket
+@example(build=_stalled_period_morse, order=random.Random(0))
+def test_a_spectrum_in_lockstep_has_the_bits_of_each_level_alone(build, order):
+    # spectrum places a well's levels in lockstep, integrating the energies its searches ask together; each level,
+    # placed alone on a fresh copy of the model, has the same E and tau bits, or the same error, and spectrum
+    # raises the error of the first level in its order that has one
+    ns = _ladder(build(), 8)
+    order.shuffle(ns)
+    alone = [_outcome_of(_placed_alone, build, n) for n in ns]
+    failed = next((outcome for outcome in alone if isinstance(outcome[0], type)), None)
+    assert _outcome_of(_spectrum_bits, build(), ns) == (failed or dict(zip(ns, alone)))
+
+
+_CAPACITY_TABLE = (np.linspace(-4.0, 4.0, 17), 0.5 * np.linspace(-4.0, 4.0, 17) ** 2)
+_LIFTED_TABLE = (np.linspace(-6.0, 6.0, 13), 0.5 * np.linspace(-6.0, 6.0, 13) ** 2 + 1e12)
+
+
+@pytest.mark.parametrize("build, ns, error, text", [
+    # level 0 is placed, and its period stalls; levels 3 and 1 come first
+    (_stalled_period_morse, [3, 1, 0, 2], QuadratureFailureError,
+     "period at E=-65.76103701613872: quadrature stalled at relative change 1.18e-07 (target 1e-10, floor 1e-08)"),
+    # the search of level 17, past the well's capacity, raises while those of 15 and 16 go on
+    (lambda: sl.get_preset("morse-h2"), [15, 17, 16], ActionOutOfRangeError,
+     "morse level n=17: target action 72.37418469616753 exceeds the well capacity 72.00180611893455 at"
+     " E=-4.7446002682249855e-09"),
+    (lambda: sl.numeric(1.0, *_CAPACITY_TABLE), [2, 9, 1], ActionOutOfRangeError,
+     "numeric level n=9: target action 59.690260418206066 exceeds the well capacity 50.26620695301523 at"
+     " E=7.999999992"),
+    # level 0 of a Coulomb well has no target
+    (lambda: sl.get_preset("hydrogen-atomic"), [2, 0, 1], ActionOutOfRangeError,
+     "target action is zero: degenerate orbit at the well bottom"),
+    # the top of the well rounds onto its ceiling, so no search passes the pass that brackets every level
+    (lambda: sl.numeric(1.0, *_LIFTED_TABLE), [1, 0], NoBoundMotionError,
+     "numeric level n=1: no bound orbit at E=1000000000018.0; well supports (1000000000000.0, 1000000000018.0)"),
+    # a well whose profile leaves the float range, asked first for a level that has no quantum number
+    (lambda: sl.numeric(1.0, [0.0, 1e-300, 2e-300], [1e300, 0.0, 1e300]), [-1, 0], OutOfRangeError,
+     "quantum number must be an integer in [0, 9007199254740992], got -1"),
+    (lambda: sl.numeric(1.0, [0.0, 1e-300, 2e-300], [1e300, 0.0, 1e300]), [0, -1], sl.FloatRangeError,
+     "numeric: a cubic piece of the table leaves the float range"),
+], ids=["period-stalls", "morse-past-capacity", "table-past-capacity", "coulomb-n0", "top-on-ceiling",
+       "bad-n-first", "bad-profile-first"])
+def test_a_range_with_a_failing_level_raises_that_levels_error(build, ns, error, text):
+    # the error, type and text, that spectrum raised when it placed one level after another
+    assert _outcome_of(lambda: spectrum(build(), ns, "semiclassical")) == (error, text)
 
 
 @settings(max_examples=60, deadline=None)
@@ -727,8 +812,8 @@ def test_level_passes_are_stored_but_public_period_queries_store_none(monkeypatc
     sc.action_curve(table, np.linspace(0.3, 6.0, 5))
     assert profile.passes == stored
 
-    def integrated(profile, e, stages):
-        raise AssertionError(f"the {stages} at E={e!r} was integrated again")
+    def integrated(profile, es, stages):
+        raise AssertionError(f"the {stages} at E={es!r} was integrated again")
 
     monkeypatch.setattr(sc, "_quadrature", integrated)
     assert spectrum(table, (2, 1)) == levels
@@ -788,6 +873,12 @@ def test_numeric_bound_levels(numeric_harmonic):
 # -- period quadrature near knots -----------------------------------------
 
 
+def _adaptive_alone(f, segments, stages, e):
+    """``sc._adaptive`` at the one energy ``e``: its stage values, or the error of a stall, raised."""
+    (found,) = sc._adaptive(f, [(e, segments)], stages)
+    return sc._raised(found)
+
+
 def test_adaptive_warns_on_floor_acceptance(monkeypatch):
     # t^1.5 has an endpoint singularity: Gauss-Legendre orders 32 and 64 agree
     # only to about 5e-9, between the target and the floor. Stopping at order
@@ -795,7 +886,7 @@ def test_adaptive_warns_on_floor_acceptance(monkeypatch):
     monkeypatch.setattr(sc, "_GL_ORDERS", (16, 32, 64))
     accepted = r"^period at E=0\.25: quadrature accepted at relative change 5(\.\d+)?e-09"
     with pytest.warns(QuadratureFloorWarning, match=accepted):
-        (value,) = sc._adaptive(lambda t, rows: [t**1.5], [(0.0, 1.0)], ("period",), 0.25)
+        (value,) = _adaptive_alone(lambda t, rows: [t**1.5], [(0.0, 1.0)], ("period",), 0.25)
     assert value == pytest.approx(0.4, rel=1e-8)
 
 
@@ -805,12 +896,12 @@ def test_adaptive_accepts_each_stage_at_its_own_orders(monkeypatch):
     monkeypatch.setattr(sc, "_GL_ORDERS", (16, 32, 64))
     both = lambda t, rows: [np.exp(t), t**1.5]
     with pytest.warns(QuadratureFloorWarning, match=r"^period at E=0\.25: "):
-        action, period = sc._adaptive(both, [(0.0, 1.0)], ("action", "period"), 0.25)
-        (alone,) = sc._adaptive(lambda t, rows: [t**1.5], [(0.0, 1.0)], ("period",), 0.25)
-    assert action == sc._adaptive(lambda t, rows: [np.exp(t)], [(0.0, 1.0)], ("action",), 0.25)[0]
+        action, period = _adaptive_alone(both, [(0.0, 1.0)], ("action", "period"), 0.25)
+        (alone,) = _adaptive_alone(lambda t, rows: [t**1.5], [(0.0, 1.0)], ("period",), 0.25)
+    assert action == _adaptive_alone(lambda t, rows: [np.exp(t)], [(0.0, 1.0)], ("action",), 0.25)[0]
     assert period == alone
     with pytest.raises(QuadratureFailureError, match=r"^action at E=0\.25: quadrature stalled"):
-        sc._adaptive(lambda t, rows: [t**0.5, np.exp(t)], [(0.0, 1.0)], ("action", "period"), 0.25)
+        _adaptive_alone(lambda t, rows: [t**0.5, np.exp(t)], [(0.0, 1.0)], ("action", "period"), 0.25)
 
 
 def test_quadrature_errors_name_the_stage_and_energy(monkeypatch):
@@ -887,7 +978,7 @@ def _subtracted_period(profile, e: float) -> float:
     dx = xp - xm
     nodes, weights = sc._gl_rule(1024)
     total = 0.0
-    segments, _, _ = sc._theta_segments(profile, xm, xp)
+    segments, _ = sc._theta_segments(profile, xm, xp)
     for a, b in segments:
         theta = 0.5 * (a + b) + 0.5 * (b - a) * nodes
         s = np.sin(theta)
@@ -1008,13 +1099,14 @@ def test_period_within_rounding_of_a_table_bottom_is_a_typed_error():
 # -- batched quadrature against the per-panel reference ---------------------
 
 
-def _reference_adaptive(f, segments, stages, e) -> list[float]:
-    # each stage on its own, with one integrand call per panel per order
+def _reference_adaptive(f, segments, stages, e, at=0) -> list[float]:
+    # each stage on its own, with one integrand call per panel per order; the segments are rows at, at + 1, ...
     def panel(i, order, j):
         a, b = segments[i]
         nodes, weights = sc._gl_rule(order)
         half = 0.5 * (b - a)
-        return half * float(np.dot(weights, f((0.5 * (a + b) + half * nodes)[None, :], slice(i, i + 1))[j][0]))
+        rows = slice(at + i, at + i + 1)
+        return half * float(np.dot(weights, f((0.5 * (a + b) + half * nodes)[None, :], rows)[j][0]))
 
     out = []
     for j in range(len(stages)):
@@ -1035,6 +1127,18 @@ def _reference_adaptive(f, segments, stages, e) -> list[float]:
     return out
 
 
+def _reference_groups(f, groups, stages) -> list:
+    """``_reference_adaptive`` on each energy of ``groups`` in turn, on its own rows, a stall given as its error."""
+    found, at = [], 0
+    for e, segments in groups:
+        try:
+            found.append(_reference_adaptive(f, segments, stages, e, at))
+        except QuadratureFailureError as exc:
+            found.append(exc)
+        at += len(segments)
+    return found
+
+
 def _bit_identity_cases():
     """(profile, energies) for a PCHIP table, a Morse well and the Coulomb well."""
     from speclimit.models import well_profile
@@ -1052,10 +1156,12 @@ def _bit_identity_cases():
 
 
 def test_batched_quadrature_matches_per_panel_reference(monkeypatch):
+    # the fused passes of a well's energies in one call, against each energy's on its own by the reference
     cases = _bit_identity_cases()
-    batched = [[(sc._action_of(p, e), sc._period_of(p, e), sc._fused_pass(p, e)) for e in es] for p, es in cases]
-    monkeypatch.setattr(sc, "_adaptive", _reference_adaptive)
-    reference = [[(sc._action_of(p, e), sc._period_of(p, e), sc._fused_pass(p, e)) for e in es] for p, es in cases]
+    batched = [([(sc._action_of(p, e), sc._period_of(p, e)) for e in es], sc._fused_passes(p, es)) for p, es in cases]
+    monkeypatch.setattr(sc, "_adaptive", _reference_groups)
+    reference = [([(sc._action_of(p, e), sc._period_of(p, e)) for e in es], [sc._fused_passes(p, [e])[0] for e in es])
+                 for p, es in cases]
     assert batched == reference
 
 
@@ -1108,7 +1214,7 @@ def test_joined_first_orders_match_the_per_panel_reference(panels, orders):
     calls, alone, reached = [], [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sc, "_GL_ORDERS", orders)
-        got = _outcome(sc._adaptive, _row_integrand(rates, calls), segments, ("action", "period"))
+        got = _outcome(_adaptive_alone, _row_integrand(rates, calls), segments, ("action", "period"))
         for stage_rates in rates:
             reference_calls = []
             alone.append(_outcome(_reference_adaptive, _row_integrand([stage_rates], reference_calls), segments,
@@ -1122,7 +1228,7 @@ def test_integrand_calls_are_one_fewer_than_the_orders_reached():
     # exp(sin(w theta)) on [0, pi/2] converges at the k-th of the default orders for these rates
     for rate, k in ((0.5, 2), (5.0, 3), (10.0, 4), (20.0, 5), (40.0, 6), (100.0, 7)):
         calls, reference_calls = [], []
-        value = sc._adaptive(_row_integrand([[rate]], calls), [(0.0, math.pi / 2)], ("action",), 1.0)
+        value = _adaptive_alone(_row_integrand([[rate]], calls), [(0.0, math.pi / 2)], ("action",), 1.0)
         assert value == _reference_adaptive(_row_integrand([[rate]], reference_calls), [(0.0, math.pi / 2)],
                                             ("action",), 1.0)
         assert (len(reference_calls), len(calls)) == (k, k - 1)

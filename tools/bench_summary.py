@@ -29,13 +29,15 @@ preset, and the two tables), again taking turns. The file holds:
 * per side, the action quadratures, period quadratures and fused passes
   (one quadrature of both) per op over the first 108 ops of numeric-table
   seed 1 (``quadratures``: ``action_per_op``, ``period_per_op``,
-  ``pass_per_op``), the integrand calls each kind makes per op
-  (``action_calls_per_op``, ``period_calls_per_op``, ``pass_calls_per_op``),
-  the levels ``quantize`` places per op and the fused passes per placed
-  level (``levels_per_op``, ``pass_per_level``), counted in a fresh process
-  that imports that side's ``src/`` and wraps ``semiclassical._adaptive``, the
-  integrand it is given and ``semiclassical.quantize``; the ops run as
-  perfbench runs them, untimed;
+  ``pass_per_op``), each counted once per energy integrated, whether a call
+  of ``semiclassical._adaptive`` integrates that energy alone or with
+  others; the integrand calls each kind makes per op, one per call however
+  many energies it covers (``action_calls_per_op``, ``period_calls_per_op``,
+  ``pass_calls_per_op``); and the levels ``quantize`` places per op and the
+  fused passes per placed level (``levels_per_op``, ``pass_per_level``).
+  They are counted in a fresh process that imports that side's ``src/`` and
+  wraps ``semiclassical._adaptive``, the integrand it is given and
+  ``semiclassical.quantize``; the ops run as perfbench runs them, untimed;
 * per side, over the first 300 ops of monte-carlo seed 1 (``statistics``):
   the exact sums per op (``sums_per_op``), the splitting passes per exact
   sum (``passes_per_sum``), the sums per op whose certificate failed and
@@ -86,17 +88,19 @@ from speclimit import semiclassical
 
 counts, levels, adaptive, quantize = Counter(), {}, semiclassical._adaptive, semiclassical.quantize
 
-def counted(f, segments, stages, e):
-    # a side's quadrature is one stage ("action" or "period") or a fused pass of both (stages, a tuple)
+def counted(f, *args):
+    # a side's _adaptive takes (segments, stages, e) for one energy, or (groups, stages) with one (e, segments)
+    # group per energy; its quadrature is one stage ("action" or "period") or a fused pass of both (a tuple)
+    stages, energies = (args[1], 1) if len(args) == 3 else (args[1], len(args[0]))
     kind = {"action": "action", "period": "period"}.get(stages if isinstance(stages, str) else "+".join(stages),
                                                         "pass")
-    counts[kind] += 1
+    counts[kind] += energies
 
     def call(theta, rows):
         counts[kind + "_calls"] += 1
         return f(theta, rows)
 
-    return adaptive(call, segments, stages, e)
+    return adaptive(call, *args)
 
 def placed(model, n, *args, **kwargs):
     levels[id(model), n] = model  # held, so that no later model takes its id
