@@ -336,10 +336,10 @@ def cmd_spectrum(model: ModelSpec, cfg: dict, w: OutputWriter, seed: int, known=
     if semi_check:
         from . import semiclassical
 
-        if model.params.closed_forms:  # levels without closed forms come from semiclassical.quantize already
-            semiclassical._place(model, ns)
+        # levels without closed forms are Bohr-Sommerfeld levels already
+        placed = semiclassical._place(model, ns) if model.params.closed_forms else {n: e for n, e, _ in rows}
         for row in rows:
-            row.append(semiclassical.quantize(model, row[0]).energy if model.params.closed_forms else row[1])
+            row.append(semiclassical._raised(placed[row[0]]))
     w.write_csv("spectrum.csv", ["n", "E_n", "tau_n"] + (["E_semiclassical"] if semi_check else []), rows)
     return len(rows)
 

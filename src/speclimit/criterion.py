@@ -35,6 +35,7 @@ from .models import (
     energy_level,
     level_gap_energy,
     n_min,
+    well_profile,
 )
 
 __all__ = [
@@ -148,16 +149,20 @@ def spectrum(model: ModelSpec, ns, method: str = "auto") -> dict[int, tuple[floa
 
     Closed forms where the model has them (``method="auto"``), otherwise
     Bohr-Sommerfeld levels with their quadrature periods. Their searches run
-    in lockstep, and the well keeps their passes, from which each level is
-    read, and which the next spectrum that asks for the same level reads.
+    in lockstep, and each period is read from the pass that placed its level,
+    which the well keeps. The first level in ``ns`` that fails raises its error.
     """
     if _resolve_method(model, method) == "closed":
         return {n: (energy_level(model, n).energy, classical_period(model, n).tau) for n in ns}
     from . import semiclassical
 
     ns = list(ns)
-    semiclassical._place(model, ns)  # the levels' searches in lockstep, their passes kept on the well
-    return {n: (semiclassical.quantize(model, n).energy, semiclassical._level_period(model, n)) for n in ns}
+    placed = semiclassical._place(model, ns)
+    levels = {}
+    for n in ns:
+        e = semiclassical._raised(placed[n])
+        levels[n] = e, semiclassical._period_of(well_profile(model), e)
+    return levels
 
 
 def _level_gaps(model: ModelSpec, levels, ns, method: str = "auto") -> tuple[LevelGap, ...]:

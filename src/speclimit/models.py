@@ -116,7 +116,7 @@ class WellProfile:
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
     pieces: CubicPieces | None = None  # a table's profiles.CubicPieces; None for a closed-form well
-    # (I(E), tau(E)) by energy, for each E a level search has integrated; see semiclassical._pass_of
+    # (I(E), tau(E)) by energy, for each E a level search has integrated; see semiclassical._place
     passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 

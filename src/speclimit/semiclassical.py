@@ -66,22 +66,25 @@ bracket ends and where ``numeric_level_count`` reads the action. The search
 starts on the quadratic E(I) through the bracket ends with slope 1/tau at the
 top, and the level's period is that of its last pass.
 
-The search is a generator that yields each energy whose pass it needs. One
-search runs alone in ``_search``; the levels of one well run in lockstep in
-``_place``, which ``criterion.spectrum`` calls first. Each lockstep round
-answers every search it can from the stored passes, then integrates the
-distinct energies the searches wait on in one fused quadrature, so the
-searches of a spectrum share their integrand calls. Each search starts from
-its own target alone, so it asks the same energies in lockstep as alone.
+The search is a generator that yields each energy whose pass it needs, and
+``_place`` is the one driver that runs it: the levels asked of one well run in
+lockstep, and ``quantize`` is the one-level case. Each lockstep round answers
+every search it can from the stored passes, then integrates the distinct
+energies the searches wait on in one fused quadrature, so the searches of a
+spectrum share their integrand calls. Each search starts from its own target
+alone, so it asks the same energies in lockstep as alone, and a level has the
+bits it has alone. ``_place`` returns each level's energy, or the error its
+search or a failed pass raised, named by the model's kind and the level, so
+no level is searched for twice.
 
 Each well keeps the passes its level searches have made
 (``WellProfile.passes``, keyed by energy). The levels of a well share
 their bracket ends, and the search retraces the same energies for the same
-level, so asking for a level again costs no quadrature: ``quantize`` reads a
-level that ``_place`` placed from its passes, and a search that raised in
-``_place`` raises again, from the same energy, when its level is asked. A
-QuadratureFloorWarning at a stored energy is issued once per model, when that
-pass is first made. The public ``action``, ``period_of_energy``,
+target, so asking for a level again costs no quadrature, and a placed
+level's period is read from its last pass. Levels themselves are not kept:
+the same n with another Maslov count has another target and its own search.
+A QuadratureFloorWarning at a stored energy is issued once per model, when
+that pass is first made. The public ``action``, ``period_of_energy``,
 ``period_check`` and ``action_curve`` read the stored passes but add none, so
 a sweep over energies does not grow the memo.
 
@@ -95,7 +98,6 @@ energies and return their results unconverted.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import itertools
 import math
 import operator
@@ -321,14 +323,6 @@ def _period_of(profile: WellProfile, e: float) -> float:
     """
     found = profile.passes.get(e)
     return _raised(_quadrature(profile, [e], ("period",))[0])[0] if found is None or found[1] is None else found[1]
-
-
-def _pass_of(profile: WellProfile, e: float) -> tuple[float, float | None]:
-    """(I, tau) at the energy ``e``: the well's stored pass, or ``_fused_passes``'s, which is stored."""
-    found = profile.passes.get(e)
-    if found is None:
-        found = profile.passes[e] = _raised(_fused_passes(profile, [e])[0])
-    return found
 
 
 def _fused_passes(profile: WellProfile, es) -> list:
@@ -625,17 +619,6 @@ def _newton(profile: WellProfile, target: float):
     raise ScanLimitExceededError(f"root search did not converge in {_ROOT_MAXITER} iterations (last E={e!r})")
 
 
-def _search(profile: WellProfile, target: float) -> float:
-    """The energy of the orbit whose action is ``target``: one ``_newton`` search, on passes ``_pass_of`` stores."""
-    search, found = _newton(profile, target), None
-    while True:
-        try:
-            e = search.send(found)
-        except StopIteration as stop:
-            return stop.value
-        found = _pass_of(profile, e)
-
-
 def _maslov_count(model: ModelSpec, maslov) -> int:
     """The Maslov count nu to use: ``maslov``, or the kind's default when it is None."""
     return _integer(model.params.maslov if maslov is None else maslov, "maslov count", OutOfRangeError, 0, 4)
@@ -651,53 +634,53 @@ def _target(model: ModelSpec, n: int, maslov: int | None = None) -> float:
     return target
 
 
-def _level(model: ModelSpec, n: int, maslov: int | None = None) -> float:
-    """E_n: the energy of the pass whose action is 2 pi hbar (n + nu/4), stored on the well."""
-    target = _target(model, n, maslov)
-    profile = well_profile(model)
-    try:
-        return _search(profile, target)
-    except SpeclimitError as exc:
-        raise type(exc)(f"{model.kind} level n={n}: {exc}") from None
+def _place(model: ModelSpec, ns, maslov: int | None = None) -> dict:
+    """{n: E_n, or the SpeclimitError level n raised} for the levels ``ns`` of ``model``.
 
-
-def _place(model: ModelSpec, ns) -> None:
-    """Place the levels ``ns`` of ``model`` by ``_newton`` searches in lockstep, storing their passes on the well.
-
-    A round first answers each search from the well's stored passes until it
-    asks an energy that no stored pass holds. It then integrates the distinct
+    E_n is the energy of the pass whose action is 2 pi hbar (n + nu/4), found
+    by a ``_newton`` search; the searches of ``ns`` run in lockstep. A round
+    first answers each search from the well's stored passes until it asks an
+    energy that no stored pass holds. It then integrates the distinct
     energies asked in one ``_fused_passes`` call, stores their passes and
-    sends each search its own. A search stops at its level, or where it
-    raises; that level's own ``quantize`` then retraces the stored passes and
-    raises the error.
+    sends each search its own. A search stops at its level, or where it or
+    its pass raises, and that error is named "{kind} level n={n}: ...". An n
+    without a valid target gets its target's error, and every other n the
+    well profile's, where that raises.
     """
-    targets = []
+    placed, targets, asked = {}, {}, {}
     for n in ns:
-        with contextlib.suppress(SpeclimitError):
-            targets.append(_target(model, n))
+        try:
+            targets[n] = _target(model, n, maslov)
+        except SpeclimitError as exc:
+            placed[n] = exc
     try:
         profile = well_profile(model)
-    except SpeclimitError:
-        return
-    asked = {}
+    except SpeclimitError as exc:
+        return {**dict.fromkeys(targets, exc), **placed}
 
-    def advance(search, found):
-        with contextlib.suppress(StopIteration, SpeclimitError):
-            e = search.send(found)
+    def advance(n, search, found):
+        try:
+            e = search.send(_raised(found))  # a failed pass raises here, as the search's own errors do
             while (found := profile.passes.get(e)) is not None:
                 e = search.send(found)
-            asked[search] = e
+        except StopIteration as stop:
+            placed[n] = stop.value
+        except SpeclimitError as exc:
+            placed[n] = type(exc)(f"{model.kind} level n={n}: {exc}")
+        else:
+            asked[n] = search, e
 
-    for target in targets:
-        advance(_newton(profile, target), None)
+    for n, target in targets.items():
+        if n not in placed:  # an n equal to one without a target, as 1 is to True and 1.0, keeps that one's error
+            advance(n, _newton(profile, target), None)
     while asked:
         waiting, asked = asked, {}
-        energies = list(dict.fromkeys(waiting.values()))
+        energies = list(dict.fromkeys(e for _, e in waiting.values()))
         passes = dict(zip(energies, _fused_passes(profile, energies)))
         profile.passes.update((e, found) for e, found in passes.items() if not isinstance(found, SpeclimitError))
-        for search, e in waiting.items():
-            if not isinstance(passes[e], SpeclimitError):
-                advance(search, passes[e])
+        for n, (search, e) in waiting.items():
+            advance(n, search, passes[e])
+    return placed
 
 
 def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel:
@@ -707,12 +690,7 @@ def quantize(model: ModelSpec, n: int, maslov: int | None = None) -> EnergyLevel
     can extend past the model's declared level budget (levels between the
     budget cutoff and dissociation are still orbits of the potential).
     """
-    return EnergyLevel(n=n, energy=_level(model, n, maslov))
-
-
-def _level_period(model: ModelSpec, n: int) -> float:
-    """tau_n: the period of the pass that placed level n, which the well keeps."""
-    return _period_of(well_profile(model), _level(model, n))
+    return EnergyLevel(n=n, energy=_raised(_place(model, [n], maslov)[n]))
 
 
 # -- numeric-model level enumeration --------------------------------------
@@ -728,7 +706,10 @@ def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
         raise OutOfRangeError(f"level counting by action applies to numeric models, not {model.kind!r}")
     nu = _maslov_count(model, maslov)
     profile = well_profile(model)
-    quanta = _pass_of(profile, _top(profile))[0] / (2.0 * math.pi * model.hbar) - nu / 4.0
+    top = _top(profile)
+    if top not in profile.passes:  # stored, as a level search stores it, for the searches that end their bracket there
+        profile.passes[top] = _raised(_fused_passes(profile, [top])[0])
+    quanta = profile.passes[top][0] / (2.0 * math.pi * model.hbar) - nu / 4.0
     if not math.isfinite(quanta):
         raise FloatRangeError(
             f"{model.kind}: the action at the top of the well leaves the float range (got {quanta!r})")

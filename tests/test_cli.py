@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import speclimit as sl
 from speclimit import cli, errors
 from speclimit.cli import main
 from speclimit.models import KINDS, _get_param
@@ -978,28 +979,41 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out1 / entry["name"]).read_bytes() == (out2 / entry["name"]).read_bytes()
 
 
-def test_numeric_spectrum_check_quantizes_each_level_once(tmp_path, monkeypatch):
-    from speclimit import semiclassical
-
+def test_numeric_spectrum_check_quantizes_each_level_once(tmp_path, monkeypatch, placed_levels):
     xs = [0.25 * i for i in range(-16, 17)]
     doc = {"model": {"kind": "numeric", "units": "oscillator",
                      "params": {"mass": 1.0, "x": xs, "u": [0.5 * x * x for x in xs]}},
            "n_limit": 6, "semiclassical_check": True}
-    calls = []
-    quantize = semiclassical.quantize
-
-    def counted_quantize(m, n, *args, **kwargs):
-        calls.append(n)
-        return quantize(m, n, *args, **kwargs)
-
-    monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
     assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
     monkeypatch.undo()
-    assert sorted(calls) == list(range(6))
+    assert placed_levels == collections.Counter(range(6))
     rows = read_csv(tmp_path / "out" / "spectrum.csv")
     assert rows[0] == ["n", "E_n", "tau_n", "E_semiclassical"]
     # for a numeric well the column repeats E_n: both come from the same quantization
     assert len(rows) == 7 and all(r[3] == r[1] for r in rows[1:])
+
+
+def _table_model():
+    xs = [0.5 * i for i in range(-16, 17)]
+    return sl.numeric(1.0, xs, [0.5 * x * x for x in xs])
+
+
+def _spectrum_check(tmp_path):
+    doc = {"model": {"preset": "morse-h2"}, "n_limit": 6, "semiclassical_check": True}
+    assert main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("run, levels", [
+    (lambda tmp_path: sl.classify(_table_model(), (2, 5)), 5),  # levels 1 to 5
+    (lambda tmp_path: sl.consistency_sweep(_table_model(), (2, 5), sl.PeriodProtocol(trials=100)), 5),
+    (_spectrum_check, 6),  # the closed kind's column of levels 0 to 5
+], ids=["classify-table", "sweep-table", "spectrum-check-morse"])
+def test_each_level_is_searched_for_once(tmp_path, monkeypatch, newton_searches, run, levels):
+    # one driver places a run's levels: it reads each level's energy, and the well keeps the pass its period is read
+    # from, so no level's search is run a second time
+    run(tmp_path)
+    monkeypatch.undo()
+    assert sorted(newton_searches.values()) == [1] * levels
 
 
 _SCIPY_PROBE = """

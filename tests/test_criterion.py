@@ -268,29 +268,24 @@ def test_to_json_dict(box):
     assert doc["max_y_over_hbar"] == pytest.approx(sl.y_function(box, 2), rel=1e-12)
 
 
-def test_numeric_classify_quantizes_each_level_once(monkeypatch):
+def test_numeric_classify_quantizes_each_level_once(monkeypatch, placed_levels):
     from collections import Counter
 
     from speclimit import semiclassical
 
     xs = [0.5 * i for i in range(-16, 17)]
     model = sl.numeric(1.0, xs, [0.5 * x * x for x in xs])
-    quantized, timed = Counter(), Counter()
-    quantize, period = semiclassical.quantize, semiclassical._level_period  # a spectrum's level periods
+    timed = Counter()
+    period = semiclassical._period_of  # a spectrum's level periods
 
-    def counted_quantize(m, n, *args, **kwargs):
-        quantized[n] += 1
-        return quantize(m, n, *args, **kwargs)
-
-    def counted_period(m, e, *args, **kwargs):
+    def counted_period(profile, e):
         timed[e] += 1
-        return period(m, e, *args, **kwargs)
+        return period(profile, e)
 
-    monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
-    monkeypatch.setattr(semiclassical, "_level_period", counted_period)
+    monkeypatch.setattr(semiclassical, "_period_of", counted_period)
     rep = sl.classify(model, (2, 5))
     monkeypatch.undo()
-    assert quantized == Counter(range(1, 6))
+    assert placed_levels == Counter(range(1, 6))
     assert list(timed.values()) == [1] * 5
     for g in rep.gaps:
         assert g == sl.level_gap(model, g.n, "semiclassical")

@@ -341,19 +341,19 @@ def test_classify_integrates_each_energy_of_a_table_once(monkeypatch):
 def test_a_level_asked_again_costs_no_quadrature(monkeypatch):
     xs = np.linspace(-4.0, 4.0, 17)
     table = sl.numeric(1.0, xs, 0.5 * xs**2)
-    first = sc.quantize(table, 3), sc.numeric_level_count(table), sc._level(table, 3)
+    first = sc.quantize(table, 3), sc.numeric_level_count(table), sc._place(table, [3])
 
     def integrated(profile, es, stages):
         raise AssertionError(f"the {stages} at E={es!r} was integrated again")
 
     monkeypatch.setattr(sc, "_quadrature", integrated)
-    assert (sc.quantize(table, 3), sc.numeric_level_count(table), sc._level(table, 3)) == first
+    assert (sc.quantize(table, 3), sc.numeric_level_count(table), sc._place(table, [3])) == first
 
 
 def test_action_and_period_check_read_stored_passes_but_store_none():
     xs = np.linspace(-4.0, 4.0, 17)
     table = sl.numeric(1.0, xs, 0.5 * xs**2)
-    e2 = sc._level(table, 2)
+    e2 = sc.quantize(table, 2).energy
     stored = dict(well_profile(table).passes)
     sweep = np.linspace(0.2, 7.0, 25)
     for e in sweep:
@@ -483,7 +483,7 @@ def test_a_level_whose_period_stalls_is_placed_and_its_period_refused():
         warnings.simplefilter("ignore", QuadratureFloorWarning)
         e0 = sc.quantize(model, 0).energy
     assert e0 == pytest.approx(sl.energy_level(model, 0).energy, rel=1e-15)
-    assert well_profile(model).passes[sc._level(model, 0)][1] is None
+    assert well_profile(model).passes[e0][1] is None
     with pytest.raises(QuadratureFailureError, match=r"^period at E=\S+: quadrature stalled"):
         spectrum(model, [0], "semiclassical")
 
@@ -611,10 +611,16 @@ def test_fused_pass_is_the_action_and_the_period(build, points):
         assert [spell(found) for found in sc._fused_passes(profile, es)] == expected
 
 
+def _level_and_period(model, n: int) -> tuple[float, float]:
+    """E_n of ``model``, as ``quantize`` places it, and tau_n, the period of the pass that placed it."""
+    e = sc.quantize(model, n).energy
+    return e, sc._period_of(well_profile(model), e)
+
+
 def _placed(model, n: int) -> tuple[str, str]:
     """E_n and tau_n of ``model``, as float.hex."""
-    e = sc._level(model, n)
-    return e.hex(), sc._period_of(well_profile(model), e).hex()
+    e, tau = _level_and_period(model, n)
+    return e.hex(), tau.hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -648,8 +654,7 @@ def _outcome_of(place, *args):
 
 def _placed_alone(build, n: int) -> tuple[str, str]:
     """E_n and tau_n, as float.hex, of level n placed alone on a fresh copy of the model."""
-    model = build()
-    return sc.quantize(model, n).energy.hex(), sc._level_period(model, n).hex()
+    return _placed(build(), n)
 
 
 def _spectrum_bits(model, ns) -> dict:
@@ -670,6 +675,31 @@ def test_a_spectrum_in_lockstep_has_the_bits_of_each_level_alone(build, order):
     alone = [_outcome_of(_placed_alone, build, n) for n in ns]
     failed = next((outcome for outcome in alone if isinstance(outcome[0], type)), None)
     assert _outcome_of(_spectrum_bits, build(), ns) == (failed or dict(zip(ns, alone)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sl.numeric(1.0, np.linspace(-4.0, 4.0, 17), 0.5 * np.linspace(-4.0, 4.0, 17) ** 2),
+    lambda: sl.get_preset("morse-h2"),
+], ids=["table", "morse"])
+def test_a_level_with_another_maslov_count_is_searched_for_anew(build):
+    # the well keeps passes by energy, not levels by n: after a spectrum with the kind's default count, level n with
+    # nu = 0 has its own target, and quantize gives it the bits it has on a fresh copy of the model
+    model = build()
+    levels = spectrum(model, range(1, 6), "semiclassical")
+    for n in range(1, 6):
+        e = sc.quantize(model, n, maslov=0).energy
+        assert e.hex() == sc.quantize(build(), n, maslov=0).energy.hex()
+        assert e != levels[n][0]
+
+
+@pytest.mark.parametrize("ns", [[1, True], [True, 1], [2, 2.0]])
+def test_a_quantum_number_that_is_no_integer_is_refused_beside_the_integer_it_equals(ns):
+    # True == 1 and 2.0 == 2 are one dict key, so the placed level must not answer for the refused quantum number
+    table = sl.numeric(1.0, np.linspace(-4.0, 4.0, 17), 0.5 * np.linspace(-4.0, 4.0, 17) ** 2)
+    bad = next(n for n in ns if type(n) is not int)
+    text = f"quantum number must be an integer in [0, {2**53}], got {bad}"
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(text)}$"):
+        spectrum(table, ns, "semiclassical")
 
 
 _CAPACITY_TABLE = (np.linspace(-4.0, 4.0, 17), 0.5 * np.linspace(-4.0, 4.0, 17) ** 2)
@@ -724,8 +754,9 @@ def test_closed_kind_levels_match_the_closed_forms(build, start):
 def test_a_box_whose_si_values_lose_digits_keeps_its_levels(build, n):
     # the engine integrates the box in its own units, where its parameters and level are normal floats
     model = build()
-    assert abs(sc.quantize(model, n).energy / sl.energy_level(model, n).energy - 1.0) <= 1.5e-14
-    assert abs(sc._level_period(model, n) / sl.classical_period(model, n).tau - 1.0) <= 1.5e-14
+    e, tau = _level_and_period(model, n)
+    assert abs(e / sl.energy_level(model, n).energy - 1.0) <= 1.5e-14
+    assert abs(tau / sl.classical_period(model, n).tau - 1.0) <= 1.5e-14
 
 
 def test_a_level_past_the_float_range_is_refused():
@@ -745,8 +776,8 @@ _UNITS_TAU_SPREAD = {"box": 8e-15, "numeric": 8e-14, "harmonic": 8e-13, "hydroge
 
 def _in_si(model, n: int) -> tuple[float, float]:
     """E_n and tau_n of ``model``, restated in SI."""
-    u = model.units
-    return u.to_si(sc.quantize(model, n).energy, "energy"), u.to_si(sc._level_period(model, n), "time")
+    e, tau = _level_and_period(model, n)
+    return model.units.to_si(e, "energy"), model.units.to_si(tau, "time")
 
 
 @settings(max_examples=60, deadline=None)
@@ -817,7 +848,7 @@ def test_level_passes_are_stored_but_public_period_queries_store_none(monkeypatc
 
     monkeypatch.setattr(sc, "_quadrature", integrated)
     assert spectrum(table, (2, 1)) == levels
-    e1 = sc._level(table, 1)
+    e1 = sc.quantize(table, 1).energy
     assert profile.passes[e1][1] == levels[1][1]
     assert sc._period_of(profile, e1) == profile.passes[e1][1]  # read from the store
 
@@ -928,7 +959,8 @@ def test_a_floor_warning_is_issued_once_per_model(monkeypatch):
     profile = well_profile(model)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        first = sc._pass_of(profile, e)[0]  # as a level search reads it, which stores it
+        profile.passes[e] = sc._raised(sc._fused_passes(profile, [e])[0])  # a level search's pass, as _place stores it
+        first = profile.passes[e][0]
         assert sc._action_of(profile, e) == first  # read from the well's stored actions
         assert sc.action(model, e) == first
         assert sc.action(sl.get_preset("morse-h2"), e) == first  # a new model integrates it again

@@ -348,24 +348,14 @@ def test_sweep_morse(morse_h2):
     assert sweep.disagreements == 0
 
 
-def test_numeric_sweep_quantizes_each_level_once(monkeypatch):
+def test_numeric_sweep_quantizes_each_level_once(monkeypatch, placed_levels):
     from collections import Counter
-
-    from speclimit import semiclassical
 
     xs = [0.5 * i for i in range(-16, 17)]
     model = sl.numeric(1.0, xs, [0.5 * x * x for x in xs])
-    quantized = Counter()
-    quantize = semiclassical.quantize
-
-    def counted_quantize(m, n, *args, **kwargs):
-        quantized[n] += 1
-        return quantize(m, n, *args, **kwargs)
-
-    monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
     sweep = sl.consistency_sweep(model, (2, 5), sl.PeriodProtocol(trials=100))
     monkeypatch.undo()
-    assert quantized == Counter(range(1, 6))
+    assert placed_levels == Counter(range(1, 6))
     for r, (n, y) in zip(sweep.results, sweep.y_values):
         gap = sl.level_gap(model, n)
         assert r.criterion_resolvable == gap.resolvable and y == gap.y_over_hbar
@@ -385,7 +375,7 @@ def test_period_measurement_refuses_a_level_as_the_single_level_functions_do(box
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_saturating_delta_t_times_with_the_gap_below_or_above_the_bottom(monkeypatch, n):
+def test_saturating_delta_t_times_with_the_gap_below_or_above_the_bottom(placed_levels, n):
     # delta_t=None times level n at hbar / (2 dE) of its own gap, or of the gap above for the bottom level
     from collections import Counter
 
@@ -396,16 +386,9 @@ def test_saturating_delta_t_times_with_the_gap_below_or_above_the_bottom(monkeyp
     for model in (sl.box(1.3, 0.7), table):
         n_model = n + sl.n_min(model)
         gap_at = max(n_model, sl.n_min(model) + 1)
-        quantized = Counter()
-        quantize = semiclassical.quantize
-
-        def counted_quantize(m, k, *args, **kwargs):
-            quantized[k] += 1
-            return quantize(m, k, *args, **kwargs)
-
-        monkeypatch.setattr(semiclassical, "quantize", counted_quantize)
+        placed_levels.clear()
         sample = sl.simulate_period_measurement(model, n_model, sl.PeriodProtocol(trials=10))
-        monkeypatch.undo()
+        quantized = Counter(placed_levels)
         assert sample.delta_t == model.hbar / (2.0 * sl.level_gap(model, gap_at).dE)
         if model is table:  # the three levels n, gap_at - 1 and gap_at, two of them the same, each quantized once
             assert quantized == Counter({n_model, gap_at - 1, gap_at})

@@ -33,11 +33,14 @@ preset, and the two tables), again taking turns. The file holds:
   of ``semiclassical._adaptive`` integrates that energy alone or with
   others; the integrand calls each kind makes per op, one per call however
   many energies it covers (``action_calls_per_op``, ``period_calls_per_op``,
-  ``pass_calls_per_op``); and the levels ``quantize`` places per op and the
-  fused passes per placed level (``levels_per_op``, ``pass_per_level``).
-  They are counted in a fresh process that imports that side's ``src/`` and
-  wraps ``semiclassical._adaptive``, the integrand it is given and
-  ``semiclassical.quantize``; the ops run as perfbench runs them, untimed;
+  ``pass_calls_per_op``); the distinct levels, (model, n) pairs, that
+  ``semiclassical._place`` is asked to place per op and the fused passes per
+  placed level (``levels_per_op``, ``pass_per_level``); and the level
+  searches started per op (``searches_per_op``), one per call of
+  ``semiclassical._newton``. They are counted in a fresh process that
+  imports that side's ``src/`` and wraps ``semiclassical._adaptive``, the
+  integrand it is given, ``semiclassical._place`` and
+  ``semiclassical._newton``; the ops run as perfbench runs them, untimed;
 * per side, over the first 300 ops of monte-carlo seed 1 (``statistics``):
   the exact sums per op (``sums_per_op``), the splitting passes per exact
   sum (``passes_per_sum``), the sums per op whose certificate failed and
@@ -86,7 +89,8 @@ import bench_workloads as bw
 import speclimit as sl
 from speclimit import semiclassical
 
-counts, levels, adaptive, quantize = Counter(), {}, semiclassical._adaptive, semiclassical.quantize
+counts, levels = Counter(), {}
+adaptive, place, newton = semiclassical._adaptive, semiclassical._place, semiclassical._newton
 
 def counted(f, *args):
     # a side's _adaptive takes (segments, stages, e) for one energy, or (groups, stages) with one (e, segments)
@@ -102,11 +106,16 @@ def counted(f, *args):
 
     return adaptive(call, *args)
 
-def placed(model, n, *args, **kwargs):
-    levels[id(model), n] = model  # held, so that no later model takes its id
-    return quantize(model, n, *args, **kwargs)
+def placed(model, ns, *args, **kwargs):
+    ns = list(ns)
+    levels.update(((id(model), n), model) for n in ns)  # each model held, so that no later model takes its id
+    return place(model, ns, *args, **kwargs)
 
-semiclassical._adaptive, semiclassical.quantize = counted, placed
+def searched(*args):
+    counts["searches"] += 1
+    return newton(*args)
+
+semiclassical._adaptive, semiclassical._place, semiclassical._newton = counted, placed, searched
 ops = list(itertools.islice(bw.op_stream("numeric-table", int(sys.argv[1])), int(sys.argv[2])))
 for op in ops:
     try:
@@ -116,7 +125,8 @@ for op in ops:
 print(json.dumps({"seed": int(sys.argv[1]), "ops": len(ops), "levels_per_op": len(levels) / len(ops),
                   "pass_per_level": counts["pass"] / len(levels),
                   **{key + "_per_op": counts[key] / len(ops)
-                     for key in ("action", "period", "pass", "action_calls", "period_calls", "pass_calls")}}))
+                     for key in ("action", "period", "pass", "action_calls", "period_calls", "pass_calls",
+                                 "searches")}}))
 """
 
 
