@@ -116,7 +116,8 @@ class WellProfile:
     e_ceiling: float  # exclusive upper bound on bound-motion energies
     e_scale: float  # characteristic energy
     pieces: CubicPieces | None = None  # a table's profiles.CubicPieces; None for a closed-form well
-    # (I(E), tau(E)) by energy, for each E a level search has integrated; see semiclassical._place
+    # (I(E), tau(E)) by energy, for each E a level search has integrated: I a value, tau a value or the error that
+    # refused it; see semiclassical._place
     passes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -682,14 +683,17 @@ def classical_period(model: ModelSpec, n: int) -> PeriodPoint:
 def bound_levels(model: ModelSpec, n_limit: int) -> list[EnergyLevel]:
     """First ``n_limit`` bound levels, fewer if the ladder ends earlier.
 
-    Each level is the closed form, or Bohr-Sommerfeld for a kind without one.
+    Each level is the closed form, or for a kind without one a Bohr-Sommerfeld
+    level; those are placed together, and the first that fails raises its error.
     """
     _integer(n_limit, "n_limit", OutOfRangeError, lo=1)
+    ns = _first_levels(model, n_limit)
     if model.params.closed_forms:
-        level = energy_level
-    else:
-        from .semiclassical import quantize as level
-    return [level(model, n) for n in _first_levels(model, n_limit)]
+        return [energy_level(model, n) for n in ns]
+    from .semiclassical import _place, _raised
+
+    placed = _place(model, ns)
+    return [EnergyLevel(n=n, energy=_raised(placed[n])) for n in ns]
 
 
 def level_gap_energy(model: ModelSpec, n: int) -> float:

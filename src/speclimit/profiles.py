@@ -103,17 +103,6 @@ class CubicPieces:
         k = -0.25 * d
         return k * ((3.0 * c3 * ta + 2.0 * c2) * ta + c1), k * d * (3.0 * c3 * ta + c2), k * d * d * c3
 
-    def _chord_series(self, piece: int, a: float, d: float) -> tuple[float, float]:
-        """Coefficients in sigma of d^2 U[a, a + d, a + d sigma] / 4 on the cubic ``piece``.
-
-        The second divided difference of a cubic is U[a, b, x] = c2 + c3 (t_a + t_b + t),
-        with t = x - x_k. The 1/4 takes in the factor 2 of the period integrand.
-        """
-        c3, c2 = self.coefs[:2, piece].tolist()
-        ta = a - float(self.knots[piece])
-        k = 0.25 * d * d
-        return k * (c2 + c3 * (3.0 * ta + d)), k * c3 * d
-
 
 def _pchip_end_slope(h0, h1, m0, m1):
     """Moler's one-sided three-point end slope, zeroed or capped at 3 m0 to keep the shape."""

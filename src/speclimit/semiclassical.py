@@ -34,11 +34,18 @@ bits it has alone, and a single energy is the one-element case.
 A level search integrates I and tau together, in one *fused pass*
 (``_fused_passes``): one set of turning points, theta-segments and potential
 evaluations, one integrand call per order forming both rows, and each
-accepted at its own first agreeing orders. Each therefore has the bits that
-the one-stage quadrature of ``_action_of`` or ``_period_of`` gives at that
-energy. Those two read one quantity each, from a stored pass or a quadrature
-of their own, and ``_action_of`` states the degenerate orbit at the well
-bottom, I(u_min) = 0, where no pass is made.
+accepted at its own first agreeing orders. A quadrature gives, per energy,
+one outcome per stage: the stage's value, or its own SpeclimitError. An
+energy with no orbit gives its error to every stage, and the first stage to
+stall gives its error to every stage not yet accepted; a period refused
+before any integration (near a table's bottom, see ``_factored_ends``) is
+the period stage's alone. Each value therefore has the bits, and each error
+the text, that the one-stage quadrature of ``_action_of`` or ``_period_of``
+gives at that energy, and a pass whose period is refused still holds its
+action. Those two read one quantity each, from a stored pass or a quadrature
+of their own, and raise a stored refusal as their own quadrature would;
+``_action_of`` states the degenerate orbit at the well bottom,
+I(u_min) = 0, where no pass is made.
 
 Every well profile states its own turning points in closed form (see
 ``models.WellProfile``): the harmonic and Morse roots, the Coulomb wall and
@@ -64,27 +71,31 @@ an energy bracket by bisection (see ``_newton``). A well with a floor and a
 ceiling has one top energy, 1e-9 of its span below the ceiling, where every
 bracket ends and where ``numeric_level_count`` reads the action. The search
 starts on the quadratic E(I) through the bracket ends with slope 1/tau at the
-top, and the level's period is that of its last pass.
+top, and bisects where a pass's period is refused, as on a Morse level far
+below its well's depth, where E - U near the turning points is too coarse
+for it. The level's period is that of its last pass, a value or the refusal
+that ``_period_of`` raises.
 
 The search is a generator that yields each energy whose pass it needs, and
-``_place`` is the one driver that runs it: the levels asked of one well run in
-lockstep, and ``quantize`` is the one-level case. Each lockstep round answers
+``_place`` is the one driver that runs it: the levels asked of one well (by
+``criterion.spectrum`` or ``models.bound_levels``) run in lockstep, and
+``quantize`` is the one-level case. Each lockstep round answers
 every search it can from the stored passes, then integrates the distinct
 energies the searches wait on in one fused quadrature, so the searches of a
 spectrum share their integrand calls. Each search starts from its own target
 alone, so it asks the same energies in lockstep as alone, and a level has the
 bits it has alone. ``_place`` returns each level's energy, or the error its
-search or a failed pass raised, named by the model's kind and the level, so
-no level is searched for twice.
+search or a pass's action raised, named by the model's kind and the level,
+so no level is searched for twice.
 
-Each well keeps the passes its level searches have made
-(``WellProfile.passes``, keyed by energy). The levels of a well share
-their bracket ends, and the search retraces the same energies for the same
-target, so asking for a level again costs no quadrature, and a placed
-level's period is read from its last pass. Levels themselves are not kept:
-the same n with another Maslov count has another target and its own search.
-A QuadratureFloorWarning at a stored energy is issued once per model, when
-that pass is first made. The public ``action``, ``period_of_energy``,
+Each well keeps the passes its level searches have made, each with its
+action a value (``WellProfile.passes``, keyed by energy). The levels of a
+well share their bracket ends, and the search retraces the same energies for
+the same target, so asking for a level again costs no quadrature, and a
+placed level's period is read from its last pass. Levels themselves are not
+kept: the same n with another Maslov count has another target and its own
+search. A QuadratureFloorWarning at a stored energy is issued once per model,
+when that pass is first made. The public ``action``, ``period_of_energy``,
 ``period_check`` and ``action_curve`` read the stored passes but add none, so
 a sweep over energies does not grow the memo.
 
@@ -181,8 +192,10 @@ def _joined_nodes(first: int, second: int):
 def _adaptive(f, groups, stages: tuple[str, ...]) -> list:
     """Composite Gauss-Legendre with order doubling until 1e-10 relative, one value per stage and energy.
 
-    ``groups`` holds one (e, segments) pair per energy, and the rows of their
-    segments are numbered in order, energy by energy. Each call
+    ``groups`` holds one (e, segments, known) triple per energy, and the rows
+    of their segments are numbered in order, energy by energy; ``known`` has
+    one entry per stage, the stage's outcome where it is known up front (an
+    error) and None where the stage is to be integrated. Each call
     ``f(theta, rows)`` gets one row of nodes per segment in ``theta``, and
     ``rows`` is the slice of the rows those are; it returns one array of that
     shape per stage in ``stages``. The first two orders share one call, on
@@ -195,12 +208,12 @@ def _adaptive(f, groups, stages: tuple[str, ...]) -> list:
     per-row ddot that ``weights.dot`` calls, and each energy's panel sums are
     added as exact floats in segment order.
 
-    Returns, per energy, its stages' values, or the QuadratureFailureError of
-    a stage that stalled. A floor warning or a stall names the stage
-    ("action" or "period") and the energy.
+    Returns, per energy, the tuple of its stages' outcomes (see ``_accepted``).
+    A floor warning or a stall names the stage ("action" or "period") and the
+    energy.
     """
-    bounds = list(itertools.accumulate((len(segments) for _, segments in groups), initial=0))
-    a, b = np.array([ab for _, segments in groups for ab in segments]).T
+    bounds = list(itertools.accumulate((len(segments) for _, segments, _ in groups), initial=0))
+    a, b = np.array([ab for _, segments, _ in groups for ab in segments]).T
     mids, halves = 0.5 * (a + b), 0.5 * (b - a)
     scales = halves.tolist()
     first, second, *rest = _GL_ORDERS
@@ -220,19 +233,23 @@ def _adaptive(f, groups, stages: tuple[str, ...]) -> list:
             yield order, sums(_gl_rule(order)[0], rows, order)[0]
 
     found = []
-    for (e, _), lo, hi in zip(groups, bounds, bounds[1:]):
-        found.append(_accepted(samples(slice(lo, hi)), scales[lo:hi], stages, e))
+    for (e, _, known), lo, hi in zip(groups, bounds, bounds[1:]):
+        found.append(_accepted(samples(slice(lo, hi)), scales[lo:hi], stages, e, known))
     return found
 
 
-def _accepted(samples, scales, stages: tuple[str, ...], e: float):
-    """One energy's stage values from its (order, panel sums per stage) ``samples``, or the stall's error.
+def _accepted(samples, scales, stages: tuple[str, ...], e: float, known) -> tuple:
+    """One energy's outcome per stage from its (order, panel sums per stage) ``samples``: a value or an error.
 
-    ``scales`` are the half widths of the energy's segments.
+    ``scales`` are the half widths of the energy's segments, and ``known``
+    holds each stage's outcome where it is known up front, else None. A stage
+    is accepted at its first pair of agreeing orders, or at the floor with a
+    warning. On the first stall, every stage not yet accepted gets that
+    stall's error, and no later stage warns.
     """
     prev = [None] * len(stages)
     rel = [math.inf] * len(stages)
-    done = [None] * len(stages)
+    done = list(known)
     for order, sums in samples:
         for i, row in enumerate(sums):
             if done[i] is None:
@@ -244,19 +261,20 @@ def _accepted(samples, scales, stages: tuple[str, ...], e: float):
                         done[i] = val
                 prev[i] = val
         if None not in done:
-            return done
+            return tuple(done)
     for i, stage in enumerate(stages):
         if done[i] is None:
             change = f"at relative change {rel[i]:.3g} (target {_RTOL_TARGET:g}, floor {_RTOL_FLOOR:g})"
             if rel[i] > _RTOL_FLOOR:
-                return QuadratureFailureError(f"{stage} at E={e!r}: quadrature stalled {change}")
+                stall = QuadratureFailureError(f"{stage} at E={e!r}: quadrature stalled {change}")
+                return tuple(stall if value is None else value for value in done)
             warnings.warn(QuadratureFloorWarning(f"{stage} at E={e!r}: quadrature accepted {change}"), stacklevel=3)
             done[i] = prev[i]
-    return done
+    return tuple(done)
 
 
 def _raised(found):
-    """``found``, one energy's outcome of a batched call, raised where it is that energy's error."""
+    """``found``, a stage's or a level's outcome, raised where it is its SpeclimitError."""
     if isinstance(found, SpeclimitError):
         raise found
     return found
@@ -312,50 +330,41 @@ def _action_of(profile: WellProfile, e: float) -> float:
     """I(E) at the energy ``e``: 0 at the well bottom, a stored pass's, or a new quadrature's, not stored."""
     if e == profile.u_min:
         return 0.0  # degenerate orbit at the well bottom
-    found = profile.passes.get(e)
-    return _raised(_quadrature(profile, [e], ("action",))[0])[0] if found is None else found[0]
+    return _raised((profile.passes.get(e) or _quadrature(profile, [e], ("action",))[0])[0])
 
 
 def _period_of(profile: WellProfile, e: float) -> float:
     """tau(E) at the energy ``e``: a stored pass's, or a new quadrature's, not stored.
 
-    A stored pass without a period (see ``_fused_passes``) integrates it again, which raises why it has none.
+    A stored pass whose period was refused raises that refusal, as its quadrature did.
     """
-    found = profile.passes.get(e)
-    return _raised(_quadrature(profile, [e], ("period",))[0])[0] if found is None or found[1] is None else found[1]
+    return _raised((profile.passes.get(e) or _quadrature(profile, [e], ("period",))[0])[-1])  # a pass's last stage
 
 
 def _fused_passes(profile: WellProfile, es) -> list:
-    """The fused passes at the energies ``es`` above the well bottom, from one quadrature.
+    """The fused passes (I, tau) at the energies ``es`` above the well bottom, from one quadrature.
 
-    Per energy, (I, tau), or the SpeclimitError that energy raised. Where an
-    energy's pass fails but the action alone converges, its period is None:
-    E - U near the turning points is too coarse for it, as on a closed-kind
-    level far below its well's depth or a table orbit within rounding of its
-    bottom. A level search bisects there, and a caller that asks for that
-    period gets the quadrature's error.
+    Each stage is a value or its own SpeclimitError (see ``_quadrature``), so
+    a pass whose period is refused still holds its action. Every pass of a
+    level search comes from here.
     """
-    found = _quadrature(profile, es, ("action", "period"))
-    for k, e in enumerate(es):
-        if isinstance(found[k], QuadratureFailureError):
-            try:
-                found[k] = _action_of(profile, e), None
-            except SpeclimitError as exc:
-                found[k] = exc
-    return found
+    return _quadrature(profile, es, ("action", "period"))
 
 
 def _quadrature(profile: WellProfile, es, stages: tuple[str, ...]) -> list:
     """I and tau at each energy of ``es``, for each of ``stages`` ("action", "period", or both).
 
-    Per energy, the tuple of its stages' values, or the SpeclimitError that
-    energy raised. Each energy has its own turning points, theta-segments,
-    factor sqrt(2m) dx and, on a table, the period's factored end rows (see
-    ``_factored_ends``), written at the energy's first row. The integrand
-    forms the rows of every energy in one call, with E, x- and dx as per-row
-    columns, and both stages from the same potential evaluations, so a pass
-    costs about one quadrature and the passes of several energies share
-    their integrand calls.
+    Per energy, the tuple of its stages' outcomes, each a value or a
+    SpeclimitError. An energy without turning points or theta-segments gives
+    its error to every stage; a period that ``_factored_ends`` refuses near a
+    table's bottom is the period stage's outcome alone, and the action is
+    integrated in the same call. Each energy has its own turning points,
+    theta-segments, factor sqrt(2m) dx and, on a table, the period's factored
+    end rows, written at the energy's first row. The integrand forms the rows
+    of every energy in one call, with E, x- and dx as per-row columns, and
+    both stages from the same potential evaluations, so a pass costs about
+    one quadrature and the passes of several energies share their integrand
+    calls.
     """
     action, period = "action" in stages, "period" in stages
     found, groups, orbits, columns, pieces, factored = [None] * len(es), [], [], [], [], []
@@ -363,13 +372,16 @@ def _quadrature(profile: WellProfile, es, stages: tuple[str, ...]) -> list:
         try:
             xm, xp = _turning_points(profile, e)
             segments, on = _theta_segments(profile, xm, xp)
-            ends = _factored_ends(profile, e, on, xm, xp) if period and on is not None else None
         except SpeclimitError as exc:
-            found[k] = exc
+            found[k] = (exc,) * len(stages)
             continue
-        if ends is not None:
-            factored.append((len(columns), ends))
-        groups.append((e, segments))
+        known = [None] * len(stages)
+        if period and on is not None:
+            try:
+                factored.append((len(columns), _factored_ends(profile, e, on, xm, xp)))
+            except SpeclimitError as exc:
+                known[stages.index("period")] = exc
+        groups.append((e, segments, tuple(known)))
         orbits.append((k, xp - xm))
         columns += [(e, xm, xp - xm)] * len(segments)
         pieces += on or ()
@@ -392,8 +404,8 @@ def _quadrature(profile: WellProfile, es, stages: tuple[str, ...]) -> list:
 
     for (k, dx), values in zip(orbits, _adaptive(integrand, groups, stages)):
         root = math.sqrt(2.0 * profile.mass) * dx
-        found[k] = values if isinstance(values, SpeclimitError) else tuple(
-            (2.0 * root if stage == "action" else root) * value for stage, value in zip(stages, values))
+        found[k] = tuple(value if isinstance(value, SpeclimitError) else
+                         (2.0 * root if stage == "action" else root) * value for stage, value in zip(stages, values))
     return found
 
 
@@ -411,32 +423,17 @@ def _factored_ends(profile: WellProfile, e: float, pieces, xm: float, xp: float)
     first segment is the call's row ``at`` (negative, or past the call, where
     it lies outside), however the segments are grouped into calls.
 
-    An orbit with no knot strictly inside it lies on one piece and has one
-    segment. Both turning points are then roots of that piece's cubic, so
-    E - U(x) is dx^2 sin^2(theta) cos^2(theta) U[x-, x+, x], with the second
-    divided difference U[x-, x+, x], and the integrand is the smooth
-    2 / (dx sqrt(U[x-, x+, x])) on the whole segment.
-
     Within rounding of a table's bottom E has no period that floats can give,
     and QuadratureFailureError names E and u_min. Every piece of a table is
-    monotone, so a table orbit lies on one piece only when a turning point
-    rounds onto the bottom knot; and the factored E - U of an end piece,
-    positive in exact arithmetic, can round to 0 or below on a nearly flat
-    piece.
+    monotone, so an orbit with no knot strictly inside it, one segment on one
+    piece, has a turning point rounded onto the bottom knot; and the factored
+    E - U of an end piece, positive in exact arithmetic, can round to 0 or
+    below on a nearly flat piece.
     """
     table, dx, count = profile.pieces, xp - xm, len(pieces)
     knots = table.knots
     if count == 1:
-        if xm == knots[pieces[0]] or xp == knots[pieces[0] + 1]:
-            raise _near_bottom(profile, e, "a turning point rounds onto the bottom knot")
-        base, slope = table._chord_series(pieces[0], xm, dx)  # sigma = sin^2
-
-        def chord(values, theta, s, at):
-            if 0 <= at < len(values):
-                row = slice(at, at + 1)
-                values[row] = 1.0 / np.sqrt(slope * (s[row] * s[row]) + base)
-
-        return chord
+        raise _near_bottom(profile, e, "a turning point rounds onto the bottom knot")
     lo = table._end_series(pieces[0], xm, dx)  # sigma = sin^2
     hi = table._end_series(pieces[-1], xp, -dx)  # sigma = cos^2
     if _least(lo, (knots[pieces[0] + 1] - xm) / dx) <= 0.0 or _least(hi, (xp - knots[pieces[-1]]) / dx) <= 0.0:
@@ -532,13 +529,16 @@ def _top(profile: WellProfile) -> float:
 
 
 def _read(e: float):
-    """The pass at ``e``, yielded to the caller that runs the search, its tau NaN where it gives no Newton slope."""
+    """The pass at ``e``, yielded to the caller that runs the search, its tau NaN where it gives no Newton slope.
+
+    An action that is an error raises; a period that is one, refused by its quadrature, gives no slope.
+    """
     if not math.isfinite(e):  # a bracket expanded past the largest float
         raise FloatRangeError(f"the level's bracket leaves the float range at E={e!r}")
     i, tau = yield e
-    if math.isnan(i) or (tau is not None and math.isnan(tau)):
+    if math.isnan(_raised(i)) or (isinstance(tau, float) and math.isnan(tau)):
         raise QuadratureFailureError(f"the {'action' if math.isnan(i) else 'period'} is NaN at E={e!r}")
-    return i, tau if tau is not None and 0.0 < tau < math.inf else math.nan
+    return i, tau if isinstance(tau, float) and 0.0 < tau < math.inf else math.nan
 
 
 def _bracket_low(profile: WellProfile, target: float):
@@ -582,7 +582,7 @@ def _newton(profile: WellProfile, target: float):
     """The search for the orbit whose action is ``target``, by Newton steps on fused passes.
 
     A generator: it yields each energy whose pass it needs, is sent that
-    pass, (I, tau) with tau None where the pass has no period, and returns
+    pass, (I, tau) with each a value or its stage's error, and returns
     the level's energy. The start is the quadratic E(I) through the bracket
     ends with slope 1/tau at the upper one. Each step
     E <- E - (I(E) - target) / tau(E) that leaves the bracket, or has no
@@ -641,11 +641,11 @@ def _place(model: ModelSpec, ns, maslov: int | None = None) -> dict:
     by a ``_newton`` search; the searches of ``ns`` run in lockstep. A round
     first answers each search from the well's stored passes until it asks an
     energy that no stored pass holds. It then integrates the distinct
-    energies asked in one ``_fused_passes`` call, stores their passes and
-    sends each search its own. A search stops at its level, or where it or
-    its pass raises, and that error is named "{kind} level n={n}: ...". An n
-    without a valid target gets its target's error, and every other n the
-    well profile's, where that raises.
+    energies asked in one ``_fused_passes`` call, stores the passes whose
+    action is a value and sends each search its own. A search stops at its
+    level, or where it or its pass's action raises, and that error is named
+    "{kind} level n={n}: ...". An n without a valid target gets its target's
+    error, and every other n the well profile's, where that raises.
     """
     placed, targets, asked = {}, {}, {}
     for n in ns:
@@ -660,7 +660,7 @@ def _place(model: ModelSpec, ns, maslov: int | None = None) -> dict:
 
     def advance(n, search, found):
         try:
-            e = search.send(_raised(found))  # a failed pass raises here, as the search's own errors do
+            e = search.send(found)  # a pass whose action failed raises in the search, as its own errors do
             while (found := profile.passes.get(e)) is not None:
                 e = search.send(found)
         except StopIteration as stop:
@@ -677,7 +677,7 @@ def _place(model: ModelSpec, ns, maslov: int | None = None) -> dict:
         waiting, asked = asked, {}
         energies = list(dict.fromkeys(e for _, e in waiting.values()))
         passes = dict(zip(energies, _fused_passes(profile, energies)))
-        profile.passes.update((e, found) for e, found in passes.items() if not isinstance(found, SpeclimitError))
+        profile.passes.update((e, found) for e, found in passes.items() if not isinstance(found[0], SpeclimitError))
         for n, (search, e) in waiting.items():
             advance(n, search, passes[e])
     return placed
@@ -707,9 +707,9 @@ def numeric_level_count(model: ModelSpec, maslov: int | None = None) -> int:
     nu = _maslov_count(model, maslov)
     profile = well_profile(model)
     top = _top(profile)
-    if top not in profile.passes:  # stored, as a level search stores it, for the searches that end their bracket there
-        profile.passes[top] = _raised(_fused_passes(profile, [top])[0])
-    quanta = profile.passes[top][0] / (2.0 * math.pi * model.hbar) - nu / 4.0
+    found = profile.passes.get(top) or _fused_passes(profile, [top])[0]
+    quanta = _raised(found[0]) / (2.0 * math.pi * model.hbar) - nu / 4.0
+    profile.passes[top] = found  # stored, as a level search stores it, for the searches that end their bracket there
     if not math.isfinite(quanta):
         raise FloatRangeError(
             f"{model.kind}: the action at the top of the well leaves the float range (got {quanta!r})")

@@ -26,7 +26,7 @@ from speclimit.errors import (
     SpeclimitError,
 )
 from speclimit.models import well_profile
-from speclimit.units import HBAR_SI, UNIT_SYSTEMS, UnitSystem
+from speclimit.units import HBAR_SI, SI, UNIT_SYSTEMS, UnitSystem
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import bench_workloads as bw  # noqa: E402
@@ -443,14 +443,15 @@ def test_quantize_iteration_cap_raises_scan_limit(monkeypatch):
 
 
 def test_quantize_bisects_where_a_pass_has_no_slope(monkeypatch):
-    # a pass with tau = 0, inf, negative or None (no period) gives no Newton step: the search bisects and still
-    # converges
+    # a pass with tau = 0, inf, negative or refused (the period stage's error) gives no Newton step: the search
+    # bisects and still converges
     osc = sl.harmonic(1.0, 1.0)
     true = sc._fused_passes
+    refused = QuadratureFailureError("period at E=1.0: quadrature stalled")
 
     def flat(profile, e):
         (i, tau), = true(profile, [e])
-        return i, (0.0, math.inf, -tau, None)[int(e * 1e6) % 4] if e < profile.e_scale else tau
+        return i, (0.0, math.inf, -tau, refused)[int(e * 1e6) % 4] if e < profile.e_scale else tau
 
     _stand_in(monkeypatch, flat)
     assert sc.quantize(osc, 1).energy == pytest.approx(1.5, rel=1e-14)
@@ -483,8 +484,29 @@ def test_a_level_whose_period_stalls_is_placed_and_its_period_refused():
         warnings.simplefilter("ignore", QuadratureFloorWarning)
         e0 = sc.quantize(model, 0).energy
     assert e0 == pytest.approx(sl.energy_level(model, 0).energy, rel=1e-15)
-    assert well_profile(model).passes[e0][1] is None
+    assert isinstance(well_profile(model).passes[e0][1], QuadratureFailureError)
     with pytest.raises(QuadratureFailureError, match=r"^period at E=\S+: quadrature stalled"):
+        spectrum(model, [0], "semiclassical")
+
+
+def test_a_level_whose_period_stalls_is_placed_by_fused_passes_alone(monkeypatch):
+    # the pass that places level 0 holds its action beside its period's refusal, so no quadrature of the action
+    # alone follows it, and spectrum raises the stored refusal without integrating again
+    model = _stalled_period_morse()
+    energies = []
+    _counted_quadratures(monkeypatch, energies)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureFloorWarning)
+        e0 = sc.quantize(model, 0).energy
+    assert e0.hex() == "-0x1.070b4d499d71ep+6"
+    assert energies and {stages for _, stages in energies} == {("action", "period")}
+
+    def integrated(profile, es, stages):
+        raise AssertionError(f"the {stages} at E={es!r} was integrated again")
+
+    monkeypatch.setattr(sc, "_quadrature", integrated)
+    text = "period at E=-65.76103701613872: quadrature stalled at relative change 1.18e-07 (target 1e-10, floor 1e-08)"
+    with pytest.raises(QuadratureFailureError, match=f"^{re.escape(text)}$"):
         spectrum(model, [0], "semiclassical")
 
 
@@ -597,7 +619,7 @@ def test_fused_pass_is_the_action_and_the_period(build, points):
     profile = well_profile(build())
     es = [_energy(profile, top, f * 1e-6 if top else f) for top, f in points]
     assume(all(profile.u_min < e < profile.e_ceiling for e in es))
-    spell = lambda values: [None if v is None else v.hex() for v in values]  # noqa: E731
+    spell = lambda values: [v.hex() if isinstance(v, float) else (type(v), str(v)) for v in values]  # noqa: E731
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureFloorWarning)
         expected = []
@@ -605,8 +627,8 @@ def test_fused_pass_is_the_action_and_the_period(build, points):
             action = sc._action_of(profile, e)
             try:
                 period = sc._period_of(profile, e)
-            except QuadratureFailureError:  # E - U too coarse for the period: the pass holds the action alone
-                period = None
+            except QuadratureFailureError as exc:  # E - U too coarse for the period: the pass holds its refusal
+                period = exc
             expected.append(spell((action, period)))
         assert [spell(found) for found in sc._fused_passes(profile, es)] == expected
 
@@ -901,13 +923,39 @@ def test_numeric_bound_levels(numeric_harmonic):
         assert lv.energy == pytest.approx(lv.n + 0.5, rel=1e-6)
 
 
+def test_bound_levels_of_a_table_are_placed_together(monkeypatch):
+    # bound_levels places a table's levels in lockstep, as spectrum does: each level has the bits it has placed
+    # alone, and after the level count they take no more fused-pass calls than spectrum's on a fresh copy
+    xs = np.linspace(-3.0, 3.0, 17)
+    build = lambda: sl.numeric(1.0, xs, 0.5 * xs**2 + 0.1 * xs**4)  # noqa: E731
+    alone = [sc.quantize(build(), n).energy.hex() for n in range(8)]
+    fused_passes, calls = sc._fused_passes, []
+
+    def counted(profile, es):
+        calls.append(es)
+        return fused_passes(profile, es)
+
+    monkeypatch.setattr(sc, "_fused_passes", counted)
+
+    def after_the_count(place):
+        model = build()
+        sc.numeric_level_count(model)
+        calls.clear()
+        return place(model), len(calls)
+
+    levels, together = after_the_count(lambda model: sl.bound_levels(model, 8))
+    _, in_spectrum = after_the_count(lambda model: spectrum(model, range(8), "semiclassical"))
+    assert [(lv.n, lv.energy.hex()) for lv in levels] == list(enumerate(alone))
+    assert together <= in_spectrum
+
+
 # -- period quadrature near knots -----------------------------------------
 
 
 def _adaptive_alone(f, segments, stages, e):
-    """``sc._adaptive`` at the one energy ``e``: its stage values, or the error of a stall, raised."""
-    (found,) = sc._adaptive(f, [(e, segments)], stages)
-    return sc._raised(found)
+    """``sc._adaptive`` at the one energy ``e``, with no stage known up front: its stage values, or a stall raised."""
+    (found,) = sc._adaptive(f, [(e, segments, (None,) * len(stages))], stages)
+    return [sc._raised(value) for value in found]
 
 
 def test_adaptive_warns_on_floor_acceptance(monkeypatch):
@@ -1083,8 +1131,10 @@ def test_stalled_tables_classify(op):
 
 
 def test_period_of_an_orbit_on_one_piece():
-    # an orbit with no knot strictly inside it lies on one piece and has one theta-segment; its period
-    # is that cubic's, not half of it with a warning. U = x^2 on the one piece [-1, 1]: tau = pi sqrt(2m)
+    # an orbit with no knot strictly inside it lies on one piece and has one theta-segment. PCHIP pieces are
+    # monotone, so on a table that happens only where a turning point rounds onto the bottom knot (see
+    # tests/test_reference.py::test_every_table_orbit_spans_two_segments); its period is refused, naming E and
+    # u_min, with no warning. U = x^2 on the one piece [-1, 1], a profile built by hand
     from speclimit.models import WellProfile
     from speclimit.profiles import CubicPieces
 
@@ -1094,10 +1144,12 @@ def test_period_of_an_orbit_on_one_piece():
                           u_min=0.0, e_ceiling=1.0, e_scale=1.0, pieces=pieces)
     assert pieces(np.array([-0.5, 0.0, 0.5])).tolist() == [0.25, 0.0, 0.25]
     assert len(sc._theta_segments(profile, -0.5, 0.5)[0]) == 1
+    text = ("numeric: no period at E=0.25, within rounding of the well bottom u_min=0.0 (a turning point rounds onto"
+            " the bottom knot)")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tau = sc._period_of(profile, e)
-    assert tau == pytest.approx(math.pi * math.sqrt(2.0 * mass), rel=1e-12)
+        with pytest.raises(QuadratureFailureError, match=f"^{re.escape(text)}$"):
+            sc._period_of(profile, e)
 
 
 # a table whose left piece is nearly flat at its bottom knot (U' and U'' about 0 there), so the period grows
@@ -1126,6 +1178,39 @@ def test_period_within_rounding_of_a_table_bottom_is_a_typed_error():
                                             f" bottom u_min={u_min!r} ({why}")
         got = [sc.period_of_energy(model, ulps[k], self_check=False) for k in (3, 4, 100)]
     assert got == [2063.14958505158, 1518.2700484837644, 664.1252256172749]
+
+
+def _flat_bottom_energy(ulps: int):
+    """The energy ``ulps`` floats above the bottom of ``_FLAT_BOTTOM_TABLE``."""
+    e = min(_FLAT_BOTTOM_TABLE[1])
+    for _ in range(ulps):
+        e = math.nextafter(e, math.inf)
+    return e
+
+
+@pytest.mark.parametrize("build, e", [
+    # the period stalls, and the action converges
+    (_stalled_period_morse, -65.76103701613872),
+    # the period is refused near a table's bottom (one segment; an end piece's E - U rounding below 0), and the
+    # action stalls there
+    (lambda: sl.numeric(1.0, *_FLAT_BOTTOM_TABLE, units=SI), _flat_bottom_energy(1)),
+    (lambda: sl.numeric(1.0, *_FLAT_BOTTOM_TABLE, units=SI), _flat_bottom_energy(2)),
+], ids=["morse-period-stalls", "table-one-segment", "table-end-piece"])
+def test_a_fused_pass_holds_the_actions_outcome_beside_the_periods_refusal(build, e):
+    # each stage of one fused pass has the outcome of its own quadrature, value or error, on a fresh copy
+    def outcome(read):
+        try:
+            return read().hex()
+        except SpeclimitError as exc:
+            return type(exc), str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuadratureFloorWarning)
+        (action, period), = sc._fused_passes(well_profile(build()), [e])
+        expected = [outcome(lambda: sc._action_of(well_profile(build()), e)),
+                    outcome(lambda: sc._period_of(well_profile(build()), e))]
+    assert isinstance(period, QuadratureFailureError)
+    assert [outcome(lambda: sc._raised(action)), outcome(lambda: sc._raised(period))] == expected
 
 
 # -- batched quadrature against the per-panel reference ---------------------
@@ -1160,13 +1245,17 @@ def _reference_adaptive(f, segments, stages, e, at=0) -> list[float]:
 
 
 def _reference_groups(f, groups, stages) -> list:
-    """``_reference_adaptive`` on each energy of ``groups`` in turn, on its own rows, a stall given as its error."""
+    """``_reference_adaptive`` on each energy of ``groups`` in turn, on its own rows, a stall given to every stage.
+
+    A stage whose outcome the group knows up front keeps it.
+    """
     found, at = [], 0
-    for e, segments in groups:
+    for e, segments, known in groups:
         try:
-            found.append(_reference_adaptive(f, segments, stages, e, at))
+            values = _reference_adaptive(f, segments, stages, e, at)
         except QuadratureFailureError as exc:
-            found.append(exc)
+            values = [exc] * len(stages)
+        found.append(tuple(value if outcome is None else outcome for outcome, value in zip(known, values)))
         at += len(segments)
     return found
 

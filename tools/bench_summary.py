@@ -93,8 +93,9 @@ counts, levels = Counter(), {}
 adaptive, place, newton = semiclassical._adaptive, semiclassical._place, semiclassical._newton
 
 def counted(f, *args):
-    # a side's _adaptive takes (segments, stages, e) for one energy, or (groups, stages) with one (e, segments)
-    # group per energy; its quadrature is one stage ("action" or "period") or a fused pass of both (a tuple)
+    # a side's _adaptive takes (segments, stages, e) for one energy, or (groups, stages) with one group per
+    # energy, (e, segments) or (e, segments, known outcomes); its quadrature is one stage ("action" or "period") or
+    # a fused pass of both (a tuple)
     stages, energies = (args[1], 1) if len(args) == 3 else (args[1], len(args[0]))
     kind = {"action": "action", "period": "period"}.get(stages if isinstance(stages, str) else "+".join(stages),
                                                         "pass")
